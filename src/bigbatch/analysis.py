@@ -50,11 +50,6 @@ class VarianceReport:
         }
 
 
-def _block_means(stack: dict) -> np.ndarray:
-    """Aggregate per-block elementwise variances into one scalar per trial set."""
-    return np.array([float(np.mean(v)) for v in stack.values()])
-
-
 def _collect_grads(grad_fn, sampler, n, trials, seed, offset=0):
     """T gradient dicts, each from an independently seeded mini-batch."""
     out = []

@@ -6,6 +6,13 @@ checker can treat them uniformly. Batch-norm layers come in a local and a
 cross-device variant; the cross variant synchronizes statistics over the
 device handle's normalization sub-group and degrades to the local one when
 no handle is given.
+
+Inputs arrive as (N, C, H, W) and are converted once, at the model entry.
+From there every spatial activation is carried as a (N*H*W, C) rows
+matrix, rows ordered (n, y, x): a conv output `cols @ W.T + b` is already
+in that layout, BN treats it as an (N, C) batch with the same per-channel
+accumulation order, and global mean pooling folds it back to (N, C).
+Flat activations after pooling are plain (N, F).
 """
 
 from __future__ import annotations
@@ -177,23 +184,30 @@ def l2_norm_sq(params: dict, keys) -> float:
     return total
 
 
-def _im2col(a: np.ndarray) -> np.ndarray:
-    """(N,C,H,W) -> (N*H*W, C*9) patch matrix for a 3x3, pad-1 convolution."""
-    n, c, h, w = a.shape
-    ap = np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = np.lib.stride_tricks.sliding_window_view(ap, (3, 3), axis=(2, 3))
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * w, c * 9)
+def _im2col(rows: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
+    """(N*H*W, C) rows -> (N*H*W, C*9) patch matrix for a 3x3, pad-1 convolution.
 
-
-def _col2im(dcols: np.ndarray, shape) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patch gradients back onto the image."""
-    n, c, h, w = shape
-    dpad = np.zeros((n, c, h + 2, w + 2))
-    d6 = dcols.reshape(n, h, w, c, 3, 3).transpose(0, 3, 1, 2, 4, 5)
+    Columns are ordered (c, i, j), matching the (Cout, C, 3, 3) kernel
+    flattened row-major.
+    """
+    c = rows.shape[1]
+    ap = np.pad(rows.reshape(n, h, w, c), ((0, 0), (1, 1), (1, 1), (0, 0)))
+    cols = np.empty((n, h, w, c, 3, 3), dtype=rows.dtype)
     for i in range(3):
         for j in range(3):
-            dpad[:, :, i:i + h, j:j + w] += d6[:, :, :, :, i, j]
-    return dpad[:, :, 1:1 + h, 1:1 + w]
+            cols[..., i, j] = ap[:, i:i + h, j:j + w]
+    return cols.reshape(n * h * w, c * 9)
+
+
+def _col2im(dcols: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
+    """Adjoint of _im2col: scatter-add patch gradients back onto (N*H*W, C) rows."""
+    c = dcols.shape[1] // 9
+    dpad = np.zeros((n, h + 2, w + 2, c))
+    d6 = dcols.reshape(n, h, w, c, 3, 3)
+    for i in range(3):
+        for j in range(3):
+            dpad[:, i:i + h, j:j + w] += d6[..., i, j]
+    return dpad[:, 1:1 + h, 1:1 + w].reshape(n * h * w, c)
 
 
 def _bn_state(layer: LayerSpec, params: dict, buffers: dict) -> BNLayerState:
@@ -224,8 +238,12 @@ def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
     if x.shape[1:] != model.in_shape:
         raise ModelError(f"input shape {x.shape[1:]} does not match model {model.in_shape}")
     caches = []
+    n = x.shape[0]
     cur = x
-    for layer in model.layers:
+    if len(model.in_shape) == 3:
+        c, h, wd = model.in_shape
+        cur = Tensor(x.array.transpose(0, 2, 3, 1).reshape(n * h * wd, c), _context="input")
+    for layer, (ishape, _) in zip(model.layers, model.shapes):
         k = layer.kind
         if k == "dense":
             w, b = params[f"{layer.name}.w"], params[f"{layer.name}.b"]
@@ -234,11 +252,9 @@ def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
             cur = Tensor(out, _context=layer.name)
         elif k == "conv3x3":
             w, b = params[f"{layer.name}.w"], params[f"{layer.name}.b"]
-            n, _, h, wd = cur.shape
-            cols = _im2col(cur.array)
+            cols = _im2col(cur.array, n, ishape[1], ishape[2])
             out = cols @ w.reshape(w.shape[0], -1).T + b
-            out = out.reshape(n, h, wd, w.shape[0]).transpose(0, 3, 1, 2)
-            caches.append(("conv3x3", cur, cols))
+            caches.append(("conv3x3", cols))
             cur = Tensor(out, _context=layer.name)
         elif k == "relu":
             mask = cur.array > 0
@@ -257,8 +273,12 @@ def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
                 buffers[f"{layer.name}.running_var"] = state.running_var
             caches.append(("bn", cache))
         elif k == "global_mean_pool":
-            caches.append(("pool", cur.shape))
-            cur = Tensor(cur.array.mean(axis=(2, 3)), _context=layer.name)
+            c, h, wd = ishape
+            # numpy's pairwise sum depends on memory layout: each (n, c) mean
+            # runs over H*W contiguous values, the order the outputs pin.
+            maps = np.ascontiguousarray(cur.array.reshape(n, h * wd, c).transpose(0, 2, 1))
+            caches.append(("global_mean_pool",))
+            cur = Tensor(maps.mean(axis=2), _context=layer.name)
         elif k == "softmax_xent":
             logits = cur
             if labels is None:
@@ -310,7 +330,9 @@ def backward(model: ModelSpec, params: dict, caches: list,
     d[np.arange(n), labels] -= 1.0
     d /= n
     cur = d
-    for layer, cache in zip(reversed(model.layers[:-1]), reversed(caches[:-1])):
+    for layer, (ishape, _), cache in zip(reversed(model.layers[:-1]),
+                                         reversed(model.shapes[:-1]),
+                                         reversed(caches[:-1])):
         k = layer.kind
         if k == "dense":
             x_in = cache[1]
@@ -319,14 +341,12 @@ def backward(model: ModelSpec, params: dict, caches: list,
             grads[f"{layer.name}.b"] = cur.sum(axis=0)
             cur = cur @ w
         elif k == "conv3x3":
-            x_in, cols = cache[1], cache[2]
+            cols = cache[1]
             w = params[f"{layer.name}.w"]
-            cout = w.shape[0]
-            n_, _, h, wd = x_in.shape
-            dout = cur.transpose(0, 2, 3, 1).reshape(n_ * h * wd, cout)
-            grads[f"{layer.name}.w"] = (dout.T @ cols).reshape(w.shape)
-            grads[f"{layer.name}.b"] = dout.sum(axis=0)
-            cur = _col2im(dout @ w.reshape(cout, -1), x_in.shape)
+            grads[f"{layer.name}.w"] = (cur.T @ cols).reshape(w.shape)
+            grads[f"{layer.name}.b"] = cur.sum(axis=0)
+            if layer is not model.layers[0]:  # the input gradient is never used
+                cur = _col2im(cur @ w.reshape(w.shape[0], -1), n, ishape[1], ishape[2])
         elif k == "relu":
             cur = cur * cache[1]
         elif k == "bn":
@@ -349,10 +369,10 @@ def backward(model: ModelSpec, params: dict, caches: list,
             grads[f"{layer.name}.gamma"] = dgamma
             grads[f"{layer.name}.beta"] = dbeta
             cur = dx.array
-        elif k == "pool" or k == "global_mean_pool":
-            n_, c, h, wd = cache[1]
+        elif k == "global_mean_pool":
+            c, h, wd = ishape
             cur = np.broadcast_to(
-                cur[:, :, None, None] / (h * wd), (n_, c, h, wd)).copy()
+                (cur / (h * wd))[:, None, :], (n, h * wd, c)).reshape(n * h * wd, c)
     if weight_decay:
         for key in weight_keys(params):
             grads[key] = grads[key] + weight_decay * params[key]

@@ -193,6 +193,8 @@ class ExperimentConfig:
             problems.append("checksum_interval must be >= 0 (0 disables)")
         if self.collective_timeout_s <= 0:
             problems.append("collective_timeout_s must be positive")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            problems.append(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.dataset, dict):
             problems.append("dataset must be a mapping")
         elif "dir" not in self.dataset:

@@ -100,6 +100,30 @@ def loop_conv3x3(x, w, b):
     return y
 
 
+def nchw_im2col(a):
+    """(N,C,H,W) -> (N*H*W, C*9) patch matrix for a 3x3, pad-1 convolution.
+
+    Rows are ordered (n, y, x) and columns (c, i, j). This is the layout
+    the model used when it carried activations as (N,C,H,W); the tests
+    keep it as the bitwise reference for the channels-last path.
+    """
+    n, c, h, w = a.shape
+    ap = np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    win = np.lib.stride_tricks.sliding_window_view(ap, (3, 3), axis=(2, 3))
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * w, c * 9)
+
+
+def nchw_col2im(dcols, shape):
+    """Adjoint of nchw_im2col: scatter-add patch gradients onto (N,C,H,W)."""
+    n, c, h, w = shape
+    dpad = np.zeros((n, c, h + 2, w + 2))
+    d6 = dcols.reshape(n, h, w, c, 3, 3).transpose(0, 3, 1, 2, 4, 5)
+    for i in range(3):
+        for j in range(3):
+            dpad[:, :, i:i + h, j:j + w] += d6[:, :, :, :, i, j]
+    return dpad[:, :, 1:1 + h, 1:1 + w]
+
+
 def loop_dense(x, w, b):
     """y[n, o] = sum_i x[n, i] * w[o, i] + b[o]."""
     x = np.asarray(x, dtype=np.float64)

@@ -100,6 +100,20 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
         assert "unknown config fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
+    def test_invalid_seed(self, tmp_path, capsys, seed):
+        cfg = train_config(tmp_path, seed=seed)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed must be a non-negative integer" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        cfg = train_config(tmp_path)
+        out = str(tmp_path / "r")
+        assert main(["train", "--config", cfg, "--seed", "-1", "--out", out]) == EXIT_BAD_CONFIG
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
     def test_same_invocation_same_bytes(self, tmp_path, capsys):
         cfg = train_config(tmp_path)
         main(["train", "--config", cfg, "--out", str(tmp_path / "a")])

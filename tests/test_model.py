@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from bigbatch.batchnorm import BNLayerState, bn_backward_local, bn_forward_local
 from bigbatch.collectives import DeviceGroup
 from bigbatch.model import (
     LayerSpec,
     ModelError,
     ModelSpec,
+    _col2im,
+    _im2col,
     accuracy,
     backward,
     forward,
@@ -21,6 +24,8 @@ from helpers import (
     loop_dense,
     loop_global_mean_pool,
     loop_softmax_xent,
+    nchw_col2im,
+    nchw_im2col,
 )
 
 
@@ -314,3 +319,145 @@ class TestGradients:
         for key in ref:
             mean = sum(o[key] for o in outs) / 3
             assert np.allclose(mean, ref[key], rtol=1e-12, atol=1e-14), key
+
+
+def nchw_reference(m, params, buffers, x, labels):
+    """Logits, loss and gradients of `m` with activations kept as (N,C,H,W).
+
+    The model carries spatial activations as (N*H*W, C) rows; this is the
+    layout it used before, conv through `nchw_im2col`/`nchw_col2im` and BN
+    on 4-D tensors. Every reduction sees the same values in the same order,
+    so the two must agree bitwise. Updates `buffers` like a train forward.
+    """
+    caches = []
+    cur = np.asarray(x, dtype=np.float64)
+    for layer in m.layers[:-1]:
+        name, k = layer.name, layer.kind
+        if k == "conv3x3":
+            w, b = params[f"{name}.w"], params[f"{name}.b"]
+            n, _, h, wd = cur.shape
+            cols = nchw_im2col(cur)
+            out = cols @ w.reshape(w.shape[0], -1).T + b
+            caches.append((cols, cur.shape))
+            cur = np.ascontiguousarray(out.reshape(n, h, wd, -1).transpose(0, 3, 1, 2))
+        elif k == "bn":
+            state = BNLayerState(
+                gamma=params[f"{name}.gamma"], beta=params[f"{name}.beta"], eps=layer.eps,
+                running_mean=buffers[f"{name}.running_mean"],
+                running_var=buffers[f"{name}.running_var"],
+                running_momentum=layer.running_momentum)
+            y, cache = bn_forward_local(Tensor(cur), state)
+            buffers[f"{name}.running_mean"] = state.running_mean
+            buffers[f"{name}.running_var"] = state.running_var
+            caches.append((state, cache))
+            cur = y.array
+        elif k == "relu":
+            caches.append(cur > 0)
+            cur = cur * caches[-1]
+        elif k == "global_mean_pool":
+            caches.append(cur.shape)
+            cur = cur.mean(axis=(2, 3))
+        elif k == "dense":
+            caches.append(cur)
+            cur = cur @ params[f"{name}.w"].T + params[f"{name}.b"]
+    logits = cur
+    ez = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = ez / ez.sum(axis=1, keepdims=True)
+    rows = np.arange(len(labels))
+    loss = float(np.mean(-np.log(probs[rows, labels])))
+    cur = probs.copy()
+    cur[rows, labels] -= 1.0
+    cur /= len(labels)
+    grads = {}
+    for layer, cache in zip(reversed(m.layers[:-1]), reversed(caches)):
+        name, k = layer.name, layer.kind
+        if k == "conv3x3":
+            cols, shape = cache
+            w = params[f"{name}.w"]
+            dout = cur.transpose(0, 2, 3, 1).reshape(-1, w.shape[0])
+            grads[f"{name}.w"] = (dout.T @ cols).reshape(w.shape)
+            grads[f"{name}.b"] = dout.sum(axis=0)
+            cur = nchw_col2im(dout @ w.reshape(w.shape[0], -1), shape)
+        elif k == "bn":
+            state, bn_cache = cache
+            dx, grads[f"{name}.gamma"], grads[f"{name}.beta"] = bn_backward_local(
+                Tensor(cur), bn_cache, state)
+            cur = dx.array
+        elif k == "relu":
+            cur = cur * cache
+        elif k == "global_mean_pool":
+            h, wd = cache[2:]
+            cur = np.broadcast_to(cur[:, :, None, None] / (h * wd), cache).copy()
+        elif k == "dense":
+            grads[f"{name}.w"] = cur.T @ cache
+            grads[f"{name}.b"] = cur.sum(axis=0)
+            cur = cur @ params[f"{name}.w"]
+    return logits, loss, grads
+
+
+LAYOUT_CASES = {
+    # two convs on a single input channel, H != W
+    "conv-bn-relu-x2": ((1, 5, 4), [
+        LayerSpec("conv3x3", out_channels=3), LayerSpec("bn"), LayerSpec("relu"),
+        LayerSpec("conv3x3", out_channels=2), LayerSpec("bn"), LayerSpec("relu"),
+        LayerSpec("global_mean_pool"), LayerSpec("dense", out_features=3)]),
+    # BN on the raw three-channel input, before any conv
+    "bn-first": ((3, 4, 6), [
+        LayerSpec("bn"), LayerSpec("conv3x3", out_channels=2), LayerSpec("relu"),
+        LayerSpec("conv3x3", out_channels=3), LayerSpec("global_mean_pool"),
+        LayerSpec("dense", out_features=2)]),
+    # relu before any conv; pool straight after BN
+    "relu-first": ((3, 3, 5), [
+        LayerSpec("relu"), LayerSpec("conv3x3", out_channels=4), LayerSpec("bn"),
+        LayerSpec("global_mean_pool"), LayerSpec("dense", out_features=3)]),
+    # the loop_conv3x3 case of TestLayerForwards
+    "conv-pool": ((2, 5, 4), [
+        LayerSpec("conv3x3", out_channels=3), LayerSpec("global_mean_pool")]),
+}
+
+
+class TestChannelsLastLayout:
+    @pytest.mark.parametrize("shape", [(2, 1, 4, 4), (3, 2, 5, 4), (2, 3, 3, 6)])
+    def test_patch_helpers_match_nchw(self, shape):
+        rng = np.random.default_rng(90)
+        n, c, h, w = shape
+        x = rng.normal(size=shape)
+        to_rows = lambda a: a.transpose(0, 2, 3, 1).reshape(n * h * w, c)
+        cols = _im2col(to_rows(x), n, h, w)
+        assert np.array_equal(cols, nchw_im2col(x))
+        dcols = rng.normal(size=cols.shape)
+        assert np.array_equal(_col2im(dcols, n, h, w), to_rows(nchw_col2im(dcols, shape)))
+
+    @pytest.mark.parametrize("shape", [(2, 1, 4, 4), (2, 2, 5, 4), (1, 3, 3, 6)])
+    def test_nchw_reference_matches_loop(self, shape):
+        rng = np.random.default_rng(91)
+        x = rng.normal(size=shape)
+        w, b = rng.normal(size=(2, shape[1], 3, 3)), rng.normal(size=2)
+        n, _, h, wd = shape
+        out = (nchw_im2col(x) @ w.reshape(2, -1).T + b).reshape(n, h, wd, 2)
+        assert np.allclose(out.transpose(0, 3, 1, 2), loop_conv3x3(x, w, b), atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_model_is_bitwise_the_nchw_model(self, case):
+        in_shape, layers = LAYOUT_CASES[case]
+        m = ModelSpec(layers + [LayerSpec("softmax_xent")], in_shape=in_shape)
+        rng = np.random.default_rng(92)
+        params = init_params(m, 11)
+        for key in params:  # move biases and BN affines off their init values
+            if not key.endswith(".w"):
+                params[key] = params[key] + rng.normal(scale=0.1, size=params[key].shape)
+        x = rng.normal(size=(5,) + in_shape)
+        labels = rng.integers(0, m.classes, size=5)
+        buffers, ref_buffers = init_buffers(m), init_buffers(m)
+
+        out = forward(m, params, buffers, Tensor(x), labels)
+        grads = backward(m, params, out.caches)
+        logits, loss, ref_grads = nchw_reference(m, params, ref_buffers, x, labels)
+
+        assert np.array_equal(out.logits.array, logits)
+        assert out.loss.task_loss == loss
+        assert sorted(grads) == sorted(ref_grads) == sorted(params)
+        for key in params:
+            assert np.array_equal(grads[key], ref_grads[key]), key
+        for key in buffers:
+            assert np.array_equal(buffers[key], ref_buffers[key]), key
