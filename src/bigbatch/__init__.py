@@ -1,8 +1,8 @@
 """Simulated multi-device training with synchronized batch normalization.
 
-Everything runs in one process: devices are threads, collectives are
-queue-backed message exchanges, and every reduction has a fixed order so
-that runs are reproducible down to the last bit.
+Everything runs in one process: devices are threads, collectives meet at
+a shared rendezvous table per scope, and every reduction has a fixed order
+so that runs are reproducible down to the last bit.
 """
 
 from .tensor import (

@@ -177,7 +177,7 @@ def sync_bn_forward(handle: DeviceHandle, x_local: Tensor, state: BNLayerState,
     `bn_forward_local` on the concatenation of all shards.
     """
     _check_layout(x_local, state)
-    scope_key = f"bn{handle.bn_group_index}"
+    scope_key = handle.bn_scope_key
     return _train_forward(
         x_local, state,
         lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v),
@@ -226,7 +226,7 @@ def sync_bn_backward(handle: DeviceHandle, dy_local: Tensor, cache: BNForwardCac
     aggregated over the sub-group, so dgamma/dbeta are identical on every
     rank and the whole pass is the exact adjoint of the forward.
     """
-    scope_key = f"bn{handle.bn_group_index}"
+    scope_key = handle.bn_scope_key
     if cache.scope_key != scope_key:
         raise BatchNormError(
             f"cache was produced under scope {cache.scope_key!r} but this device "

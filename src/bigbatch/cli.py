@@ -31,6 +31,7 @@ from .optim import DivergenceError, ScheduleError, lr_at
 from .trainer import (
     ConfigError,
     ExperimentConfig,
+    read_json_object,
     resolve,
     resolve_dataset,
     run_training,
@@ -70,12 +71,7 @@ RATIO_DEFAULTS = {
 def _load_json_config(path, defaults: dict) -> dict:
     merged = dict(defaults)
     if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
+        raw = read_json_object(path)
         unknown = sorted(set(raw) - set(defaults))
         if unknown:
             raise ConfigError(f"unknown fields {unknown}; expected {sorted(defaults)}")

@@ -1,21 +1,24 @@
 """Simulated device group with deterministic collectives.
 
-Each device is a worker thread owning one FIFO mailbox per scope; devices
-share no mutable state and talk only by message passing. Collectives use a
-star topology: contributions are gathered at the lowest rank of the scope,
-combined strictly in ascending-rank order, and the result is sent back to
-every participant. That trades bandwidth for bit-determinism: the result
-is independent of scheduling and message arrival order.
+Each device is a worker thread. Collectives meet at a rendezvous: one slot
+table per scope (`world`, `bn0`, `bn1`, ...), guarded by the group's
+condition variable. Every rank deposits its call (kind, per-scope sequence
+number, root, payload); the last to arrive checks that all calls agree,
+combines the payloads strictly in ascending-rank order (or takes the
+root's vector for a broadcast) and publishes the outcome to the scope. The
+result is independent of scheduling and arrival order. Every collective,
+a broadcast root's and a barrier's included, returns only once its whole
+scope has arrived.
 
-Every message carries a per-scope sequence number so a mismatched call
-pattern (one rank doing a different collective, or running ahead) is
-diagnosed with rank IDs instead of deadlocking.
+A mismatched call pattern (one rank doing a different collective, or
+running ahead) is diagnosed with rank IDs instead of deadlocking, and a
+failing rank wakes every blocked peer at once with its name.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -45,16 +48,18 @@ class CollectiveTimeoutError(CollectiveError):
 
 
 @dataclass
-class _Message:
-    src: int
-    kind: str  # "allreduce" | "broadcast" | "barrier" | "result" | "release" | "abort"
-    scope_key: str
-    seq: int
-    payload: Any = None
+class _Table:
+    """Rendezvous state of one scope: a slot per rank and the last outcome."""
+
+    ranks: list[int]
+    slots: dict[int, tuple] = field(default_factory=dict)  # rank -> (kind, seq, root, payload)
+    round: int = 0
+    result: np.ndarray | None = None
+    error: str | None = None
 
 
 class DeviceHandle:
-    """A single simulated device: rank, mailbox, and a seeded local RNG.
+    """A single simulated device: rank, scope membership, and a seeded local RNG.
 
     A handle belongs to exactly one group and must only be used from its
     own worker thread. Collective calls block until the whole scope has
@@ -80,11 +85,16 @@ class DeviceHandle:
         start = self.bn_group_index * g
         return list(range(start, start + g))
 
+    @property
+    def bn_scope_key(self) -> str:
+        """Key of this device's normalization sub-group scope."""
+        return f"bn{self.bn_group_index}"
+
     def _scope_info(self, scope: str) -> tuple[str, list[int]]:
         if scope == SCOPE_WORLD:
             return "world", list(range(self.group.world_size))
         if scope == SCOPE_BN_GROUP:
-            return f"bn{self.bn_group_index}", self.bn_group_ranks
+            return self.bn_scope_key, self.bn_group_ranks
         raise CollectiveProtocolError(
             f"rank {self.rank}: unknown scope {scope!r}; expected one of {_SCOPE_NAMES}"
         )
@@ -116,32 +126,12 @@ class DeviceGroup:
         self.bn_group_size = bn_group_size
         self.seed = seed
         self.timeout_s = timeout_s
-        # One queue per (rank, scope): traffic for disjoint scopes must not
-        # interleave, or a broadcast root racing into the next round could
-        # land its message in the middle of another scope's gather.
-        scope_keys = ["world"] + [f"bn{i}"
-                                  for i in range(world_size // bn_group_size)]
-        self._mailboxes = [{key: queue.Queue() for key in scope_keys}
-                          for _ in range(world_size)]
         self.handles = [DeviceHandle(self, r) for r in range(world_size)]
-
-    # -- transport ---------------------------------------------------------
-
-    def _send(self, dst: int, msg: _Message):
-        if msg.kind == "abort":
-            # must wake the destination wherever it is blocked
-            for box in self._mailboxes[dst].values():
-                box.put(msg)
-            return
-        self._mailboxes[dst][msg.scope_key].put(msg)
-
-    def _recv(self, rank: int, scope_key: str) -> _Message:
-        try:
-            return self._mailboxes[rank][scope_key].get(timeout=self.timeout_s)
-        except queue.Empty:
-            raise CollectiveTimeoutError(
-                f"rank {rank}: no message within {self.timeout_s}s"
-            )
+        self._cond = threading.Condition()
+        self._tables = {"world": _Table(list(range(world_size)))}
+        for h in self.handles:
+            self._tables.setdefault(h.bn_scope_key, _Table(h.bn_group_ranks))
+        self._failure: str | None = None  # abort note naming the first failed rank
 
     def run(self, fn: Callable[[DeviceHandle], Any], timeout_s: float | None = None,
             return_exceptions: bool = False) -> list:
@@ -155,23 +145,22 @@ class DeviceGroup:
         """
         results: list[Any] = [None] * self.world_size
         errors: list[BaseException | None] = [None] * self.world_size
+        self._failure = None
+        for table in self._tables.values():
+            table.slots.clear()
 
         def runner(handle: DeviceHandle):
             try:
                 results[handle.rank] = fn(handle)
             except BaseException as exc:  # noqa: BLE001 - reported to caller
                 errors[handle.rank] = exc
-                # A rank dying outside the collective layer (diverged loss,
-                # plain bug) would leave its peers blocked until the timeout;
-                # wake them now. Collective failures are excluded: the root
-                # already aborts its scope with a better diagnosis, and a
-                # timed-out follower must not preempt it.
-                if not isinstance(exc, CollectiveError):
-                    note = (f"aborted: rank {handle.rank} failed with "
-                            f"{type(exc).__name__}: {exc}")
-                    for r in range(self.world_size):
-                        if r != handle.rank:
-                            self._send(r, _Message(handle.rank, "abort", "", -1, note))
+                # Wake every blocked peer and fail every later collective with
+                # the first failed rank's name (an aborted rank finds it set).
+                with self._cond:
+                    if self._failure is None:
+                        self._failure = (f"aborted: rank {handle.rank} failed with "
+                                         f"{type(exc).__name__}: {exc}")
+                    self._cond.notify_all()
 
         threads = [
             threading.Thread(target=runner, args=(h,), daemon=True, name=f"device-{h.rank}")
@@ -211,50 +200,65 @@ def _as_vector(v, rank: int) -> np.ndarray:
     return a.copy()
 
 
-def _check_reply(rank: int, msg: _Message, expect_kind: str, scope_key: str, seq: int):
-    if msg.kind == "abort":
-        raise CollectiveProtocolError(str(msg.payload), from_abort=True)
-    if msg.kind != expect_kind or msg.scope_key != scope_key or msg.seq != seq:
-        raise CollectiveProtocolError(
-            f"rank {rank}: expected {expect_kind}[{scope_key}#{seq}] "
-            f"but received {msg.kind}[{msg.scope_key}#{msg.seq}] from rank {msg.src}"
-        )
+def _call_name(scope_key: str, kind: str, seq: int, root: int | None) -> str:
+    return f"{kind}[{scope_key}#{seq}]" + ("" if root is None else f" root {root}")
 
 
-def _gather_at_root(group: DeviceGroup, root: int, peers: list[int],
-                    kind: str, scope_key: str, seq: int) -> dict[int, _Message]:
-    """Root-side collection of one message from each peer, with diagnosis."""
-    received: dict[int, _Message] = {}
-    while len(received) < len(peers):
-        try:
-            msg = group._recv(root, scope_key)
-        except CollectiveTimeoutError:
-            missing = sorted(set(peers) - set(received))
-            diag = (
-                f"{kind}[{scope_key}#{seq}]: root rank {root} timed out after "
-                f"{group.timeout_s}s waiting for rank(s) {missing}"
-            )
-            _abort(group, root, received, diag)
-            raise CollectiveTimeoutError(diag)
-        if msg.kind == "abort":
-            diag = str(msg.payload)
-            _abort(group, root, received, diag)
-            raise CollectiveProtocolError(diag, from_abort=True)
-        if msg.kind != kind or msg.scope_key != scope_key or msg.seq != seq or msg.src in received:
-            diag = (
-                f"collective mismatch at root rank {root}: expected "
-                f"{kind}[{scope_key}#{seq}] but rank {msg.src} sent "
-                f"{msg.kind}[{msg.scope_key}#{msg.seq}]"
-            )
-            _abort(group, root, received, diag)
-            raise CollectiveProtocolError(diag)
-        received[msg.src] = msg
-    return received
+def _settle(table: _Table, scope_key: str) -> tuple[np.ndarray | None, str | None]:
+    """Combine a full table into (result, error) for every rank of the scope."""
+    calls = [table.slots[r] for r in table.ranks]
+    kind, seq, root, ref = calls[0]
+    if any(c[:3] != (kind, seq, root) for c in calls):
+        detail = ", ".join(f"rank {r}: {_call_name(scope_key, *c[:3])}"
+                           for r, c in zip(table.ranks, calls))
+        return None, f"collective mismatch in scope {scope_key}: {detail}"
+    if kind != "allreduce":  # a broadcast returns the root's vector, a barrier nothing
+        return (None if root is None else table.slots[root][3]), None
+    vectors = [c[3] for c in calls]
+    bad = ", ".join(f"rank {r}: len {v.shape[0]} ({v.dtype})"
+                    for r, v in zip(table.ranks, vectors)
+                    if v.shape != ref.shape or v.dtype != ref.dtype)
+    if bad:
+        return None, (f"{_call_name(scope_key, kind, seq, None)}: payload mismatch with "
+                      f"rank {table.ranks[0]}'s len {ref.shape[0]} ({ref.dtype}): {bad}")
+    acc = ref
+    for v in vectors[1:]:
+        acc = acc + v
+    return acc, None
 
 
-def _abort(group: DeviceGroup, root: int, received: dict[int, _Message], diag: str):
-    for src in received:
-        group._send(src, _Message(root, "abort", "", -1, diag))
+def _rendezvous(handle: DeviceHandle, scope_key: str, kind: str,
+                root: int | None = None, payload=None) -> np.ndarray | None:
+    """Deposit this rank's call in its scope's table; return the round's result.
+
+    The last rank to arrive settles the round. The others wait until the
+    round counter moves, a peer fails, or the timeout expires.
+    """
+    group = handle.group
+    table = group._tables[scope_key]
+    seq = handle._next_seq(scope_key)
+    deadline = time.monotonic() + group.timeout_s
+    with group._cond:
+        table.slots[handle.rank] = (kind, seq, root, payload)
+        my_round = table.round
+        if len(table.slots) == len(table.ranks):
+            table.result, table.error = _settle(table, scope_key)
+            table.slots.clear()
+            table.round += 1
+            group._cond.notify_all()
+        while table.round == my_round:
+            if group._failure is not None:
+                raise CollectiveProtocolError(group._failure, from_abort=True)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                missing = [r for r in table.ranks if r not in table.slots]
+                raise CollectiveTimeoutError(
+                    f"{_call_name(scope_key, kind, seq, root)}: rank {handle.rank} timed "
+                    f"out after {group.timeout_s}s waiting for rank(s) {missing}")
+            group._cond.wait(remaining)
+        if table.error is not None:
+            raise CollectiveProtocolError(table.error)
+        return None if table.result is None else table.result.copy()
 
 
 def allreduce_sum(handle: DeviceHandle, scope: str, v) -> np.ndarray:
@@ -263,99 +267,34 @@ def allreduce_sum(handle: DeviceHandle, scope: str, v) -> np.ndarray:
     Accumulation runs in ascending rank order regardless of arrival order,
     so the result is bitwise identical on every rank and across runs.
     """
-    group = handle.group
-    scope_key, ranks = handle._scope_info(scope)
-    seq = handle._next_seq(scope_key)
-    vec = _as_vector(v, handle.rank)
-    root = ranks[0]
-
-    if handle.rank != root:
-        group._send(root, _Message(handle.rank, "allreduce", scope_key, seq, vec))
-        try:
-            msg = group._recv(handle.rank, scope_key)
-        except CollectiveTimeoutError:
-            raise CollectiveTimeoutError(
-                f"rank {handle.rank}: allreduce[{scope_key}#{seq}] timed out waiting "
-                f"for result from root rank {root}"
-            )
-        _check_reply(handle.rank, msg, "result", scope_key, seq)
-        return msg.payload.copy()
-
-    peers = [r for r in ranks if r != root]
-    received = _gather_at_root(group, root, peers, "allreduce", scope_key, seq)
-    vectors = {root: vec, **{r: m.payload for r, m in received.items()}}
-    bad = [r for r in ranks if vectors[r].shape != vec.shape or vectors[r].dtype != vec.dtype]
-    if bad:
-        detail = ", ".join(f"rank {r}: len {vectors[r].shape[0]} ({vectors[r].dtype})" for r in ranks)
-        diag = f"allreduce[{scope_key}#{seq}]: payload mismatch across ranks ({detail})"
-        _abort(group, root, received, diag)
-        raise CollectiveProtocolError(diag)
-    acc = vectors[ranks[0]].copy()
-    for r in ranks[1:]:
-        acc = acc + vectors[r]
-    for r in peers:
-        group._send(r, _Message(root, "result", scope_key, seq, acc.copy()))
-    return acc
+    scope_key, _ = handle._scope_info(scope)
+    return _rendezvous(handle, scope_key, "allreduce", payload=_as_vector(v, handle.rank))
 
 
 def broadcast(handle: DeviceHandle, scope: str, root_rank: int, v=None) -> np.ndarray:
     """Copy root's vector to every rank in the scope, bitwise.
 
-    Only the root supplies data; other ranks must pass `v=None`.
+    Only the root supplies data; other ranks must pass `v=None`. Like every
+    collective, the root too returns only once the whole scope has arrived.
     """
-    group = handle.group
     scope_key, ranks = handle._scope_info(scope)
     if root_rank not in ranks:
         raise CollectiveProtocolError(
             f"rank {handle.rank}: broadcast root {root_rank} is outside scope "
             f"{scope_key} (ranks {ranks})"
         )
-    seq = handle._next_seq(scope_key)
-
     if handle.rank == root_rank:
         if v is None:
             raise CollectiveProtocolError(f"rank {handle.rank}: broadcast root must supply data")
-        vec = _as_vector(v, handle.rank)
-        for r in ranks:
-            if r != root_rank:
-                group._send(r, _Message(root_rank, "broadcast", scope_key, seq, vec.copy()))
-        return vec.copy()
-
-    if v is not None:
+        v = _as_vector(v, handle.rank)
+    elif v is not None:
         raise CollectiveProtocolError(
             f"rank {handle.rank}: only the broadcast root (rank {root_rank}) supplies data"
         )
-    try:
-        msg = group._recv(handle.rank, scope_key)
-    except CollectiveTimeoutError:
-        raise CollectiveTimeoutError(
-            f"rank {handle.rank}: broadcast[{scope_key}#{seq}] timed out waiting "
-            f"for root rank {root_rank}"
-        )
-    _check_reply(handle.rank, msg, "broadcast", scope_key, seq)
-    return msg.payload.copy()
+    return _rendezvous(handle, scope_key, "broadcast", root=root_rank, payload=v)
 
 
 def barrier(handle: DeviceHandle, scope: str = SCOPE_WORLD) -> None:
     """Block until every rank in the scope has entered the barrier."""
-    group = handle.group
-    scope_key, ranks = handle._scope_info(scope)
-    seq = handle._next_seq(scope_key)
-    root = ranks[0]
-
-    if handle.rank != root:
-        group._send(root, _Message(handle.rank, "barrier", scope_key, seq))
-        try:
-            msg = group._recv(handle.rank, scope_key)
-        except CollectiveTimeoutError:
-            raise CollectiveTimeoutError(
-                f"rank {handle.rank}: barrier[{scope_key}#{seq}] timed out waiting "
-                f"for release from root rank {root}"
-            )
-        _check_reply(handle.rank, msg, "release", scope_key, seq)
-        return
-
-    peers = [r for r in ranks if r != root]
-    received = _gather_at_root(group, root, peers, "barrier", scope_key, seq)
-    for r in peers:
-        group._send(r, _Message(root, "release", scope_key, seq))
+    scope_key, _ = handle._scope_info(scope)
+    _rendezvous(handle, scope_key, "barrier")

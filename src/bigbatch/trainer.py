@@ -111,6 +111,21 @@ class TrainerError(RuntimeError):
     """Replica-consistency violation or orchestration failure."""
 
 
+def read_json_object(path) -> dict:
+    """Parse a JSON config file whose root must be an object."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as e:
+        raise ConfigError(f"config file {path} cannot be read: {e.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config root must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
 @dataclass
 class ExperimentConfig:
     # parallel layout
@@ -153,21 +168,35 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json_object(path))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def validate(self):
+    def _type_problems(self) -> list[str]:
+        """Fields whose value has the wrong JSON type; None passes where it is the default."""
+        checks = [
+            ("an integer", int, ("world_size", "per_device_batch", "bn_group_size",
+                                 "base_batch", "warmup_iters", "epochs", "checksum_interval")),
+            ("a number", (int, float), ("base_lr", "momentum", "weight_decay",
+                                        "collective_timeout_s")),
+            ("true or false", bool, ("half_lr", "one_pass_bn")),
+        ]
         problems = []
+        for what, types, names in checks:
+            for name in names:
+                value = getattr(self, name)
+                if value is None and self.__dataclass_fields__[name].default is None:
+                    continue
+                # bool subclasses int: reject it for numbers, require it for flags
+                if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
+                    problems.append(f"{name} must be {what}, got {value!r}")
+        return problems
+
+    def validate(self):
+        problems = self._type_problems()
+        if problems:
+            raise ConfigError("; ".join(problems))
         if self.world_size < 1:
             problems.append(f"world_size must be >= 1, got {self.world_size}")
         if self.per_device_batch < 1:

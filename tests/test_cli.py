@@ -108,6 +108,18 @@ class TestTrain:
         assert err.count("\n") == 1 and "seed must be a non-negative integer" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("world_size", "8"), ("world_size", 2.5), ("base_lr", "0.1"),
+        ("per_device_batch", True), ("per_device_batch", None), ("epochs", 1.5),
+        ("collective_timeout_s", False), ("one_pass_bn", "false"),
+    ])
+    def test_wrong_typed_field(self, tmp_path, capsys, field, value):
+        cfg = train_config(tmp_path, **{field: value})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: {field} must be ")
+        assert not (tmp_path / "r").exists()
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         cfg = train_config(tmp_path)
         out = str(tmp_path / "r")
@@ -344,3 +356,22 @@ class TestGenData:
         cfg = train_config(tmp_path, dataset={"dir": str(tmp_path)})
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "x")]) == EXIT_BAD_CONFIG
         assert "generator spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "variance", "ratio-study"])
+@pytest.mark.parametrize("text,message", [
+    (None, "not found"), ("{nope", "not valid JSON"), (b"\xff\xfe", "not valid JSON"),
+    ("null", "JSON object"), ('["trials"]', "JSON object"), ("3", "JSON object"),
+    ("<directory>", "cannot be read"),
+])
+def test_unreadable_config_file(tmp_path, capsys, command, text, message):
+    path = tmp_path / "cfg.json"
+    if text == "<directory>":
+        path.mkdir()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err

@@ -1,3 +1,4 @@
+import sys
 import time
 
 import numpy as np
@@ -281,3 +282,74 @@ def test_handle_rng_is_per_rank_deterministic():
     for r in range(3):
         assert np.array_equal(a[r], b[r])
     assert not np.array_equal(a[0], a[1])
+
+
+def test_local_broadcast_error_releases_peers_promptly():
+    # the root fails its own argument check before the rendezvous; the
+    # peer, already waiting, must learn of it at once, not after 30 s
+    g = DeviceGroup(2, timeout_s=30.0)
+
+    def fn(h):
+        if h.rank == 0:
+            time.sleep(0.2)
+        return broadcast(h, SCOPE_WORLD, 0, None)
+
+    t0 = time.perf_counter()
+    with pytest.raises(CollectiveProtocolError, match="must supply data"):
+        g.run(fn)
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_scope_mismatch_releases_other_scopes_promptly():
+    # ranks 0/1 disagree inside bn0 while ranks 2/3 wait for them in a
+    # world allreduce that can never complete
+    def fn(h):
+        if h.rank in (0, 1):
+            time.sleep(0.2)  # let ranks 2/3 block first
+        if h.rank == 0:
+            return allreduce_sum(h, SCOPE_BN_GROUP, [1.0])
+        if h.rank == 1:
+            return barrier(h, SCOPE_BN_GROUP)
+        return allreduce_sum(h, SCOPE_WORLD, [1.0])
+
+    t0 = time.perf_counter()
+    with pytest.raises(CollectiveProtocolError, match="mismatch"):
+        DeviceGroup(4, bn_group_size=2, timeout_s=30.0).run(fn)
+    out = DeviceGroup(4, bn_group_size=2, timeout_s=30.0).run(fn, return_exceptions=True)
+    assert time.perf_counter() - t0 < 5.0
+    for r in (2, 3):
+        assert isinstance(out[r], CollectiveProtocolError) and out[r].from_abort
+        assert "rank 0" in str(out[r]) or "rank 1" in str(out[r])
+
+
+def test_rendezvous_stress_with_rapid_thread_switching():
+    # more workers than cores and a tiny switch interval: a lost deposit,
+    # a round settled twice or a result read from the wrong round would
+    # hang or change a sum
+    world, rounds = 8, 200
+    contribs = np.random.default_rng(13).normal(size=(rounds, world, 3))
+    g = DeviceGroup(world, bn_group_size=4, timeout_s=20.0)
+
+    def fn(h):
+        out = []
+        for i in range(rounds):
+            root = i % world
+            out.append(allreduce_sum(h, SCOPE_BN_GROUP, contribs[i, h.rank]))
+            out.append(allreduce_sum(h, SCOPE_WORLD, contribs[i, h.rank]))
+            out.append(broadcast(h, SCOPE_WORLD, root,
+                                 contribs[i, root] if h.rank == root else None))
+        return out
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = g.run(fn)
+    finally:
+        sys.setswitchinterval(old)
+    for r in range(world):
+        group = g.handles[r].bn_group_ranks
+        for i in range(rounds):
+            sub, whole, bcast = out[r][3 * i:3 * i + 3]
+            assert np.array_equal(sub, loop_sequential_sum([contribs[i, q] for q in group]))
+            assert np.array_equal(whole, loop_sequential_sum(list(contribs[i])))
+            assert np.array_equal(bcast, contribs[i, i % world])
