@@ -21,9 +21,8 @@ import numpy as np
 from .collectives import SCOPE_BN_GROUP, DeviceHandle, allreduce_sum
 from .tensor import (
     Tensor,
-    TensorError,
+    _channel_affine,
     _channels_last_rows,
-    channel_affine,
     channel_sum,
     sequential_sum_rows,
 )
@@ -136,8 +135,8 @@ def _train_forward(x: Tensor, state: BNLayerState, reduce_vec, scope_key,
             f"training-mode statistics need at least 2 elements per channel, got {m_int}"
         )
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    x_hat = channel_affine(x, inv_std, -mu * inv_std)
-    y = channel_affine(x_hat, state.gamma, state.beta)
+    x_hat = _channel_affine(x.array, inv_std, -mu * inv_std)
+    y = _channel_affine(x_hat.array, state.gamma, state.beta)
     bn_update_running(state, mu, var, m_int)
     cache = BNForwardCache(x_hat=x_hat, mu=mu, var=var, total_count=m_int,
                            train=True, scope_key=scope_key)
@@ -158,8 +157,8 @@ def bn_forward_local(x: Tensor, state: BNLayerState,
     if mode != "eval":
         raise BatchNormError(f"mode must be 'train' or 'eval', got {mode!r}")
     inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-    x_hat = channel_affine(x, inv_std, -state.running_mean * inv_std)
-    y = channel_affine(x_hat, state.gamma, state.beta)
+    x_hat = _channel_affine(x.array, inv_std, -state.running_mean * inv_std)
+    y = _channel_affine(x_hat.array, state.gamma, state.beta)
     cache = BNForwardCache(x_hat=x_hat, mu=state.running_mean.copy(),
                            var=state.running_var.copy(),
                            total_count=x.size // state.channels, train=False)
@@ -207,7 +206,7 @@ def _backward_core(dy: Tensor, cache: BNForwardCache, state: BNLayerState, reduc
     dx = inv_std.reshape(bshape) * (
         dy.array - dbeta.reshape(bshape) / m - x_hat * dgamma.reshape(bshape) / m
     )
-    return Tensor(dx, _context="bn_backward"), dgamma, dbeta
+    return Tensor._adopt(dx, "bn_backward"), dgamma, dbeta
 
 
 def bn_backward_local(dy: Tensor, cache: BNForwardCache,

@@ -68,6 +68,34 @@ RATIO_DEFAULTS = {
 }
 
 
+def _type_problem(value, default, name: str) -> str | None:
+    """Why `value` does not have the JSON type of `default`, or None.
+
+    Scalar defaults are integers or numbers (an integer passes for a number,
+    a boolean for neither). Arrays are checked entry by entry: against the
+    default's first entry when its entries share one type, else position by
+    position, as in a `[count, probability]` pair.
+    """
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            return f"{name} must be an array, got {value!r}"
+        if len({type(d) for d in default}) == 1:
+            templates = [default[0]] * len(value)
+        elif len(value) != len(default):
+            return f"{name} must have {len(default)} entries, got {value!r}"
+        else:
+            templates = default
+        for i, (v, d) in enumerate(zip(value, templates)):
+            problem = _type_problem(v, d, f"{name}[{i}]")
+            if problem:
+                return problem
+        return None
+    what, types = ("a number", (int, float)) if isinstance(default, float) else ("an integer", int)
+    if isinstance(value, bool) or not isinstance(value, types):
+        return f"{name} must be {what}, got {value!r}"
+    return None
+
+
 def _load_json_config(path, defaults: dict) -> dict:
     merged = dict(defaults)
     if path is not None:
@@ -75,6 +103,9 @@ def _load_json_config(path, defaults: dict) -> dict:
         unknown = sorted(set(raw) - set(defaults))
         if unknown:
             raise ConfigError(f"unknown fields {unknown}; expected {sorted(defaults)}")
+        problems = [p for k in sorted(raw) if (p := _type_problem(raw[k], defaults[k], k))]
+        if problems:
+            raise ConfigError("; ".join(problems))
         merged.update(raw)
     return merged
 

@@ -148,6 +148,8 @@ class DeviceGroup:
         self._failure = None
         for table in self._tables.values():
             table.slots.clear()
+        for h in self.handles:  # a failed run leaves the ranks' counts unequal
+            h._seq.clear()
 
         def runner(handle: DeviceHandle):
             try:

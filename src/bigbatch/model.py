@@ -13,6 +13,11 @@ matrix, rows ordered (n, y, x): a conv output `cols @ W.T + b` is already
 in that layout, BN treats it as an (N, C) batch with the same per-channel
 accumulation order, and global mean pooling folds it back to (N, C).
 Flat activations after pooling are plain (N, F).
+
+Activations and gradients pass between layers as plain ndarrays; each
+layer output is scanned for NaN/Inf under the layer's name. `Tensor`
+appears only at the boundaries: the model input, `ForwardResult.logits`,
+and the batch-norm functions, whose arguments are wrapped without a copy.
 """
 
 from __future__ import annotations
@@ -22,13 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batchnorm import (
+    BatchNormError,
     BNLayerState,
     bn_backward_local,
     bn_forward_local,
     sync_bn_backward,
     sync_bn_forward,
 )
-from .tensor import NonFiniteError, Tensor
+from .tensor import NonFiniteError, Tensor, _check_finite
 
 KINDS = ("dense", "conv3x3", "relu", "bn", "global_mean_pool", "softmax_xent")
 
@@ -54,8 +60,17 @@ class LayerSpec:
             raise ModelError("dense layer needs out_features")
         if self.kind == "conv3x3" and not self.out_channels:
             raise ModelError("conv3x3 layer needs out_channels")
-        if self.kind == "bn" and self.variant not in ("local", "cross"):
-            raise ModelError(f"bn variant must be 'local' or 'cross', got {self.variant!r}")
+        if self.kind == "bn":
+            if self.variant not in ("local", "cross"):
+                raise ModelError(f"bn variant must be 'local' or 'cross', got {self.variant!r}")
+            for attr in ("eps", "running_momentum"):
+                value = getattr(self, attr)
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ModelError(f"bn {attr} must be a number, got {value!r}")
+            try:  # BNLayerState owns the bounds; check them before any thread starts
+                BNLayerState.create(1, self.eps, self.running_momentum)
+            except BatchNormError as e:
+                raise ModelError(f"bn {e}") from None
 
 
 @dataclass
@@ -191,12 +206,12 @@ def _im2col(rows: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
     flattened row-major.
     """
     c = rows.shape[1]
-    ap = np.pad(rows.reshape(n, h, w, c), ((0, 0), (1, 1), (1, 1), (0, 0)))
-    cols = np.empty((n, h, w, c, 3, 3), dtype=rows.dtype)
-    for i in range(3):
-        for j in range(3):
-            cols[..., i, j] = ap[:, i:i + h, j:j + w]
-    return cols.reshape(n * h * w, c * 9)
+    ap = np.zeros((n, h + 2, w + 2, c), dtype=rows.dtype)
+    ap[:, 1:1 + h, 1:1 + w] = rows.reshape(n, h, w, c)
+    # patches[n, y, x, c, i, j] = ap[n, y + i, x + j, c]; reshape copies it once
+    s0, s1, s2, s3 = ap.strides
+    patches = np.ndarray((n, h, w, c, 3, 3), ap.dtype, ap, 0, (s0, s1, s2, s3, s1, s2))
+    return patches.reshape(n * h * w, c * 9)
 
 
 def _col2im(dcols: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
@@ -239,51 +254,51 @@ def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
         raise ModelError(f"input shape {x.shape[1:]} does not match model {model.in_shape}")
     caches = []
     n = x.shape[0]
-    cur = x
+    cur = x.array
     if len(model.in_shape) == 3:
         c, h, wd = model.in_shape
-        cur = Tensor(x.array.transpose(0, 2, 3, 1).reshape(n * h * wd, c), _context="input")
+        cur = _check_finite(cur.transpose(0, 2, 3, 1).reshape(n * h * wd, c), "input")
     for layer, (ishape, _) in zip(model.layers, model.shapes):
         k = layer.kind
         if k == "dense":
             w, b = params[f"{layer.name}.w"], params[f"{layer.name}.b"]
-            out = cur.array @ w.T + b
             caches.append(("dense", cur))
-            cur = Tensor(out, _context=layer.name)
+            cur = _check_finite(cur @ w.T + b, layer.name)
         elif k == "conv3x3":
             w, b = params[f"{layer.name}.w"], params[f"{layer.name}.b"]
-            cols = _im2col(cur.array, n, ishape[1], ishape[2])
-            out = cols @ w.reshape(w.shape[0], -1).T + b
+            cols = _im2col(cur, n, ishape[1], ishape[2])
             caches.append(("conv3x3", cols))
-            cur = Tensor(out, _context=layer.name)
+            cur = _check_finite(cols @ w.reshape(w.shape[0], -1).T + b, layer.name)
         elif k == "relu":
-            mask = cur.array > 0
+            mask = cur > 0
             caches.append(("relu", mask))
-            cur = Tensor(cur.array * mask, _context=layer.name)
+            cur = _check_finite(cur * mask, layer.name)
         elif k == "bn":
             state = _bn_state(layer, params, buffers)
+            x_bn = Tensor._adopt(cur, layer.name)
             if mode == "eval":
-                cur, cache = bn_forward_local(cur, state, mode="eval")
+                y, cache = bn_forward_local(x_bn, state, mode="eval")
             elif layer.variant == "cross" and handle is not None:
-                cur, cache = sync_bn_forward(handle, cur, state, one_pass=one_pass_bn)
+                y, cache = sync_bn_forward(handle, x_bn, state, one_pass=one_pass_bn)
             else:
-                cur, cache = bn_forward_local(cur, state, mode="train")
+                y, cache = bn_forward_local(x_bn, state, mode="train")
             if mode == "train":
                 buffers[f"{layer.name}.running_mean"] = state.running_mean
                 buffers[f"{layer.name}.running_var"] = state.running_var
             caches.append(("bn", cache))
+            cur = y.array
         elif k == "global_mean_pool":
             c, h, wd = ishape
             # numpy's pairwise sum depends on memory layout: each (n, c) mean
             # runs over H*W contiguous values, the order the outputs pin.
-            maps = np.ascontiguousarray(cur.array.reshape(n, h * wd, c).transpose(0, 2, 1))
+            maps = np.ascontiguousarray(cur.reshape(n, h * wd, c).transpose(0, 2, 1))
             caches.append(("global_mean_pool",))
-            cur = Tensor(maps.mean(axis=2), _context=layer.name)
+            cur = _check_finite(maps.mean(axis=2), layer.name)
         elif k == "softmax_xent":
-            logits = cur
+            logits = Tensor._adopt(cur, "logits")
             if labels is None:
                 return ForwardResult(logits=logits, loss=None, caches=caches)
-            z = logits.array
+            z = cur
             labels = np.asarray(labels)
             if labels.shape != (z.shape[0],):
                 raise ModelError(f"labels shape {labels.shape} does not match batch {z.shape[0]}")
@@ -297,7 +312,9 @@ def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
             # prediction; the resulting inf is caught right below.
             with np.errstate(divide="ignore"):
                 task = float(np.mean(-np.log(picked)))
-            reg = 0.5 * weight_decay * l2_norm_sq(params, weight_keys(params))
+            # with no decay the penalty is a signed zero: skip the sum of squares
+            reg = 0.5 * weight_decay * (
+                l2_norm_sq(params, weight_keys(params)) if weight_decay else 0.0)
             caches.append(("softmax_xent", probs, labels))
             if not np.isfinite(task):
                 raise NonFiniteError("loss became non-finite")
@@ -337,7 +354,7 @@ def backward(model: ModelSpec, params: dict, caches: list,
         if k == "dense":
             x_in = cache[1]
             w = params[f"{layer.name}.w"]
-            grads[f"{layer.name}.w"] = cur.T @ x_in.array
+            grads[f"{layer.name}.w"] = cur.T @ x_in
             grads[f"{layer.name}.b"] = cur.sum(axis=0)
             cur = cur @ w
         elif k == "conv3x3":
@@ -356,7 +373,7 @@ def backward(model: ModelSpec, params: dict, caches: list,
                 eps=layer.eps,
             )
             bn_cache = cache[1]
-            dy = Tensor(cur, _context=f"{layer.name}.backward")
+            dy = Tensor._adopt(cur, f"{layer.name}.backward")
             if bn_cache.scope_key is not None:
                 if handle is None:
                     raise ModelError(f"{layer.name}: synchronized cache needs a device handle")

@@ -5,6 +5,13 @@ Only two layouts are supported: (N, C) and (N, C, H, W), with the channel
 axis always at position 1. Reductions accumulate strictly in ascending
 flat-index order (no pairwise trees), so the same input always produces
 bitwise-identical sums and a scalar loop reproduces them exactly.
+
+`Tensor` is the type of the public boundaries: the model input, the
+logits, and the batch-norm functions' inputs and outputs. Between layers
+the model carries plain arrays and runs the same finiteness scan
+(`_check_finite`) on every one it computes. Arrays the library has just
+computed become tensors through `Tensor._adopt`, which scans them but
+does not copy; `Tensor(...)` always copies its input.
 """
 
 from __future__ import annotations
@@ -36,6 +43,13 @@ def _resolve_dtype(dtype):
     return dt
 
 
+def _check_finite(a: np.ndarray, context: str) -> np.ndarray:
+    """Return `a`, or raise NonFiniteError naming `context` if it holds NaN/Inf."""
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{context}: non-finite values in tensor data")
+    return a
+
+
 class Tensor:
     """Immutable dense array, row-major, f64 by default.
 
@@ -56,10 +70,25 @@ class Tensor:
             raise TensorError("tensor shape must be nonempty (rank >= 1)")
         if any(e <= 0 for e in a.shape):
             raise TensorError(f"tensor extents must be positive, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise NonFiniteError(f"{_context}: non-finite values in tensor data")
+        _check_finite(a, _context)
         a.flags.writeable = False
         self._a = a
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray, context: str) -> "Tensor":
+        """Wrap an array the library has just computed, copying it only if it
+        is not C-ordered.
+
+        Runs the constructor's finiteness scan and marks the buffer read-only.
+        Only for f64/f32 arrays with a positive extent on every axis that no
+        caller holds a writable reference to.
+        """
+        if not a.flags.c_contiguous:
+            a = np.ascontiguousarray(a)
+        t = cls.__new__(cls)
+        t._a = _check_finite(a, context)
+        a.flags.writeable = False
+        return t
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -165,6 +194,12 @@ def channel_affine(x: Tensor, scale, shift) -> Tensor:
         raise TensorError(
             f"scale/shift must have length C={c}, got {scale.shape} and {shift.shape}"
         )
-    bshape = (1, c) + (1,) * (a.ndim - 2)
-    out = scale.reshape(bshape) * a + shift.reshape(bshape)
-    return Tensor(out, _context="channel_affine")
+    return _channel_affine(a, scale, shift)
+
+
+def _channel_affine(a: np.ndarray, scale, shift) -> Tensor:
+    """`channel_affine` on an array, without its argument checks or a copy."""
+    bshape = (1, a.shape[1]) + (1,) * (a.ndim - 2)
+    out = (np.asarray(scale, dtype=a.dtype).reshape(bshape) * a
+           + np.asarray(shift, dtype=a.dtype).reshape(bshape))
+    return Tensor._adopt(out, "channel_affine")

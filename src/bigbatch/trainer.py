@@ -441,9 +441,11 @@ def run_training(config: ExperimentConfig) -> TrainResult:
                 y = labels[sl]
                 lr = lr_at(res.policy, epoch, it, res.iters_per_epoch)
                 try:
+                    # only rank 0 reports reg_loss, so only it sums the penalty
                     out = forward(model, params, buffers, x, y, mode="train",
-                                  handle=handle, weight_decay=config.weight_decay,
-                                  one_pass_bn=config.one_pass_bn)
+                                  handle=handle, one_pass_bn=config.one_pass_bn,
+                                  weight_decay=config.weight_decay if handle.rank == 0
+                                  else 0.0)
                     grads = backward(model, params, out.caches, handle=handle)
                 except NonFiniteError as e:
                     raise DivergenceError(f"epoch {epoch} iter {it}: {e}") from e

@@ -120,6 +120,16 @@ class TestTrain:
         assert err.count("\n") == 1 and err.startswith(f"config error: {field} must be ")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("field,value", [("eps", 0), ("running_momentum", 1.5)])
+    def test_bad_bn_layer(self, tmp_path, capsys, field, value):
+        model = [{"kind": "conv3x3", "out_channels": 2}, {"kind": "bn", field: value},
+                 {"kind": "global_mean_pool"}, {"kind": "dense", "out_features": None}]
+        cfg = train_config(tmp_path, model=model)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"bn {field} must " in err
+        assert not (tmp_path / "r").exists()
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         cfg = train_config(tmp_path)
         out = str(tmp_path / "r")
@@ -232,6 +242,26 @@ class TestVariance:
         assert main(["variance", "--config", cfg]) == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
         assert "unknown fields" in err and "batch_size" in err
+
+    def test_integer_passes_for_a_number_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{**self.FAST, "rate": 1})
+        assert main(["variance", "--config", cfg]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("variance", "trials", "x"), ("variance", "trials", True),
+    ("variance", "rate", "0.1"), ("variance", "ks", 3),
+    ("variance", "batch_sizes", ["a"]), ("variance", "batch_sizes", [2.5]),
+    ("ratio-study", "epochs", "2"), ("ratio-study", "drift_rate", None),
+    ("ratio-study", "batch_sizes", [16.0]), ("ratio-study", "pos_counts", [1, 2]),
+    ("ratio-study", "pos_counts", [[1, "a"]]), ("ratio-study", "neg_counts", [[32, 0.5, 1]]),
+])
+def test_report_config_wrong_typed_field(tmp_path, capsys, command, field, value):
+    cfg = write_config(tmp_path, **{field: value})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: {field}")
+    assert " must " in err and not (tmp_path / "r").exists()
 
 
 class TestRatioStudy:

@@ -132,6 +132,16 @@ def test_broadcast_root_must_supply_data():
         g.run(fn)
 
 
+def test_group_reused_after_failed_run():
+    # The root fails before its call is counted, its peer after: the next
+    # run must start every rank's call count from zero again.
+    g = DeviceGroup(2, timeout_s=2.0)
+    with pytest.raises(CollectiveError):
+        g.run(lambda h: broadcast(h, SCOPE_WORLD, 0, None))
+    outs = g.run(lambda h: allreduce_sum(h, SCOPE_WORLD, np.array([h.rank + 1.0])))
+    assert [o.tolist() for o in outs] == [[3.0], [3.0]]
+
+
 def test_broadcast_non_root_must_not_supply_data():
     g = DeviceGroup(2, timeout_s=2.0)
 

@@ -16,7 +16,7 @@ from bigbatch.model import (
     init_params,
     weight_keys,
 )
-from bigbatch.tensor import Tensor
+from bigbatch.tensor import NonFiniteError, Tensor
 
 from helpers import (
     fd_entry,
@@ -90,6 +90,18 @@ class TestSpecValidation:
     def test_bn_variant_checked(self):
         with pytest.raises(ModelError):
             LayerSpec("bn", variant="global")
+
+    @pytest.mark.parametrize("field,value", [
+        ("eps", 0), ("eps", -1e-5), ("eps", float("nan")), ("eps", "1e-5"), ("eps", True),
+        ("running_momentum", -0.1), ("running_momentum", 1.5), ("running_momentum", None),
+    ])
+    def test_bn_eps_and_momentum_checked(self, field, value):
+        with pytest.raises(ModelError, match=f"^bn {field} must "):
+            LayerSpec("bn", **{field: value})
+
+    def test_bn_bounds_are_inclusive_for_momentum(self):
+        LayerSpec("bn", running_momentum=0)
+        LayerSpec("bn", running_momentum=1.0, eps=1)
 
 
 class TestInit:
@@ -212,6 +224,51 @@ class TestForwardValidation:
         out = forward(m, p, init_buffers(m), Tensor(np.ones((2, 1, 4, 4))))  # no labels
         with pytest.raises(ModelError, match="backward"):
             backward(m, p, out.caches)
+
+
+class TestFiniteness:
+    """Activations move between layers as arrays; each is still scanned."""
+
+    def batch(self):
+        rng = np.random.default_rng(74)
+        return Tensor(rng.normal(size=(3, 1, 4, 4))), rng.integers(0, 3, size=3)
+
+    def test_inf_conv_weight_names_the_conv(self):
+        m = tiny_model()
+        p = init_params(m, 0)
+        p["00_conv3x3.w"][0, 0, 1, 1] = np.inf
+        x, labels = self.batch()
+        with pytest.raises(NonFiniteError, match="^00_conv3x3: non-finite"):
+            forward(m, p, init_buffers(m), x, labels)
+
+    def test_nan_cotangent_names_the_bn_backward(self):
+        m = tiny_model()
+        p = init_params(m, 0)
+        x, labels = self.batch()
+        out = forward(m, p, init_buffers(m), x, labels)
+        p["04_dense.w"] = np.full_like(p["04_dense.w"], np.nan)  # only backward reads it now
+        with pytest.raises(NonFiniteError, match="^01_bn.backward: non-finite"):
+            backward(m, p, out.caches)
+
+    def test_overflowing_dense_names_the_dense(self):
+        m = tiny_model()
+        p = init_params(m, 0)
+        p["04_dense.w"] = np.full_like(p["04_dense.w"], 1e308)  # pooled relu output is > 0
+        p["04_dense.b"] = np.full_like(p["04_dense.b"], np.finfo(np.float64).max)
+        x, labels = self.batch()
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^04_dense: non-finite"):
+            forward(m, p, init_buffers(m), x, labels)
+
+    def test_params_stay_writable_and_unchanged(self):
+        m = tiny_model()
+        p = init_params(m, 0)
+        before = {k: v.copy() for k, v in p.items()}
+        x, labels = self.batch()
+        out = forward(m, p, init_buffers(m), x, labels, weight_decay=1e-3)
+        backward(m, p, out.caches)
+        for key, value in p.items():
+            assert value.flags.writeable, key
+            assert np.array_equal(value, before[key]), key
 
 
 class TestGradients:
