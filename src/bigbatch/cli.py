@@ -158,6 +158,9 @@ def cmd_verify(args) -> int:
 
 def cmd_variance(args) -> int:
     cfg = _load_json_config(args.config, VARIANCE_DEFAULTS)
+    for name in ("batch_sizes", "ks"):
+        if not cfg[name]:
+            raise ConfigError(f"{name} must not be empty")
     seed = args.seed if args.seed is not None else 0
     law = []
     for n in cfg["batch_sizes"]:

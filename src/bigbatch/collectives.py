@@ -11,8 +11,9 @@ a broadcast root's and a barrier's included, returns only once its whole
 scope has arrived.
 
 A mismatched call pattern (one rank doing a different collective, or
-running ahead) is diagnosed with rank IDs instead of deadlocking, and a
-failing rank wakes every blocked peer at once with its name.
+running ahead) is diagnosed with rank IDs instead of deadlocking. A
+failing rank wakes every blocked peer at once with its name, and so does
+a rank that returns while a peer still waits for it.
 """
 
 from __future__ import annotations
@@ -132,6 +133,7 @@ class DeviceGroup:
         for h in self.handles:
             self._tables.setdefault(h.bn_scope_key, _Table(h.bn_group_ranks))
         self._failure: str | None = None  # abort note naming the first failed rank
+        self._returned: set[int] = set()  # ranks whose worker has returned normally
 
     def run(self, fn: Callable[[DeviceHandle], Any], timeout_s: float | None = None,
             return_exceptions: bool = False) -> list:
@@ -146,6 +148,7 @@ class DeviceGroup:
         results: list[Any] = [None] * self.world_size
         errors: list[BaseException | None] = [None] * self.world_size
         self._failure = None
+        self._returned = set()
         for table in self._tables.values():
             table.slots.clear()
         for h in self.handles:  # a failed run leaves the ranks' counts unequal
@@ -154,6 +157,10 @@ class DeviceGroup:
         def runner(handle: DeviceHandle):
             try:
                 results[handle.rank] = fn(handle)
+                # A peer still waiting for this rank in a collective fails at once.
+                with self._cond:
+                    self._returned.add(handle.rank)
+                    self._cond.notify_all()
             except BaseException as exc:  # noqa: BLE001 - reported to caller
                 errors[handle.rank] = exc
                 # Wake every blocked peer and fail every later collective with
@@ -251,6 +258,11 @@ def _rendezvous(handle: DeviceHandle, scope_key: str, kind: str,
         while table.round == my_round:
             if group._failure is not None:
                 raise CollectiveProtocolError(group._failure, from_abort=True)
+            gone = [r for r in table.ranks if r in group._returned]
+            if gone:
+                raise CollectiveProtocolError(
+                    f"{_call_name(scope_key, kind, seq, root)}: rank {handle.rank} waits "
+                    f"for rank(s) {gone}, which returned without joining it")
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 missing = [r for r in table.ranks if r not in table.slots]

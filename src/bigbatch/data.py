@@ -141,22 +141,47 @@ def save_dataset(ds: Dataset, out_dir) -> dict:
     return meta
 
 
+def _load_array(path: Path, dtype, shape: tuple) -> np.ndarray:
+    """One saved array, which must hold `dtype` values of `shape`."""
+    try:
+        a = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise DataError(f"dataset file {path} is missing") from None
+    except (OSError, ValueError, EOFError) as e:
+        raise DataError(f"dataset file {path} cannot be read: {e}") from None
+    if a.dtype != dtype or a.shape != shape:
+        raise DataError(f"dataset file {path} holds {a.dtype} {a.shape}, "
+                        f"expected {np.dtype(dtype)} {shape}")
+    return a
+
+
 def load_dataset(in_dir) -> Dataset:
+    """Read a directory written by `save_dataset`.
+
+    Raises DataError, naming the file, when `meta.json` or an array file is
+    missing or unreadable, when an array has the wrong shape or dtype for
+    the recorded spec, or when the contents do not match the recorded hash.
+    """
     src = Path(in_dir)
     try:
         meta = json.loads((src / "meta.json").read_text())
+        spec = DatasetSpec(**meta["spec"])
+        seed, recorded_hash = meta["seed"], meta["content_hash"]
     except FileNotFoundError:
         raise DataError(f"no meta.json under {src}") from None
-    spec = DatasetSpec(**meta["spec"])
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise DataError(f"{src / 'meta.json'} does not describe a dataset: {e!r}") from None
+    grid = (1, spec.height, spec.width)
+    n, n_eval = spec.size, spec.resolved_eval_size()
     ds = Dataset(
         spec=spec,
-        seed=meta["seed"],
-        images=np.load(src / "images.npy"),
-        labels=np.load(src / "labels.npy"),
-        eval_images=np.load(src / "eval_images.npy"),
-        eval_labels=np.load(src / "eval_labels.npy"),
+        seed=seed,
+        images=_load_array(src / "images.npy", np.float64, (n, *grid)),
+        labels=_load_array(src / "labels.npy", np.int64, (n,)),
+        eval_images=_load_array(src / "eval_images.npy", np.float64, (n_eval, *grid)),
+        eval_labels=_load_array(src / "eval_labels.npy", np.int64, (n_eval,)),
     )
-    if ds.content_hash() != meta["content_hash"]:
+    if ds.content_hash() != recorded_hash:
         raise DataError(f"dataset under {src} does not match its recorded hash")
     return ds
 

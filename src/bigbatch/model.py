@@ -15,9 +15,11 @@ accumulation order, and global mean pooling folds it back to (N, C).
 Flat activations after pooling are plain (N, F).
 
 Activations and gradients pass between layers as plain ndarrays; each
-layer output is scanned for NaN/Inf under the layer's name. `Tensor`
+layer output is scanned for NaN/Inf under the layer's name, once. `Tensor`
 appears only at the boundaries: the model input, `ForwardResult.logits`,
-and the batch-norm functions, whose arguments are wrapped without a copy.
+and the batch-norm functions, whose arguments are wrapped without a copy
+or a second scan. Each BN layer builds its `BNLayerState` once per forward
+and hands it to `backward` through the cache.
 """
 
 from __future__ import annotations
@@ -275,7 +277,7 @@ def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
             cur = _check_finite(cur * mask, layer.name)
         elif k == "bn":
             state = _bn_state(layer, params, buffers)
-            x_bn = Tensor._adopt(cur, layer.name)
+            x_bn = Tensor._wrap(cur)  # scanned as the previous layer's output
             if mode == "eval":
                 y, cache = bn_forward_local(x_bn, state, mode="eval")
             elif layer.variant == "cross" and handle is not None:
@@ -285,7 +287,7 @@ def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
             if mode == "train":
                 buffers[f"{layer.name}.running_mean"] = state.running_mean
                 buffers[f"{layer.name}.running_var"] = state.running_var
-            caches.append(("bn", cache))
+            caches.append(("bn", cache, state))
             cur = y.array
         elif k == "global_mean_pool":
             c, h, wd = ishape
@@ -295,7 +297,7 @@ def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
             caches.append(("global_mean_pool",))
             cur = _check_finite(maps.mean(axis=2), layer.name)
         elif k == "softmax_xent":
-            logits = Tensor._adopt(cur, "logits")
+            logits = Tensor._wrap(cur)  # scanned as the previous layer's output
             if labels is None:
                 return ForwardResult(logits=logits, loss=None, caches=caches)
             z = cur
@@ -367,12 +369,7 @@ def backward(model: ModelSpec, params: dict, caches: list,
         elif k == "relu":
             cur = cur * cache[1]
         elif k == "bn":
-            state = BNLayerState(
-                gamma=params[f"{layer.name}.gamma"],
-                beta=params[f"{layer.name}.beta"],
-                eps=layer.eps,
-            )
-            bn_cache = cache[1]
+            _, bn_cache, state = cache  # the forward's state: same gamma and eps
             dy = Tensor._adopt(cur, f"{layer.name}.backward")
             if bn_cache.scope_key is not None:
                 if handle is None:

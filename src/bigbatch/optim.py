@@ -6,11 +6,19 @@ becomes k times the base rate, optionally approached through a linear
 per-iteration warmup ramp. Two named decay policies are provided, "normal"
 (decay by 0.1 at epochs 8 and 10, stop after 11) and "long" (0.1 at 11 and
 14, a further 0.5 at 17, stop after 18).
+
+The optimizer side keeps each replica's parameters and momentum in two flat
+float64 buffers laid out in sorted-key order; the parameter dict holds views
+of the first. One update is a handful of whole-buffer operations, with
+weight decay applied on the decay keys' spans only, and it is written in
+place after the results pass a finiteness scan. Every element sees the same
+operations in the same order as a per-key update, so the results are
+bitwise equal to one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,58 +124,108 @@ def lr_at(policy: LRPolicy, epoch: int, iter_in_epoch: int, iters_per_epoch: int
     return lr
 
 
-@dataclass
+@dataclass(eq=False)
 class SGDState:
-    """Momentum buffers plus the decay hyperparameters.
+    """Momentum SGD over one flat parameter layout.
 
-    `decay_keys` names the parameters that receive the weight-decay term;
-    by convention these are the weight matrices and kernels, never biases
-    or normalization affines.
+    `create` packs the parameters, in sorted-key order, into one float64
+    buffer, `flat_params`, and rebinds each `params[key]` to a C-contiguous
+    view of it; `velocity[key]` views `flat_velocity` the same way. `keys`
+    is that order and `spans[key]` the key's slice of both buffers.
+    `decay_keys` names the parameters that receive the weight-decay term,
+    by convention the weight matrices and kernels, never biases or
+    normalization affines; `decay_spans` are their slices.
     """
 
-    velocity: dict
     momentum: float
     weight_decay: float
-    decay_keys: frozenset = field(default_factory=frozenset)
+    decay_keys: frozenset
+    keys: tuple
+    spans: dict
+    decay_spans: tuple
+    flat_params: np.ndarray
+    flat_velocity: np.ndarray
+    views: dict                 # key -> the view `params[key]` is bound to
+    velocity: dict
 
     @classmethod
     def create(cls, params: dict, momentum: float, weight_decay: float,
                decay_keys=None):
         if decay_keys is None:
             decay_keys = [k for k in params if k.endswith(".w")]
+        decay_keys = frozenset(decay_keys)
+        keys = tuple(sorted(params))
+        spans, start = {}, 0
+        for k in keys:
+            spans[k] = slice(start, start + np.size(params[k]))
+            start = spans[k].stop
+        flat_params = np.empty(start)
+        for k in keys:
+            flat_params[spans[k]] = np.ravel(params[k])
+        flat_velocity = np.zeros(start)
+        views = {k: flat_params[s].reshape(np.shape(params[k])) for k, s in spans.items()}
+        params.update(views)
         return cls(
-            velocity={k: np.zeros_like(v) for k, v in params.items()},
             momentum=momentum,
             weight_decay=weight_decay,
-            decay_keys=frozenset(decay_keys),
+            decay_keys=decay_keys,
+            keys=keys,
+            spans=spans,
+            decay_spans=tuple(spans[k] for k in keys if k in decay_keys),
+            flat_params=flat_params,
+            flat_velocity=flat_velocity,
+            views=views,
+            velocity={k: flat_velocity[s].reshape(views[k].shape)
+                      for k, s in spans.items()},
         )
 
+    def pack(self, grads: dict, params: dict) -> np.ndarray:
+        """A gradient dict, checked against `params`, as one flat vector."""
+        if set(grads) != set(params):
+            missing = set(params) ^ set(grads)
+            raise ValueError(f"grads and params disagree on keys: {sorted(missing)}")
+        for key in self.keys:
+            g, w = grads[key], params[key]
+            if g.shape != w.shape:
+                raise ValueError(f"{key}: grad shape {g.shape} != param shape {w.shape}")
+        flat = np.empty(self.flat_params.shape)
+        for key, s in self.spans.items():
+            flat[s] = np.ravel(grads[key])
+        return flat
 
-def sgd_step(params: dict, grads: dict, state: SGDState, lr: float) -> dict:
-    """One momentum-SGD update, in place.
 
-    g' = grad + wd * w on decay keys, v <- m * v + g', w <- w - lr * v.
-    Any non-finite result aborts with DivergenceError rather than letting
-    NaNs spread silently.
+def sgd_step(params: dict, grads, state: SGDState, lr: float) -> dict:
+    """One momentum-SGD update of the state's flat buffers, in place.
+
+    g' = grad + wd * w on the decay spans, v <- m * v + g', w <- w - lr * v,
+    elementwise over the whole layout. `grads` is either a dict keyed like
+    `params` or one vector in the state's layout (the trainer passes the
+    allreduced mean). `params` must still hold the views `state` bound it
+    to; they and `state.velocity` see the step. Any non-finite result
+    aborts with DivergenceError, naming the first affected key in sorted
+    order, before anything is written.
     """
-    if set(grads) != set(params):
-        missing = set(params) ^ set(grads)
-        raise ValueError(f"grads and params disagree on keys: {sorted(missing)}")
     if not np.isfinite(lr):
         raise DivergenceError(f"learning rate is non-finite: {lr}")
-    for key in sorted(params):
-        g = grads[key]
-        w = params[key]
-        if g.shape != w.shape:
-            raise ValueError(f"{key}: grad shape {g.shape} != param shape {w.shape}")
-        if key in state.decay_keys and state.weight_decay:
-            g = g + state.weight_decay * w
-        v = state.momentum * state.velocity[key] + g
-        w_new = w - lr * v
-        if not (np.isfinite(v).all() and np.isfinite(w_new).all()):
-            raise DivergenceError(f"non-finite update for parameter {key!r}")
-        state.velocity[key] = v
-        params[key] = w_new
+    if params.keys() != state.views.keys() or any(
+            params[k] is not v for k, v in state.views.items()):
+        raise ValueError("params are not the arrays this SGDState was created from")
+    g = state.pack(grads, params) if isinstance(grads, dict) else grads
+    if g.shape != state.flat_params.shape:
+        raise ValueError(f"flat grad shape {g.shape} != layout shape {state.flat_params.shape}")
+    w = state.flat_params
+    if state.weight_decay and state.decay_spans:
+        g = g.copy()
+        for s in state.decay_spans:
+            g[s] += state.weight_decay * w[s]
+    v = state.momentum * state.flat_velocity + g
+    w_new = w - lr * v
+    if not (np.isfinite(v).all() and np.isfinite(w_new).all()):
+        first = int(np.argmin(np.isfinite(v) & np.isfinite(w_new)))
+        key = next(k for k, s in state.spans.items() if first < s.stop)
+        raise DivergenceError(f"non-finite update for parameter {key!r}")
+    state.flat_velocity[:] = v
+    w[:] = w_new
     return params
 
 

@@ -11,7 +11,8 @@ logits, and the batch-norm functions' inputs and outputs. Between layers
 the model carries plain arrays and runs the same finiteness scan
 (`_check_finite`) on every one it computes. Arrays the library has just
 computed become tensors through `Tensor._adopt`, which scans them but
-does not copy; `Tensor(...)` always copies its input.
+does not copy, or through `Tensor._wrap` when the model has already
+scanned them as a layer's output; `Tensor(...)` always copies its input.
 """
 
 from __future__ import annotations
@@ -83,10 +84,16 @@ class Tensor:
         Only for f64/f32 arrays with a positive extent on every axis that no
         caller holds a writable reference to.
         """
+        return cls._wrap(_check_finite(a, context))
+
+    @classmethod
+    def _wrap(cls, a: np.ndarray) -> "Tensor":
+        """`_adopt` without the scan, for an array already scanned under the
+        name of the layer that produced it."""
         if not a.flags.c_contiguous:
             a = np.ascontiguousarray(a)
         t = cls.__new__(cls)
-        t._a = _check_finite(a, context)
+        t._a = a
         a.flags.writeable = False
         return t
 

@@ -4,9 +4,13 @@ The orchestrator builds the dataset, model, and schedule from an
 ExperimentConfig, spawns one worker per device, and owns all file output.
 Workers keep identical parameter replicas: every iteration they compute
 gradients on their shard, average them with a world AllReduce, and apply
-the same SGD step. Sharding is a seeded epoch permutation split into
-contiguous per-rank slices, which is what makes an n-device run directly
-comparable to a single device training on the concatenated batch.
+the same SGD step. The AllReduce payload is the gradients in the
+optimizer's sorted-key order followed by the task loss, so the mean's
+gradient part is already in the layout of the replica's flat parameter
+buffer and goes to `sgd_step` as one vector. Sharding is a seeded epoch
+permutation split into contiguous per-rank slices, which is what makes an
+n-device run directly comparable to a single device training on the
+concatenated batch.
 
 Every byte of the output files (metrics CSV, manifest, checkpoint) is a
 function of the config alone. The wall_ms column therefore reports a
@@ -246,7 +250,11 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
 
 
 def build_model(config: ExperimentConfig, classes: int, in_shape: tuple) -> ModelSpec:
-    """ModelSpec from the config's layer dicts, loss head appended."""
+    """ModelSpec from the config's layer dicts, loss head appended.
+
+    Rejects a BN layer that could not normalize in training: fewer than two
+    elements per channel under the config's batch and BN group size.
+    """
     raw = config.model if config.model is not None else [dict(d) for d in DEFAULT_MODEL]
     layers = []
     for entry in raw:
@@ -267,6 +275,19 @@ def build_model(config: ExperimentConfig, classes: int, in_shape: tuple) -> Mode
     if spec.classes != classes:
         raise ConfigError(
             f"model emits {spec.classes} classes but the dataset has {classes}")
+    group = config.world_size if config.bn_group_size is None else config.bn_group_size
+    for layer, (ishape, _) in zip(spec.layers, spec.shapes):
+        if layer.kind != "bn":
+            continue
+        # per-channel elements a training step normalizes over: the rank's
+        # batch times the spatial extent, times the sub-group for cross BN
+        count = config.per_device_batch * int(np.prod(ishape[1:]))
+        if layer.variant == "cross":
+            count *= group
+        if count < 2:
+            raise ConfigError(
+                f"model layer {layer.name}: training-mode bn normalizes {count} element "
+                "per channel, needs at least 2")
     return spec
 
 
@@ -426,7 +447,6 @@ def run_training(config: ExperimentConfig) -> TrainResult:
         params = init_params(model, config.seed)
         buffers = init_buffers(model)
         sgd = SGDState.create(params, config.momentum, config.weight_decay)
-        grad_keys = sorted(params)
         rows, evals = [], []
         monitor = DivergenceMonitor()
         status, diverged_at = "ok", None
@@ -450,16 +470,11 @@ def run_training(config: ExperimentConfig) -> TrainResult:
                 except NonFiniteError as e:
                     raise DivergenceError(f"epoch {epoch} iter {it}: {e}") from e
                 flat = np.concatenate(
-                    [grads[k].ravel() for k in grad_keys]
+                    [grads[k].ravel() for k in sgd.keys]
                     + [np.array([out.loss.task_loss])])
                 mean = allreduce_sum(handle, SCOPE_WORLD, flat) / world
-                offset = 0
-                for k in grad_keys:
-                    n = params[k].size
-                    grads[k] = mean[offset:offset + n].reshape(params[k].shape)
-                    offset += n
                 mean_task = float(mean[-1])
-                sgd_step(params, grads, sgd, lr)
+                sgd_step(params, mean[:-1], sgd, lr)
                 if config.checksum_interval and it % config.checksum_interval == 0:
                     check_replica_sync(handle, params, f"epoch {epoch} iter {it}")
                 tripped = monitor.observe(mean_task, f"epoch {epoch} iter {it}")

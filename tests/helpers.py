@@ -185,3 +185,23 @@ def rel_err(a, b, floor=1e-3):
     b = np.asarray(b, dtype=np.float64)
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / scale))
+
+
+def loop_sgd_step(params, grads, velocity, momentum, weight_decay, decay_keys, lr):
+    """One momentum-SGD step, one key at a time in sorted order.
+
+    The per-key update the optimizer ran before it kept a flat layout:
+    g' = g + wd * w on decay keys (when wd is nonzero), v = m * v + g',
+    w = w - lr * v. Returns new (params, velocity) dicts; the inputs are
+    left alone.
+    """
+    new_params, new_velocity = {}, {}
+    for key in sorted(params):
+        g = grads[key]
+        w = params[key]
+        if key in decay_keys and weight_decay:
+            g = g + weight_decay * w
+        v = momentum * velocity[key] + g
+        new_velocity[key] = v
+        new_params[key] = w - lr * v
+    return new_params, new_velocity

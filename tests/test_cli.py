@@ -130,6 +130,21 @@ class TestTrain:
         assert err.count("\n") == 1 and f"bn {field} must " in err
         assert not (tmp_path / "r").exists()
 
+    POOLED_BN = [{"kind": "global_mean_pool"}, {"kind": "bn"},
+                 {"kind": "dense", "out_features": None}]
+
+    def test_bn_too_small_to_normalize(self, tmp_path, capsys):
+        cfg = train_config(tmp_path, per_device_batch=1, model=self.POOLED_BN)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: model layer 01_bn: ")
+        assert "1 element per channel, needs at least 2" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_bn_with_two_elements_per_channel_trains(self, tmp_path, capsys):
+        cfg = train_config(tmp_path, per_device_batch=2, epochs=1, model=self.POOLED_BN)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_OK
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         cfg = train_config(tmp_path)
         out = str(tmp_path / "r")
@@ -246,6 +261,15 @@ class TestVariance:
     def test_integer_passes_for_a_number_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{**self.FAST, "rate": 1})
         assert main(["variance", "--config", cfg]) == EXIT_OK
+
+    @pytest.mark.parametrize("field", ["batch_sizes", "ks"])
+    def test_empty_list_rejected(self, tmp_path, capsys, field):
+        cfg = write_config(tmp_path, **{**self.FAST, field: []})
+        out = tmp_path / "rep"
+        assert main(["variance", "--config", cfg, "--out", str(out)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {field} must not be empty\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command,field,value", [
@@ -376,6 +400,20 @@ class TestGenData:
                      "eval_labels.npy", "meta.json"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("name", ["images.npy", "eval_labels.npy"])
+    def test_training_on_a_dataset_missing_a_file(self, tmp_path, capsys, name):
+        cfg = train_config(tmp_path, dataset={"size": 32, "classes": 4})
+        data_dir = tmp_path / "data"
+        main(["gen-data", "--config", cfg, "--out", str(data_dir)])
+        (data_dir / name).unlink()
+        run_cfg = train_config(tmp_path, name="run.json", dataset={"dir": str(data_dir)})
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["train", "--config", run_cfg, "--out", str(out)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{data_dir / name} is missing" in err
+        assert not out.exists()
 
     def test_requires_out(self, tmp_path, capsys):
         cfg = train_config(tmp_path)

@@ -205,7 +205,9 @@ def test_timeout_names_missing_ranks():
 
     def fn(h):
         if h.rank == 2:
-            return None  # sits out the collective
+            # arrives after its peers' timeout (a rank that returns instead
+            # is reported at once: test_returned_rank_releases_its_peers_promptly)
+            time.sleep(1.0)
         return allreduce_sum(h, SCOPE_WORLD, [1.0])
 
     with pytest.raises(CollectiveTimeoutError, match=r"rank\(s\) \[2\]"):
@@ -308,6 +310,35 @@ def test_local_broadcast_error_releases_peers_promptly():
     with pytest.raises(CollectiveProtocolError, match="must supply data"):
         g.run(fn)
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_returned_rank_releases_its_peers_promptly():
+    # rank 1 returns without the collective rank 0 waits in; rank 0 must
+    # learn of it at once, naming rank 1, not after the 30 s timeout
+    g = DeviceGroup(2, timeout_s=30.0)
+
+    def fn(h):
+        if h.rank == 1:
+            return "done"
+        return allreduce_sum(h, SCOPE_WORLD, [1.0])
+
+    t0 = time.perf_counter()
+    with pytest.raises(CollectiveProtocolError,
+                       match=r"rank 0 waits for rank\(s\) \[1\], which returned"):
+        g.run(fn)
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_returned_rank_outside_the_scope_is_not_waited_for():
+    # rank 2 returns early, but bn0 holds ranks 0 and 1 only
+    def fn(h):
+        if h.rank >= 2:
+            return None
+        time.sleep(0.1)
+        return allreduce_sum(h, SCOPE_BN_GROUP, [float(h.rank)])
+
+    out = DeviceGroup(4, bn_group_size=2, timeout_s=30.0).run(fn)
+    assert [None if o is None else o[0] for o in out] == [1.0, 1.0, None, None]
 
 
 def test_scope_mismatch_releases_other_scopes_promptly():

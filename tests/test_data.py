@@ -150,6 +150,49 @@ class TestSaveLoad:
         with pytest.raises(DataError, match="hash"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("name", ["images.npy", "labels.npy", "eval_images.npy",
+                                      "eval_labels.npy"])
+    def test_missing_array_file_is_named(self, tmp_path, name):
+        save_dataset(generate_dataset(DatasetSpec(size=16, classes=2), 0), tmp_path)
+        (tmp_path / name).unlink()
+        with pytest.raises(DataError, match=f"{name} is missing"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("make", [
+        lambda p: p.write_bytes(b""),                      # empty
+        lambda p: p.write_bytes(b"not an npy file"),       # garbage
+        lambda p: p.write_bytes(p.read_bytes()[:100]),     # truncated
+        lambda p: (p.unlink(), p.mkdir()),                 # a directory
+        lambda p: np.save(p, np.array([{}]), allow_pickle=True),  # pickled objects
+    ])
+    def test_unreadable_array_file_is_named(self, tmp_path, make):
+        save_dataset(generate_dataset(DatasetSpec(size=16, classes=2), 0), tmp_path)
+        make(tmp_path / "images.npy")
+        with pytest.raises(DataError, match="images.npy cannot be read"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name, change", [
+        ("images.npy", lambda a: a[:-1]),                  # one sample short
+        ("images.npy", lambda a: a.reshape(len(a), -1)),   # flattened images
+        ("images.npy", lambda a: a.astype(np.float32)),
+        ("labels.npy", lambda a: a.astype(np.int32)),
+        ("eval_labels.npy", lambda a: a.astype(np.float64)),
+        ("eval_images.npy", lambda a: a[:, :, :-1]),
+    ])
+    def test_wrong_shape_or_dtype_is_named(self, tmp_path, name, change):
+        save_dataset(generate_dataset(DatasetSpec(size=16, classes=2), 0), tmp_path)
+        np.save(tmp_path / name, change(np.load(tmp_path / name)))
+        with pytest.raises(DataError, match=f"{name} holds .* expected"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("text", ["{nope", "[]", '{"seed": 0}',
+                                      '{"spec": {"size": 1}, "seed": 0, "content_hash": ""}'])
+    def test_malformed_meta_is_a_data_error(self, tmp_path, text):
+        save_dataset(generate_dataset(DatasetSpec(size=16, classes=2), 0), tmp_path)
+        (tmp_path / "meta.json").write_text(text)
+        with pytest.raises(DataError, match="meta.json does not describe a dataset"):
+            load_dataset(tmp_path)
+
     def test_meta_is_json_with_spec(self, tmp_path):
         save_dataset(generate_dataset(DatasetSpec(size=16, classes=2), 0), tmp_path)
         meta = json.loads((tmp_path / "meta.json").read_text())

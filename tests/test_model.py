@@ -259,6 +259,23 @@ class TestFiniteness:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^04_dense: non-finite"):
             forward(m, p, init_buffers(m), x, labels)
 
+    def test_one_bn_state_per_layer_per_step(self, monkeypatch):
+        import bigbatch.model as model_module
+        built = []
+
+        class CountingState(BNLayerState):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        m = tiny_model()  # LayerSpec checks its bounds with a BNLayerState too
+        p = init_params(m, 0)
+        monkeypatch.setattr(model_module, "BNLayerState", CountingState)
+        x, labels = self.batch()
+        out = forward(m, p, init_buffers(m), x, labels)
+        backward(m, p, out.caches)
+        assert len(built) == sum(layer.kind == "bn" for layer in m.layers) == 1
+
     def test_params_stay_writable_and_unchanged(self):
         m = tiny_model()
         p = init_params(m, 0)

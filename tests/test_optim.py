@@ -16,6 +16,8 @@ from bigbatch.optim import (
     sgd_step,
 )
 
+from helpers import loop_sgd_step
+
 
 class TestPolicyValidation:
     def test_positive_fields(self):
@@ -225,6 +227,101 @@ class TestSGDStep:
 
     def test_divergence_is_a_floating_point_error(self):
         assert issubclass(DivergenceError, FloatingPointError)
+
+
+class TestFlatLayout:
+    """The state keeps every parameter and velocity in one flat buffer."""
+
+    # sorted order interleaves decay (.w) and non-decay keys
+    SHAPES = {"a.b": (3,), "a.w": (3, 2, 3, 3), "b.gamma": (2,), "c.beta": (4,),
+              "c.w": (4, 5), "d.b": (1,)}
+
+    def setup(self, seed=0):
+        rng = np.random.default_rng(seed)
+        params = {k: rng.normal(size=s) for k, s in reversed(self.SHAPES.items())}
+        return params, rng
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_matches_the_per_key_loop_bitwise(self, flat):
+        params, rng = self.setup(1)
+        ref_p = {k: v.copy() for k, v in params.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in params.items()}
+        st = SGDState.create(params, momentum=0.9, weight_decay=1e-2)
+        assert st.keys == tuple(sorted(self.SHAPES))
+        for lr in (0.1, 0.05, 0.0, 0.3):
+            grads = {k: rng.normal(size=s) for k, s in self.SHAPES.items()}
+            ref_p, ref_v = loop_sgd_step(ref_p, grads, ref_v, 0.9, 1e-2,
+                                         st.decay_keys, lr)
+            arg = np.concatenate([grads[k].ravel() for k in st.keys]) if flat else grads
+            sgd_step(params, arg, st, lr)
+            for k in self.SHAPES:
+                assert np.array_equal(params[k], ref_p[k]), (lr, k)
+                assert np.array_equal(st.velocity[k], ref_v[k]), (lr, k)
+
+    def test_no_decay_without_momentum_matches_too(self):
+        params, rng = self.setup(2)
+        ref_p = {k: v.copy() for k, v in params.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in params.items()}
+        st = SGDState.create(params, momentum=0.0, weight_decay=0.0)
+        for lr in (0.2, 0.0):
+            grads = {k: rng.normal(size=s) for k, s in self.SHAPES.items()}
+            ref_p, ref_v = loop_sgd_step(ref_p, grads, ref_v, 0.0, 0.0, st.decay_keys, lr)
+            sgd_step(params, grads, st, lr)
+            for k in self.SHAPES:
+                assert np.array_equal(params[k], ref_p[k])
+                assert np.array_equal(st.velocity[k], ref_v[k])
+
+    def test_params_and_velocity_are_views_that_see_each_step(self):
+        params, rng = self.setup(3)
+        st = SGDState.create(params, momentum=0.9, weight_decay=1e-3)
+        bound = dict(params)
+        velocity = dict(st.velocity)
+        for k, v in params.items():
+            assert v.shape == self.SHAPES[k] and v.flags.c_contiguous
+            assert np.shares_memory(v, st.flat_params)
+            assert np.shares_memory(st.velocity[k], st.flat_velocity)
+        for _ in range(2):
+            before = {k: v.copy() for k, v in params.items()}
+            grads = {k: rng.normal(size=s) for k, s in self.SHAPES.items()}
+            sgd_step(params, grads, st, 0.1)
+            for k in self.SHAPES:
+                assert params[k] is bound[k] and st.velocity[k] is velocity[k]
+                assert not np.array_equal(params[k], before[k])
+                assert np.array_equal(params[k].ravel(), st.flat_params[st.spans[k]])
+                assert np.array_equal(st.velocity[k].ravel(),
+                                      st.flat_velocity[st.spans[k]])
+
+    def test_first_bad_key_in_sorted_order_is_named(self):
+        params, _ = self.setup(4)
+        st = SGDState.create(params, momentum=0.9, weight_decay=1e-3)
+        before = st.flat_params.copy()
+        grads = {k: np.zeros(s) for k, s in self.SHAPES.items()}
+        grads["c.w"][2, 1] = np.nan
+        grads["b.gamma"][1] = np.inf
+        with pytest.raises(DivergenceError, match="parameter 'b.gamma'"):
+            sgd_step(params, grads, st, 0.1)
+        # nothing is written before the scan
+        assert np.array_equal(st.flat_params, before)
+        assert not st.flat_velocity.any()
+
+    def test_overflow_in_the_new_weights_names_its_key(self):
+        params = {"a": np.ones(2), "b": np.array([1.0, 1e308])}
+        st = SGDState.create(params, 0.0, 0.0)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="'b'"):
+            sgd_step(params, {"a": np.ones(2), "b": np.array([0.0, -1e308])}, st, 1e10)
+
+    def test_rebound_param_is_rejected(self):
+        params = {"w": np.ones(2)}
+        st = SGDState.create(params, 0.0, 0.0)
+        params["w"] = np.ones(2)
+        with pytest.raises(ValueError, match="created from"):
+            sgd_step(params, {"w": np.ones(2)}, st, lr=0.1)
+
+    def test_flat_grad_length_is_checked(self):
+        params = {"a": np.ones(2), "b": np.ones(3)}
+        st = SGDState.create(params, 0.0, 0.0)
+        with pytest.raises(ValueError, match="layout shape"):
+            sgd_step(params, np.ones(4), st, lr=0.1)
 
 
 class TestAccumulateEquivalence:

@@ -228,6 +228,47 @@ class TestBuildModelAndResolve:
         with pytest.raises(ConfigError, match="model layer"):
             build_model(cfg, classes=4, in_shape=(1, 4, 4))
 
+    POOLED_BN = [{"kind": "global_mean_pool"}, {"kind": "bn", "variant": "local"},
+                 {"kind": "dense", "out_features": None}]
+
+    @pytest.mark.parametrize("world, batch, group, variant, count", [
+        (1, 1, None, "local", 1),     # one pooled value per channel
+        (2, 1, None, "local", 1),     # local BN sees only the rank's batch
+        (4, 1, 1, "cross", 1),        # a sub-group of one rank
+    ])
+    def test_bn_too_small_to_normalize(self, world, batch, group, variant, count):
+        model = [dict(layer) for layer in self.POOLED_BN]
+        model[1]["variant"] = variant
+        cfg = ExperimentConfig(world_size=world, per_device_batch=batch,
+                               bn_group_size=group, model=model)
+        with pytest.raises(ConfigError,
+                           match=f"^model layer 01_bn: .* {count} element per channel"):
+            build_model(cfg, classes=4, in_shape=(1, 4, 4))
+
+    @pytest.mark.parametrize("world, batch, group, variant, first", [
+        (1, 2, None, "local", "global_mean_pool"),  # exactly 2 per channel
+        (2, 1, None, "cross", "global_mean_pool"),  # 1 per rank, 2 over the group
+        (4, 1, 2, "cross", "global_mean_pool"),
+        (1, 1, None, "local", "conv3x3"),           # 1 image, 4x4 positions
+    ])
+    def test_bn_count_of_two_or_more_is_accepted(self, world, batch, group, variant, first):
+        model = [dict(layer) for layer in self.POOLED_BN]
+        model[1]["variant"] = variant
+        if first == "conv3x3":
+            model[0] = {"kind": "conv3x3", "out_channels": 2}
+            model.insert(2, {"kind": "global_mean_pool"})
+        cfg = ExperimentConfig(world_size=world, per_device_batch=batch,
+                               bn_group_size=group, model=model)
+        build_model(cfg, classes=4, in_shape=(1, 4, 4))
+
+    def test_impossible_bn_fails_before_any_thread_starts(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("DeviceGroup.run was reached")
+        monkeypatch.setattr(DeviceGroup, "run", no_threads)
+        cfg = smoke_config(per_device_batch=1, model=self.POOLED_BN)
+        with pytest.raises(ConfigError, match="01_bn"):
+            run_training(cfg)
+
     def test_resolve_drops_the_ragged_tail(self):
         cfg = smoke_config(world_size=2, per_device_batch=8,
                            dataset={"size": 100, "classes": 4})
@@ -443,6 +484,14 @@ class TestRunTraining:
         write_outputs(result, tmp_path / "run")
         assert (tmp_path / "run" / "metrics.csv").read_text() == CSV_HEADER + "\n"
         assert not (tmp_path / "run" / "checkpoint.npz").exists()
+
+    def test_trained_params_are_views_of_one_buffer(self):
+        result = run_training(smoke_config(world_size=2, per_device_batch=4, epochs=1))
+        params = result.final_params
+        flat = next(iter(params.values())).base
+        assert flat.ndim == 1 and flat.size == sum(v.size for v in params.values())
+        for key, value in params.items():
+            assert value.base is flat and value.flags.c_contiguous, key
 
     def test_divergence_is_clean_across_devices(self):
         cfg = ExperimentConfig.from_dict({
