@@ -140,6 +140,8 @@ def variance_equivalence_ratio(grad_fn, sampler, batch_size: int, k: int,
         raise AnalysisError(f"need at least {MIN_TRIALS} trials, got {trials}")
     if k < 1:
         raise AnalysisError(f"k must be >= 1, got {k}")
+    if batch_size <= 0:
+        raise AnalysisError(f"batch_size must be positive, got {batch_size}")
     large_lr = (k * rate) if scaled else rate
     large = []
     small = []

@@ -5,8 +5,11 @@ Subcommands: `train` (one experiment), `verify` (invariant suites),
 `ratio-study` (positive/negative sample-ratio table), `lr-preview`
 (schedule dump), `gen-data` (materialize a dataset directory).
 
+Config fields declare their rules (`schema`): `train`, `lr-preview` and
+`gen-data` on the config dataclasses, the report commands in the tables below.
+
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
-3 training divergence.
+3 training divergence, 4 run failed (a collective or replica error).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
+    MIN_TRIALS,
     AnalysisError,
     SamplerSpec,
     estimate_grad_variance,
@@ -26,11 +30,14 @@ from .analysis import (
     scalar_linear_grad,
     variance_equivalence_ratio,
 )
+from .collectives import CollectiveError
 from .data import DataError, DatasetSpec, generate_dataset, save_dataset
 from .optim import DivergenceError, ScheduleError, lr_at
+from .schema import array, integer, mapping, number
 from .trainer import (
     ConfigError,
     ExperimentConfig,
+    TrainerError,
     read_json_object,
     resolve,
     resolve_dataset,
@@ -43,71 +50,44 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_DIVERGED = 3
+EXIT_RUN_FAILED = 4
 
 RATIO_CSV_HEADER = ("epoch,batch_size,mean_ratio_pct,std_ratio_pct,"
                     "mean_pos_frac_pct,std_pos_frac_pct,zero_positive_batches")
 
-VARIANCE_DEFAULTS = {
-    "batch_sizes": [1, 2, 4, 8, 16],
-    "trials": 1000,
-    "ks": [1, 2, 4],
-    "rate": 0.02,
-    "small_batch": 8,
+# field: (default, rule) of each report command's config
+VARIANCE_FIELDS = {
+    "batch_sizes": ([1, 2, 4, 8, 16], array(integer(gt=0))),
+    "trials": (1000, integer(ge=MIN_TRIALS)),
+    "ks": ([1, 2, 4], array(integer(gt=0))),
+    "rate": (0.02, number(gt=0)),
+    "small_batch": (8, integer(gt=0)),
 }
 
-RATIO_DEFAULTS = {
-    "pos_counts": [[0, 0.25], [1, 0.35], [3, 0.25], [12, 0.12], [40, 0.03]],
-    "neg_counts": [[96, 0.5], [128, 0.5]],
-    "batch_sizes": [16, 32, 64, 128, 256],
-    "epochs": 4,
-    "batches_per_cell": 400,
-    "drift_early_scale": 0.3,
-    "drift_late_scale": 1.0,
-    "drift_rate": 0.6,
-    "drift_batch_exponent": 0.5,
+RATIO_FIELDS = {
+    "pos_counts": ([[0, 0.25], [1, 0.35], [3, 0.25], [12, 0.12], [40, 0.03]],
+                   array(array(integer(ge=0), number(ge=0, le=1)))),
+    "neg_counts": ([[96, 0.5], [128, 0.5]], array(array(integer(gt=0), number(ge=0, le=1)))),
+    "batch_sizes": ([16, 32, 64, 128, 256], array(integer(gt=0))),
+    "epochs": (4, integer(gt=0)),
+    "batches_per_cell": (400, integer(gt=0)),
+    "drift_early_scale": (0.3, number(gt=0, le=1)),
+    "drift_late_scale": (1.0, number(gt=0, le=1)),
+    "drift_rate": (0.6, number(ge=0)),
+    "drift_batch_exponent": (0.5, number()),
 }
 
-
-def _type_problem(value, default, name: str) -> str | None:
-    """Why `value` does not have the JSON type of `default`, or None.
-
-    Scalar defaults are integers or numbers (an integer passes for a number,
-    a boolean for neither). Arrays are checked entry by entry: against the
-    default's first entry when its entries share one type, else position by
-    position, as in a `[count, probability]` pair.
-    """
-    if isinstance(default, list):
-        if not isinstance(value, list):
-            return f"{name} must be an array, got {value!r}"
-        if len({type(d) for d in default}) == 1:
-            templates = [default[0]] * len(value)
-        elif len(value) != len(default):
-            return f"{name} must have {len(default)} entries, got {value!r}"
-        else:
-            templates = default
-        for i, (v, d) in enumerate(zip(value, templates)):
-            problem = _type_problem(v, d, f"{name}[{i}]")
-            if problem:
-                return problem
-        return None
-    what, types = ("a number", (int, float)) if isinstance(default, float) else ("an integer", int)
-    if isinstance(value, bool) or not isinstance(value, types):
-        return f"{name} must be {what}, got {value!r}"
-    return None
+VARIANCE_DEFAULTS = {name: default for name, (default, _) in VARIANCE_FIELDS.items()}
+RATIO_DEFAULTS = {name: default for name, (default, _) in RATIO_FIELDS.items()}
 
 
-def _load_json_config(path, defaults: dict) -> dict:
-    merged = dict(defaults)
-    if path is not None:
-        raw = read_json_object(path)
-        unknown = sorted(set(raw) - set(defaults))
-        if unknown:
-            raise ConfigError(f"unknown fields {unknown}; expected {sorted(defaults)}")
-        problems = [p for k in sorted(raw) if (p := _type_problem(raw[k], defaults[k], k))]
-        if problems:
-            raise ConfigError("; ".join(problems))
-        merged.update(raw)
-    return merged
+def _load_json_config(path, table: dict) -> dict:
+    """Each table field's default, overridden by the config file's checked values."""
+    raw = {} if path is None else read_json_object(path)
+    problem = mapping({name: rule for name, (_, rule) in table.items()})(raw, "")
+    if problem:
+        raise ConfigError(problem)
+    return {name: raw.get(name, default) for name, (default, _) in table.items()}
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -157,10 +137,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_variance(args) -> int:
-    cfg = _load_json_config(args.config, VARIANCE_DEFAULTS)
-    for name in ("batch_sizes", "ks"):
-        if not cfg[name]:
-            raise ConfigError(f"{name} must not be empty")
+    cfg = _load_json_config(args.config, VARIANCE_FIELDS)
     seed = args.seed if args.seed is not None else 0
     law = []
     for n in cfg["batch_sizes"]:
@@ -193,20 +170,12 @@ def cmd_variance(args) -> int:
 
 
 def cmd_ratio_study(args) -> int:
-    cfg = _load_json_config(args.config, RATIO_DEFAULTS)
+    cfg = _load_json_config(args.config, RATIO_FIELDS)
     seed = args.seed if args.seed is not None else 0
-    spec = SamplerSpec(
-        pos_counts=tuple((v, p) for v, p in cfg["pos_counts"]),
-        neg_counts=tuple((v, p) for v, p in cfg["neg_counts"]),
-        batch_sizes=tuple(cfg["batch_sizes"]),
-        epochs=cfg["epochs"],
-        batches_per_cell=cfg["batches_per_cell"],
-        seed=seed,
-        drift_early_scale=cfg["drift_early_scale"],
-        drift_late_scale=cfg["drift_late_scale"],
-        drift_rate=cfg["drift_rate"],
-        drift_batch_exponent=cfg["drift_batch_exponent"],
-    )
+    # SamplerSpec takes the table's fields, each JSON array (and pair) as a tuple
+    tuples = {name: tuple(tuple(v) if isinstance(v, list) else v for v in value)
+              for name, value in cfg.items() if isinstance(value, list)}
+    spec = SamplerSpec(seed=seed, **{**cfg, **tuples})
     cells = posneg_ratio_study(spec)
     lines = [RATIO_CSV_HEADER]
     for c in cells:
@@ -306,6 +275,9 @@ def main(argv=None) -> int:
     except DivergenceError as e:
         print(f"diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED
+    except (CollectiveError, TrainerError) as e:
+        print(f"run failed: {e}", file=sys.stderr)
+        return EXIT_RUN_FAILED
 
 
 if __name__ == "__main__":

@@ -19,31 +19,35 @@ from pathlib import Path
 
 import numpy as np
 
+from .schema import check_fields, integer, number, ruled
+
 
 class DataError(ValueError):
     """Invalid dataset spec or corrupted dataset files."""
 
 
+# Generated images live in memory as float64: 2**27 elements is 1 GiB.
+MAX_DATASET_ELEMENTS = 2**27
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
-    size: int
-    classes: int
-    height: int = 8
-    width: int = 8
-    separation: float = 4.0
-    noise_sigma: float = 1.0
-    eval_size: int | None = None     # None: size // 4, at least one per class
-    blob_sigma: float | None = None  # None: min(height, width) / 6
+    size: int = ruled(integer(gt=0))
+    classes: int = ruled(integer(ge=2))
+    height: int = ruled(integer(ge=2), 8)
+    width: int = ruled(integer(ge=2), 8)
+    separation: float = ruled(number(gt=0), 4.0)
+    noise_sigma: float = ruled(number(gt=0), 1.0)
+    eval_size: int | None = ruled(integer(gt=0, null=True), None)  # None: max(size // 4, classes)
+    blob_sigma: float | None = ruled(number(gt=0, null=True), None)  # None: min(height, width) / 6
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise DataError(f"need at least 2 classes, got {self.classes}")
+        check_fields(self, DataError)
         if self.size < self.classes:
             raise DataError("size must cover at least one sample per class")
-        if self.height < 2 or self.width < 2:
-            raise DataError("grid must be at least 2x2")
-        if self.separation <= 0 or self.noise_sigma <= 0:
-            raise DataError("separation and noise_sigma must be positive")
+        n = (self.size + self.resolved_eval_size()) * self.height * self.width
+        if n > MAX_DATASET_ELEMENTS:
+            raise DataError(f"(size + eval_size) * height * width must be <= 2**27, got {n}")
 
     def resolved_eval_size(self) -> int:
         if self.eval_size is not None:

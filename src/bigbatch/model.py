@@ -36,6 +36,7 @@ from .batchnorm import (
     sync_bn_backward,
     sync_bn_forward,
 )
+from .schema import check_fields, integer, number, one_of, ruled, string
 from .tensor import NonFiniteError, Tensor, _check_finite
 
 KINDS = ("dense", "conv3x3", "relu", "bn", "global_mean_pool", "softmax_xent")
@@ -47,29 +48,21 @@ class ModelError(ValueError):
 
 @dataclass
 class LayerSpec:
-    kind: str
-    out_features: int | None = None   # dense
-    out_channels: int | None = None   # conv3x3
-    variant: str = "local"            # bn: "local" or "cross"
-    eps: float = 1e-5                 # bn
-    running_momentum: float = 0.1     # bn
-    name: str = ""                    # filled in by ModelSpec
+    kind: str = ruled(one_of(*KINDS))
+    out_features: int | None = ruled(integer(gt=0, null=True), None)  # dense
+    out_channels: int | None = ruled(integer(gt=0, null=True), None)  # conv3x3
+    variant: str = ruled(one_of("local", "cross"), "local")           # bn
+    eps: float = ruled(number(), 1e-5)              # bn; BNLayerState owns the bounds
+    running_momentum: float = ruled(number(), 0.1)  # bn
+    name: str = ruled(string(), "")                 # filled in by ModelSpec
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ModelError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "dense" and not self.out_features:
-            raise ModelError("dense layer needs out_features")
-        if self.kind == "conv3x3" and not self.out_channels:
-            raise ModelError("conv3x3 layer needs out_channels")
+        check_fields(self, ModelError, f"{self.kind} " if self.kind in KINDS else "unknown layer ")
+        width = {"dense": "out_features", "conv3x3": "out_channels"}.get(self.kind)
+        if width and getattr(self, width) is None:
+            raise ModelError(f"{self.kind} layer needs {width}")
         if self.kind == "bn":
-            if self.variant not in ("local", "cross"):
-                raise ModelError(f"bn variant must be 'local' or 'cross', got {self.variant!r}")
-            for attr in ("eps", "running_momentum"):
-                value = getattr(self, attr)
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ModelError(f"bn {attr} must be a number, got {value!r}")
-            try:  # BNLayerState owns the bounds; check them before any thread starts
+            try:  # check the bounds before any thread starts
                 BNLayerState.create(1, self.eps, self.running_momentum)
             except BatchNormError as e:
                 raise ModelError(f"bn {e}") from None

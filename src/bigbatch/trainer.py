@@ -1,7 +1,9 @@
 """Deterministic data-parallel training runs on the simulated device group.
 
-The orchestrator builds the dataset, model, and schedule from an
-ExperimentConfig, spawns one worker per device, and owns all file output.
+The orchestrator checks an ExperimentConfig (each field against the rule
+it declares, see `schema`, then the checks that span fields), builds the
+dataset, model, and schedule from it, spawns one worker per device, and
+owns all file output.
 Workers keep identical parameter replicas: every iteration they compute
 gradients on their shard, average them with a world AllReduce, and apply
 the same SGD step. The AllReduce payload is the gradients in the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -49,12 +51,13 @@ from .optim import (
     DivergenceError,
     LRPolicy,
     SGDState,
-    ScheduleError,
     default_warmup_iters,
     lr_at,
     make_policy,
     sgd_step,
 )
+from .schema import (array, boolean, check_fields, integer, keyed, mapping, number, one_of,
+                     ruled, string)
 from .tensor import NonFiniteError, Tensor
 
 CSV_HEADER = "epoch,iter,lr,task_loss,reg_loss,total_loss,eval_acc,wall_ms"
@@ -133,28 +136,30 @@ def read_json_object(path) -> dict:
 @dataclass
 class ExperimentConfig:
     # parallel layout
-    world_size: int = 1
-    per_device_batch: int = 8
-    bn_group_size: int | None = None      # None: world_size
+    world_size: int = ruled(integer(gt=0), 1)
+    per_device_batch: int = ruled(integer(gt=0), 8)
+    bn_group_size: int | None = ruled(integer(gt=0, null=True), None)  # None: world_size
     # schedule
-    policy: str = "normal"                # "normal" or "long"
-    base_lr: float = 0.02
-    base_batch: int = 16
-    warmup_iters: int | None = None       # None: min(500, one epoch)
-    half_lr: bool = False
-    epochs: int | None = None             # None: the policy's end epoch
+    policy: str = ruled(one_of("normal", "long"), "normal")
+    base_lr: float = ruled(number(gt=0), 0.02)
+    base_batch: int = ruled(integer(gt=0), 16)
+    warmup_iters: int | None = ruled(integer(ge=0, null=True), None)  # None: min(500, one epoch)
+    half_lr: bool = ruled(boolean(), False)
+    epochs: int | None = ruled(integer(gt=0, null=True), None)  # None: the policy's end epoch
     # optimizer
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
+    momentum: float = ruled(number(ge=0, lt=1), 0.9)
+    weight_decay: float = ruled(number(ge=0), 1e-4)
     # model and data
-    model: list | None = None             # layer dicts; None: small conv net
-    one_pass_bn: bool = False
-    dataset: dict = field(default_factory=lambda: {"size": 256, "classes": 4})
+    model: list | None = ruled(array(mapping(LayerSpec), null=True), None)  # None: small conv net
+    one_pass_bn: bool = ruled(boolean(), False)
+    dataset: dict = ruled(keyed("dir", mapping({"dir": string()}),  # a saved dataset, or a spec
+                                mapping(DatasetSpec, label="dataset spec")),
+                          default_factory=lambda: {"size": 256, "classes": 4})
     # run plumbing
-    seed: int = 0
-    out_dir: str | None = None
-    checksum_interval: int = 10           # iterations between replica checks; 0 disables
-    collective_timeout_s: float = 30.0
+    seed: int = ruled(integer(ge=0), 0)
+    out_dir: str | None = ruled(string(null=True), None)
+    checksum_interval: int = ruled(integer(ge=0), 10)  # iterations between checks; 0 disables
+    collective_timeout_s: float = ruled(number(gt=0, le=86400), 30.0)  # at most a day
 
     @property
     def total_batch(self) -> int:
@@ -162,8 +167,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = sorted(set(raw) - known)
+        unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
         if unknown:
             raise ConfigError(f"unknown config fields: {unknown}")
         cfg = cls(**raw)
@@ -177,70 +181,20 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def _type_problems(self) -> list[str]:
-        """Fields whose value has the wrong JSON type; None passes where it is the default."""
-        checks = [
-            ("an integer", int, ("world_size", "per_device_batch", "bn_group_size",
-                                 "base_batch", "warmup_iters", "epochs", "checksum_interval")),
-            ("a number", (int, float), ("base_lr", "momentum", "weight_decay",
-                                        "collective_timeout_s")),
-            ("true or false", bool, ("half_lr", "one_pass_bn")),
-        ]
-        problems = []
-        for what, types, names in checks:
-            for name in names:
-                value = getattr(self, name)
-                if value is None and self.__dataclass_fields__[name].default is None:
-                    continue
-                # bool subclasses int: reject it for numbers, require it for flags
-                if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
-                    problems.append(f"{name} must be {what}, got {value!r}")
-        return problems
-
     def validate(self):
-        problems = self._type_problems()
-        if problems:
-            raise ConfigError("; ".join(problems))
-        if self.world_size < 1:
-            problems.append(f"world_size must be >= 1, got {self.world_size}")
-        if self.per_device_batch < 1:
-            problems.append(f"per_device_batch must be >= 1, got {self.per_device_batch}")
+        """Every field against its rule, then the checks that span fields."""
+        check_fields(self, ConfigError)
         g = self.world_size if self.bn_group_size is None else self.bn_group_size
-        if self.world_size >= 1 and (g < 1 or self.world_size % g != 0):
-            problems.append(f"bn_group_size {g} must divide world_size {self.world_size}")
-        if self.policy not in ("normal", "long"):
-            problems.append(f"policy must be 'normal' or 'long', got {self.policy!r}")
-        if self.base_lr <= 0:
-            problems.append(f"base_lr must be positive, got {self.base_lr}")
-        if self.base_batch < 1:
-            problems.append(f"base_batch must be >= 1, got {self.base_batch}")
-        if self.warmup_iters is not None and self.warmup_iters < 0:
-            problems.append("warmup_iters must be >= 0")
-        if self.epochs is not None and self.epochs < 1:
-            problems.append("epochs must be >= 1")
-        if not 0.0 <= self.momentum < 1.0:
-            problems.append(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            problems.append(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.checksum_interval < 0:
-            problems.append("checksum_interval must be >= 0 (0 disables)")
-        if self.collective_timeout_s <= 0:
-            problems.append("collective_timeout_s must be positive")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            problems.append(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not isinstance(self.dataset, dict):
-            problems.append("dataset must be a mapping")
-        elif "dir" not in self.dataset:
+        if self.world_size % g != 0:
+            raise ConfigError(f"bn_group_size {g} must divide world_size {self.world_size}")
+        if "dir" not in self.dataset:
             try:
                 spec = DatasetSpec(**self.dataset)
-                if not problems and spec.size < self.total_batch:
-                    problems.append(
-                        f"dataset size {spec.size} is smaller than the total batch "
-                        f"{self.total_batch}")
-            except (TypeError, DataError) as e:
-                problems.append(f"dataset spec: {e}")
-        if problems:
-            raise ConfigError("; ".join(problems))
+            except DataError as e:
+                raise ConfigError(f"dataset spec: {e}") from None
+            if spec.size < self.total_batch:
+                raise ConfigError(f"dataset size {spec.size} is smaller than the total "
+                                  f"batch {self.total_batch}")
 
 
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
@@ -327,12 +281,9 @@ def resolve(config: ExperimentConfig, dataset: Dataset) -> Resolved:
     iters = dataset.images.shape[0] // total
     warmup = (default_warmup_iters(iters) if config.warmup_iters is None
               else config.warmup_iters)
-    try:
-        policy = make_policy(config.policy, actual_batch=total,
-                             base_lr=config.base_lr, base_batch=config.base_batch,
-                             warmup_iters=warmup, half_lr=config.half_lr)
-    except ScheduleError as e:
-        raise ConfigError(str(e)) from None
+    policy = make_policy(config.policy, actual_batch=total, base_lr=config.base_lr,
+                         base_batch=config.base_batch, warmup_iters=warmup,
+                         half_lr=config.half_lr)
     return Resolved(
         bn_group_size=config.world_size if config.bn_group_size is None
         else config.bn_group_size,

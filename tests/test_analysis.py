@@ -116,6 +116,13 @@ class TestEquivalenceRatio:
             variance_equivalence_ratio(scalar_linear_grad, normal_pair_sampler,
                                        4, 0, 0.02, 150, 0)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_requires_positive_batch(self, batch_size):
+        # a zero batch would average empty gradients into NaN ratios
+        with pytest.raises(AnalysisError, match="batch_size must be positive"):
+            variance_equivalence_ratio(scalar_linear_grad, normal_pair_sampler,
+                                       batch_size, 2, 0.02, 150, 0)
+
     def test_deterministic(self):
         a = variance_equivalence_ratio(scalar_linear_grad, normal_pair_sampler,
                                        4, 2, 0.02, 150, 11)

@@ -14,9 +14,12 @@ from bigbatch.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DIVERGED,
     EXIT_OK,
+    EXIT_RUN_FAILED,
     RATIO_CSV_HEADER,
     main,
 )
+from bigbatch.collectives import CollectiveTimeoutError
+from bigbatch.trainer import TrainerError
 from bigbatch.optim import lr_at, make_policy
 from bigbatch.trainer import CSV_HEADER
 from bigbatch.verify import SUITES, CheckResult, run_suite, suite_grad
@@ -443,3 +446,60 @@ def test_unreadable_config_file(tmp_path, capsys, command, text, message):
     assert main([command, "--config", str(path), "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+NAN, INF = float("nan"), float("inf")
+SPEC = {"size": 64, "classes": 4}
+
+
+@pytest.mark.parametrize("command,fields,field", [
+    ("train", {"model": "abc"}, "model"),
+    ("train", {"model": [3]}, "model[0]"),
+    ("train", {"dataset": {"dir": 5}}, "dataset.dir"),
+    ("lr-preview", {"dataset": {"dir": 5}}, "dataset.dir"),
+    ("train", {"out_dir": 5, "<no --out>": True}, "out_dir"),
+    ("train", {"dataset": {"size": 256.5, "classes": 4}}, "size"),
+    ("train", {"dataset": {**SPEC, "eval_size": 0}}, "eval_size"),
+    ("train", {"dataset": {**SPEC, "eval_size": -3}}, "eval_size"),
+    ("train", {"dataset": {**SPEC, "blob_sigma": 0}}, "blob_sigma"),
+    ("train", {"dataset": {**SPEC, "blob_sigma": "a"}}, "blob_sigma"),
+    ("train", {"dataset": {**SPEC, "separation": NAN}}, "separation"),
+    ("train", {"base_lr": NAN}, "base_lr"),
+    ("train", {"base_lr": INF}, "base_lr"),
+    ("train", {"weight_decay": NAN}, "weight_decay"),
+    ("train", {"world_size": 2, "collective_timeout_s": 1e300}, "collective_timeout_s"),
+    ("train", {"dataset": {"dir": "d", "size": 3}}, "size"),
+    ("train", {"model": [{"kind": "global_mean_pool"},
+                         {"kind": "dense", "out_features": True}]}, "model[1].out_features"),
+    ("variance", {"rate": NAN}, "rate"),
+    ("variance", {"small_batch": 0}, "small_batch"),
+    ("ratio-study", {"drift_rate": NAN}, "drift_rate"),
+])
+def test_bad_value_is_one_named_line(tmp_path, capsys, command, fields, field):
+    # every case here used to exit 1 with a traceback, 3 as "diverged", 0
+    # with NaN in its report, or silently ignore the value
+    fields = dict(fields)
+    out = [] if fields.pop("<no --out>", False) else ["--out", str(tmp_path / "r")]
+    if command in ("variance", "ratio-study"):
+        cfg = write_config(tmp_path, **fields)
+    else:
+        cfg = train_config(tmp_path, **fields)
+    assert main([command, "--config", cfg, *out]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ") and field in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("error", [
+    CollectiveTimeoutError("allreduce[bn0#48]: rank 1 timed out after 0.05s waiting for "
+                           "rank(s) [0]"),
+    TrainerError("replica checksum mismatch on rank 1 at epoch 0 iter 0"),
+])
+def test_run_failure_is_one_line_with_its_own_exit_code(tmp_path, capsys, monkeypatch, error):
+    def fail(config):
+        raise error
+    monkeypatch.setattr("bigbatch.cli.run_training", fail)
+    cfg = train_config(tmp_path)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_RUN_FAILED == 4
+    assert capsys.readouterr().err == f"run failed: {error}\n"
+    assert not (tmp_path / "r").exists()

@@ -15,6 +15,18 @@ from bigbatch.data import (
 
 
 class TestSpec:
+    @pytest.mark.parametrize("fields", [
+        dict(size=10**6, classes=4, height=10**6, width=10**6),
+        dict(size=2**21, classes=4, eval_size=1, height=8, width=8),  # one element over
+    ])
+    def test_generated_size_is_capped(self, fields):
+        # only the spec is built: a dataset over the cap is never drawn
+        with pytest.raises(DataError, match=r"height \* width must be <= 2\*\*27"):
+            DatasetSpec(**fields)
+
+    def test_size_at_the_cap_is_accepted(self):
+        DatasetSpec(size=2**21 - 1, classes=4, eval_size=1, height=8, width=8)
+
     def test_defaults(self):
         spec = DatasetSpec(size=100, classes=4)
         assert spec.resolved_eval_size() == 25
