@@ -72,33 +72,25 @@ class DeviceHandle:
         self.rank = rank
         self.rng = np.random.default_rng((group.seed, rank))
         self._seq: dict[str, int] = {}
+        g = group.bn_group_size
+        self.bn_group_index = rank // g
+        start = self.bn_group_index * g
+        self.bn_group_ranks = list(range(start, start + g))
+        self.bn_scope_key = f"bn{self.bn_group_index}"  # this device's sub-group scope
+        self._scopes = {SCOPE_WORLD: ("world", list(range(group.world_size))),
+                        SCOPE_BN_GROUP: (self.bn_scope_key, self.bn_group_ranks)}
 
     def __repr__(self):
         return f"DeviceHandle(rank={self.rank}, world={self.group.world_size})"
 
-    @property
-    def bn_group_index(self) -> int:
-        return self.rank // self.group.bn_group_size
-
-    @property
-    def bn_group_ranks(self) -> list[int]:
-        g = self.group.bn_group_size
-        start = self.bn_group_index * g
-        return list(range(start, start + g))
-
-    @property
-    def bn_scope_key(self) -> str:
-        """Key of this device's normalization sub-group scope."""
-        return f"bn{self.bn_group_index}"
-
     def _scope_info(self, scope: str) -> tuple[str, list[int]]:
-        if scope == SCOPE_WORLD:
-            return "world", list(range(self.group.world_size))
-        if scope == SCOPE_BN_GROUP:
-            return self.bn_scope_key, self.bn_group_ranks
-        raise CollectiveProtocolError(
-            f"rank {self.rank}: unknown scope {scope!r}; expected one of {_SCOPE_NAMES}"
-        )
+        """(scope key, member ranks) of a scope name; callers must not mutate the list."""
+        info = self._scopes.get(scope) if isinstance(scope, str) else None
+        if info is None:
+            raise CollectiveProtocolError(
+                f"rank {self.rank}: unknown scope {scope!r}; expected one of {_SCOPE_NAMES}"
+            )
+        return info
 
     def _next_seq(self, scope_key: str) -> int:
         seq = self._seq.get(scope_key, 0)
@@ -202,7 +194,7 @@ class DeviceGroup:
 
 def _as_vector(v, rank: int) -> np.ndarray:
     a = np.asarray(v)
-    if a.ndim != 1 or not np.issubdtype(a.dtype, np.floating):
+    if a.ndim != 1 or a.dtype.kind != "f":
         a = np.atleast_1d(np.asarray(v, dtype=np.float64))
     if a.ndim != 1:
         raise CollectiveProtocolError(f"rank {rank}: collective payload must be a 1-D vector")

@@ -12,7 +12,9 @@ From there every spatial activation is carried as a (N*H*W, C) rows
 matrix, rows ordered (n, y, x): a conv output `cols @ W.T + b` is already
 in that layout, BN treats it as an (N, C) batch with the same per-channel
 accumulation order, and global mean pooling folds it back to (N, C).
-Flat activations after pooling are plain (N, F).
+The patch matrix `cols` is Fortran-ordered (see `_im2col`); the unit
+suite pins that BLAS forms both conv products from it bitwise equal to a
+C-ordered copy. Flat activations after pooling are plain (N, F).
 
 Activations and gradients pass between layers as plain ndarrays; each
 layer output is scanned for NaN/Inf under the layer's name, once. `Tensor`
@@ -198,15 +200,23 @@ def _im2col(rows: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
     """(N*H*W, C) rows -> (N*H*W, C*9) patch matrix for a 3x3, pad-1 convolution.
 
     Columns are ordered (c, i, j), matching the (Cout, C, 3, 3) kernel
-    flattened row-major.
+    flattened row-major. It is the transpose of a C-ordered (C*9, N*H*W)
+    array whose row (c, i, j) is channel c shifted by (i-1, j-1): one long
+    copy out of a zero-margined channel-major buffer, after which the
+    positions whose shift crosses an image edge are zeroed.
     """
-    c = rows.shape[1]
-    ap = np.zeros((n, h + 2, w + 2, c), dtype=rows.dtype)
-    ap[:, 1:1 + h, 1:1 + w] = rows.reshape(n, h, w, c)
-    # patches[n, y, x, c, i, j] = ap[n, y + i, x + j, c]; reshape copies it once
-    s0, s1, s2, s3 = ap.strides
-    patches = np.ndarray((n, h, w, c, 3, 3), ap.dtype, ap, 0, (s0, s1, s2, s3, s1, s2))
-    return patches.reshape(n * h * w, c * 9)
+    c, p = rows.shape[1], n * h * w
+    src = np.zeros((c, p + 2 * (w + 1)), dtype=rows.dtype)
+    src[:, w + 1:w + 1 + p] = rows.T
+    # shifted[c, i, j, q] = src[c, q + i*w + j] = rows[q + (i-1)*w + (j-1), c]
+    s0, s1 = src.strides
+    out = np.ndarray((c, 3, 3, p), src.dtype, src, 0, (s0, w * s1, s1, s1)).copy()
+    img = out.reshape(c, 3, 3, n, h, w)
+    img[:, 0, :, :, 0] = 0
+    img[:, 2, :, :, h - 1] = 0
+    img[:, :, 0, :, :, 0] = 0
+    img[:, :, 2, :, :, w - 1] = 0
+    return out.reshape(c * 9, p).T
 
 
 def _col2im(dcols: np.ndarray, n: int, h: int, w: int) -> np.ndarray:

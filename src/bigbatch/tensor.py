@@ -4,7 +4,8 @@ the rest of the library is built on.
 Only two layouts are supported: (N, C) and (N, C, H, W), with the channel
 axis always at position 1. Reductions accumulate strictly in ascending
 flat-index order (no pairwise trees), so the same input always produces
-bitwise-identical sums and a scalar loop reproduces them exactly.
+bitwise-identical sums and a scalar loop reproduces them exactly; see
+`sequential_sum_rows` for which numpy fold keeps that order on which input.
 
 `Tensor` is the type of the public boundaries: the model input, the
 logits, and the batch-norm functions' inputs and outputs. Between layers
@@ -167,12 +168,18 @@ def _channels_last_rows(a: np.ndarray) -> np.ndarray:
 def sequential_sum_rows(rows: np.ndarray) -> np.ndarray:
     """Column sums of `rows` accumulated strictly row 0, row 1, ... row M-1.
 
-    np.cumsum honors the prefix recurrence out[i] = out[i-1] + row[i], so
-    its final row is the left-to-right accumulation; the unit suite pins
-    this against an explicit scalar loop.
+    A C-ordered input with at least two columns folds through
+    `np.einsum("ij->j")`, whose inner loop runs along a row and adds it to
+    the running total, one row after another. Any other input takes the
+    final row of `np.cumsum`, which follows the prefix recurrence
+    out[i] = out[i-1] + row[i] but writes the whole prefix array; einsum
+    would reduce a single column, or a column-major one, with SIMD partial
+    sums. The unit suite pins both paths against an explicit scalar loop.
     """
     if rows.shape[0] == 1:
         return rows[0].copy()
+    if rows.shape[1] > 1 and rows.flags.c_contiguous:
+        return np.einsum("ij->j", rows)
     return np.cumsum(rows, axis=0)[-1]
 
 

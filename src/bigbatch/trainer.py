@@ -398,6 +398,8 @@ def run_training(config: ExperimentConfig) -> TrainResult:
         params = init_params(model, config.seed)
         buffers = init_buffers(model)
         sgd = SGDState.create(params, config.momentum, config.weight_decay)
+        # gradients in the sgd.keys layout, then the task loss; the allreduce copies it
+        payload = np.empty(sgd.flat_params.size + 1)
         rows, evals = [], []
         monitor = DivergenceMonitor()
         status, diverged_at = "ok", None
@@ -420,10 +422,10 @@ def run_training(config: ExperimentConfig) -> TrainResult:
                     grads = backward(model, params, out.caches, handle=handle)
                 except NonFiniteError as e:
                     raise DivergenceError(f"epoch {epoch} iter {it}: {e}") from e
-                flat = np.concatenate(
-                    [grads[k].ravel() for k in sgd.keys]
-                    + [np.array([out.loss.task_loss])])
-                mean = allreduce_sum(handle, SCOPE_WORLD, flat) / world
+                for k, span in sgd.spans.items():
+                    payload[span] = grads[k].ravel()
+                payload[-1] = out.loss.task_loss
+                mean = allreduce_sum(handle, SCOPE_WORLD, payload) / world
                 mean_task = float(mean[-1])
                 sgd_step(params, mean[:-1], sgd, lr)
                 if config.checksum_interval and it % config.checksum_interval == 0:

@@ -211,6 +211,17 @@ class TestDriftScale:
         assert drift_scale(spec, 0, 16) > spec.drift_early_scale
 
 
+
+@pytest.mark.parametrize("exponent", [-20, 20])
+@pytest.mark.parametrize("batch_size", [1, 2**53])
+@pytest.mark.parametrize("rate", [0.0, 0.6, 1e308])
+def test_drift_scale_stays_finite_within_the_cli_exponent_bound(exponent, batch_size, rate):
+    # ratio-study bounds |drift_batch_exponent| by 20 and batch sizes by 2**53,
+    # so the power neither overflows (OverflowError) nor underflows to 0 (0 * inf)
+    spec = TestDriftScale().spec(drift_rate=rate, drift_batch_exponent=exponent)
+    scale = drift_scale(spec, 3, batch_size)
+    assert 0.3 <= scale <= 1.0
+
 class TestRatioStudy:
     def test_point_mass_counts_have_zero_spread(self):
         spec = SamplerSpec(pos_counts=((2, 1.0),), neg_counts=((64, 1.0),),

@@ -503,3 +503,38 @@ def test_run_failure_is_one_line_with_its_own_exit_code(tmp_path, capsys, monkey
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_RUN_FAILED == 4
     assert capsys.readouterr().err == f"run failed: {error}\n"
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["variance"],
+    ["ratio-study"],
+    ["verify", "bn"],
+])
+def test_negative_seed_flag_of_report_and_verify_commands(tmp_path, capsys, argv):
+    # each used to exit 1 with a ValueError traceback; for verify, exit 1
+    # also reads as a failed check
+    out = [] if argv[0] == "verify" else ["--out", str(tmp_path / "r")]
+    assert main([*argv, "--seed", "-1", *out]) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "config error: seed must be a non-negative integer, got -1\n"
+    assert captured.out == ""
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("exponent", [1000, -21, 20.5])
+def test_drift_batch_exponent_is_bounded(tmp_path, capsys, exponent):
+    # 1000 used to exit 1 with OverflowError from (batch / 16) ** exponent
+    cfg = write_config(tmp_path, drift_batch_exponent=exponent)
+    assert main(["ratio-study", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"config error: drift_batch_exponent must be a number >= -20 and <= 20, "
+                   f"got {exponent!r}\n")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("exponent", [-20, 20])
+def test_drift_batch_exponent_at_its_bounds_runs(tmp_path, capsys, exponent):
+    cfg = write_config(tmp_path, drift_batch_exponent=exponent, batch_sizes=[1, 16, 256],
+                       epochs=1, batches_per_cell=2)
+    assert main(["ratio-study", "--config", cfg]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(RATIO_CSV_HEADER + "\n")

@@ -535,3 +535,39 @@ class TestChannelsLastLayout:
             assert np.array_equal(grads[key], ref_grads[key]), key
         for key in buffers:
             assert np.array_equal(buffers[key], ref_buffers[key]), key
+
+
+def _rows(x):
+    n, c, h, w = x.shape
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1).reshape(n * h * w, c))
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("c", [1, 6])
+def test_conv_products_on_the_patch_matrix_at_bench_sizes(n, c):
+    # The patch matrix is Fortran-ordered; the model's outputs stay bitwise
+    # only while BLAS forms its two products exactly as on a C-ordered copy.
+    # BLAS may switch code paths with the row count, so pin the batch sizes
+    # the bench runs: 8 and 64 per rank step, 256 for the eval.
+    rng = np.random.default_rng(93)
+    x = rng.normal(size=(n, c, 8, 8))
+    cols = _im2col(_rows(x), n, 8, 8)
+    assert cols.flags.f_contiguous
+    assert np.array_equal(cols, nchw_im2col(x))
+    ccols = np.ascontiguousarray(cols)
+    w, b = rng.normal(size=(6, c * 9)), rng.normal(size=6)
+    dout = rng.normal(size=(n * 64, 6))
+    assert np.array_equal(cols @ w.T + b, ccols @ w.T + b)
+    assert np.array_equal(dout.T @ cols, dout.T @ ccols)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 1, 1), (2, 2, 1, 5), (2, 3, 4, 1), (1, 1, 2, 2)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_patch_matrix_of_thin_images(shape, dtype):
+    # one-pixel rows or columns: both shifts along that axis cross an edge
+    n, c, h, w = shape
+    x = np.random.default_rng(94).normal(size=shape).astype(dtype)
+    cols = _im2col(_rows(x), n, h, w)
+    want = nchw_im2col(x)
+    assert cols.dtype == dtype and np.array_equal(cols, want)
+    assert not np.signbit(cols[want == 0]).any()  # padding is +0.0, as np.pad writes

@@ -121,6 +121,53 @@ class TestSequentialSum:
         assert np.array_equal(sequential_sum_rows(rows), loop_sequential_sum(rows))
 
 
+class TestFoldAtEveryLayout:
+    """`sequential_sum_rows` takes einsum for C-ordered rows with two or more
+    columns and cumsum otherwise; each path must keep the row-by-row order."""
+
+    @staticmethod
+    def spiked(m, c, big, dtype=np.float64):
+        # each column: big, then m - 2 ones, then -big. Left to right, every
+        # one is absorbed into big and the total is 0; any pairwise or SIMD
+        # partial sum of the ones survives.
+        rows = np.ones((m, c), dtype=dtype)
+        rows[0], rows[-1] = big, -big
+        return rows
+
+    def test_multi_column_order_sensitivity(self):
+        rows = np.array([[1e16] * 4, [1.0] * 4, [-1e16] * 4])
+        assert np.array_equal(sequential_sum_rows(rows), np.zeros(4))
+        assert np.array_equal(sequential_sum_rows(rows), loop_sequential_sum(rows))
+
+    @pytest.mark.parametrize("shape", [(1002, 1), (1002, 2), (1002, 6), (1002, 33)])
+    def test_long_columns_are_not_split(self, shape):
+        rows = self.spiked(*shape, 1e16)
+        assert np.array_equal(sequential_sum_rows(rows), np.zeros(shape[1]))
+
+    @pytest.mark.parametrize("shape", [(512, 6), (16384, 6)])  # bench BN, eval-sized
+    def test_bench_shapes_match_loop(self, shape):
+        rows = np.random.default_rng(7).normal(size=shape)
+        assert np.array_equal(sequential_sum_rows(rows), loop_sequential_sum(rows))
+
+    def test_f32_multi_column(self):
+        rows = np.random.default_rng(8).normal(size=(512, 6)).astype(np.float32)
+        got = sequential_sum_rows(rows)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, loop_sequential_sum(rows))
+        spiked = self.spiked(1002, 3, 1e8, np.float32)  # 1e8 + 1 rounds to 1e8 in f32
+        assert np.array_equal(sequential_sum_rows(spiked), np.zeros(3, np.float32))
+
+    @pytest.mark.parametrize("view", ["columns", "strided rows", "fortran"])
+    def test_non_contiguous_input_matches_loop(self, view):
+        base = np.random.default_rng(9).normal(size=(600, 6))
+        rows = {"columns": base[:, 1:4], "strided rows": base[::3],
+                "fortran": np.asfortranarray(base)}[view]
+        assert not rows.flags.c_contiguous
+        assert np.array_equal(sequential_sum_rows(rows), loop_sequential_sum(rows))
+        spiked = self.spiked(1002, 6, 1e16)[:, 1:4]
+        assert np.array_equal(sequential_sum_rows(spiked), np.zeros(3))
+
+
 class TestChannelSum:
     @pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3, 3), (7, 1, 2, 5), (1, 6)])
     def test_matches_loop_oracle_bitwise(self, shape):
