@@ -39,7 +39,6 @@ from .batchnorm import (
 )
 from .model import (
     LayerSpec,
-    LossValue,
     ModelError,
     ModelSpec,
     accuracy,
@@ -47,8 +46,6 @@ from .model import (
     forward,
     init_buffers,
     init_params,
-    l2_norm_sq,
-    weight_keys,
 )
 from .optim import (
     BASE_BATCH,
@@ -59,10 +56,12 @@ from .optim import (
     SGDState,
     accumulate_equivalence,
     default_warmup_iters,
+    l2_penalty,
     lr_at,
     make_policy,
     scaled_target_lr,
     sgd_step,
+    weight_keys,
 )
 from .analysis import (
     AnalysisError,
@@ -115,12 +114,11 @@ __all__ = [
     "bn_forward_local", "bn_backward_local", "bn_update_running",
     "sync_bn_forward", "sync_bn_backward",
     # model
-    "ModelSpec", "LayerSpec", "LossValue", "ModelError",
+    "ModelSpec", "LayerSpec", "ModelError",
     "init_params", "init_buffers", "forward", "backward", "accuracy",
-    "weight_keys", "l2_norm_sq",
     # optimizer and schedule
     "SGDState", "LRPolicy", "ScheduleError", "DivergenceError",
-    "sgd_step", "lr_at", "make_policy", "scaled_target_lr",
+    "sgd_step", "lr_at", "make_policy", "scaled_target_lr", "weight_keys", "l2_penalty",
     "accumulate_equivalence", "default_warmup_iters", "BASE_BATCH", "BASE_LR",
     # analysis
     "VarianceReport", "EquivalenceReport", "SamplerSpec", "RatioCell",

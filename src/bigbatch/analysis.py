@@ -22,6 +22,9 @@ import numpy as np
 
 BOOTSTRAP_RESAMPLES = 1000
 MIN_TRIALS = 100
+# |drift_batch_exponent| <= 20 keeps (batch/16)**exponent finite and nonzero for
+# every batch size SamplerSpec admits (<= 2**53): 20 * log2(2**53 / 16) = 980 < 1024
+DRIFT_EXPONENT_BOUND = 20
 
 
 class AnalysisError(ValueError):
@@ -235,12 +238,15 @@ class SamplerSpec:
             s = getattr(self, name)
             if not 0.0 < s <= 1.0:
                 raise AnalysisError(f"{name} must lie in (0, 1], got {s}")
-        if self.drift_rate < 0:
-            raise AnalysisError("drift_rate must be >= 0")
+        if not 0 <= self.drift_rate < np.inf:
+            raise AnalysisError(f"drift_rate must be finite and >= 0, got {self.drift_rate}")
+        if not abs(self.drift_batch_exponent) <= DRIFT_EXPONENT_BOUND:  # also rejects nan
+            raise AnalysisError(f"drift_batch_exponent must lie in [-{DRIFT_EXPONENT_BOUND}, "
+                                f"{DRIFT_EXPONENT_BOUND}], got {self.drift_batch_exponent}")
         if self.epochs < 1 or self.batches_per_cell < 1 or not self.batch_sizes:
             raise AnalysisError("need epochs >= 1, batches_per_cell >= 1, batch sizes")
-        if min(self.batch_sizes) < 1:
-            raise AnalysisError("batch sizes must be positive")
+        if min(self.batch_sizes) < 1 or max(self.batch_sizes) > 2**53:
+            raise AnalysisError("batch sizes must lie in [1, 2**53]")
 
 
 def _draw_mixture(rng, pairs, size):

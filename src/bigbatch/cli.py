@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
+    DRIFT_EXPONENT_BOUND,
     MIN_TRIALS,
     AnalysisError,
     SamplerSpec,
@@ -75,9 +76,7 @@ RATIO_FIELDS = {
     "drift_early_scale": (0.3, number(gt=0, le=1)),
     "drift_late_scale": (1.0, number(gt=0, le=1)),
     "drift_rate": (0.6, number(ge=0)),
-    # |exponent| <= 20 keeps (batch/16)**exponent finite and nonzero for every batch
-    # size the schema admits (<= 2**53): 20 * log2(2**53 / 16) = 980 < 1024
-    "drift_batch_exponent": (0.5, number(ge=-20, le=20)),
+    "drift_batch_exponent": (0.5, number(ge=-DRIFT_EXPONENT_BOUND, le=DRIFT_EXPONENT_BOUND)),
 }
 
 # the --seed flag of every command takes the config seed's rule

@@ -127,8 +127,7 @@ class DeviceGroup:
         self._failure: str | None = None  # abort note naming the first failed rank
         self._returned: set[int] = set()  # ranks whose worker has returned normally
 
-    def run(self, fn: Callable[[DeviceHandle], Any], timeout_s: float | None = None,
-            return_exceptions: bool = False) -> list:
+    def run(self, fn: Callable[[DeviceHandle], Any], return_exceptions: bool = False) -> list:
         """Run `fn(handle)` concurrently on every device; return per-rank results.
 
         Exceptions from any rank are re-raised on the caller, preferring the
@@ -169,7 +168,7 @@ class DeviceGroup:
         ]
         for t in threads:
             t.start()
-        join_deadline = self.timeout_s + 10.0 if timeout_s is None else timeout_s
+        join_deadline = self.timeout_s + 10.0
         for r, t in enumerate(threads):
             t.join(timeout=join_deadline)
             if t.is_alive():

@@ -2,10 +2,11 @@
 
 A model is a flat list of layer specs. Parameters and gradients live in
 plain dicts keyed by layer name so the optimizer and the finite-difference
-checker can treat them uniformly. Batch-norm layers come in a local and a
-cross-device variant; the cross variant synchronizes statistics over the
-device handle's normalization sub-group and degrades to the local one when
-no handle is given.
+checker can treat them uniformly. The loss is the task loss alone; the L2
+penalty, value and gradient, belongs to `optim`. Batch-norm layers come in
+a local and a cross-device variant; the cross variant synchronizes
+statistics over the device handle's normalization sub-group and degrades
+to the local one when no handle is given.
 
 Inputs arrive as (N, C, H, W) and are converted once, at the model entry.
 From there every spatial activation is carried as a (N*H*W, C) rows
@@ -129,19 +130,9 @@ class ModelSpec:
 
 
 @dataclass
-class LossValue:
-    task_loss: float
-    reg_loss: float
-
-    @property
-    def total(self) -> float:
-        return self.task_loss + self.reg_loss
-
-
-@dataclass
 class ForwardResult:
     logits: Tensor
-    loss: LossValue | None
+    loss: float | None  # the task loss; the L2 penalty is `optim.l2_penalty`
     caches: list
 
 
@@ -181,19 +172,6 @@ def init_buffers(model: ModelSpec) -> dict:
             buffers[f"{layer.name}.running_mean"] = np.zeros(c)
             buffers[f"{layer.name}.running_var"] = np.ones(c)
     return buffers
-
-
-def weight_keys(params: dict) -> list:
-    """Parameter keys subject to weight decay: the .w matrices and kernels."""
-    return sorted(k for k in params if k.endswith(".w"))
-
-
-def l2_norm_sq(params: dict, keys) -> float:
-    total = 0.0
-    for k in keys:
-        w = params[k]
-        total += float(np.dot(w.ravel(), w.ravel()))
-    return total
 
 
 def _im2col(rows: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
@@ -243,9 +221,8 @@ def _bn_state(layer: LayerSpec, params: dict, buffers: dict) -> BNLayerState:
 
 def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
             labels: np.ndarray | None = None, mode: str = "train",
-            handle=None, weight_decay: float = 0.0,
-            one_pass_bn: bool = False) -> ForwardResult:
-    """Run the model on a batch; with labels, also compute the loss.
+            handle=None, one_pass_bn: bool = False) -> ForwardResult:
+    """Run the model on a batch; with labels, also compute the task loss.
 
     `mode` selects BN behavior ("train" uses batch statistics and updates
     the running buffers in place, "eval" reads the buffers). Cross-variant
@@ -317,24 +294,19 @@ def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
             # prediction; the resulting inf is caught right below.
             with np.errstate(divide="ignore"):
                 task = float(np.mean(-np.log(picked)))
-            # with no decay the penalty is a signed zero: skip the sum of squares
-            reg = 0.5 * weight_decay * (
-                l2_norm_sq(params, weight_keys(params)) if weight_decay else 0.0)
             caches.append(("softmax_xent", probs, labels))
             if not np.isfinite(task):
                 raise NonFiniteError("loss became non-finite")
-            return ForwardResult(logits=logits, loss=LossValue(task, reg), caches=caches)
+            return ForwardResult(logits=logits, loss=task, caches=caches)
     raise ModelError("model has no loss head")  # unreachable after validation
 
 
-def backward(model: ModelSpec, params: dict, caches: list,
-             handle=None, weight_decay: float = 0.0) -> dict:
-    """Gradients of the total loss (task + L2 penalty) for every parameter.
+def backward(model: ModelSpec, params: dict, caches: list, handle=None) -> dict:
+    """Gradients of the task loss for every parameter.
 
     Must be called with the cache list of a train-mode forward that reached
-    the loss head. The weight-decay term adds `weight_decay * w` to each
-    weight tensor's gradient, matching the 0.5 * wd * ||w||^2 penalty that
-    `forward` folds into the loss.
+    the loss head. The weight-decay gradient is not here: `optim.sgd_step`
+    adds it.
 
     Under data parallelism every entry follows one convention: averaging
     the returned dicts across all ranks yields the gradient of the global
@@ -390,9 +362,6 @@ def backward(model: ModelSpec, params: dict, caches: list,
             c, h, wd = ishape
             cur = np.broadcast_to(
                 (cur / (h * wd))[:, None, :], (n, h * wd, c)).reshape(n * h * wd, c)
-    if weight_decay:
-        for key in weight_keys(params):
-            grads[key] = grads[key] + weight_decay * params[key]
     return grads
 
 

@@ -14,6 +14,10 @@ weight decay applied on the decay keys' spans only, and it is written in
 place after the results pass a finiteness scan. Every element sees the same
 operations in the same order as a per-key update, so the results are
 bitwise equal to one.
+
+Weight decay lives here alone: `weight_keys` says which parameters decay,
+`l2_penalty` is the 0.5 * wd * ||w||^2 the trainer reports as `reg_loss`,
+and `sgd_step` adds its gradient, wd * w. The model returns the task loss.
 """
 
 from __future__ import annotations
@@ -124,6 +128,21 @@ def lr_at(policy: LRPolicy, epoch: int, iter_in_epoch: int, iters_per_epoch: int
     return lr
 
 
+def weight_keys(params: dict) -> list:
+    """Parameter keys subject to weight decay, sorted: the .w matrices and kernels."""
+    return sorted(k for k in params if k.endswith(".w"))
+
+
+def l2_penalty(params: dict, weight_decay: float) -> float:
+    """0.5 * weight_decay * the sum of squares over `weight_keys`, in their order."""
+    total = 0.0
+    if weight_decay:  # with no decay the penalty is a signed zero: skip the squares
+        for k in weight_keys(params):
+            w = params[k]
+            total += float(np.dot(w.ravel(), w.ravel()))
+    return 0.5 * weight_decay * total
+
+
 @dataclass(eq=False)
 class SGDState:
     """Momentum SGD over one flat parameter layout.
@@ -133,7 +152,7 @@ class SGDState:
     view of it; `velocity[key]` views `flat_velocity` the same way. `keys`
     is that order and `spans[key]` the key's slice of both buffers.
     `decay_keys` names the parameters that receive the weight-decay term,
-    by convention the weight matrices and kernels, never biases or
+    `weight_keys`: the weight matrices and kernels, never biases or
     normalization affines; `decay_spans` are their slices.
     """
 
@@ -149,11 +168,8 @@ class SGDState:
     velocity: dict
 
     @classmethod
-    def create(cls, params: dict, momentum: float, weight_decay: float,
-               decay_keys=None):
-        if decay_keys is None:
-            decay_keys = [k for k in params if k.endswith(".w")]
-        decay_keys = frozenset(decay_keys)
+    def create(cls, params: dict, momentum: float, weight_decay: float):
+        decay_keys = frozenset(weight_keys(params))
         keys = tuple(sorted(params))
         spans, start = {}, 0
         for k in keys:

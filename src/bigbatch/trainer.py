@@ -52,6 +52,7 @@ from .optim import (
     LRPolicy,
     SGDState,
     default_warmup_iters,
+    l2_penalty,
     lr_at,
     make_policy,
     sgd_step,
@@ -165,6 +166,10 @@ class ExperimentConfig:
     def total_batch(self) -> int:
         return self.world_size * self.per_device_batch
 
+    @property
+    def bn_group(self) -> int:
+        return self.world_size if self.bn_group_size is None else self.bn_group_size
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
@@ -184,9 +189,9 @@ class ExperimentConfig:
     def validate(self):
         """Every field against its rule, then the checks that span fields."""
         check_fields(self, ConfigError)
-        g = self.world_size if self.bn_group_size is None else self.bn_group_size
-        if self.world_size % g != 0:
-            raise ConfigError(f"bn_group_size {g} must divide world_size {self.world_size}")
+        if self.world_size % self.bn_group != 0:
+            raise ConfigError(f"bn_group_size {self.bn_group} must divide world_size "
+                              f"{self.world_size}")
         if "dir" not in self.dataset:
             try:
                 spec = DatasetSpec(**self.dataset)
@@ -229,7 +234,6 @@ def build_model(config: ExperimentConfig, classes: int, in_shape: tuple) -> Mode
     if spec.classes != classes:
         raise ConfigError(
             f"model emits {spec.classes} classes but the dataset has {classes}")
-    group = config.world_size if config.bn_group_size is None else config.bn_group_size
     for layer, (ishape, _) in zip(spec.layers, spec.shapes):
         if layer.kind != "bn":
             continue
@@ -237,7 +241,7 @@ def build_model(config: ExperimentConfig, classes: int, in_shape: tuple) -> Mode
         # batch times the spatial extent, times the sub-group for cross BN
         count = config.per_device_batch * int(np.prod(ishape[1:]))
         if layer.variant == "cross":
-            count *= group
+            count *= config.bn_group
         if count < 2:
             raise ConfigError(
                 f"model layer {layer.name}: training-mode bn normalizes {count} element "
@@ -285,8 +289,7 @@ def resolve(config: ExperimentConfig, dataset: Dataset) -> Resolved:
                          base_batch=config.base_batch, warmup_iters=warmup,
                          half_lr=config.half_lr)
     return Resolved(
-        bn_group_size=config.world_size if config.bn_group_size is None
-        else config.bn_group_size,
+        bn_group_size=config.bn_group,
         total_batch=total,
         iters_per_epoch=iters,
         dropped_per_epoch=dataset.images.shape[0] - iters * total,
@@ -414,25 +417,23 @@ def run_training(config: ExperimentConfig) -> TrainResult:
                 y = labels[sl]
                 lr = lr_at(res.policy, epoch, it, res.iters_per_epoch)
                 try:
-                    # only rank 0 reports reg_loss, so only it sums the penalty
                     out = forward(model, params, buffers, x, y, mode="train",
-                                  handle=handle, one_pass_bn=config.one_pass_bn,
-                                  weight_decay=config.weight_decay if handle.rank == 0
-                                  else 0.0)
+                                  handle=handle, one_pass_bn=config.one_pass_bn)
                     grads = backward(model, params, out.caches, handle=handle)
                 except NonFiniteError as e:
                     raise DivergenceError(f"epoch {epoch} iter {it}: {e}") from e
                 for k, span in sgd.spans.items():
                     payload[span] = grads[k].ravel()
-                payload[-1] = out.loss.task_loss
+                payload[-1] = out.loss
                 mean = allreduce_sum(handle, SCOPE_WORLD, payload) / world
                 mean_task = float(mean[-1])
+                if handle.rank == 0:  # only rank 0 reports reg_loss: the pre-step penalty
+                    reg = l2_penalty(params, config.weight_decay)
                 sgd_step(params, mean[:-1], sgd, lr)
                 if config.checksum_interval and it % config.checksum_interval == 0:
                     check_replica_sync(handle, params, f"epoch {epoch} iter {it}")
                 tripped = monitor.observe(mean_task, f"epoch {epoch} iter {it}")
                 if handle.rank == 0:
-                    reg = out.loss.reg_loss
                     rows.append(MetricsRow(epoch, it, lr, mean_task, reg,
                                            mean_task + reg, None, iter_ms))
                 if tripped:

@@ -2,8 +2,9 @@
 
 Four suites cover the load-bearing invariants: `bn` (concat-equivalence
 and statistics bookkeeping), `grad` (finite-difference agreement of the
-hand-written backward passes), `collectives` (bitwise determinism and
-rank symmetry), and `schedule` (exact breakpoint arithmetic). Each check
+hand-written backward passes and of `sgd_step`'s weight-decay term),
+`collectives` (bitwise determinism and rank symmetry), and `schedule`
+(exact breakpoint arithmetic). Each check
 returns a named pass/fail result so CI output pinpoints what broke.
 
 The grad suite accepts an epsilon-mismatch injection knob. It exists to
@@ -20,7 +21,7 @@ import numpy as np
 from .batchnorm import BNLayerState, bn_forward_local, sync_bn_backward, sync_bn_forward
 from .collectives import SCOPE_WORLD, DeviceGroup, allreduce_sum, broadcast
 from .model import LayerSpec, ModelSpec, backward, forward, init_buffers, init_params
-from .optim import LRPolicy, lr_at, make_policy, scaled_target_lr
+from .optim import SGDState, l2_penalty, lr_at, make_policy, scaled_target_lr, sgd_step
 from .tensor import Tensor
 
 FD_STEP = 1e-5
@@ -227,7 +228,10 @@ def _tiny_model() -> ModelSpec:
 
 def model_fd_max_err(seed: int = 0, weight_decay: float = 1e-2,
                      coords_per_block: int = 6) -> float:
-    """FD check of the whole-model backward against the total loss."""
+    """FD check of the gradient training applies against task loss + `l2_penalty`.
+
+    That gradient is the velocity of one zero-rate, zero-momentum `sgd_step`.
+    """
     model = _tiny_model()
     params = init_params(model, seed)
     rng = np.random.default_rng((seed, 1))
@@ -238,14 +242,15 @@ def model_fd_max_err(seed: int = 0, weight_decay: float = 1e-2,
 
     def total_loss(p):
         buffers = init_buffers(model)
-        out = forward(model, p, buffers, x, labels, mode="train",
-                      weight_decay=weight_decay)
-        return out.loss.total
+        out = forward(model, p, buffers, x, labels, mode="train")
+        return out.loss + l2_penalty(p, weight_decay)
 
     buffers = init_buffers(model)
-    out = forward(model, params, buffers, x, labels, mode="train",
-                  weight_decay=weight_decay)
-    grads = backward(model, params, out.caches, weight_decay=weight_decay)
+    out = forward(model, params, buffers, x, labels, mode="train")
+    replica = dict(params)
+    sgd = SGDState.create(replica, momentum=0.0, weight_decay=weight_decay)
+    sgd_step(replica, backward(model, params, out.caches), sgd, lr=0.0)
+    grads = sgd.velocity  # g + wd * w
     worst = 0.0
     coord_rng = np.random.default_rng((seed, 2))
     for key in sorted(params):

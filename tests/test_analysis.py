@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bigbatch.analysis import (
+    DRIFT_EXPONENT_BOUND,
     AnalysisError,
     SamplerSpec,
     drift_scale,
@@ -172,6 +173,21 @@ class TestSamplerSpec:
         with pytest.raises(AnalysisError, match="drift_rate"):
             self.base(drift_rate=-0.5)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_drift_rate_finite(self, rate):
+        with pytest.raises(AnalysisError, match="drift_rate"):
+            self.base(drift_rate=rate)
+
+    @pytest.mark.parametrize("exponent", [float("nan"), 1000.0, -21.0, float("inf")])
+    def test_drift_batch_exponent_bounded(self, exponent):
+        # unbounded, 1000 overflows the power and nan silently skips the thinning
+        with pytest.raises(AnalysisError, match="drift_batch_exponent"):
+            self.base(drift_batch_exponent=exponent)
+
+    @pytest.mark.parametrize("exponent", [-DRIFT_EXPONENT_BOUND, DRIFT_EXPONENT_BOUND])
+    def test_drift_batch_exponent_bounds_are_inclusive(self, exponent):
+        self.base(drift_batch_exponent=exponent)
+
     def test_structure_bounds(self):
         with pytest.raises(AnalysisError):
             self.base(epochs=0)
@@ -181,6 +197,8 @@ class TestSamplerSpec:
             self.base(batch_sizes=())
         with pytest.raises(AnalysisError):
             self.base(batch_sizes=(0,))
+        with pytest.raises(AnalysisError, match="batch sizes"):  # would overflow the drift
+            self.base(batch_sizes=(2**53 + 1,))
 
 
 class TestDriftScale:

@@ -14,8 +14,8 @@ from bigbatch.model import (
     forward,
     init_buffers,
     init_params,
-    weight_keys,
 )
+from bigbatch.optim import SGDState, l2_penalty, sgd_step, weight_keys
 from bigbatch.tensor import NonFiniteError, Tensor
 
 from helpers import (
@@ -178,18 +178,19 @@ class TestLayerForwards:
         z = np.abs(rng.normal(size=(5, 4)))  # positive so relu is identity
         labels = rng.integers(0, 4, size=5)
         out = forward(m, {}, {}, Tensor(z), labels)
-        assert abs(out.loss.task_loss - loop_softmax_xent(z, labels)) < 1e-12
-        assert out.loss.reg_loss == 0.0
+        assert abs(out.loss - loop_softmax_xent(z, labels)) < 1e-12
+        assert l2_penalty({}, 0.0) == 0.0
 
     def test_reg_loss_formula(self):
         m = ModelSpec([LayerSpec("dense", out_features=2), LayerSpec("softmax_xent")],
                       in_shape=(3,))
         p = init_params(m, 3)
         x = np.random.default_rng(73).normal(size=(4, 3))
-        out = forward(m, p, {}, Tensor(x), np.zeros(4, dtype=int), weight_decay=0.03)
+        out = forward(m, p, {}, Tensor(x), np.zeros(4, dtype=int))
+        reg = l2_penalty(p, 0.03)
         want = 0.5 * 0.03 * float(np.sum(p["00_dense.w"] ** 2))  # biases excluded
-        assert abs(out.loss.reg_loss - want) < 1e-15
-        assert abs(out.loss.total - (out.loss.task_loss + want)) < 1e-15
+        assert abs(reg - want) < 1e-15
+        assert abs((out.loss + reg) - (out.loss + want)) < 1e-15
 
     def test_accuracy(self):
         logits = Tensor(np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 0.5], [0.1, 0.2]]))
@@ -281,7 +282,8 @@ class TestFiniteness:
         p = init_params(m, 0)
         before = {k: v.copy() for k, v in p.items()}
         x, labels = self.batch()
-        out = forward(m, p, init_buffers(m), x, labels, weight_decay=1e-3)
+        out = forward(m, p, init_buffers(m), x, labels)
+        l2_penalty(p, 1e-3)
         backward(m, p, out.caches)
         for key, value in p.items():
             assert value.flags.writeable, key
@@ -300,11 +302,15 @@ class TestGradients:
         wd = 1e-2
 
         def loss():
-            return forward(m, params, init_buffers(m), Tensor(x), labels,
-                           weight_decay=wd).loss.total
+            return (forward(m, params, init_buffers(m), Tensor(x), labels).loss
+                    + l2_penalty(params, wd))
 
-        out = forward(m, params, init_buffers(m), Tensor(x), labels, weight_decay=wd)
-        grads = backward(m, params, out.caches, weight_decay=wd)
+        out = forward(m, params, init_buffers(m), Tensor(x), labels)
+        # the gradient training applies: a zero-rate step leaves v = g + wd * w
+        replica = dict(params)
+        sgd = SGDState.create(replica, momentum=0.0, weight_decay=wd)
+        sgd_step(replica, backward(m, params, out.caches), sgd, lr=0.0)
+        grads = sgd.velocity
 
         worst = 0.0
         for key in sorted(params):
@@ -346,7 +352,7 @@ class TestGradients:
         pc, pl = init_params(mc, 7), init_params(ml, 7)
         oc = forward(mc, pc, init_buffers(mc), Tensor(x), labels)
         ol = forward(ml, pl, init_buffers(ml), Tensor(x), labels)
-        assert oc.loss.task_loss == ol.loss.task_loss  # bitwise same path
+        assert oc.loss == ol.loss  # bitwise same path
 
     def test_world_mean_of_grads_is_global_gradient(self):
         # The convention the trainer relies on: averaging each rank's grad
@@ -529,7 +535,7 @@ class TestChannelsLastLayout:
         logits, loss, ref_grads = nchw_reference(m, params, ref_buffers, x, labels)
 
         assert np.array_equal(out.logits.array, logits)
-        assert out.loss.task_loss == loss
+        assert out.loss == loss
         assert sorted(grads) == sorted(ref_grads) == sorted(params)
         for key in params:
             assert np.array_equal(grads[key], ref_grads[key]), key

@@ -10,10 +10,12 @@ from bigbatch.optim import (
     SGDState,
     accumulate_equivalence,
     default_warmup_iters,
+    l2_penalty,
     lr_at,
     make_policy,
     scaled_target_lr,
     sgd_step,
+    weight_keys,
 )
 
 from helpers import loop_sgd_step
@@ -180,13 +182,6 @@ class TestSGDStep:
         assert params["layer.w"][0] == 2.0 - 0.1 * 2.0
         assert params["layer.b"][0] == 2.0
 
-    def test_explicit_decay_keys_override(self):
-        params = {"a": np.ones(1), "b": np.ones(1)}
-        st = SGDState.create(params, momentum=0.0, weight_decay=0.5, decay_keys=["b"])
-        sgd_step(params, {"a": np.zeros(1), "b": np.zeros(1)}, st, lr=1.0)
-        assert params["a"][0] == 1.0
-        assert params["b"][0] == 0.5
-
     def test_zero_lr_moves_velocity_not_params(self):
         params = {"w": np.array([1.0])}
         st = SGDState.create(params, momentum=0.9, weight_decay=0.0)
@@ -227,6 +222,21 @@ class TestSGDStep:
 
     def test_divergence_is_a_floating_point_error(self):
         assert issubclass(DivergenceError, FloatingPointError)
+
+
+class TestL2Penalty:
+    """The penalty whose gradient is sgd_step's decay term, over the same keys."""
+
+    def test_sums_squares_of_weight_keys_only(self):
+        p = {"b.w": np.array([[1.0, -2.0]]), "a.w": np.array([3.0]),
+             "a.b": np.array([5.0]), "bn.gamma": np.array([7.0])}
+        assert weight_keys(p) == ["a.w", "b.w"]
+        assert l2_penalty(p, 0.1) == 0.5 * 0.1 * (9.0 + 5.0)
+
+    def test_zero_decay_skips_the_squares(self):
+        p = {"w.w": np.array([np.inf])}
+        assert l2_penalty(p, 0.0) == 0.0
+        assert np.copysign(1.0, l2_penalty(p, 0.0)) == 1.0
 
 
 class TestFlatLayout:

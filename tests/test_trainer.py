@@ -26,6 +26,7 @@ from bigbatch import (
     forward,
     init_buffers,
     init_params,
+    l2_penalty,
     lr_at,
     run_training,
     sgd_step,
@@ -146,6 +147,10 @@ class TestExperimentConfig:
     def test_total_batch(self):
         cfg = ExperimentConfig(world_size=4, per_device_batch=16)
         assert cfg.total_batch == 64
+
+    def test_bn_group_defaults_to_the_world(self):
+        assert ExperimentConfig(world_size=4).bn_group == 4
+        assert ExperimentConfig(world_size=4, bn_group_size=2).bn_group == 2
 
     def test_unknown_fields_rejected_by_name(self):
         with pytest.raises(ConfigError, match="unknown config fields.*learning_rate"):
@@ -381,6 +386,21 @@ class TestRunTraining:
                 assert row.eval_acc is None
                 assert row.wall_ms == 8.0  # world 1: no latency term
                 assert row.total_loss == row.task_loss + row.reg_loss
+
+    def test_reg_loss_is_the_pre_step_penalty(self):
+        cfg = smoke_config(world_size=2, per_device_batch=4, epochs=1, weight_decay=0.01)
+        ds = resolve_dataset(cfg)
+        model = build_model(cfg, ds.spec.classes, (1, ds.spec.height, ds.spec.width))
+        first = run_training(cfg).rows[0]
+        assert (first.epoch, first.iter) == (0, 0)
+        assert first.reg_loss == l2_penalty(init_params(model, cfg.seed), 0.01)
+        assert first.reg_loss > 0.0
+
+    def test_zero_weight_decay_reports_zero_reg_loss(self):
+        rows = run_training(smoke_config(world_size=2, per_device_batch=4, epochs=1,
+                                         weight_decay=0)).rows
+        train = [r for r in rows if r.task_loss is not None]
+        assert train and all(r.reg_loss == 0.0 for r in train)
 
     def test_identical_configs_produce_identical_bytes(self, tmp_path):
         cfg = smoke_config(epochs=2)
