@@ -9,8 +9,6 @@ layouts and prints the loss trajectories side by side, then shows the
 idealized wall-clock model rewarding the parallel layout anyway.
 """
 
-import numpy as np
-
 from bigbatch import ExperimentConfig, run_training
 
 COMMON = dict(

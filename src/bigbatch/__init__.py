@@ -20,7 +20,6 @@ from .collectives import (
     SCOPE_WORLD,
     CollectiveError,
     CollectiveProtocolError,
-    CollectiveTimeoutError,
     DeviceGroup,
     DeviceHandle,
     allreduce_sum,
@@ -108,7 +107,7 @@ __all__ = [
     # collectives
     "DeviceGroup", "DeviceHandle", "allreduce_sum", "broadcast", "barrier",
     "SCOPE_WORLD", "SCOPE_BN_GROUP",
-    "CollectiveError", "CollectiveProtocolError", "CollectiveTimeoutError",
+    "CollectiveError", "CollectiveProtocolError",
     # batch norm
     "BNLayerState", "BNForwardCache", "BatchNormError",
     "bn_forward_local", "bn_backward_local", "bn_update_running",

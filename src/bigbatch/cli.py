@@ -95,6 +95,13 @@ def _load_json_config(path, table: dict) -> dict:
     return {name: raw.get(name, default) for name, (default, _) in table.items()}
 
 
+def _out_dir(path) -> Path:
+    """An output directory path, which must not name an existing file."""
+    if (out := Path(path)).exists() and not out.is_dir():
+        raise ConfigError(f"output directory {path} is an existing file")
+    return out
+
+
 def _experiment_config(args) -> ExperimentConfig:
     if args.config is None:
         raise ConfigError("this subcommand requires --config")
@@ -109,6 +116,7 @@ def cmd_train(args) -> int:
     out_dir = args.out or cfg.out_dir
     if out_dir is None:
         raise ConfigError("train needs an output directory (--out or config out_dir)")
+    _out_dir(out_dir)
     result = run_training(cfg)
     write_outputs(result, out_dir)
     resolved = result.manifest["resolved"]
@@ -142,6 +150,7 @@ def cmd_verify(args) -> int:
 
 def cmd_variance(args) -> int:
     cfg = _load_json_config(args.config, VARIANCE_FIELDS)
+    out = args.out and _out_dir(args.out)
     seed = args.seed if args.seed is not None else 0
     law = []
     for n in cfg["batch_sizes"]:
@@ -164,10 +173,10 @@ def cmd_variance(args) -> int:
         "equivalence_ratios": ratios,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / "variance.json").write_text(text + "\n")
-        print(f"wrote {Path(args.out) / 'variance.json'}")
+    if out:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "variance.json").write_text(text + "\n")
+        print(f"wrote {out / 'variance.json'}")
     else:
         print(text)
     return EXIT_OK
@@ -175,6 +184,7 @@ def cmd_variance(args) -> int:
 
 def cmd_ratio_study(args) -> int:
     cfg = _load_json_config(args.config, RATIO_FIELDS)
+    out = args.out and _out_dir(args.out)
     seed = args.seed if args.seed is not None else 0
     # SamplerSpec takes the table's fields, each JSON array (and pair) as a tuple
     tuples = {name: tuple(tuple(v) if isinstance(v, list) else v for v in value)
@@ -188,8 +198,7 @@ def cmd_ratio_study(args) -> int:
                      f"{c.std_pos_frac_pct!r},{c.zero_positive_batches}")
     csv_text = "\n".join(lines) + "\n"
     report = {"seed": seed, "config": cfg, "cells": [c.as_dict() for c in cells]}
-    if args.out:
-        out = Path(args.out)
+    if out:
         out.mkdir(parents=True, exist_ok=True)
         (out / "ratio_study.csv").write_text(csv_text)
         (out / "ratio_study.json").write_text(
@@ -213,6 +222,7 @@ def cmd_lr_preview(args) -> int:
     if args.out:
         path = Path(args.out)
         if path.suffix != ".csv":
+            path = _out_dir(path)
             path.mkdir(parents=True, exist_ok=True)
             path = path / "lr_preview.csv"
         path.write_text(text)
@@ -228,6 +238,7 @@ def cmd_gen_data(args) -> int:
         raise ConfigError("gen-data needs a generator spec, not a dataset dir")
     if args.out is None:
         raise ConfigError("gen-data requires --out")
+    _out_dir(args.out)
     ds = generate_dataset(DatasetSpec(**cfg.dataset), cfg.seed)
     meta = save_dataset(ds, args.out)
     print(f"wrote dataset ({ds.spec.size} train / {ds.eval_images.shape[0]} eval "

@@ -11,21 +11,20 @@ a broadcast root's and a barrier's included, returns only once its whole
 scope has arrived.
 
 A mismatched call pattern (one rank doing a different collective, or
-running ahead) is diagnosed with rank IDs instead of deadlocking. A
-failing rank wakes every blocked peer at once with its name, and so does
-a rank that returns while a peer still waits for it.
+running ahead) is diagnosed with rank IDs, and a failing rank wakes every
+blocked peer at once with its name. There is no clock: once every live
+rank (one whose worker has not returned) waits in an unsettled round, each
+raises a deadlock note naming every waiting rank, its call, the ranks it
+waits for and which of those returned. A slow rank is waited for.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-
-DEFAULT_TIMEOUT_S = 30.0
 
 SCOPE_WORLD = "world"
 SCOPE_BN_GROUP = "bn_group"
@@ -37,15 +36,11 @@ class CollectiveError(RuntimeError):
 
 
 class CollectiveProtocolError(CollectiveError):
-    """Mismatched collective calls, payload disagreement, or invalid scope."""
+    """Mismatched collective calls, payload disagreement, invalid scope, or deadlock."""
 
     def __init__(self, msg, from_abort=False):
         super().__init__(msg)
         self.from_abort = from_abort
-
-
-class CollectiveTimeoutError(CollectiveError):
-    """A rank waited longer than the configured timeout for its peers."""
 
 
 @dataclass
@@ -60,7 +55,7 @@ class _Table:
 
 
 class DeviceHandle:
-    """A single simulated device: rank, scope membership, and a seeded local RNG.
+    """A single simulated device: its rank and scope membership.
 
     A handle belongs to exactly one group and must only be used from its
     own worker thread. Collective calls block until the whole scope has
@@ -70,7 +65,6 @@ class DeviceHandle:
     def __init__(self, group: "DeviceGroup", rank: int):
         self.group = group
         self.rank = rank
-        self.rng = np.random.default_rng((group.seed, rank))
         self._seq: dict[str, int] = {}
         g = group.bn_group_size
         self.bn_group_index = rank // g
@@ -106,8 +100,7 @@ class DeviceGroup:
     `world_size`. Collectives on disjoint sub-groups never exchange data.
     """
 
-    def __init__(self, world_size: int, bn_group_size: int | None = None,
-                 seed: int = 0, timeout_s: float = DEFAULT_TIMEOUT_S):
+    def __init__(self, world_size: int, bn_group_size: int | None = None):
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
         bn_group_size = world_size if bn_group_size is None else bn_group_size
@@ -117,15 +110,14 @@ class DeviceGroup:
             )
         self.world_size = world_size
         self.bn_group_size = bn_group_size
-        self.seed = seed
-        self.timeout_s = timeout_s
         self.handles = [DeviceHandle(self, r) for r in range(world_size)]
         self._cond = threading.Condition()
         self._tables = {"world": _Table(list(range(world_size)))}
         for h in self.handles:
             self._tables.setdefault(h.bn_scope_key, _Table(h.bn_group_ranks))
-        self._failure: str | None = None  # abort note naming the first failed rank
+        self._failure: str | None = None  # abort note: the first failed rank, or the deadlock
         self._returned: set[int] = set()  # ranks whose worker has returned normally
+        self._blocked = 0  # ranks waiting in an unsettled round, i.e. in a table's slots
 
     def run(self, fn: Callable[[DeviceHandle], Any], return_exceptions: bool = False) -> list:
         """Run `fn(handle)` concurrently on every device; return per-rank results.
@@ -140,6 +132,7 @@ class DeviceGroup:
         errors: list[BaseException | None] = [None] * self.world_size
         self._failure = None
         self._returned = set()
+        self._blocked = 0
         for table in self._tables.values():
             table.slots.clear()
         for h in self.handles:  # a failed run leaves the ranks' counts unequal
@@ -148,44 +141,48 @@ class DeviceGroup:
         def runner(handle: DeviceHandle):
             try:
                 results[handle.rank] = fn(handle)
-                # A peer still waiting for this rank in a collective fails at once.
-                with self._cond:
+                with self._cond:  # its blocked peers may now be all that is left
                     self._returned.add(handle.rank)
-                    self._cond.notify_all()
+                    self._check_deadlock()
             except BaseException as exc:  # noqa: BLE001 - reported to caller
                 errors[handle.rank] = exc
-                # Wake every blocked peer and fail every later collective with
-                # the first failed rank's name (an aborted rank finds it set).
+                # wake every blocked peer; later collectives fail with the first note
                 with self._cond:
                     if self._failure is None:
                         self._failure = (f"aborted: rank {handle.rank} failed with "
                                          f"{type(exc).__name__}: {exc}")
                     self._cond.notify_all()
 
-        threads = [
-            threading.Thread(target=runner, args=(h,), daemon=True, name=f"device-{h.rank}")
-            for h in self.handles
-        ]
+        threads = [threading.Thread(target=runner, args=(h,), daemon=True, name=f"device-{h.rank}")
+                   for h in self.handles]
         for t in threads:
             t.start()
-        join_deadline = self.timeout_s + 10.0
-        for r, t in enumerate(threads):
-            t.join(timeout=join_deadline)
-            if t.is_alive():
-                errors[r] = CollectiveTimeoutError(f"rank {r}: worker did not finish")
+        for t in threads:
+            t.join()
         if return_exceptions:
             return [errors[r] if errors[r] is not None else results[r]
                     for r in range(self.world_size)]
-        primary = None
-        for exc in errors:
-            if exc is None:
-                continue
-            if not (isinstance(exc, CollectiveProtocolError) and exc.from_abort):
-                raise exc
-            primary = primary or exc
-        if primary is not None:
-            raise primary
+        failed = sorted((e for e in errors if e is not None),  # aborted ranks last
+                        key=lambda e: isinstance(e, CollectiveProtocolError) and e.from_abort)
+        if failed:
+            raise failed[0]
         return results
+
+    def _check_deadlock(self) -> None:
+        """Fail the group if every live rank is blocked; call under the lock."""
+        if (self._failure is not None or not self._blocked
+                or self._blocked + len(self._returned) < self.world_size):
+            return
+        waits = []
+        for scope_key, table in self._tables.items():
+            missing = [r for r in table.ranks if r not in table.slots]
+            gone = [r for r in missing if r in self._returned]
+            tail = (", which returned without joining it" if gone == missing
+                    else f", of which {gone} returned" if gone else "")
+            waits += [f"{_call_name(scope_key, *call[:3])}: rank {rank} waits for rank(s) "
+                      f"{missing}{tail}" for rank, call in sorted(table.slots.items())]
+        self._failure = "deadlock, every live rank is blocked: " + "; ".join(waits)
+        self._cond.notify_all()
 
 
 # -- collective operations -------------------------------------------------
@@ -231,13 +228,12 @@ def _rendezvous(handle: DeviceHandle, scope_key: str, kind: str,
                 root: int | None = None, payload=None) -> np.ndarray | None:
     """Deposit this rank's call in its scope's table; return the round's result.
 
-    The last rank to arrive settles the round. The others wait until the
-    round counter moves, a peer fails, or the timeout expires.
+    The last rank to arrive settles the round and unblocks its scope. The
+    others wait until the round counter moves or the group fails.
     """
     group = handle.group
     table = group._tables[scope_key]
     seq = handle._next_seq(scope_key)
-    deadline = time.monotonic() + group.timeout_s
     with group._cond:
         table.slots[handle.rank] = (kind, seq, root, payload)
         my_round = table.round
@@ -245,22 +241,15 @@ def _rendezvous(handle: DeviceHandle, scope_key: str, kind: str,
             table.result, table.error = _settle(table, scope_key)
             table.slots.clear()
             table.round += 1
+            group._blocked -= len(table.ranks) - 1  # everyone else in the round
             group._cond.notify_all()
+        else:
+            group._blocked += 1
+            group._check_deadlock()
         while table.round == my_round:
             if group._failure is not None:
                 raise CollectiveProtocolError(group._failure, from_abort=True)
-            gone = [r for r in table.ranks if r in group._returned]
-            if gone:
-                raise CollectiveProtocolError(
-                    f"{_call_name(scope_key, kind, seq, root)}: rank {handle.rank} waits "
-                    f"for rank(s) {gone}, which returned without joining it")
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                missing = [r for r in table.ranks if r not in table.slots]
-                raise CollectiveTimeoutError(
-                    f"{_call_name(scope_key, kind, seq, root)}: rank {handle.rank} timed "
-                    f"out after {group.timeout_s}s waiting for rank(s) {missing}")
-            group._cond.wait(remaining)
+            group._cond.wait()
         if table.error is not None:
             raise CollectiveProtocolError(table.error)
         return None if table.result is None else table.result.copy()

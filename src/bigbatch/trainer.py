@@ -3,7 +3,8 @@
 The orchestrator checks an ExperimentConfig (each field against the rule
 it declares, see `schema`, then the checks that span fields), builds the
 dataset, model, and schedule from it, spawns one worker per device, and
-owns all file output.
+owns all file output. A failed worker or a deadlock in the collectives
+ends the run at once (CollectiveError); a slow worker is waited for.
 Workers keep identical parameter replicas: every iteration they compute
 gradients on their shard, average them with a world AllReduce, and apply
 the same SGD step. The AllReduce payload is the gradients in the
@@ -160,7 +161,6 @@ class ExperimentConfig:
     seed: int = ruled(integer(ge=0), 0)
     out_dir: str | None = ruled(string(null=True), None)
     checksum_interval: int = ruled(integer(ge=0), 10)  # iterations between checks; 0 disables
-    collective_timeout_s: float = ruled(number(gt=0, le=86400), 30.0)  # at most a day
 
     @property
     def total_batch(self) -> int:
@@ -456,8 +456,7 @@ def run_training(config: ExperimentConfig) -> TrainResult:
             return _WorkerOut(status, diverged_at, rows, evals, params, buffers)
         return _WorkerOut(status, diverged_at, [], [], None, None)
 
-    group = DeviceGroup(world, bn_group_size=res.bn_group_size, seed=config.seed,
-                        timeout_s=config.collective_timeout_s)
+    group = DeviceGroup(world, bn_group_size=res.bn_group_size)
     outcomes = group.run(worker, return_exceptions=True)
 
     status, diverged_at = "ok", None
@@ -515,3 +514,5 @@ def write_outputs(result: TrainResult, out_dir) -> None:
         arrays.update({f"buffer/{k}": v
                        for k, v in sorted(result.final_buffers.items())})
         np.savez(out / "checkpoint.npz", **arrays)
+    else:  # no final parameters: an earlier run's checkpoint must not outlive this run
+        (out / "checkpoint.npz").unlink(missing_ok=True)

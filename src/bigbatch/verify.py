@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batchnorm import BNLayerState, bn_forward_local, sync_bn_backward, sync_bn_forward
-from .collectives import SCOPE_WORLD, DeviceGroup, allreduce_sum, broadcast
+from .collectives import SCOPE_BN_GROUP, SCOPE_WORLD, DeviceGroup, allreduce_sum, broadcast
 from .model import LayerSpec, ModelSpec, backward, forward, init_buffers, init_params
 from .optim import SGDState, l2_penalty, lr_at, make_policy, scaled_target_lr, sgd_step
 from .tensor import Tensor
@@ -66,8 +66,8 @@ def _random_case(rng, max_group=4):
     return g, c, xs, gamma, beta
 
 
-def _group_forward(g, xs, gamma, beta, one_pass=False, seed=0):
-    group = DeviceGroup(g, seed=seed)
+def _group_forward(g, xs, gamma, beta, one_pass=False):
+    group = DeviceGroup(g)
 
     def worker(handle):
         state = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
@@ -171,7 +171,7 @@ def sync_bn_fd_max_err(world_size: int, shard_sizes, channels: int, hw,
     coords = {r: [tuple(int(coord_rng.integers(0, e)) for e in xs[r].shape)
                   for _ in range(coords_per_rank)]
               for r in range(world_size)}
-    group = DeviceGroup(world_size, seed=seed)
+    group = DeviceGroup(world_size)
 
     def worker(handle):
         me = handle.rank
@@ -288,7 +288,7 @@ def suite_grad(seed: int = 0, inject_eps_mismatch: bool = False) -> list:
 
 
 def _round_trip(world, seed, rounds=20):
-    group = DeviceGroup(world, seed=seed)
+    group = DeviceGroup(world)
 
     def worker(handle):
         rng = np.random.default_rng((seed, handle.rank, 42))
@@ -325,7 +325,7 @@ def check_sequential_order(seed=4, world=5) -> CheckResult:
     expect = vecs[0].copy()
     for v in vecs[1:]:
         expect = expect + v
-    group = DeviceGroup(world, seed=seed)
+    group = DeviceGroup(world)
     outs = group.run(lambda h: allreduce_sum(h, SCOPE_WORLD, vecs[h.rank]))
     same = all(np.array_equal(o, expect) for o in outs)
     return CheckResult("collectives.sequential_order", same,
@@ -333,8 +333,7 @@ def check_sequential_order(seed=4, world=5) -> CheckResult:
 
 
 def check_scope_isolation(seed=5) -> CheckResult:
-    from .collectives import SCOPE_BN_GROUP
-    group = DeviceGroup(4, bn_group_size=2, seed=seed)
+    group = DeviceGroup(4, bn_group_size=2)
 
     def worker(handle):
         mine = np.array([float(handle.rank + 1)])

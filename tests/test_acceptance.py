@@ -161,7 +161,7 @@ def test_criterion_2_bn_gradients_match_finite_differences(verdict):
 
 
 def _hundred_rounds(run_seed):
-    group = DeviceGroup(8, bn_group_size=4, seed=run_seed)
+    group = DeviceGroup(8, bn_group_size=4)
 
     def worker(handle):
         rng = np.random.default_rng((run_seed, handle.rank, 77))

@@ -30,7 +30,7 @@ def random_state(rng, channels, eps=1e-5, momentum=0.1):
 
 def group_forward(world, bn_group, shards, state_fn, one_pass=False):
     """Run sync BN on per-rank shards; returns per-rank (y, cache, state)."""
-    g = DeviceGroup(world, bn_group_size=bn_group, timeout_s=10.0)
+    g = DeviceGroup(world, bn_group_size=bn_group)
 
     def fn(h):
         st = state_fn()
@@ -287,7 +287,7 @@ class TestSyncForward:
         assert np.allclose(st0.running_var, ref.var * (6 / 5), atol=1e-15)
 
     def test_total_count_too_small_across_group(self):
-        g = DeviceGroup(2, timeout_s=5.0)
+        g = DeviceGroup(2)
 
         def fn(h):
             # One element per rank and channelwise H=W=1 would be fine (2 total),
@@ -305,7 +305,7 @@ class TestSyncForward:
         assert g1.run(lone) == [True]
 
     def test_channel_disagreement_across_ranks_fails(self):
-        g = DeviceGroup(2, timeout_s=2.0)
+        g = DeviceGroup(2)
 
         def fn(h):
             c = 3 if h.rank == 0 else 4
@@ -377,7 +377,7 @@ class TestBackwardSync:
         dys = [rng.normal(size=(2, 3)), rng.normal(size=(4, 3))]
         gamma = rng.uniform(0.5, 1.5, 3)
         beta = rng.normal(size=3)
-        g = DeviceGroup(2, timeout_s=10.0)
+        g = DeviceGroup(2)
 
         def fn(h):
             st = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
@@ -399,7 +399,7 @@ class TestBackwardSync:
         rng = np.random.default_rng(61)
         shards = [rng.normal(size=(3, 2)) for _ in range(4)]
         dys = [rng.normal(size=(3, 2)) for _ in range(4)]
-        g = DeviceGroup(4, bn_group_size=2, timeout_s=10.0)
+        g = DeviceGroup(4, bn_group_size=2)
 
         def fn(h):
             st = BNLayerState.create(2)

@@ -18,7 +18,7 @@ from bigbatch.cli import (
     RATIO_CSV_HEADER,
     main,
 )
-from bigbatch.collectives import CollectiveTimeoutError
+from bigbatch.collectives import CollectiveProtocolError
 from bigbatch.trainer import TrainerError
 from bigbatch.optim import lr_at, make_policy
 from bigbatch.trainer import CSV_HEADER
@@ -114,7 +114,7 @@ class TestTrain:
     @pytest.mark.parametrize("field,value", [
         ("world_size", "8"), ("world_size", 2.5), ("base_lr", "0.1"),
         ("per_device_batch", True), ("per_device_batch", None), ("epochs", 1.5),
-        ("collective_timeout_s", False), ("one_pass_bn", "false"),
+        ("one_pass_bn", "false"),
     ])
     def test_wrong_typed_field(self, tmp_path, capsys, field, value):
         cfg = train_config(tmp_path, **{field: value})
@@ -187,6 +187,16 @@ class TestTrain:
         # the manifest still records what happened
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "diverged"
+
+    def test_diverged_run_removes_an_earlier_checkpoint(self, tmp_path, capsys):
+        out = str(tmp_path / "r")
+        assert main(["train", "--config", train_config(tmp_path), "--out", out]) == EXIT_OK
+        assert (tmp_path / "r" / "checkpoint.npz").exists()
+        cfg = train_config(tmp_path, base_lr=1e300, warmup_iters=0)
+        assert main(["train", "--config", cfg, "--out", out]) == EXIT_DIVERGED
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        assert manifest["status"] == "diverged"
+        assert not (tmp_path / "r" / "checkpoint.npz").exists()
 
 
 class TestVerify:
@@ -491,8 +501,9 @@ def test_bad_value_is_one_named_line(tmp_path, capsys, command, fields, field):
 
 
 @pytest.mark.parametrize("error", [
-    CollectiveTimeoutError("allreduce[bn0#48]: rank 1 timed out after 0.05s waiting for "
-                           "rank(s) [0]"),
+    CollectiveProtocolError("deadlock, every live rank is blocked: allreduce[bn0#0]: rank 1 "
+                            "waits for rank(s) [0]; allreduce[world#0]: rank 0 waits for "
+                            "rank(s) [1]"),
     TrainerError("replica checksum mismatch on rank 1 at epoch 0 iter 0"),
 ])
 def test_run_failure_is_one_line_with_its_own_exit_code(tmp_path, capsys, monkeypatch, error):
@@ -538,3 +549,19 @@ def test_drift_batch_exponent_at_its_bounds_runs(tmp_path, capsys, exponent):
                        epochs=1, batches_per_cell=2)
     assert main(["ratio-study", "--config", cfg]) == EXIT_OK
     assert capsys.readouterr().out.startswith(RATIO_CSV_HEADER + "\n")
+
+
+@pytest.mark.parametrize("command", ["train", "variance", "ratio-study", "lr-preview",
+                                     "gen-data"])
+def test_out_naming_an_existing_file(tmp_path, capsys, monkeypatch, command):
+    # each used to exit 1 with a FileExistsError traceback, train only after its run
+    def never(config):
+        raise AssertionError("trained before checking --out")
+    monkeypatch.setattr("bigbatch.cli.run_training", never)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    cfg = [] if command in ("variance", "ratio-study") else ["--config", train_config(tmp_path)]
+    assert main([command, *cfg, "--out", str(taken)]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: output directory {taken} is an existing file\n")
+    assert taken.read_text() == "not a directory\n"

@@ -1,6 +1,7 @@
 """Every name a module imports is used in it (no linter ships with the lab).
 
-`__init__.py` is exempt: it imports to re-export.
+Covers the package, the tests and the demos. The package's `__init__.py` is
+exempt: it imports to re-export.
 """
 
 import ast
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bigbatch"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bigbatch"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -34,4 +37,9 @@ def test_guard_catches_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports_in_tests_and_demos(path):
     assert unused_imports(path.read_text()) == []

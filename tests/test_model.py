@@ -387,7 +387,7 @@ class TestGradients:
 
         (ref,) = g1.run(whole)
 
-        g3 = DeviceGroup(3, timeout_s=10.0)
+        g3 = DeviceGroup(3)
 
         def shard(h):
             m, p = make()

@@ -89,7 +89,7 @@ TRAIN = dict(world_size=1, per_device_batch=4, bn_group_size=None, policy="norma
              momentum=0.9, weight_decay=1e-4, model=LAYERS, one_pass_bn=False,
              dataset={"size": 8, "classes": 2, "height": 4, "width": 4, "separation": 4.0,
                       "noise_sigma": 1.0, "eval_size": 2, "blob_sigma": None},
-             seed=0, out_dir=None, checksum_interval=1, collective_timeout_s=30.0)
+             seed=0, out_dir=None, checksum_interval=1)
 VARIANCE = {"batch_sizes": [1], "trials": 100, "ks": [1], "rate": 0.02, "small_batch": 1}
 RATIO = {"pos_counts": [[0, 0.5], [2, 0.5]], "neg_counts": [[8, 1.0]], "batch_sizes": [4],
          "epochs": 1, "batches_per_cell": 3, "drift_early_scale": 0.5,

@@ -12,7 +12,7 @@ from bigbatch.tensor import (
     sequential_sum_rows,
 )
 
-from helpers import channel_rows, loop_channel_sum, loop_sequential_sum
+from helpers import loop_channel_sum, loop_sequential_sum
 
 
 class TestTensorConstruction:
