@@ -96,9 +96,14 @@ def _load_json_config(path, table: dict) -> dict:
 
 
 def _out_dir(path) -> Path:
-    """An output directory path, which must not name an existing file."""
-    if (out := Path(path)).exists() and not out.is_dir():
-        raise ConfigError(f"output directory {path} is an existing file")
+    """An output directory path, which must not name or lie under an existing file."""
+    out = Path(path)
+    for p in (out, *out.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ConfigError(f"output directory {path} is an existing file" if p == out
+                                  else f"output directory {path} is under {p}, an existing file")
+            break
     return out
 
 
@@ -222,9 +227,10 @@ def cmd_lr_preview(args) -> int:
     if args.out:
         path = Path(args.out)
         if path.suffix != ".csv":
-            path = _out_dir(path)
-            path.mkdir(parents=True, exist_ok=True)
             path = path / "lr_preview.csv"
+        if path.is_dir():
+            raise ConfigError(f"output file {path} is an existing directory")
+        _out_dir(path.parent).mkdir(parents=True, exist_ok=True)
         path.write_text(text)
         print(f"wrote {path}")
     else:

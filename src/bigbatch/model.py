@@ -15,7 +15,10 @@ in that layout, BN treats it as an (N, C) batch with the same per-channel
 accumulation order, and global mean pooling folds it back to (N, C).
 The patch matrix `cols` is Fortran-ordered (see `_im2col`); the unit
 suite pins that BLAS forms both conv products from it bitwise equal to a
-C-ordered copy. Flat activations after pooling are plain (N, F).
+C-ordered copy. The conv input gradient goes the other way: the patch
+gradient is formed channel-major, `W.T @ dout.T`, and `_col2im` scatters
+it with nine long shifted adds. Flat activations after pooling are plain
+(N, F).
 
 Activations and gradients pass between layers as plain ndarrays; each
 layer output is scanned for NaN/Inf under the layer's name, once. `Tensor`
@@ -198,14 +201,30 @@ def _im2col(rows: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
 
 
 def _col2im(dcols: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patch gradients back onto (N*H*W, C) rows."""
-    c = dcols.shape[1] // 9
-    dpad = np.zeros((n, h + 2, w + 2, c))
-    d6 = dcols.reshape(n, h, w, c, 3, 3)
+    """Adjoint of _im2col: (N*H*W, C*9) patch gradient -> (N*H*W, C) rows.
+
+    It mirrors `_im2col`, and is fastest when `dcols.T` is C-ordered, as
+    `(W.T @ dout.T).T` is. Each tap (i, j) of every channel is copied to a
+    private scratch, so `dcols` is not written; the positions whose shift
+    crosses an image edge are zeroed; and the tap is added in one run at
+    offset i*W + j of a zero-margined channel-major buffer. Each pixel so
+    gets its taps in (i, j) order from +0.0, as a padded scatter adds them,
+    and the zeros that land on a neighbouring row, image or channel change
+    nothing: a sum that starts at +0.0 is never -0.0.
+    """
+    c, p = dcols.shape[1] // 9, n * h * w
+    taps = dcols.T.reshape(c, 3, 3, p)
+    dst = np.zeros(c * p + 2 * (w + 1), dtype=dcols.dtype)
+    tap = np.empty((c, n, h, w), dtype=dcols.dtype)
     for i in range(3):
         for j in range(3):
-            dpad[:, i:i + h, j:j + w] += d6[..., i, j]
-    return dpad[:, 1:1 + h, 1:1 + w].reshape(n * h * w, c)
+            np.copyto(tap.reshape(c, p), taps[:, i, j])
+            if i != 1:
+                tap[:, :, 0 if i == 0 else h - 1] = 0
+            if j != 1:
+                tap[:, :, :, 0 if j == 0 else w - 1] = 0
+            dst[i * w + j:i * w + j + c * p] += tap.reshape(-1)
+    return np.ascontiguousarray(dst[w + 1:w + 1 + c * p].reshape(c, p).T)
 
 
 def _bn_state(layer: LayerSpec, params: dict, buffers: dict) -> BNLayerState:
@@ -338,9 +357,13 @@ def backward(model: ModelSpec, params: dict, caches: list, handle=None) -> dict:
             cols = cache[1]
             w = params[f"{layer.name}.w"]
             grads[f"{layer.name}.w"] = (cur.T @ cols).reshape(w.shape)
-            grads[f"{layer.name}.b"] = cur.sum(axis=0)
+            # einsum adds whole C-ordered rows in turn: bitwise `sum(axis=0)`
+            # for two or more columns, and 4x faster at (4096, 6). One column
+            # is a contiguous run, which `sum` folds pairwise and einsum not.
+            grads[f"{layer.name}.b"] = (np.einsum("ij->j", cur) if cur.shape[1] > 1
+                                        else cur.sum(axis=0))
             if layer is not model.layers[0]:  # the input gradient is never used
-                cur = _col2im(cur @ w.reshape(w.shape[0], -1), n, ishape[1], ishape[2])
+                cur = _col2im((w.reshape(w.shape[0], -1).T @ cur.T).T, n, ishape[1], ishape[2])
         elif k == "relu":
             cur = cur * cache[1]
         elif k == "bn":

@@ -114,9 +114,12 @@ def nchw_im2col(a):
 
 
 def nchw_col2im(dcols, shape):
-    """Adjoint of nchw_im2col: scatter-add patch gradients onto (N,C,H,W)."""
+    """Adjoint of nchw_im2col: scatter-add patch gradients onto (N,C,H,W).
+
+    Accumulates in the dtype of `dcols`, from +0.0.
+    """
     n, c, h, w = shape
-    dpad = np.zeros((n, c, h + 2, w + 2))
+    dpad = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
     d6 = dcols.reshape(n, h, w, c, 3, 3).transpose(0, 3, 1, 2, 4, 5)
     for i in range(3):
         for j in range(3):

@@ -5,10 +5,15 @@ the printed contract (status lines, CSV headers, exit codes) is pinned.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bigbatch
 from bigbatch.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -382,6 +387,24 @@ class TestLrPreview:
         assert main(["lr-preview", "--config", cfg, "--out", str(target)]) == EXIT_OK
         assert target.exists()
 
+    def test_out_csv_path_gets_its_parent_created(self, tmp_path, capsys):
+        # used to exit 1 with a FileNotFoundError traceback
+        cfg = train_config(tmp_path)
+        target = tmp_path / "new" / "deeper" / "schedule.csv"
+        assert main(["lr-preview", "--config", cfg, "--out", str(target)]) == EXIT_OK
+        assert target.read_text().splitlines()[0] == "iter,lr"
+        assert capsys.readouterr().out == f"wrote {target}\n"
+
+    def test_out_csv_path_naming_a_directory(self, tmp_path, capsys):
+        # used to exit 1 with an IsADirectoryError traceback
+        cfg = train_config(tmp_path)
+        target = tmp_path / "d.csv"
+        target.mkdir()
+        assert main(["lr-preview", "--config", cfg, "--out", str(target)]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: output file {target} is an existing directory\n")
+        assert list(target.iterdir()) == []
+
 
 class TestGenData:
     def test_writes_a_loadable_dataset(self, tmp_path, capsys):
@@ -565,3 +588,30 @@ def test_out_naming_an_existing_file(tmp_path, capsys, monkeypatch, command):
     assert capsys.readouterr().err == (
         f"config error: output directory {taken} is an existing file\n")
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["train", "variance", "ratio-study", "lr-preview",
+                                     "gen-data"])
+def test_out_under_an_existing_file(tmp_path, capsys, monkeypatch, command):
+    # each used to exit 1 with a NotADirectoryError traceback, train only after its run
+    def never(config):
+        raise AssertionError("trained before checking --out")
+    monkeypatch.setattr("bigbatch.cli.run_training", never)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "sub"
+    cfg = [] if command in ("variance", "ratio-study") else ["--config", train_config(tmp_path)]
+    assert main([command, *cfg, "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: output directory {out} is under {taken}, an existing file\n")
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(bigbatch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-m", "bigbatch", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: bigbatch ")

@@ -495,6 +495,13 @@ LAYOUT_CASES = {
         LayerSpec("conv3x3", out_channels=3), LayerSpec("global_mean_pool")]),
 }
 
+# the acceptance-criterion-7 model the bench trains; cross BN without a
+# device handle is local BN
+CRITERION_7 = [
+    LayerSpec("conv3x3", out_channels=6), LayerSpec("bn", variant="cross"), LayerSpec("relu"),
+    LayerSpec("conv3x3", out_channels=6), LayerSpec("bn", variant="cross"), LayerSpec("relu"),
+    LayerSpec("global_mean_pool"), LayerSpec("dense", out_features=4)]
+
 
 class TestChannelsLastLayout:
     @pytest.mark.parametrize("shape", [(2, 1, 4, 4), (3, 2, 5, 4), (2, 3, 3, 6)])
@@ -520,27 +527,39 @@ class TestChannelsLastLayout:
     @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
     def test_model_is_bitwise_the_nchw_model(self, case):
         in_shape, layers = LAYOUT_CASES[case]
-        m = ModelSpec(layers + [LayerSpec("softmax_xent")], in_shape=in_shape)
-        rng = np.random.default_rng(92)
-        params = init_params(m, 11)
-        for key in params:  # move biases and BN affines off their init values
-            if not key.endswith(".w"):
-                params[key] = params[key] + rng.normal(scale=0.1, size=params[key].shape)
-        x = rng.normal(size=(5,) + in_shape)
-        labels = rng.integers(0, m.classes, size=5)
-        buffers, ref_buffers = init_buffers(m), init_buffers(m)
+        assert_bitwise_the_nchw_model(in_shape, layers, 5)
 
-        out = forward(m, params, buffers, Tensor(x), labels)
-        grads = backward(m, params, out.caches)
-        logits, loss, ref_grads = nchw_reference(m, params, ref_buffers, x, labels)
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_bench_model_is_bitwise_the_nchw_model(self, n):
+        # The bench's rank step sizes: batch 8 (dp8x8) and 64 (single1x64).
+        # BLAS and the numpy loops may switch code paths with the row count,
+        # so a change that breaks the bytes only at these sizes fails here.
+        assert_bitwise_the_nchw_model((1, 8, 8), CRITERION_7, n)
 
-        assert np.array_equal(out.logits.array, logits)
-        assert out.loss == loss
-        assert sorted(grads) == sorted(ref_grads) == sorted(params)
-        for key in params:
-            assert np.array_equal(grads[key], ref_grads[key]), key
-        for key in buffers:
-            assert np.array_equal(buffers[key], ref_buffers[key]), key
+
+def assert_bitwise_the_nchw_model(in_shape, layers, n):
+    m = ModelSpec(layers + [LayerSpec("softmax_xent")], in_shape=in_shape)
+    rng = np.random.default_rng(92)
+    params = init_params(m, 11)
+    for key in params:  # move biases and BN affines off their init values
+        if not key.endswith(".w"):
+            params[key] = params[key] + rng.normal(scale=0.1, size=params[key].shape)
+    x = rng.normal(size=(n,) + in_shape)
+    labels = rng.integers(0, m.classes, size=n)
+    buffers, ref_buffers = init_buffers(m), init_buffers(m)
+
+    out = forward(m, params, buffers, Tensor(x), labels)
+    grads = backward(m, params, out.caches)
+    logits, loss, ref_grads = nchw_reference(m, params, ref_buffers, x, labels)
+
+    assert np.array_equal(out.logits.array, logits)
+    assert out.loss == loss
+    assert sorted(grads) == sorted(ref_grads) == sorted(params)
+    for key in params:
+        assert np.array_equal(grads[key], ref_grads[key]), key
+        assert np.array_equal(np.signbit(grads[key]), np.signbit(ref_grads[key])), key
+    for key in buffers:
+        assert np.array_equal(buffers[key], ref_buffers[key]), key
 
 
 def _rows(x):
@@ -565,6 +584,8 @@ def test_conv_products_on_the_patch_matrix_at_bench_sizes(n, c):
     dout = rng.normal(size=(n * 64, 6))
     assert np.array_equal(cols @ w.T + b, ccols @ w.T + b)
     assert np.array_equal(dout.T @ cols, dout.T @ ccols)
+    # the backward forms the patch gradient channel-major for `_col2im`
+    assert np.array_equal(w.T @ dout.T, (dout @ w).T)
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 1, 1), (2, 2, 1, 5), (2, 3, 4, 1), (1, 1, 2, 2)])
@@ -577,3 +598,53 @@ def test_patch_matrix_of_thin_images(shape, dtype):
     want = nchw_im2col(x)
     assert cols.dtype == dtype and np.array_equal(cols, want)
     assert not np.signbit(cols[want == 0]).any()  # padding is +0.0, as np.pad writes
+
+
+def test_one_channel_conv_bias_gradient_is_the_column_sum():
+    # Rows of two or more columns are folded by einsum, bitwise `sum(axis=0)`;
+    # a single column is not, so a one-channel conv keeps `sum` there.
+    m = ModelSpec([LayerSpec("conv3x3", out_channels=1), LayerSpec("global_mean_pool"),
+                   LayerSpec("dense", out_features=2), LayerSpec("softmax_xent")],
+                  in_shape=(1, 8, 8))
+    params = init_params(m, 3)
+    rng = np.random.default_rng(96)
+    labels = rng.integers(0, 2, size=8)
+    out = forward(m, params, init_buffers(m), Tensor(rng.normal(size=(8, 1, 8, 8))), labels)
+    grads = backward(m, params, out.caches)
+    d = out.caches[-1][1].copy()
+    d[np.arange(8), labels] -= 1.0
+    d /= 8
+    dout = np.repeat(d @ params["02_dense.w"] / 64, 64, axis=0)  # the pool's backward
+    assert np.array_equal(grads["00_conv3x3.b"], dout.sum(axis=0))
+
+
+def _crossing(n, c, h, w):
+    """(N*H*W, C*9) mask of the patch entries whose 3x3 shift leaves the image."""
+    y, x = np.divmod(np.arange(h * w), w)
+    i, j = np.divmod(np.arange(9), 3)
+    yy, xx = y[:, None] + i - 1, x[:, None] + j - 1
+    return np.tile((yy < 0) | (yy >= h) | (xx < 0) | (xx >= w), (n, c))
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 1, 1), (2, 2, 1, 5), (2, 3, 4, 1), (1, 1, 2, 2),
+                                   (2, 3, 4, 5)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("order", ["rows", "channel-major"])
+def test_col2im_of_thin_images(shape, dtype, order):
+    # one-pixel rows or columns: both shifts along that axis cross an edge
+    n, c, h, w = shape
+    rng = np.random.default_rng(95)
+    dcols = rng.normal(size=(n * h * w, c * 9)).astype(dtype)
+    dcols[rng.random(dcols.shape) < 0.2] = -0.0
+    crossing = _crossing(n, c, h, w)
+    dcols[crossing & (rng.random(dcols.shape) < 0.5)] = np.inf  # dropped, never added
+    if order == "channel-major":  # as the model passes it: (W.T @ dout.T).T
+        dcols = np.ascontiguousarray(dcols.T).T
+    before = dcols.copy()
+    got = _col2im(dcols, n, h, w)
+    want = _rows(nchw_col2im(dcols, shape))
+    assert got.dtype == dtype and got.flags.c_contiguous and np.isfinite(got).all()
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # the edge zeroing goes to a private buffer, not the caller's array
+    assert np.array_equal(dcols, before) and np.array_equal(np.signbit(dcols), np.signbit(before))
