@@ -6,13 +6,9 @@ so that runs are reproducible down to the last bit.
 """
 
 from .tensor import (
-    ChannelStats,
     NonFiniteError,
     Tensor,
     TensorError,
-    channel_affine,
-    channel_sum,
-    new_tensor,
     sequential_sum_rows,
 )
 from .collectives import (
@@ -23,7 +19,6 @@ from .collectives import (
     DeviceGroup,
     DeviceHandle,
     allreduce_sum,
-    barrier,
     broadcast,
 )
 from .batchnorm import (
@@ -53,7 +48,6 @@ from .optim import (
     LRPolicy,
     ScheduleError,
     SGDState,
-    accumulate_equivalence,
     default_warmup_iters,
     l2_penalty,
     lr_at,
@@ -81,7 +75,6 @@ from .data import (
     class_means,
     generate_dataset,
     load_dataset,
-    nearest_mean_probe,
     save_dataset,
 )
 from .trainer import (
@@ -102,10 +95,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # tensor
-    "Tensor", "TensorError", "NonFiniteError", "ChannelStats",
-    "new_tensor", "channel_sum", "channel_affine", "sequential_sum_rows",
+    "Tensor", "TensorError", "NonFiniteError", "sequential_sum_rows",
     # collectives
-    "DeviceGroup", "DeviceHandle", "allreduce_sum", "broadcast", "barrier",
+    "DeviceGroup", "DeviceHandle", "allreduce_sum", "broadcast",
     "SCOPE_WORLD", "SCOPE_BN_GROUP",
     "CollectiveError", "CollectiveProtocolError",
     # batch norm
@@ -118,14 +110,14 @@ __all__ = [
     # optimizer and schedule
     "SGDState", "LRPolicy", "ScheduleError", "DivergenceError",
     "sgd_step", "lr_at", "make_policy", "scaled_target_lr", "weight_keys", "l2_penalty",
-    "accumulate_equivalence", "default_warmup_iters", "BASE_BATCH", "BASE_LR",
+    "default_warmup_iters", "BASE_BATCH", "BASE_LR",
     # analysis
     "VarianceReport", "EquivalenceReport", "SamplerSpec", "RatioCell",
     "AnalysisError", "estimate_grad_variance", "variance_equivalence_ratio",
     "posneg_ratio_study", "scalar_linear_grad", "normal_pair_sampler",
     # data
     "DatasetSpec", "Dataset", "DataError", "generate_dataset", "save_dataset",
-    "load_dataset", "class_means", "nearest_mean_probe",
+    "load_dataset", "class_means",
     # trainer
     "ExperimentConfig", "ConfigError", "TrainerError", "TrainResult",
     "MetricsRow", "CSV_HEADER", "DivergenceMonitor",

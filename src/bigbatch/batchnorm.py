@@ -10,6 +10,12 @@ rank-ordered concatenation of all shards.
 A one-pass variant (single reduction of sums, squared sums, and counts) is
 available behind a flag; it saves a collective round at the cost of the
 classic cancellation hazard in ``E[x^2] - E[x]^2``.
+
+The four public functions keep `Tensor`s of layout (N, C) or (N, C, H, W)
+at their edge and convert once each way. In between, everything runs on
+C-ordered (M, C) rows, one per (n, y, x) position, in the input's dtype,
+and each output is scanned for NaN/Inf once (`bn_forward`, `bn_backward`).
+The model's activations are such rows already.
 """
 
 from __future__ import annotations
@@ -19,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collectives import SCOPE_BN_GROUP, DeviceHandle, allreduce_sum
-from .tensor import (
-    Tensor,
-    _channel_affine,
-    _channels_last_rows,
-    channel_sum,
-    sequential_sum_rows,
-)
+from .tensor import Tensor, _check_finite, sequential_sum_rows
 
 
 class BatchNormError(ValueError):
@@ -90,11 +90,14 @@ class BNLayerState:
 class BNForwardCache:
     """Values saved by a training-mode forward pass for the backward pass.
 
-    `total_count` is the number of scalar elements per channel that the
-    statistics were reduced over, across the whole normalization group.
+    `x_hat` is kept as (M, C) rows; `shape` is the caller's layout, which
+    the cotangent must match. `total_count` is the number of scalar
+    elements per channel that the statistics were reduced over, across the
+    whole normalization group.
     """
 
-    x_hat: Tensor
+    x_hat: np.ndarray
+    shape: tuple[int, ...]
     mu: np.ndarray
     var: np.ndarray
     total_count: int
@@ -102,44 +105,65 @@ class BNForwardCache:
     scope_key: str | None = None  # None for a purely local forward
 
 
-def _check_layout(x: Tensor, state: BNLayerState):
+def _rows(x: Tensor, state: BNLayerState) -> np.ndarray:
+    """`x` as C-ordered (M, C) rows, once its layout matches `state`."""
     if len(x.shape) not in (2, 4):
         raise BatchNormError(f"expected layout (N,C) or (N,C,H,W), got shape {x.shape}")
     if x.shape[1] != state.channels:
         raise BatchNormError(
             f"input has {x.shape[1]} channels but state has {state.channels}"
         )
+    if len(x.shape) == 2:
+        return x.array
+    return np.ascontiguousarray(x.array.transpose(0, 2, 3, 1)).reshape(-1, state.channels)
 
 
-def _train_forward(x: Tensor, state: BNLayerState, reduce_vec, scope_key,
-                   one_pass: bool) -> tuple[Tensor, BNForwardCache]:
+def _unrows(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The inverse of `_rows` for an input of `shape`."""
+    if len(shape) == 2:
+        return rows
+    n, c, h, w = shape
+    return rows.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+
+
+def _normalize(rows: np.ndarray, shape, state: BNLayerState, mu, var, count: int,
+               train: bool, scope_key=None) -> tuple[np.ndarray, BNForwardCache]:
+    """y = gamma * x_hat + beta with x_hat = (rows - mu) / sqrt(var + eps), in
+    the dtype of `rows`. Only y is scanned: it is non-finite wherever x_hat is."""
+    dt = rows.dtype
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    x_hat = np.asarray(inv_std, dtype=dt) * rows + np.asarray(-mu * inv_std, dtype=dt)
+    y = np.asarray(state.gamma, dtype=dt) * x_hat + np.asarray(state.beta, dtype=dt)
+    return _check_finite(y, "bn_forward"), BNForwardCache(
+        x_hat=x_hat, shape=shape, mu=mu, var=var, total_count=count, train=train,
+        scope_key=scope_key)
+
+
+def _train_forward(rows: np.ndarray, shape, state: BNLayerState, reduce_vec,
+                   scope_key, one_pass: bool) -> tuple[np.ndarray, BNForwardCache]:
     c = state.channels
-    local = channel_sum(x, with_sum_sq=one_pass)
+    local_sum = sequential_sum_rows(rows)
     if one_pass:
-        packed = np.concatenate([local.sum, local.sum_sq, [float(local.count)]])
+        packed = np.concatenate([local_sum, sequential_sum_rows(rows * rows),
+                                 [float(rows.shape[0])]])
         total = reduce_vec(packed)
         s, ssq, m = total[:c], total[c:2 * c], total[2 * c]
         mu = s / m
         var = np.maximum(ssq / m - mu * mu, 0.0)
     else:
-        packed = np.concatenate([local.sum, [float(local.count)]])
+        packed = np.concatenate([local_sum, [float(rows.shape[0])]])
         total = reduce_vec(packed)
         s, m = total[:c], total[c]
         mu = s / m
-        diff = x.array - mu.reshape((1, c) + (1,) * (len(x.shape) - 2))
-        dev_var_sum = sequential_sum_rows(_channels_last_rows(diff * diff))
-        var = reduce_vec(dev_var_sum) / m
+        diff = rows - mu
+        var = reduce_vec(sequential_sum_rows(diff * diff)) / m
     m_int = int(round(m))
     if m_int < 2:
         raise BatchNormError(
             f"training-mode statistics need at least 2 elements per channel, got {m_int}"
         )
-    inv_std = 1.0 / np.sqrt(var + state.eps)
-    x_hat = _channel_affine(x.array, inv_std, -mu * inv_std)
-    y = _channel_affine(x_hat.array, state.gamma, state.beta)
+    y, cache = _normalize(rows, shape, state, mu, var, m_int, True, scope_key)
     bn_update_running(state, mu, var, m_int)
-    cache = BNForwardCache(x_hat=x_hat, mu=mu, var=var, total_count=m_int,
-                           train=True, scope_key=scope_key)
     return y, cache
 
 
@@ -151,18 +175,15 @@ def bn_forward_local(x: Tensor, state: BNLayerState,
     updates the running estimates; eval mode normalizes with the running
     statistics and leaves the state untouched.
     """
-    _check_layout(x, state)
+    rows = _rows(x, state)
     if mode == "train":
-        return _train_forward(x, state, lambda v: v, None, one_pass=False)
-    if mode != "eval":
+        y, cache = _train_forward(rows, x.shape, state, lambda v: v, None, one_pass=False)
+    elif mode == "eval":
+        y, cache = _normalize(rows, x.shape, state, state.running_mean.copy(),
+                              state.running_var.copy(), rows.shape[0], train=False)
+    else:
         raise BatchNormError(f"mode must be 'train' or 'eval', got {mode!r}")
-    inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-    x_hat = _channel_affine(x.array, inv_std, -state.running_mean * inv_std)
-    y = _channel_affine(x_hat.array, state.gamma, state.beta)
-    cache = BNForwardCache(x_hat=x_hat, mu=state.running_mean.copy(),
-                           var=state.running_var.copy(),
-                           total_count=x.size // state.channels, train=False)
-    return y, cache
+    return Tensor._wrap(_unrows(y, x.shape)), cache
 
 
 def sync_bn_forward(handle: DeviceHandle, x_local: Tensor, state: BNLayerState,
@@ -175,38 +196,32 @@ def sync_bn_forward(handle: DeviceHandle, x_local: Tensor, state: BNLayerState,
     with bitwise-identical statistics, and the output matches
     `bn_forward_local` on the concatenation of all shards.
     """
-    _check_layout(x_local, state)
-    scope_key = handle.bn_scope_key
-    return _train_forward(
-        x_local, state,
+    y, cache = _train_forward(
+        _rows(x_local, state), x_local.shape, state,
         lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v),
-        scope_key, one_pass=one_pass,
+        handle.bn_scope_key, one_pass=one_pass,
     )
+    return Tensor._wrap(_unrows(y, x_local.shape)), cache
 
 
 def _backward_core(dy: Tensor, cache: BNForwardCache, state: BNLayerState, reduce_vec):
     if not cache.train:
         raise BatchNormError("backward requires a training-mode forward cache")
-    if dy.shape != cache.x_hat.shape:
+    if dy.shape != cache.shape:
         raise BatchNormError(
-            f"cotangent shape {dy.shape} does not match cached shape {cache.x_hat.shape}"
+            f"cotangent shape {dy.shape} does not match cached shape {cache.shape}"
         )
     c = state.channels
     if cache.mu.shape != (c,):
         raise BatchNormError("cache does not match this layer state")
-    x_hat = cache.x_hat.array
-    rows_dy = _channels_last_rows(dy.array)
-    rows_dyx = _channels_last_rows(dy.array * x_hat)
-    packed = np.concatenate([sequential_sum_rows(rows_dy), sequential_sum_rows(rows_dyx)])
-    total = reduce_vec(packed)
+    rows, x_hat = _rows(dy, state), cache.x_hat
+    total = reduce_vec(np.concatenate([sequential_sum_rows(rows),
+                                       sequential_sum_rows(rows * x_hat)]))
     dbeta, dgamma = total[:c], total[c:]
     m = float(cache.total_count)
     inv_std = state.gamma / np.sqrt(cache.var + state.eps)
-    bshape = (1, c) + (1,) * (len(dy.shape) - 2)
-    dx = inv_std.reshape(bshape) * (
-        dy.array - dbeta.reshape(bshape) / m - x_hat * dgamma.reshape(bshape) / m
-    )
-    return Tensor._adopt(dx, "bn_backward"), dgamma, dbeta
+    dx = inv_std * (rows - dbeta / m - x_hat * dgamma / m)
+    return _check_finite(dx, "bn_backward"), dgamma, dbeta
 
 
 def bn_backward_local(dy: Tensor, cache: BNForwardCache,
@@ -214,7 +229,8 @@ def bn_backward_local(dy: Tensor, cache: BNForwardCache,
     """Backward pass matching a local training-mode forward."""
     if cache.scope_key is not None:
         raise BatchNormError("cache came from a synchronized forward; use sync_bn_backward")
-    return _backward_core(dy, cache, state, lambda v: v)
+    dx, dgamma, dbeta = _backward_core(dy, cache, state, lambda v: v)
+    return Tensor._wrap(_unrows(dx, dy.shape)), dgamma, dbeta
 
 
 def sync_bn_backward(handle: DeviceHandle, dy_local: Tensor, cache: BNForwardCache,
@@ -231,8 +247,9 @@ def sync_bn_backward(handle: DeviceHandle, dy_local: Tensor, cache: BNForwardCac
             f"cache was produced under scope {cache.scope_key!r} but this device "
             f"belongs to {scope_key!r}"
         )
-    return _backward_core(dy_local, cache, state,
-                          lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v))
+    dx, dgamma, dbeta = _backward_core(dy_local, cache, state,
+                                       lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v))
+    return Tensor._wrap(_unrows(dx, dy_local.shape)), dgamma, dbeta
 
 
 def bn_update_running(state: BNLayerState, mu: np.ndarray, var: np.ndarray,

@@ -7,8 +7,8 @@ number, root, payload); the last to arrive checks that all calls agree,
 combines the payloads strictly in ascending-rank order (or takes the
 root's vector for a broadcast) and publishes the outcome to the scope. The
 result is independent of scheduling and arrival order. Every collective,
-a broadcast root's and a barrier's included, returns only once its whole
-scope has arrived.
+a broadcast root's included, returns only once its whole scope has
+arrived.
 
 A mismatched call pattern (one rank doing a different collective, or
 running ahead) is diagnosed with rank IDs, and a failing rank wakes every
@@ -209,8 +209,8 @@ def _settle(table: _Table, scope_key: str) -> tuple[np.ndarray | None, str | Non
         detail = ", ".join(f"rank {r}: {_call_name(scope_key, *c[:3])}"
                            for r, c in zip(table.ranks, calls))
         return None, f"collective mismatch in scope {scope_key}: {detail}"
-    if kind != "allreduce":  # a broadcast returns the root's vector, a barrier nothing
-        return (None if root is None else table.slots[root][3]), None
+    if kind == "broadcast":
+        return table.slots[root][3], None
     vectors = [c[3] for c in calls]
     bad = ", ".join(f"rank {r}: len {v.shape[0]} ({v.dtype})"
                     for r, v in zip(table.ranks, vectors)
@@ -225,7 +225,7 @@ def _settle(table: _Table, scope_key: str) -> tuple[np.ndarray | None, str | Non
 
 
 def _rendezvous(handle: DeviceHandle, scope_key: str, kind: str,
-                root: int | None = None, payload=None) -> np.ndarray | None:
+                root: int | None = None, payload=None) -> np.ndarray:
     """Deposit this rank's call in its scope's table; return the round's result.
 
     The last rank to arrive settles the round and unblocks its scope. The
@@ -252,7 +252,7 @@ def _rendezvous(handle: DeviceHandle, scope_key: str, kind: str,
             group._cond.wait()
         if table.error is not None:
             raise CollectiveProtocolError(table.error)
-        return None if table.result is None else table.result.copy()
+        return table.result.copy()
 
 
 def allreduce_sum(handle: DeviceHandle, scope: str, v) -> np.ndarray:
@@ -286,9 +286,3 @@ def broadcast(handle: DeviceHandle, scope: str, root_rank: int, v=None) -> np.nd
             f"rank {handle.rank}: only the broadcast root (rank {root_rank}) supplies data"
         )
     return _rendezvous(handle, scope_key, "broadcast", root=root_rank, payload=v)
-
-
-def barrier(handle: DeviceHandle, scope: str = SCOPE_WORLD) -> None:
-    """Block until every rank in the scope has entered the barrier."""
-    scope_key, _ = handle._scope_info(scope)
-    _rendezvous(handle, scope_key, "barrier")

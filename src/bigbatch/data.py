@@ -188,14 +188,3 @@ def load_dataset(in_dir) -> Dataset:
     if ds.content_hash() != recorded_hash:
         raise DataError(f"dataset under {src} does not match its recorded hash")
     return ds
-
-
-def nearest_mean_probe(images: np.ndarray, labels: np.ndarray) -> float:
-    """Accuracy of the classifier that assigns each image to the nearest
-    empirical class mean. A cheap linear probe for separability checks."""
-    flat = images.reshape(len(images), -1)
-    classes = int(labels.max()) + 1
-    means = np.stack([flat[labels == c].mean(axis=0) for c in range(classes)])
-    d2 = ((flat[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    pred = np.argmin(d2, axis=1)
-    return float(np.mean(pred == labels))

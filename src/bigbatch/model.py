@@ -13,19 +13,21 @@ From there every spatial activation is carried as a (N*H*W, C) rows
 matrix, rows ordered (n, y, x): a conv output `cols @ W.T + b` is already
 in that layout, BN treats it as an (N, C) batch with the same per-channel
 accumulation order, and global mean pooling folds it back to (N, C).
-The patch matrix `cols` is Fortran-ordered (see `_im2col`); the unit
-suite pins that BLAS forms both conv products from it bitwise equal to a
-C-ordered copy. The conv input gradient goes the other way: the patch
-gradient is formed channel-major, `W.T @ dout.T`, and `_col2im` scatters
-it with nine long shifted adds. Flat activations after pooling are plain
-(N, F).
+The patch matrix `cols` is Fortran-ordered (see `_im2col`); for two or
+more output channels the unit suite pins that BLAS forms both conv
+products from it bitwise equal to a C-ordered copy (with one, OpenBLAS
+takes a matrix-vector path whose bits differ). The conv input gradient
+goes the other way: the patch gradient is formed channel-major,
+`W.T @ dout.T`, and `_col2im` scatters it with nine long shifted adds.
+Flat activations after pooling are plain (N, F).
 
 Activations and gradients pass between layers as plain ndarrays; each
 layer output is scanned for NaN/Inf under the layer's name, once. `Tensor`
 appears only at the boundaries: the model input, `ForwardResult.logits`,
-and the batch-norm functions, whose arguments are wrapped without a copy
-or a second scan. Each BN layer builds its `BNLayerState` once per forward
-and hands it to `backward` through the cache.
+and the batch-norm functions, which take and return the rows wrapped
+without a copy or a second scan and compute on plain arrays inside. Each
+BN layer builds its `BNLayerState` once per forward and hands it to
+`backward` through the cache.
 """
 
 from __future__ import annotations
@@ -368,7 +370,7 @@ def backward(model: ModelSpec, params: dict, caches: list, handle=None) -> dict:
             cur = cur * cache[1]
         elif k == "bn":
             _, bn_cache, state = cache  # the forward's state: same gamma and eps
-            dy = Tensor._adopt(cur, f"{layer.name}.backward")
+            dy = Tensor._wrap(_check_finite(cur, f"{layer.name}.backward"))
             if bn_cache.scope_key is not None:
                 if handle is None:
                     raise ModelError(f"{layer.name}: synchronized cache needs a device handle")

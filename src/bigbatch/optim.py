@@ -243,26 +243,3 @@ def sgd_step(params: dict, grads, state: SGDState, lr: float) -> dict:
     state.flat_velocity[:] = v
     w[:] = w_new
     return params
-
-
-def accumulate_equivalence(params: dict, per_step_grads: list, r: float):
-    """Both sides of the frozen-gradient identity behind linear scaling.
-
-    Returns (stepwise, fused): `stepwise` applies k plain-SGD steps of rate
-    r, one gradient each; `fused` applies a single step of rate k*r with
-    the mean gradient. With zero momentum and fixed gradients the two
-    agree to rounding error; re-evaluating gradients between steps (real
-    training) is exactly what makes the rule approximate.
-    """
-    k = len(per_step_grads)
-    if k == 0:
-        raise ValueError("need at least one gradient")
-    stepwise = {key: v.copy() for key, v in params.items()}
-    for g in per_step_grads:
-        for key in stepwise:
-            stepwise[key] = stepwise[key] - r * g[key]
-    fused = {}
-    for key in params:
-        mean_g = sum(g[key] for g in per_step_grads) / k
-        fused[key] = params[key] - (k * r) * mean_g
-    return stepwise, fused

@@ -1,24 +1,22 @@
-"""Minimal dense tensor type plus the channel reductions and affine maps
-the rest of the library is built on.
+"""Minimal dense tensor type plus the order-pinned row fold that every
+per-channel statistic is built on.
 
-Only two layouts are supported: (N, C) and (N, C, H, W), with the channel
-axis always at position 1. Reductions accumulate strictly in ascending
-flat-index order (no pairwise trees), so the same input always produces
-bitwise-identical sums and a scalar loop reproduces them exactly; see
-`sequential_sum_rows` for which numpy fold keeps that order on which input.
+`sequential_sum_rows` accumulates the columns of a rows matrix strictly
+in ascending row order (no pairwise trees), so the same input always
+produces bitwise-identical sums and a scalar loop reproduces them
+exactly; its docstring says which numpy fold keeps that order on which
+input.
 
 `Tensor` is the type of the public boundaries: the model input, the
-logits, and the batch-norm functions' inputs and outputs. Between layers
-the model carries plain arrays and runs the same finiteness scan
-(`_check_finite`) on every one it computes. Arrays the library has just
-computed become tensors through `Tensor._adopt`, which scans them but
-does not copy, or through `Tensor._wrap` when the model has already
-scanned them as a layer's output; `Tensor(...)` always copies its input.
+logits, and the batch-norm functions' inputs and outputs. Inside, the
+model and batch norm compute on plain arrays and run the same finiteness
+scan (`_check_finite`) on every one they compute, under the name of the
+layer or operation that produced it. `Tensor._wrap` turns such a scanned
+array into a tensor without a copy; `Tensor(...)` always copies and scans
+its input.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,10 +53,10 @@ def _check_finite(a: np.ndarray, context: str) -> np.ndarray:
 class Tensor:
     """Immutable dense array, row-major, f64 by default.
 
-    Values are validated to be finite on construction; every public
-    operation in this module returns a new `Tensor`, so NaN/Inf can never
-    propagate silently. The underlying buffer is marked read-only and may
-    be shared freely across device workers.
+    Values are finite: the constructor scans them, and `_wrap` takes only
+    arrays scanned just before, so NaN/Inf never pass a public boundary
+    silently. The underlying buffer is marked read-only and may be shared
+    freely across device workers.
     """
 
     __slots__ = ("_a",)
@@ -77,20 +75,11 @@ class Tensor:
         self._a = a
 
     @classmethod
-    def _adopt(cls, a: np.ndarray, context: str) -> "Tensor":
-        """Wrap an array the library has just computed, copying it only if it
-        is not C-ordered.
-
-        Runs the constructor's finiteness scan and marks the buffer read-only.
-        Only for f64/f32 arrays with a positive extent on every axis that no
-        caller holds a writable reference to.
-        """
-        return cls._wrap(_check_finite(a, context))
-
-    @classmethod
     def _wrap(cls, a: np.ndarray) -> "Tensor":
-        """`_adopt` without the scan, for an array already scanned under the
-        name of the layer that produced it."""
+        """Wrap an array the library has just computed and already scanned
+        (`_check_finite`), copying it only if it is not C-ordered, and mark
+        the buffer read-only. Only for f64/f32 arrays with a positive extent
+        on every axis that no caller holds a writable reference to."""
         if not a.flags.c_contiguous:
             a = np.ascontiguousarray(a)
         t = cls.__new__(cls)
@@ -115,54 +104,8 @@ class Tensor:
         """Read-only view with the tensor's shape."""
         return self._a
 
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only flat (row-major) view of the underlying buffer."""
-        return self._a.reshape(-1)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
-
-
-def new_tensor(shape, fill: float, dtype="f64") -> Tensor:
-    """Create a tensor of `shape` with every element equal to `fill`."""
-    shape = tuple(int(e) for e in np.atleast_1d(np.asarray(shape, dtype=object)))
-    if len(shape) == 0:
-        raise TensorError("shape must be nonempty")
-    if any(e <= 0 for e in shape):
-        raise TensorError(f"extents must be >= 1, got {shape}")
-    dt = _resolve_dtype(dtype)
-    return Tensor(np.full(shape, fill, dtype=dt), _context="new_tensor")
-
-
-@dataclass
-class ChannelStats:
-    """Per-channel reduction result.
-
-    `count` is the number of scalar elements reduced into each channel
-    entry. `sum_sq` is only populated when requested; the default two-pass
-    normalization path never needs it.
-    """
-
-    count: int
-    sum: np.ndarray
-    sum_sq: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.count <= 0:
-            raise TensorError(f"ChannelStats.count must be positive, got {self.count}")
-        if self.sum_sq is not None and self.sum_sq.shape != self.sum.shape:
-            raise TensorError("ChannelStats.sum and sum_sq must have equal length")
-
-
-def _channels_last_rows(a: np.ndarray) -> np.ndarray:
-    """Reshape (N,C) or (N,C,H,W) to (rows, C) preserving per-channel flat order."""
-    if a.ndim == 2:
-        return a
-    if a.ndim == 4:
-        n, c, h, w = a.shape
-        return a.transpose(0, 2, 3, 1).reshape(n * h * w, c)
-    raise TensorError(f"expected layout (N,C) or (N,C,H,W), got rank {a.ndim}")
 
 
 def sequential_sum_rows(rows: np.ndarray) -> np.ndarray:
@@ -181,39 +124,3 @@ def sequential_sum_rows(rows: np.ndarray) -> np.ndarray:
     if rows.shape[1] > 1 and rows.flags.c_contiguous:
         return np.einsum("ij->j", rows)
     return np.cumsum(rows, axis=0)[-1]
-
-
-def channel_sum(x: Tensor, with_sum_sq: bool = False) -> ChannelStats:
-    """Per-channel sums over all non-channel axes of an (N,C) or (N,C,H,W) tensor.
-
-    Accumulation order is fixed (ascending flat index within each channel),
-    so identical inputs give bitwise-identical sums.
-    """
-    rows = _channels_last_rows(x.array)
-    stats = ChannelStats(count=rows.shape[0], sum=sequential_sum_rows(rows))
-    if with_sum_sq:
-        stats.sum_sq = sequential_sum_rows(rows * rows)
-    return stats
-
-
-def channel_affine(x: Tensor, scale, shift) -> Tensor:
-    """Per-channel affine map: out[n,c,...] = scale[c] * x[n,c,...] + shift[c]."""
-    a = x.array
-    if a.ndim not in (2, 4):
-        raise TensorError(f"expected layout (N,C) or (N,C,H,W), got rank {a.ndim}")
-    c = a.shape[1]
-    scale = np.asarray(scale, dtype=a.dtype)
-    shift = np.asarray(shift, dtype=a.dtype)
-    if scale.shape != (c,) or shift.shape != (c,):
-        raise TensorError(
-            f"scale/shift must have length C={c}, got {scale.shape} and {shift.shape}"
-        )
-    return _channel_affine(a, scale, shift)
-
-
-def _channel_affine(a: np.ndarray, scale, shift) -> Tensor:
-    """`channel_affine` on an array, without its argument checks or a copy."""
-    bshape = (1, a.shape[1]) + (1,) * (a.ndim - 2)
-    out = (np.asarray(scale, dtype=a.dtype).reshape(bshape) * a
-           + np.asarray(shift, dtype=a.dtype).reshape(bshape))
-    return Tensor._adopt(out, "channel_affine")

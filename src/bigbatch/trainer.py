@@ -397,6 +397,9 @@ def run_training(config: ExperimentConfig) -> TrainResult:
 
     images, labels = dataset.images, dataset.labels
 
+    # A diverging run overflows before the finiteness scans name the layer
+    # and stop it; numpy's warnings would only repeat that on stderr.
+    @np.errstate(over="ignore", invalid="ignore")
     def worker(handle):
         params = init_params(model, config.seed)
         buffers = init_buffers(model)

@@ -208,3 +208,14 @@ def loop_sgd_step(params, grads, velocity, momentum, weight_decay, decay_keys, l
         new_velocity[key] = v
         new_params[key] = w - lr * v
     return new_params, new_velocity
+
+
+def nearest_mean_probe(images, labels):
+    """Accuracy of the classifier that assigns each image to the nearest
+    empirical class mean: a cheap linear probe for separability checks."""
+    flat = images.reshape(len(images), -1)
+    classes = int(labels.max()) + 1
+    means = np.stack([flat[labels == c].mean(axis=0) for c in range(classes)])
+    d2 = ((flat[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    pred = np.argmin(d2, axis=1)
+    return float(np.mean(pred == labels))

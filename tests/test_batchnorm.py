@@ -14,7 +14,13 @@ from bigbatch.batchnorm import (
 from bigbatch.collectives import CollectiveProtocolError, DeviceGroup
 from bigbatch.tensor import Tensor
 
-from helpers import fd_entry, loop_bn_forward, loop_sequential_sum, channel_rows
+from helpers import (
+    channel_rows,
+    fd_entry,
+    loop_bn_forward,
+    loop_channel_sum,
+    loop_sequential_sum,
+)
 
 
 def random_state(rng, channels, eps=1e-5, momentum=0.1):
@@ -70,18 +76,39 @@ class TestStateValidation:
 
 
 class TestLocalForward:
-    @pytest.mark.parametrize("shape", [(4, 2), (3, 5), (2, 3, 4, 4), (6, 1, 2, 3)])
-    def test_matches_loop_oracle(self, shape):
+    @pytest.mark.parametrize("shape, dtype", [
+        ((4, 2), np.float64), ((3, 5), np.float64), ((2, 3, 4, 4), np.float64),
+        ((6, 1, 2, 3), np.float64), ((2, 3, 4, 4), np.float32),
+    ], ids=["shape0", "shape1", "shape2", "shape3", "float32"])
+    def test_matches_loop_oracle(self, shape, dtype):
         rng = np.random.default_rng(sum(shape))
-        x = rng.normal(size=shape)
+        x = rng.normal(size=shape).astype(dtype)
         st = random_state(rng, shape[1])
         y, cache = bn_forward_local(Tensor(x), st, mode="train")
         want_y, want_mu, want_var = loop_bn_forward(x, st.gamma, st.beta, st.eps)
-        assert np.allclose(y.array, want_y, rtol=0, atol=1e-12)
-        assert np.allclose(cache.mu, want_mu, rtol=1e-13, atol=0)
-        assert np.allclose(cache.var, want_var, rtol=1e-12, atol=1e-15)
+        assert y.dtype == dtype  # the input's dtype is kept
+        if dtype == np.float32:
+            assert np.allclose(y.array, want_y, rtol=0, atol=1e-5)
+            assert np.allclose(cache.mu, want_mu, rtol=1e-6, atol=1e-7)
+            assert np.allclose(cache.var, want_var, rtol=1e-6, atol=1e-7)
+        else:
+            assert np.allclose(y.array, want_y, rtol=0, atol=1e-12)
+            assert np.allclose(cache.mu, want_mu, rtol=1e-13, atol=0)
+            assert np.allclose(cache.var, want_var, rtol=1e-12, atol=1e-15)
         assert cache.total_count == x.size // shape[1]
         assert cache.scope_key is None
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3, 3), (7, 1, 2, 5), (1, 6, 2, 1)])
+    def test_channel_sums_fold_rows_in_order(self, shape):
+        # mu and dbeta are the sequential per-channel sums over (n, y, x),
+        # bitwise, whatever the layout; (1, C, H, W) has a single image
+        rng = np.random.default_rng(sum(shape))
+        x, dy = rng.normal(size=shape), rng.normal(size=shape)
+        st = BNLayerState.create(shape[1])
+        _, cache = bn_forward_local(Tensor(x), st)
+        assert np.array_equal(cache.mu, loop_channel_sum(x) / (x.size // shape[1]))
+        _, _, dbeta = bn_backward_local(Tensor(dy), cache, st)
+        assert np.array_equal(dbeta, loop_channel_sum(dy))
 
     def test_frozen_case(self):
         # Literals computed once with scalar loops.
@@ -111,6 +138,11 @@ class TestLocalForward:
         st = BNLayerState.create(3)
         with pytest.raises(BatchNormError, match="at least 2"):
             bn_forward_local(Tensor(np.ones((1, 3))), st)
+
+    def test_rank_3_rejected(self):
+        st = BNLayerState.create(3)
+        with pytest.raises(BatchNormError, match="expected layout"):
+            bn_forward_local(Tensor(np.ones((2, 3, 4))), st)
 
     def test_channel_mismatch(self):
         st = BNLayerState.create(3)
@@ -325,7 +357,9 @@ class TestBackwardLocal:
         _, cache = bn_forward_local(Tensor(x), st)
         _, dgamma, dbeta = bn_backward_local(Tensor(dy), cache, st)
         want_dbeta = loop_sequential_sum(channel_rows(dy))
-        want_dgamma = loop_sequential_sum(channel_rows(dy * cache.x_hat.array))
+        assert cache.x_hat.shape == (12, 2)  # rows in (n, y, x) order
+        want_dgamma = loop_sequential_sum(
+            [r * xh for r, xh in zip(channel_rows(dy), cache.x_hat)])
         assert np.allclose(dbeta, want_dbeta, atol=1e-12)
         assert np.allclose(dgamma, want_dgamma, atol=1e-12)
 
@@ -356,7 +390,7 @@ class TestBackwardLocal:
 
     def test_rejects_sync_cache(self):
         st = BNLayerState.create(2)
-        cache = BNForwardCache(x_hat=Tensor(np.ones((2, 2))), mu=np.zeros(2),
+        cache = BNForwardCache(x_hat=np.ones((2, 2)), shape=(2, 2), mu=np.zeros(2),
                                var=np.ones(2), total_count=2, train=True,
                                scope_key="bn0")
         with pytest.raises(BatchNormError, match="synchronized"):
@@ -368,6 +402,13 @@ class TestBackwardLocal:
         _, cache = bn_forward_local(x, st)
         with pytest.raises(BatchNormError, match="cotangent"):
             bn_backward_local(Tensor(np.ones((3, 2))), cache, st)
+        # the cache holds (M, C) rows; a 4-D cotangent with the same rows
+        # but another layout must still be refused
+        st = BNLayerState.create(3)
+        x = Tensor(np.random.default_rng(53).normal(size=(2, 3, 4, 4)))
+        _, cache = bn_forward_local(x, st)
+        with pytest.raises(BatchNormError, match="cotangent"):
+            bn_backward_local(Tensor(np.ones((2, 3, 2, 8))), cache, st)
 
 
 class TestBackwardSync:
@@ -415,7 +456,7 @@ class TestBackwardSync:
         g = DeviceGroup(1)
 
         def fn(h):
-            cache = BNForwardCache(x_hat=Tensor(np.ones((2, 2))), mu=np.zeros(2),
+            cache = BNForwardCache(x_hat=np.ones((2, 2)), shape=(2, 2), mu=np.zeros(2),
                                    var=np.ones(2), total_count=2, train=True,
                                    scope_key="bn7")
             with pytest.raises(BatchNormError, match="bn7"):

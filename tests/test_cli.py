@@ -607,11 +607,27 @@ def test_out_under_an_existing_file(tmp_path, capsys, monkeypatch, command):
     assert taken.read_text() == "not a directory\n"
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(*args):
     src = str(Path(bigbatch.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    done = subprocess.run([sys.executable, "-m", "bigbatch", "--help"], env=env,
+    return subprocess.run([sys.executable, "-m", "bigbatch", *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_module("--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: bigbatch ")
+
+
+def test_diverging_train_leaves_stderr_empty(tmp_path):
+    # the one-pass statistics overflow first; the finiteness scans report
+    # the divergence, and numpy prints no RuntimeWarning on top of it
+    cfg = train_config(tmp_path, world_size=2, per_device_batch=4, one_pass_bn=True,
+                       base_lr=1e300, warmup_iters=None, epochs=1,
+                       dataset={"size": 32, "classes": 2})
+    done = run_module("train", "--config", cfg, "--out", str(tmp_path / "run"))
+    assert done.returncode == EXIT_DIVERGED, done.stderr
+    assert "diverged at: epoch 0 iter 1: bn_forward: non-finite" in done.stdout
+    assert done.stderr == ""

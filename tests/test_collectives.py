@@ -12,7 +12,6 @@ from bigbatch.collectives import (
     CollectiveProtocolError,
     DeviceGroup,
     allreduce_sum,
-    barrier,
     broadcast,
 )
 
@@ -174,19 +173,6 @@ def test_broadcast_root_outside_scope():
 
     with pytest.raises(CollectiveProtocolError, match="outside scope"):
         g.run(fn)
-
-
-def test_barrier_completes():
-    g = DeviceGroup(6)
-    order = []
-
-    def fn(h):
-        barrier(h, SCOPE_WORLD)
-        order.append(h.rank)
-        return True
-
-    assert g.run(fn) == [True] * 6
-    assert sorted(order) == list(range(6))
 
 
 def test_unknown_scope_rejected():
@@ -393,7 +379,7 @@ def test_scope_mismatch_releases_other_scopes_promptly():
         if h.rank == 0:
             return allreduce_sum(h, SCOPE_BN_GROUP, [1.0])
         if h.rank == 1:
-            return barrier(h, SCOPE_BN_GROUP)
+            return broadcast(h, SCOPE_BN_GROUP, 0)
         return allreduce_sum(h, SCOPE_WORLD, [1.0])
 
     t0 = time.perf_counter()

@@ -9,9 +9,10 @@ from bigbatch.data import (
     class_means,
     generate_dataset,
     load_dataset,
-    nearest_mean_probe,
     save_dataset,
 )
+
+from helpers import nearest_mean_probe
 
 
 class TestSpec:

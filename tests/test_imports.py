@@ -1,13 +1,19 @@
 """Every name a module imports is used in it (no linter ships with the lab).
 
 Covers the package, the tests and the demos. The package's `__init__.py` is
-exempt: it imports to re-export.
+exempt: it imports to re-export, and exports exactly what it imports. The
+bench's tracer must still find every binding it wraps.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+import bigbatch
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bigbatch"
@@ -43,3 +49,40 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports_in_tests_and_demos(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported == set(bigbatch.__all__) - {"__version__"}
+
+
+def load_by_path(monkeypatch, name, path):
+    """Import the file at `path` as module `name`, registered until the test ends."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracing_installs_on_the_package_and_restores(monkeypatch):
+    spans = load_by_path(monkeypatch, "spans", ROOT / "bench" / "spans.py")
+    workloads = load_by_path(monkeypatch, "workloads", ROOT / "bench" / "workloads.py")
+    bb = SimpleNamespace(**{m: importlib.import_module(f"bigbatch.{m}") for m in (
+        "cli", "trainer", "model", "batchnorm", "collectives", "tensor", "data", "analysis")})
+    owners = [*vars(bb).values(), bb.tensor.Tensor, bb.collectives.DeviceGroup,
+              bb.data.Dataset]
+    before = [dict(vars(owner)) for owner in owners]
+    traced = [(bb.model, "sync_bn_forward"), (bb.model, "sync_bn_backward"),
+              (bb.batchnorm, "allreduce_sum")]
+    originals = [getattr(owner, attr) for owner, attr in traced]
+    patches = spans.Patches()
+    try:
+        workloads.install_tracing(bb, spans.Tracer(), patches)
+        assert all(getattr(owner, attr) is not fn
+                   for (owner, attr), fn in zip(traced, originals))
+    finally:
+        patches.restore()
+    assert [dict(vars(owner)) for owner in owners] == before

@@ -242,6 +242,14 @@ class TestFiniteness:
         with pytest.raises(NonFiniteError, match="^00_conv3x3: non-finite"):
             forward(m, p, init_buffers(m), x, labels)
 
+    def test_overflowing_bn_names_the_bn_forward(self):
+        m = tiny_model()
+        p = init_params(m, 0)
+        p["01_bn.gamma"] = np.full_like(p["01_bn.gamma"], 1e308)  # gamma * x_hat overflows
+        x, labels = self.batch()
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^bn_forward: non-finite"):
+            forward(m, p, init_buffers(m), x, labels)
+
     def test_nan_cotangent_names_the_bn_backward(self):
         m = tiny_model()
         p = init_params(m, 0)
@@ -573,7 +581,10 @@ def test_conv_products_on_the_patch_matrix_at_bench_sizes(n, c):
     # The patch matrix is Fortran-ordered; the model's outputs stay bitwise
     # only while BLAS forms its two products exactly as on a C-ordered copy.
     # BLAS may switch code paths with the row count, so pin the batch sizes
-    # the bench runs: 8 and 64 per rank step, 256 for the eval.
+    # the bench runs: 8 and 64 per rank step, 256 for the eval. `c` is the
+    # conv's input channels; the output has six. With one output channel
+    # OpenBLAS takes a matrix-vector path and the two products are not
+    # bitwise equal to the C-ordered ones, so that case is not pinned.
     rng = np.random.default_rng(93)
     x = rng.normal(size=(n, c, 8, 8))
     cols = _im2col(_rows(x), n, 8, 8)
