@@ -43,21 +43,12 @@ class VarianceReport:
     aggregate: float
     ci_half_width: float
 
-    def as_dict(self):
-        return {
-            "batch_size": self.batch_size,
-            "trials": self.trials,
-            "block_variance": {k: float(v) for k, v in self.block_variance.items()},
-            "aggregate": self.aggregate,
-            "ci_half_width": self.ci_half_width,
-        }
 
-
-def _collect_grads(grad_fn, sampler, n, trials, seed, offset=0):
+def _collect_grads(grad_fn, sampler, n, trials, seed):
     """T gradient dicts, each from an independently seeded mini-batch."""
     out = []
     for t in range(trials):
-        rng = np.random.default_rng((seed, offset + t))
+        rng = np.random.default_rng((seed, t))
         out.append(grad_fn(sampler(rng, n)))
     return out
 
@@ -117,14 +108,6 @@ class EquivalenceReport:
     var_large: float
     var_small: float
     ratio: float
-
-    def as_dict(self):
-        return {
-            "batch_size": self.batch_size, "k": self.k, "rate": self.rate,
-            "scaled": self.scaled, "trials": self.trials,
-            "var_large": self.var_large, "var_small": self.var_small,
-            "ratio": self.ratio,
-        }
 
 
 def variance_equivalence_ratio(grad_fn, sampler, batch_size: int, k: int,
@@ -280,16 +263,6 @@ class RatioCell:
     mean_pos_frac_pct: float    # 100 * sum(pos) / (sum(pos) + sum(neg))
     std_pos_frac_pct: float
     zero_positive_batches: int
-
-    def as_dict(self):
-        return {
-            "epoch": self.epoch, "batch_size": self.batch_size,
-            "mean_ratio_pct": self.mean_ratio_pct,
-            "std_ratio_pct": self.std_ratio_pct,
-            "mean_pos_frac_pct": self.mean_pos_frac_pct,
-            "std_pos_frac_pct": self.std_pos_frac_pct,
-            "zero_positive_batches": self.zero_positive_batches,
-        }
 
 
 def posneg_ratio_study(spec: SamplerSpec) -> list:

@@ -15,9 +15,8 @@ Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -25,6 +24,7 @@ from .analysis import (
     DRIFT_EXPONENT_BOUND,
     MIN_TRIALS,
     AnalysisError,
+    RatioCell,
     SamplerSpec,
     estimate_grad_variance,
     normal_pair_sampler,
@@ -35,7 +35,7 @@ from .analysis import (
 from .collectives import CollectiveError
 from .data import DataError, DatasetSpec, generate_dataset, save_dataset
 from .optim import DivergenceError, ScheduleError, lr_at
-from .schema import array, integer, mapping, number
+from .schema import array, csv_header, csv_text, integer, json_text, mapping, number
 from .trainer import (
     ConfigError,
     ExperimentConfig,
@@ -54,8 +54,14 @@ EXIT_BAD_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_RUN_FAILED = 4
 
-RATIO_CSV_HEADER = ("epoch,batch_size,mean_ratio_pct,std_ratio_pct,"
-                    "mean_pos_frac_pct,std_pos_frac_pct,zero_positive_batches")
+RATIO_CSV_HEADER = csv_header(RatioCell)
+
+
+@dataclass
+class LRPoint:  # a row of lr_preview.csv
+    iter: int
+    lr: float
+
 
 # field: (default, rule) of each report command's config
 VARIANCE_FIELDS = {
@@ -105,6 +111,17 @@ def _out_dir(path) -> Path:
                                   else f"output directory {path} is under {p}, an existing file")
             break
     return out
+
+
+def _emit(out, texts: dict) -> None:
+    """Write each {file name: text} of `texts` under `out`; with no `out`, print the first."""
+    if not out:
+        print(next(iter(texts.values())), end="")
+        return
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    print("wrote " + " and ".join(str(out / name) for name in texts))
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -161,29 +178,21 @@ def cmd_variance(args) -> int:
     for n in cfg["batch_sizes"]:
         rep = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler,
                                      n, cfg["trials"], seed)
-        entry = rep.as_dict()
-        entry["n_times_aggregate"] = n * rep.aggregate
-        law.append(entry)
+        law.append({**asdict(rep), "n_times_aggregate": n * rep.aggregate})
     ratios = []
     for k in cfg["ks"]:
         for scaled in (True, False):
             rep = variance_equivalence_ratio(
                 scalar_linear_grad, normal_pair_sampler, cfg["small_batch"], k,
                 cfg["rate"], cfg["trials"], seed + k, scaled=scaled)
-            ratios.append(rep.as_dict())
+            ratios.append(asdict(rep))
     report = {
         "seed": seed,
         "config": cfg,
         "variance_law": law,
         "equivalence_ratios": ratios,
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "variance.json").write_text(text + "\n")
-        print(f"wrote {out / 'variance.json'}")
-    else:
-        print(text)
+    _emit(out, {"variance.json": json_text(report)})
     return EXIT_OK
 
 
@@ -196,21 +205,9 @@ def cmd_ratio_study(args) -> int:
               for name, value in cfg.items() if isinstance(value, list)}
     spec = SamplerSpec(seed=seed, **{**cfg, **tuples})
     cells = posneg_ratio_study(spec)
-    lines = [RATIO_CSV_HEADER]
-    for c in cells:
-        lines.append(f"{c.epoch},{c.batch_size},{c.mean_ratio_pct!r},"
-                     f"{c.std_ratio_pct!r},{c.mean_pos_frac_pct!r},"
-                     f"{c.std_pos_frac_pct!r},{c.zero_positive_batches}")
-    csv_text = "\n".join(lines) + "\n"
-    report = {"seed": seed, "config": cfg, "cells": [c.as_dict() for c in cells]}
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "ratio_study.csv").write_text(csv_text)
-        (out / "ratio_study.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {out / 'ratio_study.csv'} and {out / 'ratio_study.json'}")
-    else:
-        print(csv_text, end="")
+    report = {"seed": seed, "config": cfg, "cells": [asdict(c) for c in cells]}
+    _emit(out, {"ratio_study.csv": csv_text(RatioCell, cells),
+                "ratio_study.json": json_text(report)})
     return EXIT_OK
 
 
@@ -218,21 +215,16 @@ def cmd_lr_preview(args) -> int:
     cfg = _experiment_config(args)
     dataset = resolve_dataset(cfg)
     res = resolve(cfg, dataset)
-    lines = ["iter,lr"]
-    for epoch in range(res.epochs):
-        for it in range(res.iters_per_epoch):
-            g = epoch * res.iters_per_epoch + it
-            lines.append(f"{g},{lr_at(res.policy, epoch, it, res.iters_per_epoch)!r}")
-    text = "\n".join(lines) + "\n"
+    n = res.iters_per_epoch
+    text = csv_text(LRPoint, (LRPoint(epoch * n + it, lr_at(res.policy, epoch, it, n))
+                              for epoch in range(res.epochs) for it in range(n)))
     if args.out:
         path = Path(args.out)
         if path.suffix != ".csv":
             path = path / "lr_preview.csv"
         if path.is_dir():
             raise ConfigError(f"output file {path} is an existing directory")
-        _out_dir(path.parent).mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        print(f"wrote {path}")
+        _emit(_out_dir(path.parent), {path.name: text})
     else:
         print(text, end="")
     return EXIT_OK

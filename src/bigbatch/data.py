@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .schema import check_fields, integer, number, ruled
+from .schema import check_fields, integer, json_text, number, ruled
 
 
 class DataError(ValueError):
@@ -141,7 +141,7 @@ def save_dataset(ds: Dataset, out_dir) -> dict:
         "seed": ds.seed,
         "content_hash": ds.content_hash(),
     }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    (out / "meta.json").write_text(json_text(meta))
     return meta
 
 

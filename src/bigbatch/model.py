@@ -22,7 +22,8 @@ goes the other way: the patch gradient is formed channel-major,
 Flat activations after pooling are plain (N, F).
 
 Activations and gradients pass between layers as plain ndarrays; each
-layer output is scanned for NaN/Inf under the layer's name, once. `Tensor`
+layer output is scanned for NaN/Inf under the layer's name, once, except
+a ReLU's, which is finite wherever its input is. `Tensor`
 appears only at the boundaries: the model input, `ForwardResult.logits`,
 and the batch-norm functions, which take and return the rows wrapped
 without a copy or a second scan and compute on plain arrays inside. Each
@@ -260,7 +261,7 @@ def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
     cur = x.array
     if len(model.in_shape) == 3:
         c, h, wd = model.in_shape
-        cur = _check_finite(cur.transpose(0, 2, 3, 1).reshape(n * h * wd, c), "input")
+        cur = cur.transpose(0, 2, 3, 1).reshape(n * h * wd, c)  # scanned by the Tensor
     for layer, (ishape, _) in zip(model.layers, model.shapes):
         k = layer.kind
         if k == "dense":
@@ -275,7 +276,7 @@ def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
         elif k == "relu":
             mask = cur > 0
             caches.append(("relu", mask))
-            cur = _check_finite(cur * mask, layer.name)
+            cur = cur * mask  # finite, as the scanned input is
         elif k == "bn":
             state = _bn_state(layer, params, buffers)
             x_bn = Tensor._wrap(cur)  # scanned as the previous layer's output

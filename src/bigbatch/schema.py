@@ -6,10 +6,15 @@ A rule is a function `(value, name)`: None for a value it takes, else
 integer, NaN or Infinity (Python's json reads both), an integer beyond
 2**53 in magnitude (where JSON numbers stop being exact), an empty array,
 or an undeclared key.
+
+An output record is a dataclass whose fields, in order, are its JSON keys
+(`asdict`) and its CSV columns: every CSV output is `csv_text`, every JSON
+output `json_text`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from dataclasses import MISSING, field, fields, is_dataclass
@@ -113,3 +118,24 @@ def check_fields(obj, error: type, prefix: str = "") -> None:
     problems = [p for f in fields(obj) if (p := f.metadata["rule"](getattr(obj, f.name), f.name))]
     if problems:
         raise error(prefix + "; ".join(problems))
+
+
+def json_text(obj) -> str:
+    """The text of a JSON output: keys sorted, two-space indent, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def csv_header(record) -> str:
+    """The CSV header of dataclass `record`: its field names."""
+    return ",".join(f.name for f in fields(record))
+
+
+def csv_line(row) -> str:
+    """Dataclass instance `row` as CSV: ints as they are, None empty, else repr(float(v))."""
+    return ",".join(str(v) if isinstance(v, int) else "" if v is None else repr(float(v))
+                    for v in (getattr(row, f.name) for f in fields(row)))
+
+
+def csv_text(record, rows) -> str:
+    """The text of a CSV output: `record`'s header, then one line per row."""
+    return "\n".join([csv_header(record), *map(csv_line, rows)]) + "\n"

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-DTYPES = {"f64": np.float64, "f32": np.float32}
-
 
 class TensorError(ValueError):
     """Invalid shape, layout, or argument for a tensor operation."""
@@ -29,18 +27,6 @@ class TensorError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """A public operation produced or received NaN/Inf values."""
-
-
-def _resolve_dtype(dtype):
-    if isinstance(dtype, str):
-        try:
-            return np.dtype(DTYPES[dtype])
-        except KeyError:
-            raise TensorError(f"unsupported dtype {dtype!r}; expected one of {sorted(DTYPES)}")
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise TensorError(f"unsupported dtype {dt}; only f64 and f32 are supported")
-    return dt
 
 
 def _check_finite(a: np.ndarray, context: str) -> np.ndarray:
@@ -61,9 +47,8 @@ class Tensor:
 
     __slots__ = ("_a",)
 
-    def __init__(self, values, dtype=None, _context="Tensor"):
-        dt = _resolve_dtype(dtype) if dtype is not None else None
-        a = np.array(values, dtype=dt, order="C")
+    def __init__(self, values, _context="Tensor"):
+        a = np.array(values, order="C")
         if a.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             a = a.astype(np.float64)
         if a.ndim == 0:
@@ -94,10 +79,6 @@ class Tensor:
     @property
     def dtype(self) -> np.dtype:
         return self._a.dtype
-
-    @property
-    def size(self) -> int:
-        return self._a.size
 
     @property
     def array(self) -> np.ndarray:

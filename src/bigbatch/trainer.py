@@ -58,11 +58,9 @@ from .optim import (
     make_policy,
     sgd_step,
 )
-from .schema import (array, boolean, check_fields, integer, keyed, mapping, number, one_of,
-                     ruled, string)
+from .schema import (array, boolean, check_fields, csv_header, csv_text, integer, json_text,
+                     keyed, mapping, number, one_of, ruled, string)
 from .tensor import NonFiniteError, Tensor
-
-CSV_HEADER = "epoch,iter,lr,task_loss,reg_loss,total_loss,eval_acc,wall_ms"
 
 # Idealized per-iteration cost model (documented, deterministic):
 # a training step costs SAMPLE_STEP_MS per local sample plus one latency
@@ -183,9 +181,6 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         return cls.from_dict(read_json_object(path))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def validate(self):
         """Every field against its rule, then the checks that span fields."""
         check_fields(self, ConfigError)
@@ -263,16 +258,8 @@ class Resolved:
     eval_size: int
 
     def as_dict(self) -> dict:
-        d = asdict(self)
-        d["policy"] = {
-            "base_lr": self.policy.base_lr,
-            "base_batch": self.policy.base_batch,
-            "actual_batch": self.policy.actual_batch,
-            "warmup_iters": self.policy.warmup_iters,
-            "milestones": [list(m) for m in self.policy.milestones],
-            "end_epoch": self.policy.end_epoch,
-            "half_lr": self.policy.half_lr,
-        }
+        d = asdict(self)  # milestones as lists, as the manifest file reads them back
+        d["policy"]["milestones"] = [list(m) for m in self.policy.milestones]
         return d
 
 
@@ -311,14 +298,8 @@ class MetricsRow:
     eval_acc: float | None
     wall_ms: float
 
-    def csv_line(self) -> str:
-        def fmt(v):
-            return "" if v is None else repr(float(v))
-        return ",".join([
-            str(self.epoch), str(self.iter), fmt(self.lr), fmt(self.task_loss),
-            fmt(self.reg_loss), fmt(self.total_loss), fmt(self.eval_acc),
-            fmt(self.wall_ms),
-        ])
+
+CSV_HEADER = csv_header(MetricsRow)
 
 
 def iteration_wall_ms(config: ExperimentConfig, allreduce_rounds: int) -> float:
@@ -482,7 +463,7 @@ def run_training(config: ExperimentConfig) -> TrainResult:
         raise hard_error
 
     manifest = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "resolved": res.as_dict(),
         "model": [asdict(layer) for layer in model.layers],
         "dataset_hash": dataset.content_hash(),
@@ -508,10 +489,8 @@ def write_outputs(result: TrainResult, out_dir) -> None:
     """Metrics CSV, run manifest, and final checkpoint under `out_dir`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [CSV_HEADER] + [row.csv_line() for row in result.rows]
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
-    (out / "manifest.json").write_text(
-        json.dumps(result.manifest, indent=2, sort_keys=True) + "\n")
+    (out / "metrics.csv").write_text(csv_text(MetricsRow, result.rows))
+    (out / "manifest.json").write_text(json_text(result.manifest))
     if result.final_params is not None:
         arrays = {f"param/{k}": v for k, v in sorted(result.final_params.items())}
         arrays.update({f"buffer/{k}": v

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,7 @@ class TestEstimateGradVariance:
     def test_deterministic(self):
         a = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler, 4, 150, 9)
         b = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler, 4, 150, 9)
-        assert a.as_dict() == b.as_dict()
+        assert asdict(a) == asdict(b)
 
     def test_vector_blocks(self):
         # Two parameter blocks; each coordinate is an independent mean of N
@@ -129,7 +131,7 @@ class TestEquivalenceRatio:
                                        4, 2, 0.02, 150, 11)
         b = variance_equivalence_ratio(scalar_linear_grad, normal_pair_sampler,
                                        4, 2, 0.02, 150, 11)
-        assert a.as_dict() == b.as_dict()
+        assert asdict(a) == asdict(b)
 
 
 class TestSamplerSpec:
@@ -297,15 +299,15 @@ class TestRatioStudy:
     def test_deterministic(self):
         spec = SamplerSpec(pos_counts=HEAVY_POS, neg_counts=NEGS,
                            batch_sizes=(16, 64), epochs=2, batches_per_cell=50, seed=9)
-        a = [c.as_dict() for c in posneg_ratio_study(spec)]
-        b = [c.as_dict() for c in posneg_ratio_study(spec)]
+        a = [asdict(c) for c in posneg_ratio_study(spec)]
+        b = [asdict(c) for c in posneg_ratio_study(spec)]
         assert a == b
 
     def test_cell_dict_keys(self):
         spec = SamplerSpec(pos_counts=((1, 1.0),), neg_counts=((4, 1.0),),
                            batch_sizes=(2,), epochs=1, batches_per_cell=5, seed=0)
         (cell,) = posneg_ratio_study(spec)
-        assert set(cell.as_dict()) == {
+        assert set(asdict(cell)) == {
             "epoch", "batch_size", "mean_ratio_pct", "std_ratio_pct",
             "mean_pos_frac_pct", "std_pos_frac_pct", "zero_positive_batches",
         }

@@ -27,7 +27,7 @@ from bigbatch.collectives import CollectiveProtocolError
 from bigbatch.trainer import TrainerError
 from bigbatch.optim import lr_at, make_policy
 from bigbatch.trainer import CSV_HEADER
-from bigbatch.verify import SUITES, CheckResult, run_suite, suite_grad
+from bigbatch.verify import FD_TOL, SUITES, CheckResult, run_suite, sync_bn_fd_max_err
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
@@ -236,12 +236,11 @@ class TestVerify:
         assert "FAILED: 1 failing" in out
 
     def test_grad_suite_catches_an_eps_mismatch(self):
-        # the injection knob exists to prove the FD check has teeth: a
-        # backward pass run with the wrong variance epsilon must fail
-        results = suite_grad(seed=0, inject_eps_mismatch=True)
-        by_name = {r.name: r.passed for r in results}
-        assert by_name["grad.sync_bn_fd"] is False
-        assert by_name["grad.model_fd"] is True  # untouched path still fine
+        # the FD check has teeth: a backward pass run with the wrong
+        # variance epsilon must fail it, the matching one pass
+        args = (2, (3, 2), 3, (2, 2), 0)
+        assert sync_bn_fd_max_err(*args, eps_backward=3e-3) > FD_TOL
+        assert sync_bn_fd_max_err(*args) <= FD_TOL
 
     def test_check_line_format(self):
         assert CheckResult("a.b", True).line() == "[PASS] a.b"

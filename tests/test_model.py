@@ -268,6 +268,22 @@ class TestFiniteness:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^04_dense: non-finite"):
             forward(m, p, init_buffers(m), x, labels)
 
+    def test_each_value_scanned_once(self, monkeypatch):
+        # the input Tensor was scanned when built, and a ReLU of finite
+        # values is finite: neither is scanned again
+        import bigbatch.model as model_module
+        scanned = []
+
+        def counting(a, context):
+            scanned.append(context)
+            return a
+
+        monkeypatch.setattr(model_module, "_check_finite", counting)
+        m = tiny_model()
+        x, labels = self.batch()
+        forward(m, init_params(m, 0), init_buffers(m), x, labels)
+        assert scanned == ["00_conv3x3", "03_global_mean_pool", "04_dense"]
+
     def test_one_bn_state_per_layer_per_step(self, monkeypatch):
         import bigbatch.model as model_module
         built = []

@@ -14,8 +14,9 @@ import copy
 import io
 import json
 import math
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +24,10 @@ from hypothesis import strategies as st
 from bigbatch import cli
 from bigbatch.data import DatasetSpec
 from bigbatch.model import LayerSpec
-from bigbatch.schema import array, boolean, integer, mapping, number, one_of, string
-from bigbatch.trainer import ExperimentConfig
+from bigbatch.analysis import RatioCell
+from bigbatch.schema import (array, boolean, csv_header, csv_line, csv_text, integer, json_text,
+                             mapping, number, one_of, string)
+from bigbatch.trainer import CSV_HEADER, ExperimentConfig, MetricsRow
 
 
 @pytest.mark.parametrize("rule,value,message", [
@@ -78,6 +81,32 @@ def test_report_defaults_are_unchanged():
         "neg_counts": [[96, 0.5], [128, 0.5]], "batch_sizes": [16, 32, 64, 128, 256],
         "epochs": 4, "batches_per_cell": 400, "drift_early_scale": 0.3,
         "drift_late_scale": 1.0, "drift_rate": 0.6, "drift_batch_exponent": 0.5}
+
+
+def test_csv_rule():
+    # ints as they are, None empty, anything else repr(float(v)): a numpy
+    # float's own repr would read np.float64(...)
+    @dataclass
+    class Row:
+        n: int
+        numpy_float: float
+        python_float: float
+        missing: float | None
+
+    row = Row(2**60 + 1, np.float64(1 / 3), 0.1, None)
+    assert csv_header(Row) == "n,numpy_float,python_float,missing"
+    assert csv_line(row) == f"{2**60 + 1},{1 / 3!r},0.1,"
+    assert csv_text(Row, [row]) == f"{csv_header(Row)}\n{csv_line(row)}\n"
+    assert csv_text(Row, []) == csv_header(Row) + "\n"
+
+
+def test_csv_headers_are_the_record_fields():
+    assert CSV_HEADER == ",".join(f.name for f in fields(MetricsRow))
+    assert cli.RATIO_CSV_HEADER == ",".join(f.name for f in fields(RatioCell))
+
+
+def test_json_layout():
+    assert json_text({"b": 1, "a": [2]}) == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
 
 
 LAYERS = [{"kind": "conv3x3", "out_features": None, "out_channels": 2, "variant": "local",

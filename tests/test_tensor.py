@@ -11,7 +11,6 @@ class TestTensorConstruction:
         t = Tensor([[1.0, 2.0], [3.0, 4.0]])
         assert t.dtype == np.float64
         assert t.shape == (2, 2)
-        assert t.size == 4
 
     def test_int_input_promoted_to_f64(self):
         t = Tensor(np.arange(6).reshape(2, 3))
@@ -20,12 +19,6 @@ class TestTensorConstruction:
     def test_f32_kept(self):
         t = Tensor(np.ones((2, 2), dtype=np.float32))
         assert t.dtype == np.float32
-
-    def test_dtype_strings(self):
-        assert Tensor([1.0], dtype="f32").dtype == np.float32
-        assert Tensor([1.0], dtype="f64").dtype == np.float64
-        with pytest.raises(TensorError):
-            Tensor([1.0], dtype="f16")
 
     def test_rejects_scalar(self):
         with pytest.raises(TensorError):

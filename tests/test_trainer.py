@@ -6,6 +6,7 @@ accuracy checks live in test_acceptance.py.
 """
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from bigbatch import (
     Tensor,
 )
 from bigbatch.model import ModelSpec, LayerSpec
+from bigbatch.schema import csv_line
 from bigbatch.trainer import (
     _count_allreduce_rounds,
     build_model,
@@ -142,7 +144,7 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_dict({})
         assert cfg.world_size == 1
         assert cfg.total_batch == 8
-        assert ExperimentConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+        assert asdict(ExperimentConfig.from_dict(asdict(cfg))) == asdict(cfg)
 
     def test_total_batch(self):
         cfg = ExperimentConfig(world_size=4, per_device_batch=16)
@@ -319,12 +321,12 @@ class TestMetricsAndWallModel:
     def test_csv_line_formats_floats_and_blanks(self):
         row = MetricsRow(epoch=0, iter=1, lr=0.1, task_loss=1.5, reg_loss=None,
                          total_loss=None, eval_acc=None, wall_ms=8.0)
-        assert row.csv_line() == "0,1,0.1,1.5,,,,8.0"
+        assert csv_line(row) == "0,1,0.1,1.5,,,,8.0"
 
     def test_csv_line_keeps_full_float_precision(self):
         lr = 0.1 + 1e-17  # still 0.1 after rounding, repr must not truncate others
         row = MetricsRow(0, 0, lr, 1 / 3, 0.0, 1 / 3, None, 4.0)
-        cells = row.csv_line().split(",")
+        cells = csv_line(row).split(",")
         assert float(cells[3]) == 1 / 3
         assert cells[3] == repr(1 / 3)
 
@@ -460,9 +462,9 @@ class TestRunTraining:
                           "dataset_spec", "status", "diverged_at", "wall_model_ms"}
         assert m["status"] == "ok"
         assert m["diverged_at"] is None
-        assert m["config"] == cfg.to_dict()
+        assert m["config"] == asdict(cfg)
         # config section must round-trip through the validator unchanged
-        assert ExperimentConfig.from_dict(m["config"]).to_dict() == m["config"]
+        assert asdict(ExperimentConfig.from_dict(m["config"])) == m["config"]
         assert m["dataset_hash"] == resolve_dataset(cfg).content_hash()
         assert m["resolved"]["iters_per_epoch"] == 8
         assert m["resolved"]["dropped_per_epoch"] == 0
