@@ -12,10 +12,10 @@ available behind a flag; it saves a collective round at the cost of the
 classic cancellation hazard in ``E[x^2] - E[x]^2``.
 
 The four public functions keep `Tensor`s of layout (N, C) or (N, C, H, W)
-at their edge and convert once each way. In between, everything runs on
-C-ordered (M, C) rows, one per (n, y, x) position, in the input's dtype,
-and each output is scanned for NaN/Inf once (`bn_forward`, `bn_backward`).
-The model's activations are such rows already.
+at their edge and convert once each way. In between, all runs in the
+input's dtype on C-ordered (M, C) rows, one per (n, y, x) position: folds
+on the rows, per-channel arithmetic on their `channel_blocks`, one NaN/Inf
+scan per output. The model's activations are such rows already.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collectives import SCOPE_BN_GROUP, DeviceHandle, allreduce_sum
-from .tensor import Tensor, _check_finite, sequential_sum_rows
+from .tensor import Tensor, _check_finite, channel_blocks, sequential_sum_rows
 
 
 class BatchNormError(ValueError):
@@ -128,15 +128,17 @@ def _unrows(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _normalize(rows: np.ndarray, shape, state: BNLayerState, mu, var, count: int,
                train: bool, scope_key=None) -> tuple[np.ndarray, BNForwardCache]:
-    """y = gamma * x_hat + beta with x_hat = (rows - mu) / sqrt(var + eps), in
-    the dtype of `rows`. Only y is scanned: it is non-finite wherever x_hat is."""
-    dt = rows.dtype
+    """y = gamma * x_hat + beta, x_hat = inv_std * rows + (-mu * inv_std), in the
+    dtype of `rows`. Only y is scanned: it is non-finite wherever x_hat is."""
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    x_hat = np.asarray(inv_std, dtype=dt) * rows + np.asarray(-mu * inv_std, dtype=dt)
-    y = np.asarray(state.gamma, dtype=dt) * x_hat + np.asarray(state.beta, dtype=dt)
-    return _check_finite(y, "bn_forward"), BNForwardCache(
-        x_hat=x_hat, shape=shape, mu=mu, var=var, total_count=count, train=train,
-        scope_key=scope_key)
+    blocks, (inv, shift, gamma, beta) = channel_blocks(
+        rows, inv_std, -mu * inv_std, state.gamma, state.beta)
+    x_hat = blocks * inv
+    x_hat += shift
+    y = x_hat * gamma
+    y += beta
+    return _check_finite(y.reshape(rows.shape), "bn_forward"), BNForwardCache(
+        x_hat.reshape(rows.shape), shape, mu, var, count, train, scope_key)
 
 
 def _train_forward(rows: np.ndarray, shape, state: BNLayerState, reduce_vec,
@@ -155,8 +157,10 @@ def _train_forward(rows: np.ndarray, shape, state: BNLayerState, reduce_vec,
         total = reduce_vec(packed)
         s, m = total[:c], total[c]
         mu = s / m
-        diff = rows - mu
-        var = reduce_vec(sequential_sum_rows(diff * diff)) / m
+        blocks, (mu_k,) = channel_blocks(rows, mu, dtype=mu.dtype)  # promoted as rows - mu
+        diff = blocks - mu_k
+        diff *= diff
+        var = reduce_vec(sequential_sum_rows(diff.reshape(rows.shape))) / m
     m_int = int(round(m))
     if m_int < 2:
         raise BatchNormError(
@@ -219,9 +223,15 @@ def _backward_core(dy: Tensor, cache: BNForwardCache, state: BNLayerState, reduc
                                        sequential_sum_rows(rows * x_hat)]))
     dbeta, dgamma = total[:c], total[c:]
     m = float(cache.total_count)
-    inv_std = state.gamma / np.sqrt(cache.var + state.eps)
-    dx = inv_std * (rows - dbeta / m - x_hat * dgamma / m)
-    return _check_finite(dx, "bn_backward"), dgamma, dbeta
+    # dx = inv_std * (rows - dbeta / m - x_hat * dgamma / m), in the rows' dtype
+    blocks, (dbeta_m, dgamma_k, inv_std) = channel_blocks(
+        rows, dbeta / m, dgamma, state.gamma / np.sqrt(cache.var + state.eps))
+    dx = blocks - dbeta_m
+    scaled = x_hat.reshape(blocks.shape) * dgamma_k
+    scaled /= m
+    dx -= scaled
+    dx *= inv_std
+    return _check_finite(dx.reshape(rows.shape), "bn_backward"), dgamma, dbeta
 
 
 def bn_backward_local(dy: Tensor, cache: BNForwardCache,

@@ -213,8 +213,9 @@ def cmd_ratio_study(args) -> int:
 
 def cmd_lr_preview(args) -> int:
     cfg = _experiment_config(args)
-    dataset = resolve_dataset(cfg)
-    res = resolve(cfg, dataset)
+    # the sizes come from the spec: generating the data to count it is waste
+    spec = resolve_dataset(cfg).spec if "dir" in cfg.dataset else DatasetSpec(**cfg.dataset)
+    res = resolve(cfg, spec)
     n = res.iters_per_epoch
     text = csv_text(LRPoint, (LRPoint(epoch * n + it, lr_at(res.policy, epoch, it, n))
                               for epoch in range(res.epochs) for it in range(n)))

@@ -10,9 +10,10 @@ to the local one when no handle is given.
 
 Inputs arrive as (N, C, H, W) and are converted once, at the model entry.
 From there every spatial activation is carried as a (N*H*W, C) rows
-matrix, rows ordered (n, y, x): a conv output `cols @ W.T + b` is already
-in that layout, BN treats it as an (N, C) batch with the same per-channel
-accumulation order, and global mean pooling folds it back to (N, C).
+matrix, rows ordered (n, y, x): a conv output `cols @ W.T` is already in
+that layout (its bias, like BN's per-channel arithmetic, is added on
+`channel_blocks`), BN treats it as an (N, C) batch with the same
+per-channel accumulation order, and global mean pooling folds it back.
 The patch matrix `cols` is Fortran-ordered (see `_im2col`); for two or
 more output channels the unit suite pins that BLAS forms both conv
 products from it bitwise equal to a C-ordered copy (with one, OpenBLAS
@@ -23,12 +24,11 @@ Flat activations after pooling are plain (N, F).
 
 Activations and gradients pass between layers as plain ndarrays; each
 layer output is scanned for NaN/Inf under the layer's name, once, except
-a ReLU's, which is finite wherever its input is. `Tensor`
-appears only at the boundaries: the model input, `ForwardResult.logits`,
-and the batch-norm functions, which take and return the rows wrapped
-without a copy or a second scan and compute on plain arrays inside. Each
-BN layer builds its `BNLayerState` once per forward and hands it to
-`backward` through the cache.
+a ReLU's, which is finite wherever its input is. `Tensor` appears only at
+the boundaries: the model input, `ForwardResult.logits`, and the BN
+functions, which take and return the rows wrapped without a copy or a
+second scan. Each BN layer builds its `BNLayerState` once per forward and
+hands it to `backward` through the cache; an eval forward keeps no caches.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .batchnorm import (
     sync_bn_forward,
 )
 from .schema import check_fields, integer, number, one_of, ruled, string
-from .tensor import NonFiniteError, Tensor, _check_finite
+from .tensor import NonFiniteError, Tensor, _check_finite, channel_blocks
 
 KINDS = ("dense", "conv3x3", "relu", "bn", "global_mean_pool", "softmax_xent")
 
@@ -247,16 +247,17 @@ def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
     """Run the model on a batch; with labels, also compute the task loss.
 
     `mode` selects BN behavior ("train" uses batch statistics and updates
-    the running buffers in place, "eval" reads the buffers). Cross-variant
-    BN layers reduce over `handle`'s normalization sub-group; with
-    handle=None they fall back to device-local statistics. `one_pass_bn`
-    selects the fused single-exchange statistics path for those layers.
+    the running buffers in place, "eval" reads them and keeps no caches).
+    Cross BN layers reduce over `handle`'s normalization sub-group; with
+    handle=None they use device-local statistics. `one_pass_bn` selects
+    the fused single-exchange statistics path for those layers.
     """
     if mode not in ("train", "eval"):
         raise ModelError(f"mode must be 'train' or 'eval', got {mode!r}")
     if x.shape[1:] != model.in_shape:
         raise ModelError(f"input shape {x.shape[1:]} does not match model {model.in_shape}")
     caches = []
+    keep = caches.append if mode == "train" else lambda entry: None
     n = x.shape[0]
     cur = x.array
     if len(model.in_shape) == 3:
@@ -266,16 +267,19 @@ def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
         k = layer.kind
         if k == "dense":
             w, b = params[f"{layer.name}.w"], params[f"{layer.name}.b"]
-            caches.append(("dense", cur))
+            keep(("dense", cur))
             cur = _check_finite(cur @ w.T + b, layer.name)
         elif k == "conv3x3":
             w, b = params[f"{layer.name}.w"], params[f"{layer.name}.b"]
             cols = _im2col(cur, n, ishape[1], ishape[2])
-            caches.append(("conv3x3", cols))
-            cur = _check_finite(cols @ w.reshape(w.shape[0], -1).T + b, layer.name)
+            keep(("conv3x3", cols))
+            out = cols @ w.reshape(w.shape[0], -1).T
+            blocks, (bias,) = channel_blocks(out, b)
+            blocks += bias
+            cur = _check_finite(blocks.reshape(out.shape), layer.name)
         elif k == "relu":
             mask = cur > 0
-            caches.append(("relu", mask))
+            keep(("relu", mask))
             cur = cur * mask  # finite, as the scanned input is
         elif k == "bn":
             state = _bn_state(layer, params, buffers)
@@ -289,14 +293,14 @@ def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
             if mode == "train":
                 buffers[f"{layer.name}.running_mean"] = state.running_mean
                 buffers[f"{layer.name}.running_var"] = state.running_var
-            caches.append(("bn", cache, state))
+            keep(("bn", cache, state))
             cur = y.array
         elif k == "global_mean_pool":
             c, h, wd = ishape
             # numpy's pairwise sum depends on memory layout: each (n, c) mean
             # runs over H*W contiguous values, the order the outputs pin.
             maps = np.ascontiguousarray(cur.reshape(n, h * wd, c).transpose(0, 2, 1))
-            caches.append(("global_mean_pool",))
+            keep(("global_mean_pool",))
             cur = _check_finite(maps.mean(axis=2), layer.name)
         elif k == "softmax_xent":
             logits = Tensor._wrap(cur)  # scanned as the previous layer's output
@@ -316,7 +320,7 @@ def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
             # prediction; the resulting inf is caught right below.
             with np.errstate(divide="ignore"):
                 task = float(np.mean(-np.log(picked)))
-            caches.append(("softmax_xent", probs, labels))
+            keep(("softmax_xent", probs, labels))
             if not np.isfinite(task):
                 raise NonFiniteError("loss became non-finite")
             return ForwardResult(logits=logits, loss=task, caches=caches)

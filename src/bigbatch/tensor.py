@@ -1,11 +1,11 @@
-"""Minimal dense tensor type plus the order-pinned row fold that every
-per-channel statistic is built on.
+"""Minimal dense tensor type plus the order-pinned row fold and the block
+view that every per-channel statistic and elementwise op is built on.
 
 `sequential_sum_rows` accumulates the columns of a rows matrix strictly
 in ascending row order (no pairwise trees), so the same input always
 produces bitwise-identical sums and a scalar loop reproduces them
 exactly; its docstring says which numpy fold keeps that order on which
-input.
+input. `channel_blocks` says why its block view keeps the broadcast's bits.
 
 `Tensor` is the type of the public boundaries: the model input, the
 logits, and the batch-norm functions' inputs and outputs. Inside, the
@@ -105,3 +105,21 @@ def sequential_sum_rows(rows: np.ndarray) -> np.ndarray:
     if rows.shape[1] > 1 and rows.flags.c_contiguous:
         return np.einsum("ij->j", rows)
     return np.cumsum(rows, axis=0)[-1]
+
+
+def channel_blocks(rows: np.ndarray, *vecs: np.ndarray, dtype=None):
+    """`rows` (M, C) as (M/k, k*C) blocks of k whole rows, and each (C,) vector
+    of `vecs` repeated k times, as (len(vecs), k*C) in `dtype` (the rows' by
+    default). k is the lowest set bit of M, capped at 64: 64 on 8x8 images.
+
+    An elementwise op of the blocks with a repeated vector meets each element
+    with the operand of the (M, C) broadcast, so its result is bitwise the
+    broadcast's, from an inner loop k*C long instead of C. The blocks copy
+    rows that are not C-ordered: reshape results back, never write through.
+    Folds depend on the layout and stay on `sequential_sum_rows`.
+    """
+    m, c = rows.shape
+    k = min(m & -m, 64)
+    reps = np.empty((len(vecs), k, c), rows.dtype if dtype is None else dtype)
+    reps.transpose(1, 0, 2)[...] = vecs  # one fill, cast as `np.asarray(v, dtype)`
+    return rows.reshape(m // k, k * c), reps.reshape(len(vecs), k * c)

@@ -263,13 +263,12 @@ class Resolved:
         return d
 
 
-def resolve(config: ExperimentConfig, dataset: Dataset) -> Resolved:
+def resolve(config: ExperimentConfig, spec: DatasetSpec) -> Resolved:
     total = config.total_batch
-    if dataset.images.shape[0] < total:
+    if spec.size < total:
         raise ConfigError(
-            f"dataset size {dataset.images.shape[0]} is smaller than the total "
-            f"batch {total}")
-    iters = dataset.images.shape[0] // total
+            f"dataset size {spec.size} is smaller than the total batch {total}")
+    iters = spec.size // total
     warmup = (default_warmup_iters(iters) if config.warmup_iters is None
               else config.warmup_iters)
     policy = make_policy(config.policy, actual_batch=total, base_lr=config.base_lr,
@@ -279,11 +278,11 @@ def resolve(config: ExperimentConfig, dataset: Dataset) -> Resolved:
         bn_group_size=config.bn_group,
         total_batch=total,
         iters_per_epoch=iters,
-        dropped_per_epoch=dataset.images.shape[0] - iters * total,
+        dropped_per_epoch=spec.size - iters * total,
         epochs=policy.end_epoch if config.epochs is None else config.epochs,
         warmup_iters=warmup,
         policy=policy,
-        eval_size=dataset.eval_images.shape[0],
+        eval_size=spec.resolved_eval_size(),
     )
 
 
@@ -369,7 +368,7 @@ def run_training(config: ExperimentConfig) -> TrainResult:
     config.validate()
     t0 = time.perf_counter()
     dataset = resolve_dataset(config)
-    res = resolve(config, dataset)
+    res = resolve(config, dataset.spec)
     model = build_model(config, dataset.spec.classes,
                         (1, dataset.spec.height, dataset.spec.width))
     iter_ms = iteration_wall_ms(config, _count_allreduce_rounds(model, config.one_pass_bn))

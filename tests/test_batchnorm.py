@@ -411,6 +411,80 @@ class TestBackwardLocal:
             bn_backward_local(Tensor(np.ones((2, 3, 2, 8))), cache, st)
 
 
+    def test_float32_keeps_dtype(self):
+        # the forward keeps float32; the backward used to return float64
+        rng = np.random.default_rng(54)
+        x, dy = rng.normal(size=(2, 3, 4, 4)), rng.normal(size=(2, 3, 4, 4))
+        st = random_state(rng, 3)
+        st64 = BNLayerState(gamma=st.gamma.copy(), beta=st.beta.copy())
+        _, cache = bn_forward_local(Tensor(x.astype(np.float32)), st)
+        dx, dgamma, dbeta = bn_backward_local(Tensor(dy.astype(np.float32)), cache, st)
+        assert (dx.dtype, dgamma.dtype, dbeta.dtype) == (np.float32,) * 3
+        _, cache64 = bn_forward_local(Tensor(x), st64)
+        dx64, dgamma64, dbeta64 = bn_backward_local(Tensor(dy), cache64, st64)
+        assert np.allclose(dx.array, dx64.array, rtol=0, atol=1e-5)
+        assert np.allclose(dgamma, dgamma64, rtol=0, atol=1e-4)
+        assert np.allclose(dbeta, dbeta64, rtol=0, atol=1e-4)
+
+
+def transcribed_bn(x, dy, st):
+    """Local batch norm as first written: (M, C) rows against (C,) broadcasts.
+
+    Returns the train forward's (y, mu, var, x_hat), its backward's
+    (dx, dgamma, dbeta) and the eval forward's y, with y and dx in the
+    layout of `x`. The folds are scalar-loop sums in row order.
+    """
+    rows, drows = np.stack(channel_rows(x)), np.stack(channel_rows(dy))
+    m = float(rows.shape[0])
+    mu = loop_sequential_sum(rows) / m
+    diff = rows - mu
+    var = loop_sequential_sum(diff * diff) / m
+    inv_std = 1.0 / np.sqrt(var + st.eps)
+    x_hat = inv_std * rows + (-mu * inv_std)
+    y = st.gamma * x_hat + st.beta
+    dbeta = loop_sequential_sum(drows)
+    dgamma = loop_sequential_sum(drows * x_hat)
+    inv_std = st.gamma / np.sqrt(var + st.eps)
+    dx = inv_std * (drows - dbeta / m - x_hat * dgamma / m)
+    inv_std = 1.0 / np.sqrt(st.running_var + st.eps)
+    x_hat_eval = inv_std * rows + (-st.running_mean * inv_std)
+    y_eval = st.gamma * x_hat_eval + st.beta
+
+    def layout(a):
+        if x.ndim == 2:
+            return a
+        n, c, h, w = x.shape
+        return a.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+
+    return (layout(y), mu, var, x_hat), (layout(dx), dgamma, dbeta), layout(y_eval)
+
+
+class TestBytesAtEveryRowCount:
+    """BN's outputs are bitwise the broadcast formulas at row counts that
+    are not powers of two, where the per-channel ops run on the fewest
+    rows per block."""
+
+    @pytest.mark.parametrize("shape", [(24, 3), (96, 6), (100, 3), (100, 6), (24, 6),
+                                       (3, 3, 5, 5), (3, 6, 5, 5)])
+    def test_train_and_eval_match_the_transcription(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x, dy = rng.normal(loc=0.7, size=shape), rng.normal(size=shape)
+        st = random_state(rng, shape[1])
+        st.running_mean = rng.normal(size=shape[1])
+        st.running_var = rng.uniform(0.2, 3.0, size=shape[1])
+        (y_w, mu_w, var_w, x_hat_w), (dx_w, dgamma_w, dbeta_w), y_eval_w = (
+            transcribed_bn(x, dy, st))
+
+        y_eval, _ = bn_forward_local(Tensor(x), st, mode="eval")
+        assert np.array_equal(y_eval.array, y_eval_w)
+        y, cache = bn_forward_local(Tensor(x), st)
+        dx, dgamma, dbeta = bn_backward_local(Tensor(dy), cache, st)
+        for got, want in [(y.array, y_w), (cache.mu, mu_w), (cache.var, var_w),
+                          (cache.x_hat, x_hat_w), (dx.array, dx_w),
+                          (dgamma, dgamma_w), (dbeta, dbeta_w)]:
+            assert np.array_equal(got, want)
+
+
 class TestBackwardSync:
     def test_matches_concatenated_local_backward(self):
         rng = np.random.default_rng(60)

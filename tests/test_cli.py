@@ -404,6 +404,33 @@ class TestLrPreview:
             f"config error: output file {target} is an existing directory\n")
         assert list(target.iterdir()) == []
 
+    def test_generator_spec_is_not_generated(self, tmp_path, capsys, monkeypatch):
+        # the sizes come from the spec; generating 500000 samples to learn
+        # them took 1.15 s and 776 MB. A dataset dir is still loaded.
+        fields = dict(world_size=2, per_device_batch=4, base_lr=0.1, warmup_iters=3,
+                      epochs=2, dataset={"size": 44, "classes": 4}, seed=0)
+        data_dir = tmp_path / "data"
+        main(["gen-data", "--config", write_config(tmp_path, **fields), "--out", str(data_dir)])
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lr-preview generated the dataset")
+
+        monkeypatch.setattr("bigbatch.cli.generate_dataset", refuse)
+        monkeypatch.setattr("bigbatch.trainer.generate_dataset", refuse)
+        want = ("iter,lr\n0,0.1\n1,0.08333333333333334\n2,0.06666666666666668\n"
+                + "".join(f"{i},0.05\n" for i in range(3, 10)))
+        assert main(["lr-preview", "--config", write_config(tmp_path, **fields)]) == EXIT_OK
+        assert capsys.readouterr().out == want
+        from_dir = write_config(tmp_path, "dir.json",
+                                **{**fields, "dataset": {"dir": str(data_dir)}})
+        assert main(["lr-preview", "--config", from_dir]) == EXIT_OK
+        assert capsys.readouterr().out == want
+        (data_dir / "labels.npy").unlink()
+        assert main(["lr-preview", "--config", from_dir]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{data_dir / 'labels.npy'} is missing" in err
+
 
 class TestGenData:
     def test_writes_a_loadable_dataset(self, tmp_path, capsys):

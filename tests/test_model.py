@@ -226,6 +226,18 @@ class TestForwardValidation:
         with pytest.raises(ModelError, match="backward"):
             backward(m, p, out.caches)
 
+    @pytest.mark.parametrize("labels", [None, [0, 1]])
+    def test_eval_keeps_no_caches(self, labels):
+        # nothing reads an eval forward's caches; keeping them held the
+        # patch matrices of a whole eval batch alive
+        m = tiny_model()
+        p = init_params(m, 0)
+        x = Tensor(np.random.default_rng(3).normal(size=(2, 1, 4, 4)))
+        out = forward(m, p, init_buffers(m), x, labels, mode="eval")
+        assert out.caches == []
+        with pytest.raises(ModelError, match="backward"):
+            backward(m, p, out.caches)
+
 
 class TestFiniteness:
     """Activations move between layers as arrays; each is still scanned."""
@@ -425,13 +437,14 @@ class TestGradients:
             assert np.allclose(mean, ref[key], rtol=1e-12, atol=1e-14), key
 
 
-def nchw_reference(m, params, buffers, x, labels):
+def nchw_reference(m, params, buffers, x, labels, mode="train"):
     """Logits, loss and gradients of `m` with activations kept as (N,C,H,W).
 
     The model carries spatial activations as (N*H*W, C) rows; this is the
     layout it used before, conv through `nchw_im2col`/`nchw_col2im` and BN
     on 4-D tensors. Every reduction sees the same values in the same order,
-    so the two must agree bitwise. Updates `buffers` like a train forward.
+    so the two must agree bitwise. Updates `buffers` like a train forward;
+    in eval mode BN reads them, and only the logits are returned.
     """
     caches = []
     cur = np.asarray(x, dtype=np.float64)
@@ -450,7 +463,7 @@ def nchw_reference(m, params, buffers, x, labels):
                 running_mean=buffers[f"{name}.running_mean"],
                 running_var=buffers[f"{name}.running_var"],
                 running_momentum=layer.running_momentum)
-            y, cache = bn_forward_local(Tensor(cur), state)
+            y, cache = bn_forward_local(Tensor(cur), state, mode=mode)
             buffers[f"{name}.running_mean"] = state.running_mean
             buffers[f"{name}.running_var"] = state.running_var
             caches.append((state, cache))
@@ -465,6 +478,8 @@ def nchw_reference(m, params, buffers, x, labels):
             caches.append(cur)
             cur = cur @ params[f"{name}.w"].T + params[f"{name}.b"]
     logits = cur
+    if mode == "eval":
+        return logits
     ez = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = ez / ez.sum(axis=1, keepdims=True)
     rows = np.arange(len(labels))
@@ -553,15 +568,17 @@ class TestChannelsLastLayout:
         in_shape, layers = LAYOUT_CASES[case]
         assert_bitwise_the_nchw_model(in_shape, layers, 5)
 
-    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("n", [8, 64, 256])
     def test_bench_model_is_bitwise_the_nchw_model(self, n):
-        # The bench's rank step sizes: batch 8 (dp8x8) and 64 (single1x64).
-        # BLAS and the numpy loops may switch code paths with the row count,
-        # so a change that breaks the bytes only at these sizes fails here.
-        assert_bitwise_the_nchw_model((1, 8, 8), CRITERION_7, n)
+        # The bench's rank step sizes: batch 8 (dp8x8) and 64 (single1x64),
+        # and its eval size, 256, in eval mode. BLAS and the numpy loops may
+        # switch code paths with the row count, so a change that breaks the
+        # bytes only at these sizes fails here.
+        assert_bitwise_the_nchw_model((1, 8, 8), CRITERION_7, n,
+                                      mode="eval" if n == 256 else "train")
 
 
-def assert_bitwise_the_nchw_model(in_shape, layers, n):
+def assert_bitwise_the_nchw_model(in_shape, layers, n, mode="train"):
     m = ModelSpec(layers + [LayerSpec("softmax_xent")], in_shape=in_shape)
     rng = np.random.default_rng(92)
     params = init_params(m, 11)
@@ -571,6 +588,13 @@ def assert_bitwise_the_nchw_model(in_shape, layers, n):
     x = rng.normal(size=(n,) + in_shape)
     labels = rng.integers(0, m.classes, size=n)
     buffers, ref_buffers = init_buffers(m), init_buffers(m)
+    if mode == "eval":  # move the running statistics off their init values
+        for key in buffers:
+            buffers[key] = ref_buffers[key] = rng.uniform(0.5, 1.5, size=buffers[key].shape)
+        logits = nchw_reference(m, params, ref_buffers, x, None, mode="eval")
+        out = forward(m, params, buffers, Tensor(x), mode="eval")
+        assert np.array_equal(out.logits.array, logits)
+        return
 
     out = forward(m, params, buffers, Tensor(x), labels)
     grads = backward(m, params, out.caches)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from bigbatch.tensor import NonFiniteError, Tensor, TensorError, sequential_sum_rows
+from bigbatch.tensor import (
+    NonFiniteError,
+    Tensor,
+    TensorError,
+    channel_blocks,
+    sequential_sum_rows,
+)
 
 from helpers import loop_sequential_sum
 
@@ -134,3 +140,41 @@ class TestFoldAtEveryLayout:
         spiked = self.spiked(1002, 6, 1e16)[:, 1:4]
         assert np.array_equal(sequential_sum_rows(spiked), np.zeros(3))
 
+
+
+class TestChannelBlocks:
+    OPS = [np.add, np.subtract, np.multiply, np.divide]
+
+    @pytest.mark.parametrize("m", [1, 3, 96, 512, 4096])
+    @pytest.mark.parametrize("c", [1, 3, 6])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_the_broadcast(self, m, c, dtype):
+        rng = np.random.default_rng(m * c)
+        rows = rng.normal(size=(m, c)).astype(dtype)
+        vecs = [rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)]
+        blocks, reps = channel_blocks(rows, *vecs)
+        k = min(m & -m, 64)
+        assert blocks.shape == (m // k, k * c) and reps.shape == (2, k * c)
+        assert reps.dtype == dtype and np.shares_memory(blocks, rows)
+        for v, rep in zip(vecs, reps):
+            for op in self.OPS:
+                got = op(blocks, rep).reshape(rows.shape)
+                want = op(rows, np.asarray(v, dtype=dtype))
+                assert got.dtype == dtype
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("m", [24, 100])
+    def test_dtype_argument(self, m):
+        # float32 rows against float64 vectors: the broadcast promotes
+        rows = np.random.default_rng(m).normal(size=(m, 3)).astype(np.float32)
+        mu = np.array([0.1, -0.3, 2.0 / 3.0])
+        blocks, (mu_k,) = channel_blocks(rows, mu, dtype=mu.dtype)
+        got = (blocks - mu_k).reshape(rows.shape)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, rows - mu)
+
+    def test_rows_that_are_not_c_ordered(self):
+        rows = np.asfortranarray(np.random.default_rng(4).normal(size=(64, 3)))
+        blocks, (v,) = channel_blocks(rows, np.arange(3.0))
+        assert np.array_equal((blocks * v).reshape(rows.shape), rows * np.arange(3.0))

@@ -279,7 +279,7 @@ class TestBuildModelAndResolve:
     def test_resolve_drops_the_ragged_tail(self):
         cfg = smoke_config(world_size=2, per_device_batch=8,
                            dataset={"size": 100, "classes": 4})
-        res = resolve(cfg, resolve_dataset(cfg))
+        res = resolve(cfg, resolve_dataset(cfg).spec)
         assert res.total_batch == 16
         assert res.iters_per_epoch == 6
         assert res.dropped_per_epoch == 4
@@ -287,28 +287,28 @@ class TestBuildModelAndResolve:
     def test_warmup_defaults_to_one_epoch_when_short(self):
         cfg = ExperimentConfig(warmup_iters=None,
                                dataset={"size": 64, "classes": 4})
-        res = resolve(cfg, resolve_dataset(cfg))
+        res = resolve(cfg, resolve_dataset(cfg).spec)
         assert res.iters_per_epoch == 8
         assert res.warmup_iters == 8
 
     def test_warmup_default_caps_at_500(self):
         cfg = ExperimentConfig(per_device_batch=1, warmup_iters=None,
                                dataset={"size": 600, "classes": 4})
-        res = resolve(cfg, resolve_dataset(cfg))
+        res = resolve(cfg, resolve_dataset(cfg).spec)
         assert res.iters_per_epoch == 600
         assert res.warmup_iters == 500
 
     def test_epochs_default_to_the_policy_end(self):
         cfg = ExperimentConfig(dataset={"size": 64, "classes": 4})
-        assert resolve(cfg, resolve_dataset(cfg)).epochs == 11
+        assert resolve(cfg, resolve_dataset(cfg).spec).epochs == 11
         cfg_long = ExperimentConfig(policy="long", dataset={"size": 64, "classes": 4})
-        assert resolve(cfg_long, resolve_dataset(cfg_long)).epochs == 18
+        assert resolve(cfg_long, resolve_dataset(cfg_long).spec).epochs == 18
         cfg_short = ExperimentConfig(epochs=2, dataset={"size": 64, "classes": 4})
-        assert resolve(cfg_short, resolve_dataset(cfg_short)).epochs == 2
+        assert resolve(cfg_short, resolve_dataset(cfg_short).spec).epochs == 2
 
     def test_resolved_serializes_the_policy(self):
         cfg = smoke_config()
-        d = resolve(cfg, resolve_dataset(cfg)).as_dict()
+        d = resolve(cfg, resolve_dataset(cfg).spec).as_dict()
         assert d["policy"]["actual_batch"] == 8
         assert d["policy"]["milestones"] == [[8, 0.1], [10, 0.1]]
         assert d["eval_size"] == 16
@@ -375,7 +375,7 @@ class TestRunTraining:
     def test_rows_follow_the_cost_model_and_schedule(self):
         cfg = smoke_config()
         result = run_training(cfg)
-        res = resolve(cfg, resolve_dataset(cfg))
+        res = resolve(cfg, resolve_dataset(cfg).spec)
         for row in result.rows:
             if row.task_loss is None:  # eval row
                 assert row.iter == res.iters_per_epoch
