@@ -11,19 +11,29 @@ Three groups of tools live here:
   with an epoch drift model, to show how batch size tames that ratio.
 
 Everything is seeded and reduces in trial-index order, so reports are
-reproducible regardless of how trials might be scheduled.
+reproducible regardless of how trials might be scheduled. The trial loops
+cost little beyond seeding, sampling and the gradients themselves: numpy's
+wrapped calls (`np.mean`, `np.var`, `Generator.choice(p=)`) are taken in
+their own steps, bit for bit, and per-trial arithmetic runs once over the
+stacked trials.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 BOOTSTRAP_RESAMPLES = 1000
 MIN_TRIALS = 100
+# The most samples a single draw takes. A draw holds a few float64 arrays of
+# its size (a sampler's pair, a gradient's products, a mixture's uniforms and
+# indices), so a batch of 2**40 would ask for terabytes and die in numpy;
+# 2**24 keeps each array at 128 MiB, far beyond any batch the reports model.
+MAX_DRAW_SAMPLES = 2**24
 # |drift_batch_exponent| <= 20 keeps (batch/16)**exponent finite and nonzero for
-# every batch size SamplerSpec admits (<= 2**53): 20 * log2(2**53 / 16) = 980 < 1024
+# every batch size up to 2**53, past what SamplerSpec admits: 20 * log2(2**53 / 16) = 980 < 1024
 DRIFT_EXPONENT_BOUND = 20
 
 
@@ -44,27 +54,38 @@ class VarianceReport:
     ci_half_width: float
 
 
-def _collect_grads(grad_fn, sampler, n, trials, seed):
-    """T gradient dicts, each from an independently seeded mini-batch."""
-    out = []
+def _collect_grads(grad_fn, sampler, sizes, trials, seed) -> dict:
+    """Per block, a (trials, len(sizes), ...) float stack of gradients: trial t
+    draws one mini-batch of each of `sizes` in turn from a generator seeded
+    (seed, t)."""
+    cols = defaultdict(list)
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
-        out.append(grad_fn(sampler(rng, n)))
-    return out
+        for n in sizes:
+            for key, g in grad_fn(sampler(rng, n)).items():
+                cols[key].append(g)
+    stacks = {key: np.array(cols[key], dtype=float) for key in sorted(cols)}
+    return {key: a.reshape(trials, len(sizes), *a.shape[1:]) for key, a in stacks.items()}
 
 
-def _stack_blocks(grad_dicts):
-    keys = sorted(grad_dicts[0])
-    return {k: np.stack([np.asarray(g[k], dtype=float) for g in grad_dicts]) for k in keys}
+def _mean(a):
+    """np.mean of float64 `a` in its own two steps, so bitwise, without its Python wrapper."""
+    return np.add.reduce(a, axis=None) / np.size(a)
 
 
 def _aggregate_variance(stacks: dict, idx=None) -> tuple[dict, float]:
+    """Each block's mean of np.var(axis=0, ddof=1) over the rows `idx`, and their mean.
+
+    The variance takes np.var's own steps (mean, squared deviations in place,
+    sum over n - 1), so it is bitwise np.var without its wrapper.
+    """
     per_block = {}
     for key, arr in stacks.items():
         sel = arr if idx is None else arr[idx]
-        per_block[key] = float(np.mean(np.var(sel, axis=0, ddof=1)))
-    agg = float(np.mean(list(per_block.values())))
-    return per_block, agg
+        dev = sel - np.add.reduce(sel) / len(sel)
+        dev *= dev
+        per_block[key] = float(_mean(np.add.reduce(dev) / (len(sel) - 1)))
+    return per_block, float(_mean(list(per_block.values())))
 
 
 def estimate_grad_variance(grad_fn, sampler, batch_size: int, trials: int,
@@ -80,14 +101,12 @@ def estimate_grad_variance(grad_fn, sampler, batch_size: int, trials: int,
         raise AnalysisError(f"need at least {MIN_TRIALS} trials, got {trials}")
     if batch_size <= 0:
         raise AnalysisError(f"batch_size must be positive, got {batch_size}")
-    grads = _collect_grads(grad_fn, sampler, batch_size, trials, seed)
-    stacks = _stack_blocks(grads)
+    stacks = {key: a[:, 0] for key, a in
+              _collect_grads(grad_fn, sampler, (batch_size,), trials, seed).items()}
     per_block, agg = _aggregate_variance(stacks)
     boot_rng = np.random.default_rng((seed, 999983))
-    boot = np.empty(BOOTSTRAP_RESAMPLES)
-    for b in range(BOOTSTRAP_RESAMPLES):
-        idx = boot_rng.integers(0, trials, size=trials)
-        _, boot[b] = _aggregate_variance(stacks, idx)
+    boot = [_aggregate_variance(stacks, boot_rng.integers(0, trials, size=trials))[1]
+            for _ in range(BOOTSTRAP_RESAMPLES)]
     lo, hi = np.quantile(boot, [0.025, 0.975])
     return VarianceReport(
         batch_size=batch_size,
@@ -120,7 +139,8 @@ def variance_equivalence_ratio(grad_fn, sampler, batch_size: int, k: int,
     independent gradients over batch_size samples at rate `rate`, all at
     the same frozen parameter point. Scaled, the ratio tends to 1; with
     the unscaled rate it tends to 1/k^2, which is the whole argument for
-    scaling the learning rate linearly.
+    scaling the learning rate linearly. A rate whose updates overflow the
+    variance raises AnalysisError naming it.
     """
     if trials < MIN_TRIALS:
         raise AnalysisError(f"need at least {MIN_TRIALS} trials, got {trials}")
@@ -129,24 +149,21 @@ def variance_equivalence_ratio(grad_fn, sampler, batch_size: int, k: int,
     if batch_size <= 0:
         raise AnalysisError(f"batch_size must be positive, got {batch_size}")
     large_lr = (k * rate) if scaled else rate
-    large = []
-    small = []
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        g_large = grad_fn(sampler(rng, k * batch_size))
-        large.append({key: large_lr * np.asarray(v, dtype=float)
-                      for key, v in g_large.items()})
-        acc = None
-        for _ in range(k):
-            g = grad_fn(sampler(rng, batch_size))
-            if acc is None:
-                acc = {key: rate * np.asarray(v, dtype=float) for key, v in g.items()}
-            else:
-                for key in acc:
-                    acc[key] = acc[key] + rate * np.asarray(g[key], dtype=float)
-        small.append(acc)
-    _, var_large = _aggregate_variance(_stack_blocks(large))
-    _, var_small = _aggregate_variance(_stack_blocks(small))
+    # per trial, one draw of k * batch_size samples, then k of batch_size
+    stacks = _collect_grads(grad_fn, sampler, (k * batch_size,) + (batch_size,) * k,
+                            trials, seed)
+    large, small = {}, {}
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge rate is reported below
+        for key, a in stacks.items():
+            large[key] = large_lr * a[:, 0]
+            small[key] = rate * a[:, 1]
+            for j in range(2, k + 1):  # summed in draw order, as k successive updates
+                small[key] = small[key] + rate * a[:, j]
+        _, var_large = _aggregate_variance(large)
+        _, var_small = _aggregate_variance(small)
+    if not (np.isfinite(var_large) and np.isfinite(var_small)):
+        raise AnalysisError(f"rate {rate!r} overflows the update variance "
+                            f"(var_large {var_large}, var_small {var_small})")
     if var_small == 0.0:
         raise AnalysisError("small-batch update variance is zero; sampler is degenerate")
     return EquivalenceReport(
@@ -165,7 +182,8 @@ def variance_equivalence_ratio(grad_fn, sampler, batch_size: int, k: int,
 
 def scalar_linear_grad(batch) -> dict:
     x, y = batch
-    return {"w": np.array(float(np.mean(-x * y)))}
+    # add.reduce / n is bitwise np.mean on 1-D float64, without its Python wrapper
+    return {"w": np.array(np.add.reduce(-x * y) / len(x))}
 
 
 def normal_pair_sampler(rng: np.random.Generator, n: int):
@@ -228,15 +246,24 @@ class SamplerSpec:
                                 f"{DRIFT_EXPONENT_BOUND}], got {self.drift_batch_exponent}")
         if self.epochs < 1 or self.batches_per_cell < 1 or not self.batch_sizes:
             raise AnalysisError("need epochs >= 1, batches_per_cell >= 1, batch sizes")
-        if min(self.batch_sizes) < 1 or max(self.batch_sizes) > 2**53:
-            raise AnalysisError("batch sizes must lie in [1, 2**53]")
+        if min(self.batch_sizes) < 1 or max(self.batch_sizes) > MAX_DRAW_SAMPLES:
+            raise AnalysisError(f"batch sizes must lie in [1, {MAX_DRAW_SAMPLES}]")
 
 
-def _draw_mixture(rng, pairs, size):
+def _mixture_table(pairs) -> tuple:
+    """(values, cdf) of a (value, prob) mixture, the cdf as `Generator.choice(p=)` builds it."""
     values = np.array([v for v, _ in pairs], dtype=float)
     probs = np.array([p for _, p in pairs], dtype=float)
-    probs = probs / probs.sum()
-    return values[rng.choice(len(values), size=size, p=probs)]
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return values, cdf
+
+
+def _draw_mixture(rng, table, size):
+    """`size` draws from a `_mixture_table`: the values and generator state of
+    `values[rng.choice(len(values), size, p=probs)]`, without its per-call checks."""
+    values, cdf = table
+    return values[cdf.searchsorted(rng.random(size), side="right")]
 
 
 def drift_scale(spec: SamplerSpec, epoch: int, batch_size: int) -> float:
@@ -274,28 +301,26 @@ def posneg_ratio_study(spec: SamplerSpec) -> list:
     are included in the statistics and counted separately so heavy-tailed
     configurations can be audited.
     """
+    pos_table, neg_table = _mixture_table(spec.pos_counts), _mixture_table(spec.neg_counts)
     cells = []
     for epoch in range(spec.epochs):
         for batch in spec.batch_sizes:
             rng = np.random.default_rng((spec.seed, epoch, batch))
             scale = drift_scale(spec, epoch, batch)
-            ratios = np.empty(spec.batches_per_cell)
-            fracs = np.empty(spec.batches_per_cell)
-            zero_pos = 0
+            pos = np.empty(spec.batches_per_cell, dtype=np.int64)
+            neg = np.empty(spec.batches_per_cell)
             for b in range(spec.batches_per_cell):
-                base = _draw_mixture(rng, spec.pos_counts, batch).astype(np.int64)
-                pos = rng.binomial(base, scale).sum() if scale < 1.0 else base.sum()
-                neg = _draw_mixture(rng, spec.neg_counts, batch).sum()
-                if pos == 0:
-                    zero_pos += 1
-                ratios[b] = 100.0 * pos / neg
-                fracs[b] = 100.0 * pos / (pos + neg)
+                base = _draw_mixture(rng, pos_table, batch).astype(np.int64)
+                pos[b] = np.add.reduce(rng.binomial(base, scale) if scale < 1.0 else base)
+                neg[b] = np.add.reduce(_draw_mixture(rng, neg_table, batch))
+            ratios = 100.0 * pos / neg
+            fracs = 100.0 * pos / (pos + neg)
             cells.append(RatioCell(
                 epoch=epoch, batch_size=batch,
                 mean_ratio_pct=float(ratios.mean()),
                 std_ratio_pct=float(ratios.std(ddof=1)) if spec.batches_per_cell > 1 else 0.0,
                 mean_pos_frac_pct=float(fracs.mean()),
                 std_pos_frac_pct=float(fracs.std(ddof=1)) if spec.batches_per_cell > 1 else 0.0,
-                zero_positive_batches=zero_pos,
+                zero_positive_batches=int(np.count_nonzero(pos == 0)),
             ))
     return cells

@@ -22,6 +22,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import (
     DRIFT_EXPONENT_BOUND,
+    MAX_DRAW_SAMPLES,
     MIN_TRIALS,
     AnalysisError,
     RatioCell,
@@ -63,20 +64,23 @@ class LRPoint:  # a row of lr_preview.csv
     lr: float
 
 
+# a batch size is the sample count of one draw
+DRAW_SIZE = integer(gt=0, le=MAX_DRAW_SAMPLES)
+
 # field: (default, rule) of each report command's config
 VARIANCE_FIELDS = {
-    "batch_sizes": ([1, 2, 4, 8, 16], array(integer(gt=0))),
+    "batch_sizes": ([1, 2, 4, 8, 16], array(DRAW_SIZE)),
     "trials": (1000, integer(ge=MIN_TRIALS)),
-    "ks": ([1, 2, 4], array(integer(gt=0))),
+    "ks": ([1, 2, 4], array(integer(gt=0))),  # k * small_batch is checked as a draw
     "rate": (0.02, number(gt=0)),
-    "small_batch": (8, integer(gt=0)),
+    "small_batch": (8, DRAW_SIZE),
 }
 
 RATIO_FIELDS = {
     "pos_counts": ([[0, 0.25], [1, 0.35], [3, 0.25], [12, 0.12], [40, 0.03]],
                    array(array(integer(ge=0), number(ge=0, le=1)))),
     "neg_counts": ([[96, 0.5], [128, 0.5]], array(array(integer(gt=0), number(ge=0, le=1)))),
-    "batch_sizes": ([16, 32, 64, 128, 256], array(integer(gt=0))),
+    "batch_sizes": ([16, 32, 64, 128, 256], array(DRAW_SIZE)),
     "epochs": (4, integer(gt=0)),
     "batches_per_cell": (400, integer(gt=0)),
     "drift_early_scale": (0.3, number(gt=0, le=1)),
@@ -172,6 +176,10 @@ def cmd_verify(args) -> int:
 
 def cmd_variance(args) -> int:
     cfg = _load_json_config(args.config, VARIANCE_FIELDS)
+    for i, k in enumerate(cfg["ks"]):  # the large side draws k * small_batch at once
+        if k * cfg["small_batch"] > MAX_DRAW_SAMPLES:
+            raise ConfigError(f"ks[{i}] * small_batch must be at most {MAX_DRAW_SAMPLES} "
+                              f"samples in one draw, got {k} * {cfg['small_batch']}")
     out = args.out and _out_dir(args.out)
     seed = args.seed if args.seed is not None else 0
     law = []

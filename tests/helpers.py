@@ -219,3 +219,45 @@ def nearest_mean_probe(images, labels):
     d2 = ((flat[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
     pred = np.argmin(d2, axis=1)
     return float(np.mean(pred == labels))
+
+
+def loop_block_variance(grad_dicts, idx=None):
+    """Per block np.mean(np.var(axis=0, ddof=1)) of stacked gradient dicts, and their mean."""
+    keys = sorted(grad_dicts[0])
+    stacks = {k: np.stack([np.asarray(g[k], dtype=float) for g in grad_dicts]) for k in keys}
+    per_block = {k: float(np.mean(np.var(a if idx is None else a[idx], axis=0, ddof=1)))
+                 for k, a in stacks.items()}
+    return per_block, float(np.mean(list(per_block.values())))
+
+
+def loop_grad_variance(grad_fn, sampler, batch_size, trials, seed, resamples=1000):
+    """estimate_grad_variance as a plain loop: one gradient dict per seeded
+    trial, then one np.var per bootstrap resample."""
+    grads = [grad_fn(sampler(np.random.default_rng((seed, t)), batch_size))
+             for t in range(trials)]
+    per_block, agg = loop_block_variance(grads)
+    boot_rng = np.random.default_rng((seed, 999983))
+    boot = np.empty(resamples)
+    for b in range(resamples):
+        boot[b] = loop_block_variance(grads, boot_rng.integers(0, trials, size=trials))[1]
+    lo, hi = np.quantile(boot, [0.025, 0.975])
+    return per_block, agg, float((hi - lo) / 2.0)
+
+
+def loop_update_variances(grad_fn, sampler, batch_size, k, rate, trials, seed, scaled):
+    """(Var(large update), Var(k accumulated small updates)) as a plain loop:
+    per seeded trial, one k*batch_size gradient at the large rate, then k
+    batch_size gradients summed update by update."""
+    large_lr = k * rate if scaled else rate
+    large, small = [], []
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        g = grad_fn(sampler(rng, k * batch_size))
+        large.append({key: large_lr * np.asarray(v, dtype=float) for key, v in g.items()})
+        acc = None
+        for _ in range(k):
+            g = grad_fn(sampler(rng, batch_size))
+            step = {key: rate * np.asarray(v, dtype=float) for key, v in g.items()}
+            acc = step if acc is None else {key: acc[key] + step[key] for key in acc}
+        small.append(acc)
+    return loop_block_variance(large)[1], loop_block_variance(small)[1]

@@ -5,8 +5,12 @@ import pytest
 
 from bigbatch.analysis import (
     DRIFT_EXPONENT_BOUND,
+    MAX_DRAW_SAMPLES,
     AnalysisError,
     SamplerSpec,
+    _aggregate_variance,
+    _draw_mixture,
+    _mixture_table,
     drift_scale,
     estimate_grad_variance,
     normal_pair_sampler,
@@ -14,6 +18,7 @@ from bigbatch.analysis import (
     scalar_linear_grad,
     variance_equivalence_ratio,
 )
+from helpers import loop_block_variance, loop_grad_variance, loop_update_variances
 
 HEAVY_POS = ((0, 0.25), (1, 0.35), (3, 0.25), (12, 0.12), (40, 0.03))
 NEGS = ((96, 0.5), (128, 0.5))
@@ -126,6 +131,13 @@ class TestEquivalenceRatio:
             variance_equivalence_ratio(scalar_linear_grad, normal_pair_sampler,
                                        batch_size, 2, 0.02, 150, 0)
 
+    def test_overflowing_rate_names_rate(self):
+        # the update variance overflows to inf (and the ratio to nan); reporting
+        # them would write NaN and Infinity, which are not JSON
+        with pytest.raises(AnalysisError, match=r"rate 1e\+200 overflows"):
+            variance_equivalence_ratio(scalar_linear_grad, normal_pair_sampler,
+                                       8, 4, 1e200, 100, 0)
+
     def test_deterministic(self):
         a = variance_equivalence_ratio(scalar_linear_grad, normal_pair_sampler,
                                        4, 2, 0.02, 150, 11)
@@ -201,6 +213,13 @@ class TestSamplerSpec:
             self.base(batch_sizes=(0,))
         with pytest.raises(AnalysisError, match="batch sizes"):  # would overflow the drift
             self.base(batch_sizes=(2**53 + 1,))
+
+    def test_batch_sizes_are_capped_per_draw(self):
+        # a batch is the sample count of one mixture draw; beyond the cap numpy
+        # would fail to allocate it
+        assert self.base(batch_sizes=(1, MAX_DRAW_SAMPLES)).batch_sizes[-1] == MAX_DRAW_SAMPLES
+        with pytest.raises(AnalysisError, match=rf"must lie in \[1, {MAX_DRAW_SAMPLES}\]"):
+            self.base(batch_sizes=(16, MAX_DRAW_SAMPLES + 1))
 
 
 class TestDriftScale:
@@ -311,3 +330,76 @@ class TestRatioStudy:
             "epoch", "batch_size", "mean_ratio_pct", "std_ratio_pct",
             "mean_pos_frac_pct", "std_pos_frac_pct", "zero_positive_batches",
         }
+
+
+def two_block_grad(batch):
+    x, y = batch
+    return {"b": np.array([np.mean(x), np.mean(y), np.mean(x * y)]), "a": np.mean(-x * y)}
+
+
+class TestFastFormsMatchTheirReferences:
+    """The report loops skip numpy's Python wrappers; these pin them to the
+    wrapped calls they replace, draw for draw and bit for bit."""
+
+    MIXTURES = {
+        "default_pos": HEAVY_POS,
+        "default_neg": NEGS,
+        "zero_prob_inside_and_at_end": ((0, 0.25), (2, 0.0), (5, 0.5), (9, 0.25), (40, 0.0)),
+        "zero_prob_first": ((3, 0.0), (4, 1.0)),
+        "thirds": ((1, 1 / 3), (2, 1 / 3), (3, 1 / 3)),
+        "sevenths": tuple((v, 1 / 7) for v in range(7)),
+        "one_value": ((7, 1.0),),
+    }
+
+    @pytest.mark.parametrize("size", [1, 7, 256])
+    @pytest.mark.parametrize("name", sorted(MIXTURES))
+    def test_mixture_draw_is_rng_choice(self, name, size):
+        pairs = self.MIXTURES[name]
+        values = np.array([v for v, _ in pairs], dtype=float)
+        probs = np.array([p for _, p in pairs], dtype=float)
+        table = _mixture_table(pairs)
+        fast, oracle = np.random.default_rng((4, size)), np.random.default_rng((4, size))
+        for _ in range(25):
+            got = _draw_mixture(fast, table, size)
+            want = values[oracle.choice(len(values), size, p=probs / probs.sum())]
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert fast.random() == oracle.random()  # the generators stayed in step
+
+    @pytest.mark.parametrize("prob", [1 / 7, 0.7 / 7])
+    def test_mixture_cdf_ends_at_one(self, prob):
+        # normalized, these cumulative sums end one ulp past or two short of 1;
+        # short of 1, a uniform draw could index past the last value
+        assert _mixture_table([(v, prob) for v in range(7)])[1][-1] == 1.0
+
+    def test_scalar_grad_is_np_mean(self):
+        for n in [*range(1, 65), 1000]:
+            for seed in range(3):
+                x, y = normal_pair_sampler(np.random.default_rng((seed, n)), n)
+                got = scalar_linear_grad((x, y))["w"]
+                want = np.array(float(np.mean(-x * y)))
+                assert got.shape == () and got.tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
+    def test_block_variance_is_np_var(self, shape):
+        # nine blocks, so their mean is a pairwise sum, not a running one
+        rng = np.random.default_rng(1)
+        grads = [{f"k{j}": (10.0 ** j) * rng.standard_normal(shape) for j in range(9)}
+                 for _ in range(157)]
+        stacks = {key: np.stack([g[key] for g in grads]) for key in sorted(grads[0])}
+        for idx in (None, rng.integers(0, 157, size=157)):
+            assert _aggregate_variance(stacks, idx) == loop_block_variance(grads, idx)
+
+    @pytest.mark.parametrize("grad_fn", [scalar_linear_grad, two_block_grad])
+    def test_grad_variance_is_the_loop(self, grad_fn):
+        rep = estimate_grad_variance(grad_fn, normal_pair_sampler, 5, 131, 6)
+        per_block, agg, half = loop_grad_variance(grad_fn, normal_pair_sampler, 5, 131, 6)
+        assert (rep.block_variance, rep.aggregate, rep.ci_half_width) == (per_block, agg, half)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("scaled", [True, False])
+    @pytest.mark.parametrize("grad_fn", [scalar_linear_grad, two_block_grad])
+    def test_update_variances_are_the_loop(self, grad_fn, scaled, k):
+        rep = variance_equivalence_ratio(grad_fn, normal_pair_sampler, 3, k, 0.07, 101, 2,
+                                         scaled=scaled)
+        assert (rep.var_large, rep.var_small) == loop_update_variances(
+            grad_fn, normal_pair_sampler, 3, k, 0.07, 101, 2, scaled)

@@ -4,6 +4,7 @@ File outputs land in tmp_path; stdout/stderr are checked through capsys so
 the printed contract (status lines, CSV headers, exit codes) is pinned.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import bigbatch
+from bigbatch.analysis import MAX_DRAW_SAMPLES
 from bigbatch.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -21,6 +23,8 @@ from bigbatch.cli import (
     EXIT_OK,
     EXIT_RUN_FAILED,
     RATIO_CSV_HEADER,
+    RATIO_FIELDS,
+    VARIANCE_FIELDS,
     main,
 )
 from bigbatch.collectives import CollectiveProtocolError
@@ -657,3 +661,121 @@ def test_diverging_train_leaves_stderr_empty(tmp_path):
     assert done.returncode == EXIT_DIVERGED, done.stderr
     assert "diverged at: epoch 0 iter 1: bn_forward: non-finite" in done.stdout
     assert done.stderr == ""
+
+
+def test_overflowing_rate_exits_2_naming_rate(tmp_path):
+    # the update variance overflowed: variance.json got "ratio": NaN and
+    # "var_large": Infinity, which are not JSON, under a RuntimeWarning, exit 0
+    cfg = write_config(tmp_path, rate=1e200, ks=[4], trials=100)
+    done = run_module("variance", "--config", cfg, "--out", str(tmp_path / "r"))
+    assert done.returncode == EXIT_BAD_CONFIG, done.stderr
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("config error: rate 1e+200 overflows the update variance")
+    assert done.stdout == "" and not (tmp_path / "r").exists()
+
+
+def no_json_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("command,fields", [
+    ("variance", TestVariance.FAST),
+    ("variance", {**TestVariance.FAST, "rate": 1e150}),  # large, yet finite variances
+    ("variance", {**TestVariance.FAST, "ks": [1, 3], "small_batch": 1}),
+    ("ratio-study", TestRatioStudy.FIXED),
+    ("ratio-study", {"pos_counts": [[0, 1.0]], "epochs": 1, "batches_per_cell": 1}),
+    ("ratio-study", {"batch_sizes": [1, 300], "epochs": 2, "batches_per_cell": 3}),
+])
+def test_report_json_has_no_nan_or_infinity(tmp_path, capsys, command, fields):
+    out = tmp_path / "r"
+    assert main([command, "--config", write_config(tmp_path, **fields), "--out", str(out)]) == 0
+    texts = [path.read_text() for path in sorted(out.glob("*.json"))]
+    assert texts
+    for text in texts:
+        json.loads(text, parse_constant=no_json_constant)
+
+
+@pytest.mark.parametrize("command,fields,field", [
+    ("ratio-study", {"batch_sizes": [1099511627776]}, "batch_sizes[0]"),
+    ("ratio-study", {"batch_sizes": [16, MAX_DRAW_SAMPLES + 1]}, "batch_sizes[1]"),
+    ("variance", {"batch_sizes": [10**12]}, "batch_sizes[0]"),
+    ("variance", {"small_batch": 10**12}, "small_batch"),
+    ("variance", {"ks": [10**12]}, "ks[0] * small_batch"),
+    ("variance", {"ks": [1, 2**20], "small_batch": 2**10}, "ks[1] * small_batch"),
+])
+def test_oversized_draw_is_one_named_line(tmp_path, capsys, monkeypatch, command, fields, field):
+    # each used to exit 1 with numpy's "Unable to allocate 7.28 TiB" traceback
+    def no_draw(*args):
+        raise AssertionError("drew samples before checking the config")
+    monkeypatch.setattr("bigbatch.cli.normal_pair_sampler", no_draw)
+    monkeypatch.setattr("bigbatch.analysis._draw_mixture", no_draw)
+    cfg = write_config(tmp_path, **fields)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: {field} must be ")
+    assert str(MAX_DRAW_SAMPLES) in err and not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("table,name", [(VARIANCE_FIELDS, "batch_sizes"),
+                                        (VARIANCE_FIELDS, "small_batch"),
+                                        (RATIO_FIELDS, "batch_sizes")])
+def test_draw_size_rule_admits_the_cap(table, name):
+    # checked on the rule alone: a draw at the cap allocates hundreds of MiB
+    rule = table[name][1]
+    value = [MAX_DRAW_SAMPLES] if name != "small_batch" else MAX_DRAW_SAMPLES
+    assert rule(value, name) is None
+    bigger = [MAX_DRAW_SAMPLES + 1] if name != "small_batch" else MAX_DRAW_SAMPLES + 1
+    assert rule(bigger, name) is not None
+
+
+def test_report_draw_counts(tmp_path, capsys, monkeypatch):
+    # one sampler call per gradient and one _draw_mixture call per mixture
+    # draw, each looked up by name: a traced benchmark run counts exactly these
+    counts = {"sampler": 0, "mixture": 0}
+
+    def counted(kind, fn):
+        def call(*args):
+            counts[kind] += 1
+            return fn(*args)
+        return call
+    monkeypatch.setattr("bigbatch.cli.normal_pair_sampler",
+                        counted("sampler", bigbatch.cli.normal_pair_sampler))
+    monkeypatch.setattr("bigbatch.analysis._draw_mixture",
+                        counted("mixture", bigbatch.analysis._draw_mixture))
+    v = {"batch_sizes": [1, 3], "trials": 100, "ks": [1, 3], "small_batch": 2}
+    r = {"batch_sizes": [4, 8, 16], "epochs": 2, "batches_per_cell": 5}
+    assert main(["variance", "--config", write_config(tmp_path, "v.json", **v)]) == EXIT_OK
+    assert main(["ratio-study", "--config", write_config(tmp_path, "r.json", **r)]) == EXIT_OK
+    law = len(v["batch_sizes"]) * v["trials"]
+    equivalence = sum(2 * v["trials"] * (1 + k) for k in v["ks"])
+    ratio = 2 * r["epochs"] * len(r["batch_sizes"]) * r["batches_per_cell"]
+    assert counts == {"sampler": law + equivalence, "mixture": ratio}
+
+
+# sha256 of each report file, recorded at 77252a7, before the report loops
+# were rewritten to skip numpy's per-call wrappers; same-version determinism
+# alone would not see the bytes move across versions
+PINNED_POS = [[0, 0.25], [2, 0.0], [5, 0.5], [9, 0.25], [40, 0.0]]
+PINNED_RATIO = {"epochs": 2, "batches_per_cell": 20, "batch_sizes": [8, 32],
+                "pos_counts": PINNED_POS}
+PINNED_REPORTS = {
+    "variance": ("variance", {"trials": 101, "batch_sizes": [1, 4], "ks": [2]}, {
+        "variance.json": "1205a1cb55e1842b15c2b0895b902c6cf5a065f723b876445f2b55ea6c30ab63"}),
+    "ratio-drift": ("ratio-study", PINNED_RATIO, {
+        "ratio_study.csv": "6200e2af6f44604247c2cacc45cead6a1bc504502a8da97bb0ccc04c0dd7c682",
+        "ratio_study.json": "2d2d31682f0d5a7a88075fdae9e446faf42ce6183f6e24fc0cb6f8b81d688dba"}),
+    "ratio-no-drift": ("ratio-study", {**PINNED_RATIO, "drift_early_scale": 1.0,
+                                       "drift_rate": 0.0}, {
+        "ratio_study.csv": "c84808cf03606823b9f7006c865c009eaef5ad75f572f84b6973cba818c7e4cb",
+        "ratio_study.json": "b957020798c7f19e2182681be965b729a5bb1ab4dd1544bf30e2cb5f98a26933"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(tmp_path, capsys, case):
+    command, fields, digests = PINNED_REPORTS[case]
+    out = tmp_path / "r"
+    cfg = write_config(tmp_path, **fields)
+    assert main([command, "--config", cfg, "--seed", "3", "--out", str(out)]) == EXIT_OK
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in digests} == digests
