@@ -25,13 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schema import array, check_fields, integer, number, ruled
+
 BOOTSTRAP_RESAMPLES = 1000
 MIN_TRIALS = 100
+PROBABILITY = number(ge=0, le=1)  # of a (count, probability) mixture entry
 # The most samples a single draw takes. A draw holds a few float64 arrays of
 # its size (a sampler's pair, a gradient's products, a mixture's uniforms and
 # indices), so a batch of 2**40 would ask for terabytes and die in numpy;
 # 2**24 keeps each array at 128 MiB, far beyond any batch the reports model.
 MAX_DRAW_SAMPLES = 2**24
+DRAW_SIZE = integer(gt=0, le=MAX_DRAW_SAMPLES)  # a batch size: the samples of one draw
 # |drift_batch_exponent| <= 20 keeps (batch/16)**exponent finite and nonzero for
 # every batch size up to 2**53, past what SamplerSpec admits: 20 * log2(2**53 / 16) = 980 < 1024
 DRIFT_EXPONENT_BOUND = 20
@@ -140,7 +144,7 @@ def variance_equivalence_ratio(grad_fn, sampler, batch_size: int, k: int,
     the same frozen parameter point. Scaled, the ratio tends to 1; with
     the unscaled rate it tends to 1/k^2, which is the whole argument for
     scaling the learning rate linearly. A rate whose updates overflow the
-    variance raises AnalysisError naming it.
+    variance, or underflow it to zero, raises AnalysisError naming it.
     """
     if trials < MIN_TRIALS:
         raise AnalysisError(f"need at least {MIN_TRIALS} trials, got {trials}")
@@ -165,6 +169,9 @@ def variance_equivalence_ratio(grad_fn, sampler, batch_size: int, k: int,
         raise AnalysisError(f"rate {rate!r} overflows the update variance "
                             f"(var_large {var_large}, var_small {var_small})")
     if var_small == 0.0:
+        if any(np.any(a[:, 1:] != a[0, 1:]) for a in stacks.values()):
+            raise AnalysisError(f"rate {rate!r} underflows the update variance to zero "
+                                "although the gradients vary")
         raise AnalysisError("small-batch update variance is zero; sampler is degenerate")
     return EquivalenceReport(
         batch_size=batch_size, k=k, rate=rate, scaled=scaled, trials=trials,
@@ -210,44 +217,29 @@ class SamplerSpec:
     point-mass mixture gives exactly zero ratio variance.
     """
 
-    pos_counts: tuple
-    neg_counts: tuple
-    batch_sizes: tuple
-    epochs: int
-    batches_per_cell: int
-    seed: int
-    drift_early_scale: float = 1.0
-    drift_late_scale: float = 1.0
-    drift_rate: float = 0.0
-    drift_batch_exponent: float = 1.0
+    pos_counts: tuple = ruled(array(array(integer(ge=0), PROBABILITY)))
+    neg_counts: tuple = ruled(array(array(integer(gt=0), PROBABILITY)))  # at least 1 per image
+    batch_sizes: tuple = ruled(array(DRAW_SIZE))
+    epochs: int = ruled(integer(gt=0))
+    batches_per_cell: int = ruled(integer(gt=0))
+    seed: int = ruled(integer(ge=0))
+    drift_early_scale: float = ruled(number(gt=0, le=1), 1.0)
+    drift_late_scale: float = ruled(number(gt=0, le=1), 1.0)
+    drift_rate: float = ruled(number(ge=0), 0.0)
+    drift_batch_exponent: float = ruled(
+        number(ge=-DRIFT_EXPONENT_BOUND, le=DRIFT_EXPONENT_BOUND), 1.0)
 
     def __post_init__(self):
+        check_fields(self, AnalysisError)
         for name in ("pos_counts", "neg_counts"):
-            pairs = getattr(self, name)
-            if not pairs:
-                raise AnalysisError(f"{name} must not be empty")
-            values = np.array([v for v, _ in pairs], dtype=float)
-            probs = np.array([p for _, p in pairs], dtype=float)
-            if np.any(values != np.round(values)):
-                raise AnalysisError(f"{name}: counts must be integers")
-            if np.any(values < 0) or (name == "neg_counts" and np.any(values < 1)):
-                raise AnalysisError(
-                    f"{name}: counts must be nonnegative (negatives at least 1 per image)")
-            if np.any(probs < 0) or not np.isclose(probs.sum(), 1.0):
-                raise AnalysisError(f"{name}: probabilities must be >= 0 and sum to 1")
-        for name in ("drift_early_scale", "drift_late_scale"):
-            s = getattr(self, name)
-            if not 0.0 < s <= 1.0:
-                raise AnalysisError(f"{name} must lie in (0, 1], got {s}")
-        if not 0 <= self.drift_rate < np.inf:
-            raise AnalysisError(f"drift_rate must be finite and >= 0, got {self.drift_rate}")
-        if not abs(self.drift_batch_exponent) <= DRIFT_EXPONENT_BOUND:  # also rejects nan
-            raise AnalysisError(f"drift_batch_exponent must lie in [-{DRIFT_EXPONENT_BOUND}, "
-                                f"{DRIFT_EXPONENT_BOUND}], got {self.drift_batch_exponent}")
-        if self.epochs < 1 or self.batches_per_cell < 1 or not self.batch_sizes:
-            raise AnalysisError("need epochs >= 1, batches_per_cell >= 1, batch sizes")
-        if min(self.batch_sizes) < 1 or max(self.batch_sizes) > MAX_DRAW_SAMPLES:
-            raise AnalysisError(f"batch sizes must lie in [1, {MAX_DRAW_SAMPLES}]")
+            probs = np.array([p for _, p in getattr(self, name)], dtype=float)
+            if not np.isclose(probs.sum(), 1.0):
+                raise AnalysisError(f"{name}: probabilities must sum to 1")
+        # a batch's positive count is an int64 sum
+        count, batch = max(v for v, _ in self.pos_counts), max(self.batch_sizes)
+        if count * batch > 2**63 - 1:
+            raise AnalysisError("the largest pos_counts count times the largest batch_sizes "
+                                f"entry must be at most 2**63 - 1, got {count} * {batch}")
 
 
 def _mixture_table(pairs) -> tuple:

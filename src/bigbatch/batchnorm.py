@@ -25,11 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collectives import SCOPE_BN_GROUP, DeviceHandle, allreduce_sum
+from .schema import number
 from .tensor import Tensor, _check_finite, channel_blocks, sequential_sum_rows
 
 
 class BatchNormError(ValueError):
     """Invalid state, layout, or cache for a batch-norm operation."""
+
+
+EPS = number(gt=0)  # `LayerSpec` declares both rules for its fields
+RUNNING_MOMENTUM = number(ge=0, le=1)
 
 
 @dataclass
@@ -72,14 +77,11 @@ class BNLayerState:
         for name in ("beta", "running_mean", "running_var"):
             if getattr(self, name).shape != (c,):
                 raise BatchNormError(f"{name} must have length {c}")
-        if not self.eps > 0:
-            raise BatchNormError(f"eps must be positive, got {self.eps}")
+        for name, rule in (("eps", EPS), ("running_momentum", RUNNING_MOMENTUM)):
+            if problem := rule(getattr(self, name), name):
+                raise BatchNormError(problem)
         if np.any(self.running_var < 0):
             raise BatchNormError("running_var must be elementwise nonnegative")
-        if not 0.0 <= self.running_momentum <= 1.0:
-            raise BatchNormError(
-                f"running_momentum must lie in [0, 1], got {self.running_momentum}"
-            )
 
     @property
     def channels(self) -> int:

@@ -6,7 +6,7 @@ Subcommands: `train` (one experiment), `verify` (invariant suites),
 (schedule dump), `gen-data` (materialize a dataset directory).
 
 Config fields declare their rules (`schema`): `train`, `lr-preview` and
-`gen-data` on the config dataclasses, the report commands in the tables below.
+`gen-data` on the config dataclasses, `ratio-study` on `SamplerSpec`, `variance` in a table.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 3 training divergence, 4 run failed (a collective or replica error).
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
-    DRIFT_EXPONENT_BOUND,
+    DRAW_SIZE,
     MAX_DRAW_SAMPLES,
     MIN_TRIALS,
     AnalysisError,
@@ -41,6 +41,7 @@ from .trainer import (
     ConfigError,
     ExperimentConfig,
     TrainerError,
+    build_model,
     read_json_object,
     resolve,
     resolve_dataset,
@@ -64,10 +65,7 @@ class LRPoint:  # a row of lr_preview.csv
     lr: float
 
 
-# a batch size is the sample count of one draw
-DRAW_SIZE = integer(gt=0, le=MAX_DRAW_SAMPLES)
-
-# field: (default, rule) of each report command's config
+# field: (default, rule) of the variance command's config
 VARIANCE_FIELDS = {
     "batch_sizes": ([1, 2, 4, 8, 16], array(DRAW_SIZE)),
     "trials": (1000, integer(ge=MIN_TRIALS)),
@@ -75,25 +73,19 @@ VARIANCE_FIELDS = {
     "rate": (0.02, number(gt=0)),
     "small_batch": (8, DRAW_SIZE),
 }
+VARIANCE_DEFAULTS = {name: default for name, (default, _) in VARIANCE_FIELDS.items()}
 
-RATIO_FIELDS = {
-    "pos_counts": ([[0, 0.25], [1, 0.35], [3, 0.25], [12, 0.12], [40, 0.03]],
-                   array(array(integer(ge=0), number(ge=0, le=1)))),
-    "neg_counts": ([[96, 0.5], [128, 0.5]], array(array(integer(gt=0), number(ge=0, le=1)))),
-    "batch_sizes": ([16, 32, 64, 128, 256], array(DRAW_SIZE)),
-    "epochs": (4, integer(gt=0)),
-    "batches_per_cell": (400, integer(gt=0)),
-    "drift_early_scale": (0.3, number(gt=0, le=1)),
-    "drift_late_scale": (1.0, number(gt=0, le=1)),
-    "drift_rate": (0.6, number(ge=0)),
-    "drift_batch_exponent": (0.5, number(ge=-DRIFT_EXPONENT_BOUND, le=DRIFT_EXPONENT_BOUND)),
-}
+# ratio-study's config is a SamplerSpec but for the seed, a --seed flag
+RATIO_DEFAULTS = {
+    "pos_counts": [[0, 0.25], [1, 0.35], [3, 0.25], [12, 0.12], [40, 0.03]],
+    "neg_counts": [[96, 0.5], [128, 0.5]], "batch_sizes": [16, 32, 64, 128, 256],
+    "epochs": 4, "batches_per_cell": 400, "drift_early_scale": 0.3,
+    "drift_late_scale": 1.0, "drift_rate": 0.6, "drift_batch_exponent": 0.5}
+RATIO_FIELDS = {f.name: (RATIO_DEFAULTS[f.name], f.metadata["rule"])
+                for f in fields(SamplerSpec) if f.name != "seed"}
 
 # the --seed flag of every command takes the config seed's rule
 SEED_RULE = next(f.metadata["rule"] for f in fields(ExperimentConfig) if f.name == "seed")
-
-VARIANCE_DEFAULTS = {name: default for name, (default, _) in VARIANCE_FIELDS.items()}
-RATIO_DEFAULTS = {name: default for name, (default, _) in RATIO_FIELDS.items()}
 
 
 def _load_json_config(path, table: dict) -> dict:
@@ -208,11 +200,7 @@ def cmd_ratio_study(args) -> int:
     cfg = _load_json_config(args.config, RATIO_FIELDS)
     out = args.out and _out_dir(args.out)
     seed = args.seed if args.seed is not None else 0
-    # SamplerSpec takes the table's fields, each JSON array (and pair) as a tuple
-    tuples = {name: tuple(tuple(v) if isinstance(v, list) else v for v in value)
-              for name, value in cfg.items() if isinstance(value, list)}
-    spec = SamplerSpec(seed=seed, **{**cfg, **tuples})
-    cells = posneg_ratio_study(spec)
+    cells = posneg_ratio_study(SamplerSpec(seed=seed, **cfg))
     report = {"seed": seed, "config": cfg, "cells": [asdict(c) for c in cells]}
     _emit(out, {"ratio_study.csv": csv_text(RatioCell, cells),
                 "ratio_study.json": json_text(report)})
@@ -224,6 +212,7 @@ def cmd_lr_preview(args) -> int:
     # the sizes come from the spec: generating the data to count it is waste
     spec = resolve_dataset(cfg).spec if "dir" in cfg.dataset else DatasetSpec(**cfg.dataset)
     res = resolve(cfg, spec)
+    build_model(cfg, spec.classes, (1, spec.height, spec.width))  # rejects what train would
     n = res.iters_per_epoch
     text = csv_text(LRPoint, (LRPoint(epoch * n + it, lr_at(res.policy, epoch, it, n))
                               for epoch in range(res.epochs) for it in range(n)))
@@ -246,7 +235,9 @@ def cmd_gen_data(args) -> int:
     if args.out is None:
         raise ConfigError("gen-data requires --out")
     _out_dir(args.out)
-    ds = generate_dataset(DatasetSpec(**cfg.dataset), cfg.seed)
+    spec = DatasetSpec(**cfg.dataset)
+    build_model(cfg, spec.classes, (1, spec.height, spec.width))  # rejects what train would
+    ds = generate_dataset(spec, cfg.seed)
     meta = save_dataset(ds, args.out)
     print(f"wrote dataset ({ds.spec.size} train / {ds.eval_images.shape[0]} eval "
           f"samples) to {args.out}")

@@ -145,8 +145,9 @@ def save_dataset(ds: Dataset, out_dir) -> dict:
     return meta
 
 
-def _load_array(path: Path, dtype, shape: tuple) -> np.ndarray:
-    """One saved array, which must hold `dtype` values of `shape`."""
+def _load_array(path: Path, dtype, shape: tuple, classes: int | None = None) -> np.ndarray:
+    """One saved array, which must hold `dtype` values of `shape`: finite
+    images or, given `classes`, labels in [0, classes)."""
     try:
         a = np.load(path, allow_pickle=False)
     except FileNotFoundError:
@@ -156,6 +157,10 @@ def _load_array(path: Path, dtype, shape: tuple) -> np.ndarray:
     if a.dtype != dtype or a.shape != shape:
         raise DataError(f"dataset file {path} holds {a.dtype} {a.shape}, "
                         f"expected {np.dtype(dtype)} {shape}")
+    if classes is None and not np.isfinite(a).all():
+        raise DataError(f"dataset file {path} holds a NaN or Inf")
+    if classes is not None and np.any((a < 0) | (a >= classes)):
+        raise DataError(f"dataset file {path} holds a label outside [0, {classes})")
     return a
 
 
@@ -164,7 +169,8 @@ def load_dataset(in_dir) -> Dataset:
 
     Raises DataError, naming the file, when `meta.json` or an array file is
     missing or unreadable, when an array has the wrong shape or dtype for
-    the recorded spec, or when the contents do not match the recorded hash.
+    the recorded spec, when images hold a NaN or Inf or a label lies outside
+    [0, classes), or when the contents do not match the recorded hash.
     """
     src = Path(in_dir)
     try:
@@ -181,9 +187,9 @@ def load_dataset(in_dir) -> Dataset:
         spec=spec,
         seed=seed,
         images=_load_array(src / "images.npy", np.float64, (n, *grid)),
-        labels=_load_array(src / "labels.npy", np.int64, (n,)),
+        labels=_load_array(src / "labels.npy", np.int64, (n,), spec.classes),
         eval_images=_load_array(src / "eval_images.npy", np.float64, (n_eval, *grid)),
-        eval_labels=_load_array(src / "eval_labels.npy", np.int64, (n_eval,)),
+        eval_labels=_load_array(src / "eval_labels.npy", np.int64, (n_eval,), spec.classes),
     )
     if ds.content_hash() != recorded_hash:
         raise DataError(f"dataset under {src} does not match its recorded hash")

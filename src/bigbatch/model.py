@@ -38,14 +38,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batchnorm import (
-    BatchNormError,
+    EPS,
+    RUNNING_MOMENTUM,
     BNLayerState,
     bn_backward_local,
     bn_forward_local,
     sync_bn_backward,
     sync_bn_forward,
 )
-from .schema import check_fields, integer, number, one_of, ruled, string
+from .schema import check_fields, integer, one_of, ruled, string
 from .tensor import NonFiniteError, Tensor, _check_finite, channel_blocks
 
 KINDS = ("dense", "conv3x3", "relu", "bn", "global_mean_pool", "softmax_xent")
@@ -61,20 +62,15 @@ class LayerSpec:
     out_features: int | None = ruled(integer(gt=0, null=True), None)  # dense
     out_channels: int | None = ruled(integer(gt=0, null=True), None)  # conv3x3
     variant: str = ruled(one_of("local", "cross"), "local")           # bn
-    eps: float = ruled(number(), 1e-5)              # bn; BNLayerState owns the bounds
-    running_momentum: float = ruled(number(), 0.1)  # bn
-    name: str = ruled(string(), "")                 # filled in by ModelSpec
+    eps: float = ruled(EPS, 1e-5)                         # bn
+    running_momentum: float = ruled(RUNNING_MOMENTUM, 0.1)  # bn
+    name: str = ruled(string(), "")                       # filled in by ModelSpec
 
     def __post_init__(self):
         check_fields(self, ModelError, f"{self.kind} " if self.kind in KINDS else "unknown layer ")
         width = {"dense": "out_features", "conv3x3": "out_channels"}.get(self.kind)
         if width and getattr(self, width) is None:
             raise ModelError(f"{self.kind} layer needs {width}")
-        if self.kind == "bn":
-            try:  # check the bounds before any thread starts
-                BNLayerState.create(1, self.eps, self.running_momentum)
-            except BatchNormError as e:
-                raise ModelError(f"bn {e}") from None
 
 
 @dataclass

@@ -67,7 +67,8 @@ def one_of(*options: str):
 
 
 def array(*items, null: bool = False):
-    """A non-empty array of `items[0]`, or one entry per rule as in a [count, probability]."""
+    """A non-empty array (a list or, from Python, a tuple) of `items[0]`, or one
+    entry per rule as in a [count, probability]."""
     def inner(value, name: str) -> str | None:
         if not value:
             return f"{name} must not be empty"
@@ -75,8 +76,8 @@ def array(*items, null: bool = False):
         return next(filter(None, (rule(v, f"{name}[{i}]")
                                   for i, (rule, v) in enumerate(zip(rules, value)))), None)
     what = f"an array of {len(items)} entries" if len(items) > 1 else "an array"
-    return _rule(what, lambda v: isinstance(v, list) and (len(items) == 1 or len(v) == len(items)),
-                 inner, null)
+    return _rule(what, lambda v: isinstance(v, (list, tuple))
+                 and (len(items) == 1 or len(v) == len(items)), inner, null)
 
 
 def mapping(spec, label: str = ""):

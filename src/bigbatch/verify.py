@@ -6,9 +6,6 @@ hand-written backward passes and of `sgd_step`'s weight-decay term),
 `collectives` (bitwise determinism and rank symmetry), and `schedule`
 (exact breakpoint arithmetic). Each check
 returns a named pass/fail result so CI output pinpoints what broke.
-
-`sync_bn_fd_max_err` takes the backward's variance epsilon apart from the
-forward's, so the tests can prove its FD check fails when the two differ.
 """
 
 from __future__ import annotations
@@ -147,9 +144,7 @@ def suite_bn(seed: int = 0) -> list:
 
 
 def sync_bn_fd_max_err(world_size: int, shard_sizes, channels: int, hw,
-                       seed: int, coords_per_rank: int = 4,
-                       eps_forward: float = 1e-5,
-                       eps_backward: float | None = None) -> float:
+                       seed: int, coords_per_rank: int = 4) -> float:
     """Max relative error between analytic and central-difference gradients
     through a full multi-device synchronized forward.
 
@@ -158,8 +153,6 @@ def sync_bn_fd_max_err(world_size: int, shard_sizes, channels: int, hw,
     same value. All ranks evaluate every perturbed objective in lockstep;
     only the owning rank applies the perturbation to its shard.
     """
-    if eps_backward is None:
-        eps_backward = eps_forward
     h, w = hw
     rng = np.random.default_rng(seed)
     xs = [rng.standard_normal((n, channels, h, w)) for n in shard_sizes]
@@ -176,16 +169,14 @@ def sync_bn_fd_max_err(world_size: int, shard_sizes, channels: int, hw,
         me = handle.rank
 
         def objective(local_x, g_vec, b_vec):
-            state = BNLayerState(gamma=g_vec.copy(), beta=b_vec.copy(),
-                                 eps=eps_forward)
+            state = BNLayerState(gamma=g_vec.copy(), beta=b_vec.copy())
             y, _ = sync_bn_forward(handle, Tensor(local_x), state)
             part = float(np.sum(y.array * cots[me]))
             return float(allreduce_sum(handle, SCOPE_WORLD, np.array([part]))[0])
 
-        fwd_state = BNLayerState(gamma=gamma.copy(), beta=beta.copy(), eps=eps_forward)
-        _, cache = sync_bn_forward(handle, Tensor(xs[me]), fwd_state)
-        bwd_state = BNLayerState(gamma=gamma.copy(), beta=beta.copy(), eps=eps_backward)
-        dx, dgamma, dbeta = sync_bn_backward(handle, Tensor(cots[me]), cache, bwd_state)
+        state = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
+        _, cache = sync_bn_forward(handle, Tensor(xs[me]), state)
+        dx, dgamma, dbeta = sync_bn_backward(handle, Tensor(cots[me]), cache, state)
 
         worst = 0.0
         for r in range(world_size):

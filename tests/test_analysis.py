@@ -119,6 +119,12 @@ class TestEquivalenceRatio:
             variance_equivalence_ratio(scalar_linear_grad, lambda rng, n: fixed,
                                        4, 2, 0.02, 150, 0)
 
+    def test_underflowing_rate_names_rate(self):
+        # varying gradients, but rate * gradient squares to 0
+        with pytest.raises(AnalysisError, match=r"rate 1e-300 underflows"):
+            variance_equivalence_ratio(scalar_linear_grad, normal_pair_sampler,
+                                       1, 1, 1e-300, 100, 0)
+
     def test_bad_k(self):
         with pytest.raises(AnalysisError, match="k must be"):
             variance_equivalence_ratio(scalar_linear_grad, normal_pair_sampler,
@@ -166,7 +172,7 @@ class TestSamplerSpec:
             self.base(pos_counts=((1, 0.4), (2, 0.4)))
 
     def test_counts_must_be_integers(self):
-        with pytest.raises(AnalysisError, match="integers"):
+        with pytest.raises(AnalysisError, match="must be a non-negative integer, got 1.5"):
             self.base(pos_counts=((1.5, 1.0),))
 
     def test_negatives_at_least_one_per_image(self):
@@ -211,14 +217,15 @@ class TestSamplerSpec:
             self.base(batch_sizes=())
         with pytest.raises(AnalysisError):
             self.base(batch_sizes=(0,))
-        with pytest.raises(AnalysisError, match="batch sizes"):  # would overflow the drift
+        # would overflow the drift
+        with pytest.raises(AnalysisError, match=r"batch_sizes\[0\] must be an integer > 0"):
             self.base(batch_sizes=(2**53 + 1,))
 
     def test_batch_sizes_are_capped_per_draw(self):
         # a batch is the sample count of one mixture draw; beyond the cap numpy
         # would fail to allocate it
         assert self.base(batch_sizes=(1, MAX_DRAW_SAMPLES)).batch_sizes[-1] == MAX_DRAW_SAMPLES
-        with pytest.raises(AnalysisError, match=rf"must lie in \[1, {MAX_DRAW_SAMPLES}\]"):
+        with pytest.raises(AnalysisError, match=rf"must be an integer > 0 and <= {MAX_DRAW_SAMPLES},"):
             self.base(batch_sizes=(16, MAX_DRAW_SAMPLES + 1))
 
 

@@ -4,6 +4,7 @@ File outputs land in tmp_path; stdout/stderr are checked through capsys so
 the printed contract (status lines, CSV headers, exit codes) is pinned.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,6 +17,8 @@ import pytest
 
 import bigbatch
 from bigbatch.analysis import MAX_DRAW_SAMPLES
+from bigbatch.batchnorm import sync_bn_backward
+from bigbatch.data import DatasetSpec, generate_dataset, save_dataset
 from bigbatch.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -132,14 +135,26 @@ class TestTrain:
         assert err.count("\n") == 1 and err.startswith(f"config error: {field} must be ")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("command", ["train", "lr-preview", "gen-data"])
     @pytest.mark.parametrize("field,value", [("eps", 0), ("running_momentum", 1.5)])
-    def test_bad_bn_layer(self, tmp_path, capsys, field, value):
+    def test_bad_bn_layer(self, tmp_path, capsys, command, field, value):
+        # lr-preview and gen-data used to exit 0 on what train rejects
         model = [{"kind": "conv3x3", "out_channels": 2}, {"kind": "bn", field: value},
                  {"kind": "global_mean_pool"}, {"kind": "dense", "out_features": None}]
         cfg = train_config(tmp_path, model=model)
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"bn {field} must " in err
+        assert err.count("\n") == 1 and err.startswith(f"config error: model[1].{field} must be ")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", ["train", "lr-preview", "gen-data"])
+    def test_conv_without_out_channels(self, tmp_path, capsys, command):
+        model = [{"kind": "conv3x3"}, {"kind": "global_mean_pool"},
+                 {"kind": "dense", "out_features": None}]
+        cfg = train_config(tmp_path, model=model)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "conv3x3 layer needs out_channels" in err
         assert not (tmp_path / "r").exists()
 
     POOLED_BN = [{"kind": "global_mean_pool"}, {"kind": "bn"},
@@ -239,12 +254,16 @@ class TestVerify:
         assert "[FAIL] doomed.check  (injected)" in out
         assert "FAILED: 1 failing" in out
 
-    def test_grad_suite_catches_an_eps_mismatch(self):
+    def test_grad_suite_catches_an_eps_mismatch(self, monkeypatch):
         # the FD check has teeth: a backward pass run with the wrong
         # variance epsilon must fail it, the matching one pass
         args = (2, (3, 2), 3, (2, 2), 0)
-        assert sync_bn_fd_max_err(*args, eps_backward=3e-3) > FD_TOL
         assert sync_bn_fd_max_err(*args) <= FD_TOL
+
+        def wrong_eps(handle, dy, cache, state):
+            return sync_bn_backward(handle, dy, cache, dataclasses.replace(state, eps=3e-3))
+        monkeypatch.setattr("bigbatch.verify.sync_bn_backward", wrong_eps)
+        assert sync_bn_fd_max_err(*args) > FD_TOL
 
     def test_check_line_format(self):
         assert CheckResult("a.b", True).line() == "[PASS] a.b"
@@ -481,6 +500,22 @@ class TestGenData:
         assert err.count("\n") == 1 and f"{data_dir / name} is missing" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,index,value", [
+        ("images", (3, 0, 1, 1), np.nan), ("eval_images", (0, 0, 0, 0), np.inf),
+        ("labels", (5,), 4)])
+    def test_training_on_a_corrupt_dataset(self, tmp_path, capsys, name, index, value):
+        # saved with a matching hash, each used to exit 1 with a traceback
+        ds = generate_dataset(DatasetSpec(size=32, classes=4), 0)
+        getattr(ds, name)[index] = value
+        data_dir = tmp_path / "data"
+        save_dataset(ds, data_dir)
+        cfg = train_config(tmp_path, dataset={"dir": str(data_dir)})
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"dataset file {data_dir / name}.npy holds " in err
+        assert not out.exists()
+
     def test_requires_out(self, tmp_path, capsys):
         cfg = train_config(tmp_path)
         assert main(["gen-data", "--config", cfg]) == EXIT_BAD_CONFIG
@@ -674,6 +709,16 @@ def test_overflowing_rate_exits_2_naming_rate(tmp_path):
     assert done.stdout == "" and not (tmp_path / "r").exists()
 
 
+def test_underflowing_rate_exits_2_naming_rate(tmp_path, capsys):
+    # the gradients vary but rate * gradient squares to 0; this used to
+    # blame the sampler as degenerate
+    cfg = write_config(tmp_path, rate=1e-300, trials=100, ks=[1], batch_sizes=[1])
+    assert main(["variance", "--config", cfg]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: rate 1e-300 underflows the update variance")
+
+
 def no_json_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -714,6 +759,30 @@ def test_oversized_draw_is_one_named_line(tmp_path, capsys, monkeypatch, command
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"config error: {field} must be ")
     assert str(MAX_DRAW_SAMPLES) in err and not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("drift", [{}, {"drift_early_scale": 1.0, "drift_rate": 0}])
+def test_positive_sum_beyond_int64_is_one_named_line(tmp_path, capsys, drift):
+    # used to exit 0 with the int64 sums wrapped: a ratio of -6.4e12 %, or,
+    # with the drift off, no positive in any batch
+    cfg = write_config(tmp_path, pos_counts=[[2**53, 1.0]], batch_sizes=[2048], epochs=1,
+                       batches_per_cell=2, **drift)
+    assert main(["ratio-study", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: the largest pos_counts ")
+    assert "batch_sizes" in err and "2**63 - 1" in err and not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("drift", [{}, {"drift_early_scale": 1.0, "drift_rate": 0}])
+def test_positive_sum_within_int64_runs(tmp_path, capsys, drift):
+    # 2047 images of 2**52 positives each sum to just below 2**63
+    cfg = write_config(tmp_path, pos_counts=[[2**52, 1.0]], batch_sizes=[2047], epochs=1,
+                       batches_per_cell=2, **drift)
+    assert main(["ratio-study", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_OK
+    (cell,) = json.loads((tmp_path / "r" / "ratio_study.json").read_text())["cells"]
+    assert cell["zero_positive_batches"] == 0 and cell["mean_ratio_pct"] > 0
+    if drift:  # every count passes through: 2047 * 2**52 positives per batch
+        assert cell["mean_pos_frac_pct"] == pytest.approx(100.0)
 
 
 @pytest.mark.parametrize("table,name", [(VARIANCE_FIELDS, "batch_sizes"),

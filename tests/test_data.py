@@ -198,6 +198,20 @@ class TestSaveLoad:
         with pytest.raises(DataError, match=f"{name} holds .* expected"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("name,index,value,problem", [
+        ("images", (3, 0, 1, 1), np.nan, "a NaN or Inf"),
+        ("eval_images", (0, 0, 0, 0), -np.inf, "a NaN or Inf"),
+        ("labels", (5,), 2, r"a label outside \[0, 2\)"),
+        ("eval_labels", (0,), -1, r"a label outside \[0, 2\)"),
+    ])
+    def test_corrupt_values_are_named(self, tmp_path, name, index, value, problem):
+        # written by save_dataset, so the recorded hash matches
+        ds = generate_dataset(DatasetSpec(size=16, classes=2), 0)
+        getattr(ds, name)[index] = value
+        save_dataset(ds, tmp_path)
+        with pytest.raises(DataError, match=f"{name}.npy holds {problem}"):
+            load_dataset(tmp_path)
+
     @pytest.mark.parametrize("text", ["{nope", "[]", '{"seed": 0}',
                                       '{"spec": {"size": 1}, "seed": 0, "content_hash": ""}'])
     def test_malformed_meta_is_a_data_error(self, tmp_path, text):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from bigbatch import cli
 from bigbatch.data import DatasetSpec
 from bigbatch.model import LayerSpec
-from bigbatch.analysis import RatioCell
+from bigbatch.analysis import RatioCell, SamplerSpec
 from bigbatch.schema import (array, boolean, csv_header, csv_line, csv_text, integer, json_text,
                              mapping, number, one_of, string)
 from bigbatch.trainer import CSV_HEADER, ExperimentConfig, MetricsRow
@@ -46,7 +46,7 @@ from bigbatch.trainer import CSV_HEADER, ExperimentConfig, MetricsRow
     (string(), None, "x must be a string, got None"),
     (one_of("a", "b"), "c", "x must be one of 'a', 'b', got 'c'"),
     (array(integer()), [], "x must not be empty"),
-    (array(integer()), (1,), "x must be an array, got (1,)"),
+    (array(integer()), "12", "x must be an array, got '12'"),
     (array(integer()), [1, "2"], "x[1] must be an integer, got '2'"),
     (array(integer(), number()), [1], "x must be an array of 2 entries, got [1]"),
     (mapping({"a": integer()}), {"a": 1, "b": 2}, "unknown x fields ['b']; expected ['a']"),
@@ -60,16 +60,24 @@ def test_rule_message(rule, value, message):
 @pytest.mark.parametrize("rule,value", [
     (integer(gt=0), 2**53), (number(), 1), (number(), -2.5e300), (integer(null=True), None),
     (array(integer(), number()), [1, 0.5]), (mapping(LayerSpec), {"kind": "relu"}),
+    (array(array(integer(), number())), ((1, 0.5),)),  # a tuple, as Python callers pass
 ])
 def test_rule_takes(rule, value):
     assert rule(value, "x") is None
 
 
-@pytest.mark.parametrize("cls", [ExperimentConfig, LayerSpec, DatasetSpec])
+@pytest.mark.parametrize("cls", [ExperimentConfig, LayerSpec, DatasetSpec, SamplerSpec])
 def test_every_field_declares_a_rule(cls):
     # a field added without a rule would go unchecked
     for f in fields(cls):
         assert callable(f.metadata.get("rule")), f"{cls.__name__}.{f.name} has no rule"
+
+
+def test_ratio_study_applies_the_sampler_rules():
+    # one rule object per field, so the command and the spec cannot drift apart
+    rules = {f.name: f.metadata["rule"] for f in fields(SamplerSpec)}
+    for name, (_, rule) in cli.RATIO_FIELDS.items():
+        assert rule is rules[name], name
 
 
 def test_report_defaults_are_unchanged():
