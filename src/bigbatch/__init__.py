@@ -62,6 +62,7 @@ from .analysis import (
     RatioCell,
     SamplerSpec,
     VarianceReport,
+    VarianceSpec,
     estimate_grad_variance,
     normal_pair_sampler,
     posneg_ratio_study,
@@ -112,7 +113,7 @@ __all__ = [
     "sgd_step", "lr_at", "make_policy", "scaled_target_lr", "weight_keys", "l2_penalty",
     "default_warmup_iters", "BASE_BATCH", "BASE_LR",
     # analysis
-    "VarianceReport", "EquivalenceReport", "SamplerSpec", "RatioCell",
+    "VarianceReport", "VarianceSpec", "EquivalenceReport", "SamplerSpec", "RatioCell",
     "AnalysisError", "estimate_grad_variance", "variance_equivalence_ratio",
     "posneg_ratio_study", "scalar_linear_grad", "normal_pair_sampler",
     # data

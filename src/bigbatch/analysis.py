@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import array, check_fields, integer, number, ruled
+from .schema import array, check, check_fields, integer, number, ruled
 
 BOOTSTRAP_RESAMPLES = 1000
-MIN_TRIALS = 100
+TRIALS = integer(ge=100)  # trials per estimate: enough for a stable bootstrap
 PROBABILITY = number(ge=0, le=1)  # of a (count, probability) mixture entry
 # The most samples a single draw takes. A draw holds a few float64 arrays of
 # its size (a sampler's pair, a gradient's products, a mixture's uniforms and
@@ -36,6 +36,7 @@ PROBABILITY = number(ge=0, le=1)  # of a (count, probability) mixture entry
 # 2**24 keeps each array at 128 MiB, far beyond any batch the reports model.
 MAX_DRAW_SAMPLES = 2**24
 DRAW_SIZE = integer(gt=0, le=MAX_DRAW_SAMPLES)  # a batch size: the samples of one draw
+K = integer(gt=0)  # small batches accumulated against one large batch
 # |drift_batch_exponent| <= 20 keeps (batch/16)**exponent finite and nonzero for
 # every batch size up to 2**53, past what SamplerSpec admits: 20 * log2(2**53 / 16) = 980 < 1024
 DRIFT_EXPONENT_BOUND = 20
@@ -101,10 +102,7 @@ def estimate_grad_variance(grad_fn, sampler, batch_size: int, trials: int,
     elementwise variance per parameter block, their overall mean, and a
     bootstrap confidence half-width for that mean.
     """
-    if trials < MIN_TRIALS:
-        raise AnalysisError(f"need at least {MIN_TRIALS} trials, got {trials}")
-    if batch_size <= 0:
-        raise AnalysisError(f"batch_size must be positive, got {batch_size}")
+    check(AnalysisError, (DRAW_SIZE, batch_size, "batch_size"), (TRIALS, trials, "trials"))
     stacks = {key: a[:, 0] for key, a in
               _collect_grads(grad_fn, sampler, (batch_size,), trials, seed).items()}
     per_block, agg = _aggregate_variance(stacks)
@@ -146,12 +144,9 @@ def variance_equivalence_ratio(grad_fn, sampler, batch_size: int, k: int,
     scaling the learning rate linearly. A rate whose updates overflow the
     variance, or underflow it to zero, raises AnalysisError naming it.
     """
-    if trials < MIN_TRIALS:
-        raise AnalysisError(f"need at least {MIN_TRIALS} trials, got {trials}")
-    if k < 1:
-        raise AnalysisError(f"k must be >= 1, got {k}")
-    if batch_size <= 0:
-        raise AnalysisError(f"batch_size must be positive, got {batch_size}")
+    check(AnalysisError, (DRAW_SIZE, batch_size, "batch_size"), (K, k, "k"),
+          (TRIALS, trials, "trials"))
+    check(AnalysisError, (DRAW_SIZE, k * batch_size, "k * batch_size"))
     large_lr = (k * rate) if scaled else rate
     # per trial, one draw of k * batch_size samples, then k of batch_size
     stacks = _collect_grads(grad_fn, sampler, (k * batch_size,) + (batch_size,) * k,
@@ -177,6 +172,24 @@ def variance_equivalence_ratio(grad_fn, sampler, batch_size: int, k: int,
         batch_size=batch_size, k=k, rate=rate, scaled=scaled, trials=trials,
         var_large=var_large, var_small=var_small, ratio=var_large / var_small,
     )
+
+
+@dataclass(frozen=True)
+class VarianceSpec:
+    """The variance report: the 1/N law over `batch_sizes`, then for each k of
+    `ks` one draw of k * `small_batch` samples against k of `small_batch`, at
+    `rate`; every estimate over `trials` trials."""
+
+    batch_sizes: tuple = ruled(array(DRAW_SIZE))
+    trials: int = ruled(TRIALS)
+    ks: tuple = ruled(array(K))
+    rate: float = ruled(number(gt=0))
+    small_batch: int = ruled(DRAW_SIZE)
+
+    def __post_init__(self):
+        check_fields(self, AnalysisError)
+        check(AnalysisError, *((DRAW_SIZE, k * self.small_batch, f"ks[{i}] * small_batch")
+                               for i, k in enumerate(self.ks)))
 
 
 # ---------------------------------------------------------------------------

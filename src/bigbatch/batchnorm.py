@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collectives import SCOPE_BN_GROUP, DeviceHandle, allreduce_sum
-from .schema import number
+from .schema import check, number
 from .tensor import Tensor, _check_finite, channel_blocks, sequential_sum_rows
 
 
@@ -77,9 +77,8 @@ class BNLayerState:
         for name in ("beta", "running_mean", "running_var"):
             if getattr(self, name).shape != (c,):
                 raise BatchNormError(f"{name} must have length {c}")
-        for name, rule in (("eps", EPS), ("running_momentum", RUNNING_MOMENTUM)):
-            if problem := rule(getattr(self, name), name):
-                raise BatchNormError(problem)
+        check(BatchNormError, (EPS, self.eps, "eps"),
+              (RUNNING_MOMENTUM, self.running_momentum, "running_momentum"))
         if np.any(self.running_var < 0):
             raise BatchNormError("running_var must be elementwise nonnegative")
 

@@ -6,7 +6,8 @@ Subcommands: `train` (one experiment), `verify` (invariant suites),
 (schedule dump), `gen-data` (materialize a dataset directory).
 
 Config fields declare their rules (`schema`): `train`, `lr-preview` and
-`gen-data` on the config dataclasses, `ratio-study` on `SamplerSpec`, `variance` in a table.
+`gen-data` on the config dataclasses, `ratio-study` on `SamplerSpec`, `variance` on
+`VarianceSpec`.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 3 training divergence, 4 run failed (a collective or replica error).
@@ -21,12 +22,10 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
-    DRAW_SIZE,
-    MAX_DRAW_SAMPLES,
-    MIN_TRIALS,
     AnalysisError,
     RatioCell,
     SamplerSpec,
+    VarianceSpec,
     estimate_grad_variance,
     normal_pair_sampler,
     posneg_ratio_study,
@@ -36,7 +35,7 @@ from .analysis import (
 from .collectives import CollectiveError
 from .data import DataError, DatasetSpec, generate_dataset, save_dataset
 from .optim import DivergenceError, ScheduleError, lr_at
-from .schema import array, csv_header, csv_text, integer, json_text, mapping, number
+from .schema import check, csv_header, csv_text, integer, json_text, mapping
 from .trainer import (
     ConfigError,
     ExperimentConfig,
@@ -65,36 +64,29 @@ class LRPoint:  # a row of lr_preview.csv
     lr: float
 
 
-# field: (default, rule) of the variance command's config
-VARIANCE_FIELDS = {
-    "batch_sizes": ([1, 2, 4, 8, 16], array(DRAW_SIZE)),
-    "trials": (1000, integer(ge=MIN_TRIALS)),
-    "ks": ([1, 2, 4], array(integer(gt=0))),  # k * small_batch is checked as a draw
-    "rate": (0.02, number(gt=0)),
-    "small_batch": (8, DRAW_SIZE),
-}
-VARIANCE_DEFAULTS = {name: default for name, (default, _) in VARIANCE_FIELDS.items()}
-
-# ratio-study's config is a SamplerSpec but for the seed, a --seed flag
+# the report commands' defaults; ratio-study's seed is the --seed flag
+VARIANCE_DEFAULTS = {"batch_sizes": [1, 2, 4, 8, 16], "trials": 1000, "ks": [1, 2, 4],
+                     "rate": 0.02, "small_batch": 8}
 RATIO_DEFAULTS = {
     "pos_counts": [[0, 0.25], [1, 0.35], [3, 0.25], [12, 0.12], [40, 0.03]],
     "neg_counts": [[96, 0.5], [128, 0.5]], "batch_sizes": [16, 32, 64, 128, 256],
     "epochs": 4, "batches_per_cell": 400, "drift_early_scale": 0.3,
     "drift_late_scale": 1.0, "drift_rate": 0.6, "drift_batch_exponent": 0.5}
-RATIO_FIELDS = {f.name: (RATIO_DEFAULTS[f.name], f.metadata["rule"])
-                for f in fields(SamplerSpec) if f.name != "seed"}
+
+# lr-preview builds its CSV in memory, about 100 bytes a row: 2**20 rows is ~100 MiB
+MAX_PREVIEW_ROWS = 2**20
+PREVIEW_ROWS = integer(le=MAX_PREVIEW_ROWS)  # epochs * iters_per_epoch, one row per iteration
 
 # the --seed flag of every command takes the config seed's rule
 SEED_RULE = next(f.metadata["rule"] for f in fields(ExperimentConfig) if f.name == "seed")
 
 
-def _load_json_config(path, table: dict) -> dict:
-    """Each table field's default, overridden by the config file's checked values."""
+def _load_json_config(path, spec, defaults: dict) -> dict:
+    """`defaults` overridden by the config file, checked with the rules `spec` declares."""
     raw = {} if path is None else read_json_object(path)
-    problem = mapping({name: rule for name, (_, rule) in table.items()})(raw, "")
-    if problem:
-        raise ConfigError(problem)
-    return {name: raw.get(name, default) for name, (default, _) in table.items()}
+    rules = {f.name: f.metadata["rule"] for f in fields(spec) if f.name in defaults}
+    check(ConfigError, (mapping(rules), raw, ""))
+    return {**defaults, **raw}
 
 
 def _out_dir(path) -> Path:
@@ -167,24 +159,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_variance(args) -> int:
-    cfg = _load_json_config(args.config, VARIANCE_FIELDS)
-    for i, k in enumerate(cfg["ks"]):  # the large side draws k * small_batch at once
-        if k * cfg["small_batch"] > MAX_DRAW_SAMPLES:
-            raise ConfigError(f"ks[{i}] * small_batch must be at most {MAX_DRAW_SAMPLES} "
-                              f"samples in one draw, got {k} * {cfg['small_batch']}")
+    cfg = _load_json_config(args.config, VarianceSpec, VARIANCE_DEFAULTS)
+    spec = VarianceSpec(**cfg)
     out = args.out and _out_dir(args.out)
     seed = args.seed if args.seed is not None else 0
     law = []
-    for n in cfg["batch_sizes"]:
+    for n in spec.batch_sizes:
         rep = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler,
-                                     n, cfg["trials"], seed)
+                                     n, spec.trials, seed)
         law.append({**asdict(rep), "n_times_aggregate": n * rep.aggregate})
     ratios = []
-    for k in cfg["ks"]:
+    for k in spec.ks:
         for scaled in (True, False):
             rep = variance_equivalence_ratio(
-                scalar_linear_grad, normal_pair_sampler, cfg["small_batch"], k,
-                cfg["rate"], cfg["trials"], seed + k, scaled=scaled)
+                scalar_linear_grad, normal_pair_sampler, spec.small_batch, k,
+                spec.rate, spec.trials, seed + k, scaled=scaled)
             ratios.append(asdict(rep))
     report = {
         "seed": seed,
@@ -197,7 +186,7 @@ def cmd_variance(args) -> int:
 
 
 def cmd_ratio_study(args) -> int:
-    cfg = _load_json_config(args.config, RATIO_FIELDS)
+    cfg = _load_json_config(args.config, SamplerSpec, RATIO_DEFAULTS)
     out = args.out and _out_dir(args.out)
     seed = args.seed if args.seed is not None else 0
     cells = posneg_ratio_study(SamplerSpec(seed=seed, **cfg))
@@ -214,6 +203,7 @@ def cmd_lr_preview(args) -> int:
     res = resolve(cfg, spec)
     build_model(cfg, spec.classes, (1, spec.height, spec.width))  # rejects what train would
     n = res.iters_per_epoch
+    check(ConfigError, (PREVIEW_ROWS, res.epochs * n, "epochs * iters_per_epoch"))
     text = csv_text(LRPoint, (LRPoint(epoch * n + it, lr_at(res.policy, epoch, it, n))
                               for epoch in range(res.epochs) for it in range(n)))
     if args.out:
@@ -281,8 +271,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None and (problem := SEED_RULE(args.seed, "seed")):
-            raise ConfigError(problem)
+        if args.seed is not None:
+            check(ConfigError, (SEED_RULE, args.seed, "seed"))
         return COMMANDS[args.command](args)
     except (ConfigError, DataError, AnalysisError, ScheduleError) as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -26,6 +26,9 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .schema import check, integer
+
+WORLD_SIZE = integer(gt=0, le=256)  # devices: twice MegDet's 128 GPUs
 SCOPE_WORLD = "world"
 SCOPE_BN_GROUP = "bn_group"
 _SCOPE_NAMES = (SCOPE_WORLD, SCOPE_BN_GROUP)
@@ -66,12 +69,10 @@ class DeviceHandle:
         self.group = group
         self.rank = rank
         self._seq: dict[str, int] = {}
-        g = group.bn_group_size
-        self.bn_group_index = rank // g
-        start = self.bn_group_index * g
-        self.bn_group_ranks = list(range(start, start + g))
+        self.bn_group_index = rank // group.bn_group_size
         self.bn_scope_key = f"bn{self.bn_group_index}"  # this device's sub-group scope
-        self._scopes = {SCOPE_WORLD: ("world", list(range(group.world_size))),
+        self.bn_group_ranks = group._tables[self.bn_scope_key].ranks
+        self._scopes = {SCOPE_WORLD: ("world", group._tables["world"].ranks),
                         SCOPE_BN_GROUP: (self.bn_scope_key, self.bn_group_ranks)}
 
     def __repr__(self):
@@ -101,20 +102,18 @@ class DeviceGroup:
     """
 
     def __init__(self, world_size: int, bn_group_size: int | None = None):
-        if world_size < 1:
-            raise ValueError(f"world_size must be >= 1, got {world_size}")
-        bn_group_size = world_size if bn_group_size is None else bn_group_size
-        if bn_group_size < 1 or world_size % bn_group_size != 0:
-            raise ValueError(
-                f"bn_group_size {bn_group_size} must divide world_size {world_size}"
-            )
+        g = world_size if bn_group_size is None else bn_group_size
+        check(ValueError, (WORLD_SIZE, world_size, "world_size"), (WORLD_SIZE, g, "bn_group_size"))
+        if world_size % g != 0:
+            raise ValueError(f"bn_group_size {g} must divide world_size {world_size}")
         self.world_size = world_size
-        self.bn_group_size = bn_group_size
-        self.handles = [DeviceHandle(self, r) for r in range(world_size)]
+        self.bn_group_size = g
         self._cond = threading.Condition()
-        self._tables = {"world": _Table(list(range(world_size)))}
-        for h in self.handles:
-            self._tables.setdefault(h.bn_scope_key, _Table(h.bn_group_ranks))
+        world = list(range(world_size))  # handles share the tables' rank lists
+        self._tables = {"world": _Table(world)}
+        self._tables.update((f"bn{r // g}", _Table(world[r:r + g]))
+                            for r in range(0, world_size, g))
+        self.handles = [DeviceHandle(self, r) for r in range(world_size)]
         self._failure: str | None = None  # abort note: the first failed rank, or the deadlock
         self._returned: set[int] = set()  # ranks whose worker has returned normally
         self._blocked = 0  # ranks waiting in an unsettled round, i.e. in a table's slots

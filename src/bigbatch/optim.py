@@ -26,13 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schema import check, integer, number, one_of
+
 BASE_BATCH = 16
 BASE_LR = 0.02
+RATE = number(gt=0)  # a learning rate
+BATCH = integer(gt=0)  # a batch size
 
-NORMAL_MILESTONES = ((8, 0.1), (10, 0.1))
-NORMAL_END_EPOCH = 11
-LONG_MILESTONES = ((11, 0.1), (14, 0.1), (17, 0.5))
-LONG_END_EPOCH = 18
+POLICIES = {"normal": (((8, 0.1), (10, 0.1)), 11),  # name: ((epoch, multiplier)s, end epoch)
+            "long": (((11, 0.1), (14, 0.1), (17, 0.5)), 18)}
+POLICY = one_of(*POLICIES)
 
 DEFAULT_WARMUP_CAP = 500
 
@@ -56,16 +59,10 @@ class LRPolicy:
     half_lr: bool = False
 
     def __post_init__(self):
-        if self.base_batch <= 0 or self.actual_batch <= 0:
-            raise ScheduleError(
-                f"batch sizes must be positive, got base {self.base_batch}, "
-                f"actual {self.actual_batch}")
-        if self.base_lr <= 0:
-            raise ScheduleError(f"base_lr must be positive, got {self.base_lr}")
-        if self.warmup_iters < 0:
-            raise ScheduleError("warmup_iters must be >= 0")
-        if self.end_epoch <= 0:
-            raise ScheduleError("end_epoch must be >= 1")
+        check(ScheduleError, (RATE, self.base_lr, "base_lr"),
+              (BATCH, self.actual_batch, "actual_batch"), (BATCH, self.base_batch, "base_batch"),
+              (integer(ge=0), self.warmup_iters, "warmup_iters"),
+              (integer(gt=0), self.end_epoch, "end_epoch"))
         last = -1
         for epoch, mult in self.milestones:
             if epoch <= last:
@@ -78,13 +75,9 @@ class LRPolicy:
 def make_policy(name: str, actual_batch: int, base_lr: float = BASE_LR,
                 base_batch: int = BASE_BATCH, warmup_iters: int = 0,
                 half_lr: bool = False) -> LRPolicy:
-    """The two named step-decay schedules, parameterized by batch size."""
-    if name == "normal":
-        milestones, end = NORMAL_MILESTONES, NORMAL_END_EPOCH
-    elif name == "long":
-        milestones, end = LONG_MILESTONES, LONG_END_EPOCH
-    else:
-        raise ScheduleError(f"unknown policy {name!r}, expected 'normal' or 'long'")
+    """A named step-decay schedule of `POLICIES`, parameterized by batch size."""
+    check(ScheduleError, (POLICY, name, "policy"))
+    milestones, end = POLICIES[name]
     return LRPolicy(base_lr=base_lr, actual_batch=actual_batch, base_batch=base_batch,
                     warmup_iters=warmup_iters, milestones=milestones,
                     end_epoch=end, half_lr=half_lr)

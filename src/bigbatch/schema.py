@@ -114,11 +114,16 @@ def ruled(rule, default=MISSING, **kwargs):
     return field(default=default, metadata={"rule": rule}, **kwargs)
 
 
-def check_fields(obj, error: type, prefix: str = "") -> None:
-    """Raise `error` naming every field of dataclass instance `obj` that breaks its rule."""
-    problems = [p for f in fields(obj) if (p := f.metadata["rule"](getattr(obj, f.name), f.name))]
-    if problems:
+def check(error: type, *checks, prefix: str = "") -> None:
+    """Raise `error` naming every `(rule, value, name)` of `checks` whose value breaks its rule."""
+    if problems := [p for rule, value, name in checks if (p := rule(value, name))]:
         raise error(prefix + "; ".join(problems))
+
+
+def check_fields(obj, error: type, prefix: str = "") -> None:
+    """`check` every field of dataclass instance `obj` against the rule it declares."""
+    check(error, *((f.metadata["rule"], getattr(obj, f.name), f.name) for f in fields(obj)),
+          prefix=prefix)
 
 
 def json_text(obj) -> str:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .collectives import (
     SCOPE_WORLD,
+    WORLD_SIZE,
     CollectiveError,
     DeviceGroup,
     allreduce_sum,
@@ -49,6 +50,9 @@ from .model import (
     init_params,
 )
 from .optim import (
+    BATCH,
+    POLICY,
+    RATE,
     DivergenceError,
     LRPolicy,
     SGDState,
@@ -58,8 +62,8 @@ from .optim import (
     make_policy,
     sgd_step,
 )
-from .schema import (array, boolean, check_fields, csv_header, csv_text, integer, json_text,
-                     keyed, mapping, number, one_of, ruled, string)
+from .schema import (array, boolean, check, check_fields, csv_header, csv_text, integer,
+                     json_text, keyed, mapping, number, ruled, string)
 from .tensor import NonFiniteError, Tensor
 
 # Idealized per-iteration cost model (documented, deterministic):
@@ -136,13 +140,13 @@ def read_json_object(path) -> dict:
 @dataclass
 class ExperimentConfig:
     # parallel layout
-    world_size: int = ruled(integer(gt=0), 1)
+    world_size: int = ruled(WORLD_SIZE, 1)
     per_device_batch: int = ruled(integer(gt=0), 8)
     bn_group_size: int | None = ruled(integer(gt=0, null=True), None)  # None: world_size
     # schedule
-    policy: str = ruled(one_of("normal", "long"), "normal")
-    base_lr: float = ruled(number(gt=0), 0.02)
-    base_batch: int = ruled(integer(gt=0), 16)
+    policy: str = ruled(POLICY, "normal")
+    base_lr: float = ruled(RATE, 0.02)
+    base_batch: int = ruled(BATCH, 16)
     warmup_iters: int | None = ruled(integer(ge=0, null=True), None)  # None: min(500, one epoch)
     half_lr: bool = ruled(boolean(), False)
     epochs: int | None = ruled(integer(gt=0, null=True), None)  # None: the policy's end epoch
@@ -170,9 +174,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ConfigError(f"unknown config fields: {unknown}")
+        check(ConfigError, (mapping(cls), raw, ""))
         cfg = cls(**raw)
         cfg.validate()
         return cfg

@@ -133,7 +133,7 @@ class TestEquivalenceRatio:
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_requires_positive_batch(self, batch_size):
         # a zero batch would average empty gradients into NaN ratios
-        with pytest.raises(AnalysisError, match="batch_size must be positive"):
+        with pytest.raises(AnalysisError, match="batch_size must be an integer > 0"):
             variance_equivalence_ratio(scalar_linear_grad, normal_pair_sampler,
                                        batch_size, 2, 0.02, 150, 0)
 

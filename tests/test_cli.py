@@ -16,7 +16,15 @@ import numpy as np
 import pytest
 
 import bigbatch
-from bigbatch.analysis import MAX_DRAW_SAMPLES
+from bigbatch.analysis import (
+    MAX_DRAW_SAMPLES,
+    AnalysisError,
+    SamplerSpec,
+    VarianceSpec,
+    estimate_grad_variance,
+    scalar_linear_grad,
+    variance_equivalence_ratio,
+)
 from bigbatch.batchnorm import sync_bn_backward
 from bigbatch.data import DatasetSpec, generate_dataset, save_dataset
 from bigbatch.cli import (
@@ -25,12 +33,12 @@ from bigbatch.cli import (
     EXIT_DIVERGED,
     EXIT_OK,
     EXIT_RUN_FAILED,
+    MAX_PREVIEW_ROWS,
+    PREVIEW_ROWS,
     RATIO_CSV_HEADER,
-    RATIO_FIELDS,
-    VARIANCE_FIELDS,
     main,
 )
-from bigbatch.collectives import CollectiveProtocolError
+from bigbatch.collectives import CollectiveProtocolError, DeviceGroup
 from bigbatch.trainer import TrainerError
 from bigbatch.optim import lr_at, make_policy
 from bigbatch.trainer import CSV_HEADER
@@ -113,7 +121,7 @@ class TestTrain:
     def test_invalid_config_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, learning_rate=0.1)
         assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
-        assert "unknown config fields" in capsys.readouterr().err
+        assert "unknown fields ['learning_rate']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
     def test_invalid_seed(self, tmp_path, capsys, seed):
@@ -761,6 +769,72 @@ def test_oversized_draw_is_one_named_line(tmp_path, capsys, monkeypatch, command
     assert str(MAX_DRAW_SAMPLES) in err and not (tmp_path / "r").exists()
 
 
+def no_draw(*args):
+    raise AssertionError("drew samples before checking the bounds")
+
+
+def grad_variance(batch_size, trials):
+    return estimate_grad_variance(scalar_linear_grad, no_draw, batch_size, trials, 0)
+
+
+def equivalence(batch_size, k):
+    return variance_equivalence_ratio(scalar_linear_grad, no_draw, batch_size, k, 0.02, 100, 0)
+
+
+@pytest.mark.parametrize("call,name,fields,field", [
+    (lambda: grad_variance(4, 5), "trials", {"trials": 5}, "trials"),
+    (lambda: grad_variance(0, 100), "batch_size", {"batch_sizes": [0]}, "batch_sizes[0]"),
+    (lambda: equivalence(4, 0), "k", {"ks": [0]}, "ks[0]"),
+    (lambda: equivalence(2**12, 2**13), "k * batch_size", {"ks": [2**13], "small_batch": 2**12},
+     "ks[0] * small_batch"),
+], ids=["trials", "batch_size", "k", "draw"])
+def test_variance_bound_reads_the_same_from_python_and_the_cli(
+        tmp_path, capsys, monkeypatch, call, name, fields, field):
+    # one rule object per bound: `need at least 100 trials` from Python used
+    # to read `trials must be an integer >= 100` from the command
+    monkeypatch.setattr("bigbatch.cli.normal_pair_sampler", no_draw)
+    with pytest.raises(AnalysisError) as e:
+        call()
+    rule_text = str(e.value).removeprefix(name)
+    assert rule_text.startswith(" must be ")
+    cfg = write_config(tmp_path, **fields)
+    assert main(["variance", "--config", cfg]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == f"config error: {field}{rule_text}\n"
+
+
+@pytest.mark.parametrize("world", [257, 1000000])
+def test_oversized_world_is_one_named_line(tmp_path, capsys, monkeypatch, world):
+    # one device per rank: a world this size would be built before anything checked it
+    def no_group(*args, **kwargs):
+        raise AssertionError("a DeviceGroup was built or run")
+    monkeypatch.setattr(DeviceGroup, "__init__", no_group)
+    monkeypatch.setattr(DeviceGroup, "run", no_group)
+    cfg = train_config(tmp_path, world_size=world, per_device_batch=1,
+                       dataset={"size": world, "classes": 2, "height": 2, "width": 2})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: world_size must be an integer > 0 and <= 256, got {world}\n")
+    assert not (tmp_path / "r").exists()
+
+
+def test_preview_row_rule_admits_the_cap():
+    # checked on the rule alone: a preview at the cap holds ~100 MiB of rows
+    assert PREVIEW_ROWS(MAX_PREVIEW_ROWS, "rows") is None
+    assert PREVIEW_ROWS(MAX_PREVIEW_ROWS + 1, "rows") is not None
+
+
+def test_oversized_preview_is_one_named_line(tmp_path, capsys, monkeypatch):
+    # 10**12 epochs of 8 rows each used to be built in memory, and never finished
+    def no_rows(*args):
+        raise AssertionError("built the rows before counting them")
+    monkeypatch.setattr("bigbatch.cli.csv_text", no_rows)
+    cfg = train_config(tmp_path, epochs=10**12)
+    assert main(["lr-preview", "--config", cfg]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"config error: epochs * iters_per_epoch must be an integer <= "
+                   f"{MAX_PREVIEW_ROWS}, got {8 * 10**12}\n")
+
+
 @pytest.mark.parametrize("drift", [{}, {"drift_early_scale": 1.0, "drift_rate": 0}])
 def test_positive_sum_beyond_int64_is_one_named_line(tmp_path, capsys, drift):
     # used to exit 0 with the int64 sums wrapped: a ratio of -6.4e12 %, or,
@@ -785,12 +859,12 @@ def test_positive_sum_within_int64_runs(tmp_path, capsys, drift):
         assert cell["mean_pos_frac_pct"] == pytest.approx(100.0)
 
 
-@pytest.mark.parametrize("table,name", [(VARIANCE_FIELDS, "batch_sizes"),
-                                        (VARIANCE_FIELDS, "small_batch"),
-                                        (RATIO_FIELDS, "batch_sizes")])
-def test_draw_size_rule_admits_the_cap(table, name):
+@pytest.mark.parametrize("spec,name", [(VarianceSpec, "batch_sizes"),
+                                       (VarianceSpec, "small_batch"),
+                                       (SamplerSpec, "batch_sizes")])
+def test_draw_size_rule_admits_the_cap(spec, name):
     # checked on the rule alone: a draw at the cap allocates hundreds of MiB
-    rule = table[name][1]
+    rule = next(f.metadata["rule"] for f in dataclasses.fields(spec) if f.name == name)
     value = [MAX_DRAW_SAMPLES] if name != "small_batch" else MAX_DRAW_SAMPLES
     assert rule(value, name) is None
     bigger = [MAX_DRAW_SAMPLES + 1] if name != "small_batch" else MAX_DRAW_SAMPLES + 1

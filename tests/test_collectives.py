@@ -8,6 +8,7 @@ import pytest
 from bigbatch.collectives import (
     SCOPE_BN_GROUP,
     SCOPE_WORLD,
+    WORLD_SIZE,
     CollectiveError,
     CollectiveProtocolError,
     DeviceGroup,
@@ -27,6 +28,20 @@ def run_bounded(group, fn, seconds=10.0):
     t.join(seconds)
     assert not t.is_alive(), "the group run did not finish"
     return out[0]
+
+
+def test_world_size_rule_admits_twice_megdets_128():
+    # checked on the rule alone: no test starts a world above 16 threads
+    assert WORLD_SIZE(256, "world_size") is None
+    assert WORLD_SIZE(257, "world_size") == "world_size must be an integer > 0 and <= 256, got 257"
+
+
+def test_handles_share_the_tables_rank_lists():
+    # each handle used to build its own list of every world rank: memory in world_size**2
+    g = DeviceGroup(8, bn_group_size=4)
+    for h in g.handles:
+        assert h._scope_info(SCOPE_WORLD)[1] is g._tables["world"].ranks
+        assert h._scope_info(SCOPE_BN_GROUP)[1] is g._tables[h.bn_scope_key].ranks
 
 
 def test_group_validation():

@@ -52,7 +52,7 @@ class TestPolicyValidation:
         lg = make_policy("long", actual_batch=256)
         assert lg.milestones == ((11, 0.1), (14, 0.1), (17, 0.5))
         assert lg.end_epoch == 18
-        with pytest.raises(ScheduleError, match="unknown policy"):
+        with pytest.raises(ScheduleError, match="policy must be one of 'normal', 'long', got 'cosine'"):
             make_policy("cosine", actual_batch=16)
 
     def test_default_warmup(self):

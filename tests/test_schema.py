@@ -21,10 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigbatch import cli
+from bigbatch import cli, collectives, optim
 from bigbatch.data import DatasetSpec
 from bigbatch.model import LayerSpec
-from bigbatch.analysis import RatioCell, SamplerSpec
+from bigbatch.analysis import RatioCell, SamplerSpec, VarianceSpec
 from bigbatch.schema import (array, boolean, csv_header, csv_line, csv_text, integer, json_text,
                              mapping, number, one_of, string)
 from bigbatch.trainer import CSV_HEADER, ExperimentConfig, MetricsRow
@@ -66,18 +66,20 @@ def test_rule_takes(rule, value):
     assert rule(value, "x") is None
 
 
-@pytest.mark.parametrize("cls", [ExperimentConfig, LayerSpec, DatasetSpec, SamplerSpec])
+@pytest.mark.parametrize("cls", [ExperimentConfig, LayerSpec, DatasetSpec, SamplerSpec,
+                                 VarianceSpec])
 def test_every_field_declares_a_rule(cls):
     # a field added without a rule would go unchecked
     for f in fields(cls):
         assert callable(f.metadata.get("rule")), f"{cls.__name__}.{f.name} has no rule"
 
 
-def test_ratio_study_applies_the_sampler_rules():
-    # one rule object per field, so the command and the spec cannot drift apart
-    rules = {f.name: f.metadata["rule"] for f in fields(SamplerSpec)}
-    for name, (_, rule) in cli.RATIO_FIELDS.items():
-        assert rule is rules[name], name
+def test_config_declares_the_library_rules():
+    # one rule object per bound, so the config and the library cannot drift apart
+    rules = {f.name: f.metadata["rule"] for f in fields(ExperimentConfig)}
+    assert rules["world_size"] is collectives.WORLD_SIZE
+    assert rules["base_lr"] is optim.RATE and rules["base_batch"] is optim.BATCH
+    assert rules["policy"] is optim.POLICY
 
 
 def test_report_defaults_are_unchanged():
@@ -140,8 +142,8 @@ def test_bases_spell_out_every_declared_field():
     assert list(TRAIN) == [f.name for f in fields(ExperimentConfig)]
     assert list(TRAIN["dataset"]) == [f.name for f in fields(DatasetSpec)]
     assert list(LAYERS[0]) == [f.name for f in fields(LayerSpec)]
-    assert list(VARIANCE) == list(cli.VARIANCE_FIELDS)
-    assert list(RATIO) == list(cli.RATIO_FIELDS)
+    assert list(VARIANCE) == [f.name for f in fields(VarianceSpec)]
+    assert list(RATIO) == list(cli.RATIO_DEFAULTS)
 
 
 def paths(value, prefix=()):

@@ -155,7 +155,7 @@ class TestExperimentConfig:
         assert ExperimentConfig(world_size=4, bn_group_size=2).bn_group == 2
 
     def test_unknown_fields_rejected_by_name(self):
-        with pytest.raises(ConfigError, match="unknown config fields.*learning_rate"):
+        with pytest.raises(ConfigError, match=r"unknown fields \['learning_rate'\]"):
             ExperimentConfig.from_dict({"learning_rate": 0.1, "seed": 3})
 
     def test_validate_reports_every_problem_at_once(self):
