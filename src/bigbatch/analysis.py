@@ -28,7 +28,13 @@ import numpy as np
 from .schema import array, check, check_fields, integer, number, ruled
 
 BOOTSTRAP_RESAMPLES = 1000
-TRIALS = integer(ge=100)  # trials per estimate: enough for a stable bootstrap
+# Trials per estimate: at least enough for a stable bootstrap, at most 2**16.
+# `_collect_grads` keeps every trial's gradient of every draw as a numpy array
+# (104 bytes each for the scalar model, 1 + k draws a trial), and each of
+# the 1000 bootstrap resamples draws and gathers `trials` entries: at the
+# cap and k = 4, a 48 MiB peak (tracemalloc) and 1 MiB per resample.
+MAX_TRIALS = 2**16
+TRIALS = integer(ge=100, le=MAX_TRIALS)
 PROBABILITY = number(ge=0, le=1)  # of a (count, probability) mixture entry
 # The most samples a single draw takes. A draw holds a few float64 arrays of
 # its size (a sampler's pair, a gradient's products, a mixture's uniforms and
@@ -40,6 +46,10 @@ K = integer(gt=0)  # small batches accumulated against one large batch
 # |drift_batch_exponent| <= 20 keeps (batch/16)**exponent finite and nonzero for
 # every batch size up to 2**53, past what SamplerSpec admits: 20 * log2(2**53 / 16) = 980 < 1024
 DRIFT_EXPONENT_BOUND = 20
+# A study cell keeps about six arrays of `batches_per_cell` 8-byte entries (the
+# positive and negative sums, their ratios and fractions, and temporaries): 48
+# MiB at 2**20, where ten billion would ask for 447 GiB.
+MAX_BATCHES_PER_CELL = 2**20
 
 
 class AnalysisError(ValueError):
@@ -234,7 +244,7 @@ class SamplerSpec:
     neg_counts: tuple = ruled(array(array(integer(gt=0), PROBABILITY)))  # at least 1 per image
     batch_sizes: tuple = ruled(array(DRAW_SIZE))
     epochs: int = ruled(integer(gt=0))
-    batches_per_cell: int = ruled(integer(gt=0))
+    batches_per_cell: int = ruled(integer(gt=0, le=MAX_BATCHES_PER_CELL))
     seed: int = ruled(integer(ge=0))
     drift_early_scale: float = ruled(number(gt=0, le=1), 1.0)
     drift_late_scale: float = ruled(number(gt=0, le=1), 1.0)

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -235,6 +236,17 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+class _SuiteChoices:
+    """`verify`'s suite argument choices: `SUITES` as it is when a command is parsed."""
+
+    def __contains__(self, name) -> bool:
+        return name == "all" or name in SUITES
+
+    def __iter__(self):
+        return iter(sorted(SUITES) + ["all"])
+
+
+@functools.cache  # built on the first command, reused by every later one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bigbatch",
@@ -249,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("train", help="run one training experiment"))
     v = sub.add_parser("verify", help="run an invariant suite")
-    v.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    v.add_argument("suite", choices=_SuiteChoices())
     v.add_argument("--seed", type=int, default=0)
     common(sub.add_parser("variance", help="gradient-variance report"))
     common(sub.add_parser("ratio-study", help="positive/negative ratio table"))

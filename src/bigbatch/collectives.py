@@ -118,14 +118,14 @@ class DeviceGroup:
         self._returned: set[int] = set()  # ranks whose worker has returned normally
         self._blocked = 0  # ranks waiting in an unsettled round, i.e. in a table's slots
 
-    def run(self, fn: Callable[[DeviceHandle], Any], return_exceptions: bool = False) -> list:
+    def run(self, fn: Callable[[DeviceHandle], Any]) -> list:
         """Run `fn(handle)` concurrently on every device; return per-rank results.
 
-        Exceptions from any rank are re-raised on the caller, preferring the
-        rank whose error carries the original diagnostic over ranks that were
-        merely aborted by it. With `return_exceptions` the per-rank list is
-        returned instead, holding either a result or the exception object, so
-        callers can salvage partial output.
+        A failed run raises one error, by the one rule that names a failed
+        run: that of the first rank, in rank order, that was not merely
+        aborted by a peer (an aborted rank raises a CollectiveProtocolError
+        with `from_abort`). When every failed rank was aborted, as in a
+        deadlock, the first one's error is raised.
         """
         results: list[Any] = [None] * self.world_size
         errors: list[BaseException | None] = [None] * self.world_size
@@ -158,9 +158,6 @@ class DeviceGroup:
             t.start()
         for t in threads:
             t.join()
-        if return_exceptions:
-            return [errors[r] if errors[r] is not None else results[r]
-                    for r in range(self.world_size)]
         failed = sorted((e for e in errors if e is not None),  # aborted ranks last
                         key=lambda e: isinstance(e, CollectiveProtocolError) and e.from_abort)
         if failed:

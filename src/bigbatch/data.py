@@ -28,12 +28,16 @@ class DataError(ValueError):
 
 # Generated images live in memory as float64: 2**27 elements is 1 GiB.
 MAX_DATASET_ELEMENTS = 2**27
+# `class_means` compares every pair of classes in a Python loop, and a
+# dataset calls it twice: 2**8 classes make 32,640 pairs, 0.19 s a call on
+# one CPU; the count grows with classes**2.
+MAX_CLASSES = 2**8
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
     size: int = ruled(integer(gt=0))
-    classes: int = ruled(integer(ge=2))
+    classes: int = ruled(integer(ge=2, le=MAX_CLASSES))
     height: int = ruled(integer(ge=2), 8)
     width: int = ruled(integer(ge=2), 8)
     separation: float = ruled(number(gt=0), 4.0)
@@ -120,10 +124,14 @@ def _draw_split(spec: DatasetSpec, rng: np.random.Generator, n: int):
     return images, labels
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is named below
 def generate_dataset(spec: DatasetSpec, seed: int) -> Dataset:
     images, labels = _draw_split(spec, np.random.default_rng((seed, 0)), spec.size)
     ev_images, ev_labels = _draw_split(
         spec, np.random.default_rng((seed, 1)), spec.resolved_eval_size())
+    if not (np.isfinite(images).all() and np.isfinite(ev_images).all()):  # as load_dataset
+        raise DataError(f"separation {spec.separation!r} and noise_sigma "
+                        f"{spec.noise_sigma!r} overflow the generated images to NaN or Inf")
     return Dataset(spec=spec, seed=seed, images=images, labels=labels,
                    eval_images=ev_images, eval_labels=ev_labels)
 

@@ -50,6 +50,13 @@ from .schema import check_fields, integer, one_of, ruled, string
 from .tensor import NonFiniteError, Tensor, _check_finite, channel_blocks
 
 KINDS = ("dense", "conv3x3", "relu", "bn", "global_mean_pool", "softmax_xent")
+# The widest layer, 32 times the widest any shipped config uses. A conv3x3
+# between two layers at the cap holds 256 * 256 * 9 float64 weights (4.5 MiB),
+# which a rank keeps about four times (weights, gradient, velocity, allreduce
+# payload); its patch matrix takes 9 * 256 float64 (18 KiB) per pixel of the
+# rank's batch, 72 MiB for 64 8x8 images.
+MAX_LAYER_WIDTH = 2**8
+WIDTH = integer(gt=0, le=MAX_LAYER_WIDTH, null=True)  # out_features, out_channels
 
 
 class ModelError(ValueError):
@@ -59,8 +66,8 @@ class ModelError(ValueError):
 @dataclass
 class LayerSpec:
     kind: str = ruled(one_of(*KINDS))
-    out_features: int | None = ruled(integer(gt=0, null=True), None)  # dense
-    out_channels: int | None = ruled(integer(gt=0, null=True), None)  # conv3x3
+    out_features: int | None = ruled(WIDTH, None)                     # dense
+    out_channels: int | None = ruled(WIDTH, None)                     # conv3x3
     variant: str = ruled(one_of("local", "cross"), "local")           # bn
     eps: float = ruled(EPS, 1e-5)                         # bn
     running_momentum: float = ruled(RUNNING_MOMENTUM, 0.1)  # bn

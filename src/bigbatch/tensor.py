@@ -11,9 +11,9 @@ input. `channel_blocks` says why its block view keeps the broadcast's bits.
 logits, and the batch-norm functions' inputs and outputs. Inside, the
 model and batch norm compute on plain arrays and run the same finiteness
 scan (`_check_finite`) on every one they compute, under the name of the
-layer or operation that produced it. `Tensor._wrap` turns such a scanned
-array into a tensor without a copy; `Tensor(...)` always copies and scans
-its input.
+layer or operation that produced it. `Tensor._wrap` turns such an array,
+or a dataset's (checked where it was made), into a tensor without a copy;
+`Tensor(...)` always copies and scans its input.
 """
 
 from __future__ import annotations
@@ -40,14 +40,14 @@ class Tensor:
     """Immutable dense array, row-major, f64 by default.
 
     Values are finite: the constructor scans them, and `_wrap` takes only
-    arrays scanned just before, so NaN/Inf never pass a public boundary
-    silently. The underlying buffer is marked read-only and may be shared
-    freely across device workers.
+    arrays scanned before, so NaN/Inf never pass a public boundary silently.
+    The underlying buffer is marked read-only and may be shared freely
+    across device workers.
     """
 
     __slots__ = ("_a",)
 
-    def __init__(self, values, _context="Tensor"):
+    def __init__(self, values):
         a = np.array(values, order="C")
         if a.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             a = a.astype(np.float64)
@@ -55,16 +55,17 @@ class Tensor:
             raise TensorError("tensor shape must be nonempty (rank >= 1)")
         if any(e <= 0 for e in a.shape):
             raise TensorError(f"tensor extents must be positive, got shape {a.shape}")
-        _check_finite(a, _context)
+        _check_finite(a, "Tensor")
         a.flags.writeable = False
         self._a = a
 
     @classmethod
     def _wrap(cls, a: np.ndarray) -> "Tensor":
-        """Wrap an array the library has just computed and already scanned
-        (`_check_finite`), copying it only if it is not C-ordered, and mark
-        the buffer read-only. Only for f64/f32 arrays with a positive extent
-        on every axis that no caller holds a writable reference to."""
+        """Wrap an array the library has just scanned (`_check_finite`), or a
+        dataset's images or a slice of them, checked where the dataset was
+        made; copy it only if it is not C-ordered, and mark it read-only.
+        Only for f64/f32 arrays with a positive extent on every axis that no
+        caller holds a writable reference to."""
         if not a.flags.c_contiguous:
             a = np.ascontiguousarray(a)
         t = cls.__new__(cls)

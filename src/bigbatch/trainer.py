@@ -4,7 +4,9 @@ The orchestrator checks an ExperimentConfig (each field against the rule
 it declares, see `schema`, then the checks that span fields), builds the
 dataset, model, and schedule from it, spawns one worker per device, and
 owns all file output. A failed worker or a deadlock in the collectives
-ends the run at once (CollectiveError); a slow worker is waited for.
+ends the run at once with the error `DeviceGroup.run` names; if that is a
+DivergenceError, the run's status is `diverged`. A slow worker is waited
+for. The dataset's images are finite, so each batch goes to the model as is.
 Workers keep identical parameter replicas: every iteration they compute
 gradients on their shard, average them with a world AllReduce, and apply
 the same SGD step. The AllReduce payload is the gradients in the
@@ -33,7 +35,6 @@ import numpy as np
 from .collectives import (
     SCOPE_WORLD,
     WORLD_SIZE,
-    CollectiveError,
     DeviceGroup,
     allreduce_sum,
     broadcast,
@@ -343,16 +344,6 @@ class TrainResult:
     measured_wall_s: float
 
 
-@dataclass
-class _WorkerOut:
-    status: str
-    diverged_at: str | None
-    rows: list
-    eval_history: list
-    params: dict | None
-    buffers: dict | None
-
-
 def _count_allreduce_rounds(model: ModelSpec, one_pass: bool) -> int:
     """Collective rounds per iteration under the wall-clock cost model."""
     rounds = 1  # gradient AllReduce
@@ -377,7 +368,9 @@ def run_training(config: ExperimentConfig) -> TrainResult:
     eval_ms = res.eval_size * SAMPLE_EVAL_MS
     world = config.world_size
 
+    # finite since the dataset was made; each batch slice below is a fresh copy
     images, labels = dataset.images, dataset.labels
+    eval_x = Tensor._wrap(dataset.eval_images)
 
     # A diverging run overflows before the finiteness scans name the layer
     # and stop it; numpy's warnings would only repeat that on stderr.
@@ -398,7 +391,7 @@ def run_training(config: ExperimentConfig) -> TrainResult:
                 base = it * res.total_batch
                 sl = perm[base + handle.rank * config.per_device_batch:
                           base + (handle.rank + 1) * config.per_device_batch]
-                x = Tensor(images[sl], _context="batch")
+                x = Tensor._wrap(images[sl])
                 y = labels[sl]
                 lr = lr_at(res.policy, epoch, it, res.iters_per_epoch)
                 try:
@@ -428,40 +421,20 @@ def run_training(config: ExperimentConfig) -> TrainResult:
             if status == "diverged":
                 break
             if handle.rank == 0:
-                ev = forward(model, params, buffers,
-                             Tensor(dataset.eval_images, _context="eval"),
-                             labels=None, mode="eval")
+                ev = forward(model, params, buffers, eval_x, labels=None, mode="eval")
                 acc = accuracy(ev.logits, dataset.eval_labels)
                 evals.append((epoch, acc))
                 last_lr = lr_at(res.policy, epoch, res.iters_per_epoch - 1,
                                 res.iters_per_epoch)
                 rows.append(MetricsRow(epoch, res.iters_per_epoch, last_lr,
                                        None, None, None, acc, eval_ms))
-        if handle.rank == 0:
-            return _WorkerOut(status, diverged_at, rows, evals, params, buffers)
-        return _WorkerOut(status, diverged_at, [], [], None, None)
+        return status, diverged_at, rows, evals, params, buffers
 
     group = DeviceGroup(world, bn_group_size=res.bn_group_size)
-    outcomes = group.run(worker, return_exceptions=True)
-
-    status, diverged_at = "ok", None
-    rows, evals, params, buffers = [], [], None, None
-    hard_error = None
-    for rank, oc in enumerate(outcomes):
-        if isinstance(oc, _WorkerOut):
-            if oc.status == "diverged":
-                status, diverged_at = "diverged", oc.diverged_at
-            if rank == 0:
-                rows, evals = oc.rows, oc.eval_history
-                params, buffers = oc.params, oc.buffers
-        elif isinstance(oc, DivergenceError):
-            status = "diverged"
-            diverged_at = diverged_at or str(oc)
-        elif isinstance(oc, BaseException):
-            if hard_error is None or isinstance(hard_error, CollectiveError):
-                hard_error = oc
-    if hard_error is not None and status != "diverged":
-        raise hard_error
+    try:  # rank 0 reports; the other ranks' rows are empty, their state the same
+        status, diverged_at, rows, evals, params, buffers = group.run(worker)[0]
+    except DivergenceError as e:  # a blow-up mid-step leaves no trustworthy state
+        status, diverged_at, rows, evals, params, buffers = "diverged", str(e), [], [], None, None
 
     manifest = {
         "config": asdict(config),

@@ -5,6 +5,9 @@ numpy expression possible) and deliberately shares no code with the
 package. When a test compares a library result against one of these, a
 bug would have to appear in two independent implementations to slip
 through.
+
+`rank_outcomes` is the one helper that is not an oracle: it records what
+each simulated device's worker did, for the tests of failing ranks.
 """
 
 import math
@@ -261,3 +264,27 @@ def loop_update_variances(grad_fn, sampler, batch_size, k, rate, trials, seed, s
             acc = step if acc is None else {key: acc[key] + step[key] for key in acc}
         small.append(acc)
     return loop_block_variance(large)[1], loop_block_variance(small)[1]
+
+
+def rank_outcomes(group, fn):
+    """Each rank's result or exception from `group.run(fn)`, by rank.
+
+    Every rank stores its outcome and re-raises a failure, so a failing rank
+    still aborts its peers as in any run; the error the run raises is
+    dropped here, since its rule has tests of its own.
+    """
+    outcomes = [None] * group.world_size
+
+    def recorded(handle):
+        try:
+            outcomes[handle.rank] = fn(handle)
+        except BaseException as exc:
+            outcomes[handle.rank] = exc
+            raise
+        return outcomes[handle.rank]
+
+    try:
+        group.run(recorded)
+    except Exception:  # noqa: BLE001 - each rank's is in `outcomes`
+        pass
+    return outcomes

@@ -4,6 +4,7 @@ File outputs land in tmp_path; stdout/stderr are checked through capsys so
 the printed contract (status lines, CSV headers, exit codes) is pinned.
 """
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -36,6 +37,7 @@ from bigbatch.cli import (
     MAX_PREVIEW_ROWS,
     PREVIEW_ROWS,
     RATIO_CSV_HEADER,
+    build_parser,
     main,
 )
 from bigbatch.collectives import CollectiveProtocolError, DeviceGroup
@@ -252,6 +254,20 @@ class TestVerify:
         assert run_suite.__name__  # and the API mirrors the rejection:
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("nope")
+
+    def test_the_parser_is_built_once(self, capsys, monkeypatch):
+        # rebuilding it took 1.4 ms a command; a suite added after it was
+        # built is still a choice, since the choices are read at parse time
+        parser = build_parser()
+
+        def no_parser(*args, **kwargs):
+            raise AssertionError("built another parser")
+        monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+        monkeypatch.setitem(
+            SUITES, "late", lambda seed=0: [CheckResult("late.check", True, "added late")])
+        assert main(["verify", "late"]) == EXIT_OK
+        assert "[PASS] late.check" in capsys.readouterr().out
+        assert build_parser() is parser
 
     def test_failing_check_yields_exit_one(self, capsys, monkeypatch):
         monkeypatch.setitem(
@@ -814,6 +830,68 @@ def test_oversized_world_is_one_named_line(tmp_path, capsys, monkeypatch, world)
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
     assert capsys.readouterr().err == (
         f"config error: world_size must be an integer > 0 and <= 256, got {world}\n")
+    assert not (tmp_path / "r").exists()
+
+
+POOL_DENSE = [{"kind": "global_mean_pool"}, {"kind": "dense", "out_features": None}]
+
+
+@pytest.mark.parametrize("command,fields,allocates,message", [
+    ("train", {"model": [{"kind": "conv3x3", "out_channels": 10**9}, *POOL_DENSE]},
+     "bigbatch.trainer.init_params",
+     "model[0].out_channels must be an integer > 0 and <= 256 or null, got 1000000000"),
+    ("train", {"model": [{"kind": "conv3x3", "out_channels": 2}, POOL_DENSE[0],
+                         {"kind": "dense", "out_features": 257}, POOL_DENSE[1]]},
+     "bigbatch.trainer.init_params",
+     "model[2].out_features must be an integer > 0 and <= 256 or null, got 257"),
+    ("train", {"dataset": {"size": 300, "classes": 257}}, "bigbatch.data.class_means",
+     "dataset spec: classes must be an integer >= 2 and <= 256, got 257"),
+    ("gen-data", {"dataset": {"size": 300, "classes": 257}}, "bigbatch.data.class_means",
+     "dataset spec: classes must be an integer >= 2 and <= 256, got 257"),
+    ("variance", {"trials": 2**16 + 1}, "bigbatch.analysis._collect_grads",
+     "trials must be an integer >= 100 and <= 65536, got 65537"),
+    ("ratio-study", {"batches_per_cell": 10**10}, "bigbatch.cli.posneg_ratio_study",
+     "batches_per_cell must be an integer > 0 and <= 1048576, got 10000000000"),
+], ids=["out_channels", "out_features", "classes-train", "classes-gen-data", "trials",
+        "batches_per_cell"])
+def test_capped_field_is_one_named_line(tmp_path, capsys, monkeypatch, command, fields,
+                                        allocates, message):
+    # a billion channels, or ten billion batches per cell, used to exit 1
+    # with numpy's _ArrayMemoryError traceback; 2,000 classes took 19 s
+    def allocate(*args, **kwargs):
+        raise AssertionError("allocated before checking the cap")
+    monkeypatch.setattr(allocates, allocate)
+    if command in ("variance", "ratio-study"):
+        cfg = write_config(tmp_path, **fields)
+    else:
+        cfg = train_config(tmp_path, **fields)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_width_and_classes_at_their_caps_train(tmp_path, capsys):
+    model = [{"kind": "conv3x3", "out_channels": 256}, *POOL_DENSE]
+    # at noise_sigma 1 the 256 class means reach 462 on this grid and the
+    # first step diverges; a smaller sigma scales them down
+    cfg = train_config(tmp_path, model=model, epochs=1,
+                       dataset={"size": 256, "classes": 256, "height": 2, "width": 2,
+                                "noise_sigma": 0.01})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_OK
+    manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+    assert manifest["model"][2]["out_features"] == 256  # the dense head, one per class
+
+
+@pytest.mark.parametrize("command", ["train", "gen-data"])
+def test_overflowing_dataset_spec_is_one_named_line(tmp_path, command):
+    # gen-data used to write all-Inf images and exit 0, and train to exit 1
+    # with a NonFiniteError traceback from its first batch
+    cfg = write_config(tmp_path, dataset={"size": 16, "classes": 2, "separation": 1e308,
+                                          "noise_sigma": 1e10})
+    done = run_module(command, "--config", cfg, "--out", str(tmp_path / "r"))
+    assert done.returncode == EXIT_BAD_CONFIG, done.stderr
+    assert done.stderr == ("config error: separation 1e+308 and noise_sigma 10000000000.0 "
+                           "overflow the generated images to NaN or Inf\n")
     assert not (tmp_path / "r").exists()
 
 

@@ -16,14 +16,13 @@ from bigbatch.collectives import (
     broadcast,
 )
 
-from helpers import loop_sequential_sum
+from helpers import loop_sequential_sum, rank_outcomes
 
 
 def run_bounded(group, fn, seconds=10.0):
-    """`group.run(fn, return_exceptions=True)`, failing instead of hanging."""
+    """`rank_outcomes(group, fn)`, failing instead of hanging."""
     out = []
-    t = threading.Thread(target=lambda: out.append(group.run(fn, return_exceptions=True)),
-                         daemon=True)
+    t = threading.Thread(target=lambda: out.append(rank_outcomes(group, fn)), daemon=True)
     t.start()
     t.join(seconds)
     assert not t.is_alive(), "the group run did not finish"
@@ -295,19 +294,6 @@ def test_sequence_skew_diagnosed():
         g.run(fn)
 
 
-def test_run_with_return_exceptions():
-    g = DeviceGroup(3)
-
-    def fn(h):
-        if h.rank == 1:
-            raise RuntimeError("boom on rank 1")
-        return h.rank
-
-    out = g.run(fn, return_exceptions=True)
-    assert out[0] == 0 and out[2] == 2
-    assert isinstance(out[1], RuntimeError)
-
-
 def test_worker_failure_aborts_peers_with_original_error():
     g = DeviceGroup(2)
 
@@ -332,7 +318,7 @@ def test_worker_death_releases_blocked_peers_immediately():
         return allreduce_sum(h, SCOPE_WORLD, [1.0])
 
     t0 = time.perf_counter()
-    out = g.run(fn, return_exceptions=True)
+    out = rank_outcomes(g, fn)
     assert time.perf_counter() - t0 < 5.0
     assert isinstance(out[0], ValueError)
     assert isinstance(out[1], CollectiveProtocolError)
@@ -400,7 +386,7 @@ def test_scope_mismatch_releases_other_scopes_promptly():
     t0 = time.perf_counter()
     with pytest.raises(CollectiveProtocolError, match="mismatch"):
         DeviceGroup(4, bn_group_size=2).run(fn)
-    out = DeviceGroup(4, bn_group_size=2).run(fn, return_exceptions=True)
+    out = rank_outcomes(DeviceGroup(4, bn_group_size=2), fn)
     assert time.perf_counter() - t0 < 5.0
     for r in (2, 3):
         assert isinstance(out[r], CollectiveProtocolError) and out[r].from_abort

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,22 @@ class TestGeneration:
         acc = nearest_mean_probe(ds.images, ds.labels)
         assert acc > 0.95
         assert acc < 1.0  # the task is noisy by design
+
+    @pytest.mark.parametrize("separation,noise_sigma", [(1e308, 1e10), (4.0, 1e308)])
+    def test_overflowing_images_are_a_data_error(self, separation, noise_sigma):
+        # the images used to come out all Inf, which gen-data saved and
+        # train rejected only at its first batch, with a traceback
+        spec = DatasetSpec(size=16, classes=2, separation=separation, noise_sigma=noise_sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and numpy prints nothing on top of it
+            with pytest.raises(DataError) as e:
+                generate_dataset(spec, seed=0)
+        assert str(e.value) == (f"separation {separation!r} and noise_sigma {noise_sigma!r} "
+                                "overflow the generated images to NaN or Inf")
+
+    def test_large_finite_images_are_kept(self):
+        ds = generate_dataset(DatasetSpec(size=16, classes=2, noise_sigma=1e300), seed=0)
+        assert np.isfinite(ds.images).all() and np.abs(ds.images).max() > 1e299
 
     def test_wider_separation_is_easier(self):
         near = generate_dataset(DatasetSpec(size=800, classes=4, separation=2.0), 9)

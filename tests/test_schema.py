@@ -22,9 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bigbatch import cli, collectives, optim
-from bigbatch.data import DatasetSpec
-from bigbatch.model import LayerSpec
-from bigbatch.analysis import RatioCell, SamplerSpec, VarianceSpec
+from bigbatch.data import MAX_CLASSES, DatasetSpec
+from bigbatch.model import MAX_LAYER_WIDTH, LayerSpec
+from bigbatch.analysis import (MAX_BATCHES_PER_CELL, MAX_TRIALS, RatioCell, SamplerSpec,
+                               VarianceSpec)
 from bigbatch.schema import (array, boolean, csv_header, csv_line, csv_text, integer, json_text,
                              mapping, number, one_of, string)
 from bigbatch.trainer import CSV_HEADER, ExperimentConfig, MetricsRow
@@ -72,6 +73,20 @@ def test_every_field_declares_a_rule(cls):
     # a field added without a rule would go unchecked
     for f in fields(cls):
         assert callable(f.metadata.get("rule")), f"{cls.__name__}.{f.name} has no rule"
+
+
+@pytest.mark.parametrize("cls,name,cap,rule_text", [
+    (LayerSpec, "out_channels", MAX_LAYER_WIDTH, "an integer > 0 and <= 256 or null"),
+    (LayerSpec, "out_features", MAX_LAYER_WIDTH, "an integer > 0 and <= 256 or null"),
+    (DatasetSpec, "classes", MAX_CLASSES, "an integer >= 2 and <= 256"),
+    (VarianceSpec, "trials", MAX_TRIALS, "an integer >= 100 and <= 65536"),
+    (SamplerSpec, "batches_per_cell", MAX_BATCHES_PER_CELL, "an integer > 0 and <= 1048576"),
+])
+def test_capped_rule_admits_its_cap(cls, name, cap, rule_text):
+    # checked on the rule alone; the memory or time each cap buys is in its comment
+    rule = next(f.metadata["rule"] for f in fields(cls) if f.name == name)
+    assert rule(cap, name) is None
+    assert rule(cap + 1, name) == f"{name} must be {rule_text}, got {cap + 1}"
 
 
 def test_config_declares_the_library_rules():

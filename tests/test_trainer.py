@@ -35,8 +35,11 @@ from bigbatch import (
     SGDState,
     Tensor,
 )
+from bigbatch import trainer
+from bigbatch.collectives import CollectiveProtocolError
 from bigbatch.model import ModelSpec, LayerSpec
 from bigbatch.schema import csv_line
+from bigbatch.tensor import NonFiniteError
 from bigbatch.trainer import (
     _count_allreduce_rounds,
     build_model,
@@ -44,6 +47,8 @@ from bigbatch.trainer import (
     resolve,
     resolve_dataset,
 )
+
+from helpers import rank_outcomes
 
 
 def smoke_config(**overrides):
@@ -67,7 +72,7 @@ class TestDivergenceMonitor:
         assert m.factor == 1e3
         assert m.streak == 100
 
-    def test_non_finite_raises_with_context(self):
+    def test_non_finite_raises_naming_the_iteration(self):
         m = DivergenceMonitor()
         m.observe(1.0)
         with pytest.raises(DivergenceError, match="epoch 2 iter 7"):
@@ -132,7 +137,7 @@ class TestReplicaSync:
             check_replica_sync(h, params, "epoch 1 iter 4")
             return "ok"
 
-        out = group.run(worker, return_exceptions=True)
+        out = rank_outcomes(group, worker)
         assert out[0] == "ok"
         assert isinstance(out[1], TrainerError)
         assert "rank 1" in str(out[1])
@@ -529,6 +534,43 @@ class TestRunTraining:
         result = run_training(cfg)
         assert result.status == "diverged"
         assert "loss became non-finite" in result.diverged_at
+
+
+    def test_one_rank_diverging_alone_names_the_run(self, monkeypatch):
+        # rank 1 blows up mid-forward while rank 0 waits in cross-BN for it:
+        # the group names rank 1's error, and rank 0 only saw the abort
+        aborted = {}
+        real_forward = trainer.forward
+
+        def forward(*args, handle=None, **kwargs):
+            if handle is not None and handle.rank == 1:
+                raise NonFiniteError("injected on rank 1")
+            try:
+                return real_forward(*args, handle=handle, **kwargs)
+            except CollectiveProtocolError as e:
+                aborted[handle.rank] = e
+                raise
+        monkeypatch.setattr(trainer, "forward", forward)
+        result = run_training(smoke_config(world_size=2, per_device_batch=4, epochs=1))
+        assert result.status == "diverged"
+        assert result.diverged_at == "epoch 0 iter 0: injected on rank 1"
+        assert result.final_params is None and result.rows == []
+        assert list(aborted) == [0] and aborted[0].from_abort
+        assert "rank 1 failed with DivergenceError" in str(aborted[0])
+
+    def test_training_constructs_no_tensor(self, monkeypatch):
+        # every batch and the eval set are slices of a checked dataset: no
+        # copy and rescan through Tensor(...), on any rank or in the eval
+        calls = []
+        real_init = Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            real_init(self, *args, **kwargs)
+        monkeypatch.setattr(Tensor, "__init__", counted)
+        result = run_training(smoke_config(world_size=2, per_device_batch=4, epochs=2))
+        assert result.status == "ok" and len(result.eval_history) == 2
+        assert calls == []
 
 
 class TestLocalBNIsThePathology:
