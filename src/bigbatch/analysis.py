@@ -43,6 +43,13 @@ PROBABILITY = number(ge=0, le=1)  # of a (count, probability) mixture entry
 MAX_DRAW_SAMPLES = 2**24
 DRAW_SIZE = integer(gt=0, le=MAX_DRAW_SAMPLES)  # a batch size: the samples of one draw
 K = integer(gt=0)  # small batches accumulated against one large batch
+# The gradients one equivalence estimate keeps: `_collect_grads` holds every
+# trial's 1 + k draws, `trials * (1 + k)` of them, at about 150 bytes each (a
+# 104-byte scalar array, its list slot and its share of the float stack). 2**16
+# trials at k = 4 keep 327,680 of them, a 48 MiB peak (tracemalloc); that product
+# is the cap, where `ks: [10**6]` would ask for 15 GiB at 100 trials.
+MAX_TRIAL_DRAWS = 5 * MAX_TRIALS
+TRIAL_DRAWS = integer(le=MAX_TRIAL_DRAWS)
 # |drift_batch_exponent| <= 20 keeps (batch/16)**exponent finite and nonzero for
 # every batch size up to 2**53, past what SamplerSpec admits: 20 * log2(2**53 / 16) = 980 < 1024
 DRIFT_EXPONENT_BOUND = 20
@@ -199,6 +206,8 @@ class VarianceSpec:
     def __post_init__(self):
         check_fields(self, AnalysisError)
         check(AnalysisError, *((DRAW_SIZE, k * self.small_batch, f"ks[{i}] * small_batch")
+                               for i, k in enumerate(self.ks)))
+        check(AnalysisError, *((TRIAL_DRAWS, self.trials * (1 + k), f"trials * (1 + ks[{i}])")
                                for i, k in enumerate(self.ks)))
 
 

@@ -15,7 +15,9 @@ The four public functions keep `Tensor`s of layout (N, C) or (N, C, H, W)
 at their edge and convert once each way. In between, all runs in the
 input's dtype on C-ordered (M, C) rows, one per (n, y, x) position: folds
 on the rows, per-channel arithmetic on their `channel_blocks`, one NaN/Inf
-scan per output. The model's activations are such rows already.
+scan per output. The model's activations are such rows already, and a
+caller that runs one layer step after step passes the same `BNOperands`,
+so the step's small operand arrays are refilled, not allocated again.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .collectives import SCOPE_BN_GROUP, DeviceHandle, allreduce_sum
 from .schema import check, number
-from .tensor import Tensor, _check_finite, channel_blocks, sequential_sum_rows
+from .tensor import Tensor, _check_finite, channel_blocks, repeats, sequential_sum_rows
 
 
 class BatchNormError(ValueError):
@@ -106,6 +108,28 @@ class BNForwardCache:
     scope_key: str | None = None  # None for a purely local forward
 
 
+class BNOperands:
+    """A BN layer's per-step operands, refilled in place while its input keeps
+    one row count and dtype, reallocated when either changes: the packed
+    statistics vectors, whose count slot is filled at allocation, and the
+    `channel_blocks` repeats of the step's per-channel vectors."""
+
+    key = None
+
+    def fit(self, rows: np.ndarray) -> "BNOperands":
+        m, c = rows.shape
+        if self.key != (m, rows.dtype):
+            self.key = (m, rows.dtype)
+            self.two_pass = np.empty(c + 1)         # sums, count
+            self.one_pass = np.empty(2 * c + 1)     # sums, squared sums, count
+            self.two_pass[c] = self.one_pass[2 * c] = m
+            self.grad_sums = np.empty(2 * c, rows.dtype)  # dy, dy * x_hat
+            self.mu = repeats(rows, 1, np.float64)  # the packed sums are float64
+            self.normalize = repeats(rows, 4)
+            self.grad = repeats(rows, 3)
+        return self
+
+
 def _rows(x: Tensor, state: BNLayerState) -> np.ndarray:
     """`x` as C-ordered (M, C) rows, once its layout matches `state`."""
     if len(x.shape) not in (2, 4):
@@ -128,12 +152,12 @@ def _unrows(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _normalize(rows: np.ndarray, shape, state: BNLayerState, mu, var, count: int,
-               train: bool, scope_key=None) -> tuple[np.ndarray, BNForwardCache]:
+               train: bool, ops: BNOperands, scope_key=None) -> tuple[np.ndarray, BNForwardCache]:
     """y = gamma * x_hat + beta, x_hat = inv_std * rows + (-mu * inv_std), in the
     dtype of `rows`. Only y is scanned: it is non-finite wherever x_hat is."""
     inv_std = 1.0 / np.sqrt(var + state.eps)
     blocks, (inv, shift, gamma, beta) = channel_blocks(
-        rows, inv_std, -mu * inv_std, state.gamma, state.beta)
+        rows, inv_std, -mu * inv_std, state.gamma, state.beta, out=ops.normalize)
     x_hat = blocks * inv
     x_hat += shift
     y = x_hat * gamma
@@ -143,22 +167,23 @@ def _normalize(rows: np.ndarray, shape, state: BNLayerState, mu, var, count: int
 
 
 def _train_forward(rows: np.ndarray, shape, state: BNLayerState, reduce_vec,
-                   scope_key, one_pass: bool) -> tuple[np.ndarray, BNForwardCache]:
+                   scope_key, one_pass: bool, ops: BNOperands) -> tuple[np.ndarray, BNForwardCache]:
     c = state.channels
-    local_sum = sequential_sum_rows(rows)
     if one_pass:
-        packed = np.concatenate([local_sum, sequential_sum_rows(rows * rows),
-                                 [float(rows.shape[0])]])
+        packed = ops.one_pass
+        packed[:c] = sequential_sum_rows(rows)
+        packed[c:2 * c] = sequential_sum_rows(rows * rows)
         total = reduce_vec(packed)
         s, ssq, m = total[:c], total[c:2 * c], total[2 * c]
         mu = s / m
         var = np.maximum(ssq / m - mu * mu, 0.0)
     else:
-        packed = np.concatenate([local_sum, [float(rows.shape[0])]])
+        packed = ops.two_pass
+        packed[:c] = sequential_sum_rows(rows)
         total = reduce_vec(packed)
         s, m = total[:c], total[c]
         mu = s / m
-        blocks, (mu_k,) = channel_blocks(rows, mu, dtype=mu.dtype)  # promoted as rows - mu
+        blocks, (mu_k,) = channel_blocks(rows, mu, out=ops.mu)  # promoted as rows - mu
         diff = blocks - mu_k
         diff *= diff
         var = reduce_vec(sequential_sum_rows(diff.reshape(rows.shape))) / m
@@ -167,32 +192,35 @@ def _train_forward(rows: np.ndarray, shape, state: BNLayerState, reduce_vec,
         raise BatchNormError(
             f"training-mode statistics need at least 2 elements per channel, got {m_int}"
         )
-    y, cache = _normalize(rows, shape, state, mu, var, m_int, True, scope_key)
+    y, cache = _normalize(rows, shape, state, mu, var, m_int, True, ops, scope_key)
     bn_update_running(state, mu, var, m_int)
     return y, cache
 
 
-def bn_forward_local(x: Tensor, state: BNLayerState,
-                     mode: str = "train") -> tuple[Tensor, BNForwardCache]:
+def bn_forward_local(x: Tensor, state: BNLayerState, mode: str = "train",
+                     operands: BNOperands | None = None) -> tuple[Tensor, BNForwardCache]:
     """Batch normalization over a single device's batch.
 
     Training mode computes biased per-channel statistics from `x` and
     updates the running estimates; eval mode normalizes with the running
-    statistics and leaves the state untouched.
+    statistics and leaves the state untouched. `operands`, kept by the
+    caller across steps, saves allocating them again.
     """
     rows = _rows(x, state)
+    ops = (operands or BNOperands()).fit(rows)
     if mode == "train":
-        y, cache = _train_forward(rows, x.shape, state, lambda v: v, None, one_pass=False)
+        y, cache = _train_forward(rows, x.shape, state, lambda v: v, None, False, ops)
     elif mode == "eval":
         y, cache = _normalize(rows, x.shape, state, state.running_mean.copy(),
-                              state.running_var.copy(), rows.shape[0], train=False)
+                              state.running_var.copy(), rows.shape[0], False, ops)
     else:
         raise BatchNormError(f"mode must be 'train' or 'eval', got {mode!r}")
     return Tensor._wrap(_unrows(y, x.shape)), cache
 
 
 def sync_bn_forward(handle: DeviceHandle, x_local: Tensor, state: BNLayerState,
-                    one_pass: bool = False) -> tuple[Tensor, BNForwardCache]:
+                    one_pass: bool = False,
+                    operands: BNOperands | None = None) -> tuple[Tensor, BNForwardCache]:
     """Training-mode batch normalization synchronized across a BN sub-group.
 
     Every rank of the sub-group must call this with tensors of identical
@@ -201,15 +229,15 @@ def sync_bn_forward(handle: DeviceHandle, x_local: Tensor, state: BNLayerState,
     with bitwise-identical statistics, and the output matches
     `bn_forward_local` on the concatenation of all shards.
     """
+    rows = _rows(x_local, state)
     y, cache = _train_forward(
-        _rows(x_local, state), x_local.shape, state,
-        lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v),
-        handle.bn_scope_key, one_pass=one_pass,
-    )
+        rows, x_local.shape, state, lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v),
+        handle.bn_scope_key, one_pass, (operands or BNOperands()).fit(rows))
     return Tensor._wrap(_unrows(y, x_local.shape)), cache
 
 
-def _backward_core(dy: Tensor, cache: BNForwardCache, state: BNLayerState, reduce_vec):
+def _backward_core(dy: Tensor, cache: BNForwardCache, state: BNLayerState, reduce_vec,
+                   operands: BNOperands | None):
     if not cache.train:
         raise BatchNormError("backward requires a training-mode forward cache")
     if dy.shape != cache.shape:
@@ -220,13 +248,15 @@ def _backward_core(dy: Tensor, cache: BNForwardCache, state: BNLayerState, reduc
     if cache.mu.shape != (c,):
         raise BatchNormError("cache does not match this layer state")
     rows, x_hat = _rows(dy, state), cache.x_hat
-    total = reduce_vec(np.concatenate([sequential_sum_rows(rows),
-                                       sequential_sum_rows(rows * x_hat)]))
+    ops = (operands or BNOperands()).fit(rows)
+    ops.grad_sums[:c] = sequential_sum_rows(rows)
+    ops.grad_sums[c:] = sequential_sum_rows(rows * x_hat)
+    total = reduce_vec(ops.grad_sums)
     dbeta, dgamma = total[:c], total[c:]
     m = float(cache.total_count)
     # dx = inv_std * (rows - dbeta / m - x_hat * dgamma / m), in the rows' dtype
     blocks, (dbeta_m, dgamma_k, inv_std) = channel_blocks(
-        rows, dbeta / m, dgamma, state.gamma / np.sqrt(cache.var + state.eps))
+        rows, dbeta / m, dgamma, state.gamma / np.sqrt(cache.var + state.eps), out=ops.grad)
     dx = blocks - dbeta_m
     scaled = x_hat.reshape(blocks.shape) * dgamma_k
     scaled /= m
@@ -235,17 +265,19 @@ def _backward_core(dy: Tensor, cache: BNForwardCache, state: BNLayerState, reduc
     return _check_finite(dx.reshape(rows.shape), "bn_backward"), dgamma, dbeta
 
 
-def bn_backward_local(dy: Tensor, cache: BNForwardCache,
-                      state: BNLayerState) -> tuple[Tensor, np.ndarray, np.ndarray]:
+def bn_backward_local(dy: Tensor, cache: BNForwardCache, state: BNLayerState,
+                      operands: BNOperands | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Backward pass matching a local training-mode forward."""
     if cache.scope_key is not None:
         raise BatchNormError("cache came from a synchronized forward; use sync_bn_backward")
-    dx, dgamma, dbeta = _backward_core(dy, cache, state, lambda v: v)
+    # the local sums are the totals, copied out of the operand the next step refills
+    dx, dgamma, dbeta = _backward_core(dy, cache, state, np.copy, operands)
     return Tensor._wrap(_unrows(dx, dy.shape)), dgamma, dbeta
 
 
 def sync_bn_backward(handle: DeviceHandle, dy_local: Tensor, cache: BNForwardCache,
-                     state: BNLayerState) -> tuple[Tensor, np.ndarray, np.ndarray]:
+                     state: BNLayerState,
+                     operands: BNOperands | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Backward pass matching `sync_bn_forward` on the same sub-group.
 
     The two per-channel reductions (sum of dy and sum of dy * x_hat) are
@@ -259,7 +291,8 @@ def sync_bn_backward(handle: DeviceHandle, dy_local: Tensor, cache: BNForwardCac
             f"belongs to {scope_key!r}"
         )
     dx, dgamma, dbeta = _backward_core(dy_local, cache, state,
-                                       lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v))
+                                       lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v),
+                                       operands)
     return Tensor._wrap(_unrows(dx, dy_local.shape)), dgamma, dbeta
 
 

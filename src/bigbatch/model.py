@@ -27,8 +27,11 @@ layer output is scanned for NaN/Inf under the layer's name, once, except
 a ReLU's, which is finite wherever its input is. `Tensor` appears only at
 the boundaries: the model input, `ForwardResult.logits`, and the BN
 functions, which take and return the rows wrapped without a copy or a
-second scan. Each BN layer builds its `BNLayerState` once per forward and
-hands it to `backward` through the cache; an eval forward keeps no caches.
+second scan. A `RankPlan` holds what a step would otherwise rebuild: the
+parameter arrays, each BN layer's `BNLayerState`, built once per plan,
+and its `BNOperands`. `forward` and `backward` build a plan and run it
+once; the trainer builds one per worker. A BN layer hands its state to
+`backward` through the cache; an eval forward keeps no caches.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .batchnorm import (
     EPS,
     RUNNING_MOMENTUM,
     BNLayerState,
+    BNOperands,
     bn_backward_local,
     bn_forward_local,
     sync_bn_backward,
@@ -222,120 +226,230 @@ def _col2im(dcols: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
     taps = dcols.T.reshape(c, 3, 3, p)
     dst = np.zeros(c * p + 2 * (w + 1), dtype=dcols.dtype)
     tap = np.empty((c, n, h, w), dtype=dcols.dtype)
+    tap_cp, tap_flat = tap.reshape(c, p), tap.reshape(-1)
     for i in range(3):
         for j in range(3):
-            np.copyto(tap.reshape(c, p), taps[:, i, j])
+            np.copyto(tap_cp, taps[:, i, j])
             if i != 1:
                 tap[:, :, 0 if i == 0 else h - 1] = 0
             if j != 1:
                 tap[:, :, :, 0 if j == 0 else w - 1] = 0
-            dst[i * w + j:i * w + j + c * p] += tap.reshape(-1)
+            dst[i * w + j:i * w + j + c * p] += tap_flat
     return np.ascontiguousarray(dst[w + 1:w + 1 + c * p].reshape(c, p).T)
 
 
-def _bn_state(layer: LayerSpec, params: dict, buffers: dict) -> BNLayerState:
-    return BNLayerState(
-        gamma=params[f"{layer.name}.gamma"],
-        beta=params[f"{layer.name}.beta"],
-        eps=layer.eps,
-        running_mean=buffers[f"{layer.name}.running_mean"],
-        running_var=buffers[f"{layer.name}.running_var"],
-        running_momentum=layer.running_momentum,
-    )
+class _Planned:
+    """One layer of a `RankPlan`: its spec and input shape, its parameter keys,
+    a dense or conv layer's arrays, and a BN layer's state and operands."""
+
+    keys = ()
+
+    def __init__(self, spec: LayerSpec, ishape: tuple, params: dict, buffers: dict | None):
+        self.spec, self.ishape, name = spec, ishape, spec.name
+        if spec.kind in ("dense", "conv3x3"):
+            self.keys = (f"{name}.w", f"{name}.b")
+            self.w, self.b = params[self.keys[0]], params[self.keys[1]]
+            self.wmat = self.w.reshape(self.w.shape[0], -1)  # a conv's (Cout, C*9) view
+        elif spec.kind == "bn":
+            self.keys = tuple(f"{name}.{p}" for p in ("gamma", "beta", "running_mean",
+                                                      "running_var"))
+            self.state = None if buffers is None else BNLayerState(
+                gamma=params[self.keys[0]], beta=params[self.keys[1]], eps=spec.eps,
+                running_mean=buffers[self.keys[2]], running_var=buffers[self.keys[3]],
+                running_momentum=spec.running_momentum)
+            self.operands, self.scan = BNOperands(), f"{name}.backward"
 
 
-def forward(model: ModelSpec, params: dict, buffers: dict, x: Tensor,
+class RankPlan:
+    """One rank's forward and backward over one set of parameters, built once.
+
+    Per layer it holds what a step would otherwise look up or build again:
+    its parameter arrays (`sgd_step` writes into them in place, so they stay
+    current), and for a BN layer one validated `BNLayerState` over its
+    parameters and running buffers plus its `BNOperands`. From the build on
+    the plan owns the running statistics and writes them back to `buffers`
+    after each training forward. Built with buffers=None, a plan runs only
+    `backward`, whose BN layers take the state the forward kept in its caches.
+    """
+
+    def __init__(self, model: ModelSpec, params: dict, buffers: dict | None,
+                 handle=None, one_pass_bn: bool = False):
+        self.model, self.params, self.buffers = model, params, buffers
+        self.handle, self.one_pass_bn = handle, one_pass_bn
+        self.layers = [_Planned(layer, ishape, params, buffers)
+                       for layer, (ishape, _) in zip(model.layers, model.shapes)]
+
+    def forward(self, x: Tensor, labels: np.ndarray | None = None,
+                mode: str = "train") -> ForwardResult:
+        """`forward` on this plan's model, parameters, buffers and handle."""
+        model, handle = self.model, self.handle
+        if mode not in ("train", "eval"):
+            raise ModelError(f"mode must be 'train' or 'eval', got {mode!r}")
+        if x.shape[1:] != model.in_shape:
+            raise ModelError(f"input shape {x.shape[1:]} does not match model {model.in_shape}")
+        caches = []
+        keep = caches.append if mode == "train" else lambda entry: None
+        n = x.shape[0]
+        cur = x.array
+        if len(model.in_shape) == 3:
+            c, h, wd = model.in_shape
+            cur = cur.transpose(0, 2, 3, 1).reshape(n * h * wd, c)  # scanned by the Tensor
+        for planned in self.layers:
+            layer, ishape = planned.spec, planned.ishape
+            k = layer.kind
+            if k == "dense":
+                keep(("dense", cur))
+                cur = _check_finite(cur @ planned.w.T + planned.b, layer.name)
+            elif k == "conv3x3":
+                cols = _im2col(cur, n, ishape[1], ishape[2])
+                keep(("conv3x3", cols))
+                out = cols @ planned.wmat.T
+                blocks, (bias,) = channel_blocks(out, planned.b)
+                blocks += bias
+                cur = _check_finite(blocks.reshape(out.shape), layer.name)
+            elif k == "relu":
+                mask = cur > 0
+                keep(("relu", mask))
+                cur = cur * mask  # finite, as the scanned input is
+            elif k == "bn":
+                state, ops = planned.state, planned.operands
+                if state is None:
+                    raise ModelError("a plan built without buffers runs only backward")
+                x_bn = Tensor._wrap(cur)  # scanned as the previous layer's output
+                if mode == "eval":
+                    y, cache = bn_forward_local(x_bn, state, mode="eval", operands=ops)
+                elif layer.variant == "cross" and handle is not None:
+                    y, cache = sync_bn_forward(handle, x_bn, state, one_pass=self.one_pass_bn,
+                                               operands=ops)
+                else:
+                    y, cache = bn_forward_local(x_bn, state, mode="train", operands=ops)
+                if mode == "train":
+                    self.buffers[planned.keys[2]] = state.running_mean
+                    self.buffers[planned.keys[3]] = state.running_var
+                keep(("bn", cache, state))
+                cur = y.array
+            elif k == "global_mean_pool":
+                c, h, wd = ishape
+                # numpy's pairwise sum depends on memory layout: each (n, c) mean
+                # runs over H*W contiguous values, the order the outputs pin. The
+                # sum and division are `mean`'s own two steps, without its wrapper.
+                maps = np.ascontiguousarray(cur.reshape(n, h * wd, c).transpose(0, 2, 1))
+                keep(("global_mean_pool",))
+                cur = _check_finite(np.add.reduce(maps, axis=2) / (h * wd), layer.name)
+            elif k == "softmax_xent":
+                logits = Tensor._wrap(cur)  # scanned as the previous layer's output
+                if labels is None:
+                    return ForwardResult(logits=logits, loss=None, caches=caches)
+                z = cur
+                labels = np.asarray(labels)
+                if labels.shape != (z.shape[0],):
+                    raise ModelError(
+                        f"labels shape {labels.shape} does not match batch {z.shape[0]}")
+                if labels.min() < 0 or labels.max() >= z.shape[1]:
+                    raise ModelError("label values out of range for the class count")
+                zs = z - z.max(axis=1, keepdims=True)
+                ez = np.exp(zs)
+                probs = ez / ez.sum(axis=1, keepdims=True)
+                picked = probs[np.arange(z.shape[0]), labels]
+                # picked can underflow to zero for a wildly confident wrong
+                # prediction; the resulting inf is caught right below.
+                with np.errstate(divide="ignore"):
+                    task = float(np.add.reduce(-np.log(picked)) / n)  # np.mean's two steps
+                keep(("softmax_xent", probs, labels))
+                if not np.isfinite(task):
+                    raise NonFiniteError("loss became non-finite")
+                return ForwardResult(logits=logits, loss=task, caches=caches)
+        raise ModelError("model has no loss head")  # unreachable after validation
+
+    def backward(self, caches: list) -> dict:
+        """`backward` on this plan's model, parameters and handle."""
+        handle = self.handle
+        if not caches or caches[-1][0] != "softmax_xent":
+            raise ModelError("backward needs caches from a forward pass that computed a loss")
+        grads = {}
+        _, probs, labels = caches[-1]
+        n = probs.shape[0]
+        d = probs.copy()
+        d[np.arange(n), labels] -= 1.0
+        d /= n
+        cur = d
+        first = self.layers[0]
+        for planned, cache in zip(reversed(self.layers[:-1]), reversed(caches[:-1])):
+            layer, ishape, keys = planned.spec, planned.ishape, planned.keys
+            k = layer.kind
+            if k == "dense":
+                grads[keys[0]] = cur.T @ cache[1]
+                grads[keys[1]] = cur.sum(axis=0)
+                cur = cur @ planned.w
+            elif k == "conv3x3":
+                cols = cache[1]
+                grads[keys[0]] = (cur.T @ cols).reshape(planned.w.shape)
+                # einsum adds whole C-ordered rows in turn: bitwise `sum(axis=0)`
+                # for two or more columns, and 4x faster at (4096, 6). One column
+                # is a contiguous run, which `sum` folds pairwise and einsum not.
+                grads[keys[1]] = (np.einsum("ij->j", cur) if cur.shape[1] > 1
+                                  else cur.sum(axis=0))
+                if planned is not first:  # the input gradient is never used
+                    cur = _col2im((planned.wmat.T @ cur.T).T, n, ishape[1], ishape[2])
+            elif k == "relu":
+                cur = cur * cache[1]
+            elif k == "bn":
+                _, bn_cache, state = cache  # the forward's state: same gamma and eps
+                dy = Tensor._wrap(_check_finite(cur, planned.scan))
+                if bn_cache.scope_key is not None:
+                    if handle is None:
+                        raise ModelError(f"{layer.name}: synchronized cache needs a device handle")
+                    dx, dgamma, dbeta = sync_bn_backward(handle, dy, bn_cache, state,
+                                                         operands=planned.operands)
+                    share = handle.group.bn_group_size
+                    dgamma = dgamma / share
+                    dbeta = dbeta / share
+                else:
+                    dx, dgamma, dbeta = bn_backward_local(dy, bn_cache, state,
+                                                          operands=planned.operands)
+                grads[keys[0]] = dgamma
+                grads[keys[1]] = dbeta
+                cur = dx.array
+            elif k == "global_mean_pool":
+                c, h, wd = ishape
+                cur = (cur / (h * wd)).repeat(h * wd, axis=0)  # each image's row, H*W times
+        return grads
+
+
+plan = RankPlan  # model.plan(spec, params, buffers, handle=None, one_pass_bn=False)
+
+
+def _plan_for(model, params: dict, buffers: dict | None, handle, one_pass_bn) -> RankPlan:
+    if not isinstance(model, RankPlan):
+        return RankPlan(model, params, buffers, handle, one_pass_bn)
+    if model.params is not params or (buffers is not None and model.buffers is not buffers):
+        raise ModelError("a plan runs on the params and buffers it was built over")
+    return model
+
+
+def forward(model, params: dict, buffers: dict, x: Tensor,
             labels: np.ndarray | None = None, mode: str = "train",
             handle=None, one_pass_bn: bool = False) -> ForwardResult:
     """Run the model on a batch; with labels, also compute the task loss.
 
-    `mode` selects BN behavior ("train" uses batch statistics and updates
-    the running buffers in place, "eval" reads them and keeps no caches).
-    Cross BN layers reduce over `handle`'s normalization sub-group; with
-    handle=None they use device-local statistics. `one_pass_bn` selects
-    the fused single-exchange statistics path for those layers.
+    `model` is a ModelSpec, or a `RankPlan` built over `params` and
+    `buffers`, which brings its own handle and BN path (the trainer builds
+    one per worker). `mode` selects BN behavior ("train" uses batch
+    statistics and updates the running buffers, "eval" reads them and keeps
+    no caches). Cross BN layers reduce over `handle`'s normalization
+    sub-group; with handle=None they use device-local statistics.
+    `one_pass_bn` selects the fused single-exchange statistics path for
+    those layers.
     """
-    if mode not in ("train", "eval"):
-        raise ModelError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if x.shape[1:] != model.in_shape:
-        raise ModelError(f"input shape {x.shape[1:]} does not match model {model.in_shape}")
-    caches = []
-    keep = caches.append if mode == "train" else lambda entry: None
-    n = x.shape[0]
-    cur = x.array
-    if len(model.in_shape) == 3:
-        c, h, wd = model.in_shape
-        cur = cur.transpose(0, 2, 3, 1).reshape(n * h * wd, c)  # scanned by the Tensor
-    for layer, (ishape, _) in zip(model.layers, model.shapes):
-        k = layer.kind
-        if k == "dense":
-            w, b = params[f"{layer.name}.w"], params[f"{layer.name}.b"]
-            keep(("dense", cur))
-            cur = _check_finite(cur @ w.T + b, layer.name)
-        elif k == "conv3x3":
-            w, b = params[f"{layer.name}.w"], params[f"{layer.name}.b"]
-            cols = _im2col(cur, n, ishape[1], ishape[2])
-            keep(("conv3x3", cols))
-            out = cols @ w.reshape(w.shape[0], -1).T
-            blocks, (bias,) = channel_blocks(out, b)
-            blocks += bias
-            cur = _check_finite(blocks.reshape(out.shape), layer.name)
-        elif k == "relu":
-            mask = cur > 0
-            keep(("relu", mask))
-            cur = cur * mask  # finite, as the scanned input is
-        elif k == "bn":
-            state = _bn_state(layer, params, buffers)
-            x_bn = Tensor._wrap(cur)  # scanned as the previous layer's output
-            if mode == "eval":
-                y, cache = bn_forward_local(x_bn, state, mode="eval")
-            elif layer.variant == "cross" and handle is not None:
-                y, cache = sync_bn_forward(handle, x_bn, state, one_pass=one_pass_bn)
-            else:
-                y, cache = bn_forward_local(x_bn, state, mode="train")
-            if mode == "train":
-                buffers[f"{layer.name}.running_mean"] = state.running_mean
-                buffers[f"{layer.name}.running_var"] = state.running_var
-            keep(("bn", cache, state))
-            cur = y.array
-        elif k == "global_mean_pool":
-            c, h, wd = ishape
-            # numpy's pairwise sum depends on memory layout: each (n, c) mean
-            # runs over H*W contiguous values, the order the outputs pin.
-            maps = np.ascontiguousarray(cur.reshape(n, h * wd, c).transpose(0, 2, 1))
-            keep(("global_mean_pool",))
-            cur = _check_finite(maps.mean(axis=2), layer.name)
-        elif k == "softmax_xent":
-            logits = Tensor._wrap(cur)  # scanned as the previous layer's output
-            if labels is None:
-                return ForwardResult(logits=logits, loss=None, caches=caches)
-            z = cur
-            labels = np.asarray(labels)
-            if labels.shape != (z.shape[0],):
-                raise ModelError(f"labels shape {labels.shape} does not match batch {z.shape[0]}")
-            if labels.min() < 0 or labels.max() >= z.shape[1]:
-                raise ModelError("label values out of range for the class count")
-            zs = z - z.max(axis=1, keepdims=True)
-            ez = np.exp(zs)
-            probs = ez / ez.sum(axis=1, keepdims=True)
-            picked = probs[np.arange(z.shape[0]), labels]
-            # picked can underflow to zero for a wildly confident wrong
-            # prediction; the resulting inf is caught right below.
-            with np.errstate(divide="ignore"):
-                task = float(np.mean(-np.log(picked)))
-            keep(("softmax_xent", probs, labels))
-            if not np.isfinite(task):
-                raise NonFiniteError("loss became non-finite")
-            return ForwardResult(logits=logits, loss=task, caches=caches)
-    raise ModelError("model has no loss head")  # unreachable after validation
+    return _plan_for(model, params, buffers, handle, one_pass_bn).forward(x, labels, mode)
 
 
-def backward(model: ModelSpec, params: dict, caches: list, handle=None) -> dict:
+def backward(model, params: dict, caches: list, handle=None) -> dict:
     """Gradients of the task loss for every parameter.
 
     Must be called with the cache list of a train-mode forward that reached
-    the loss head. The weight-decay gradient is not here: `optim.sgd_step`
-    adds it.
+    the loss head; `model` is the forward's ModelSpec or `RankPlan`. The
+    weight-decay gradient is not here: `optim.sgd_step` adds it.
 
     Under data parallelism every entry follows one convention: averaging
     the returned dicts across all ranks yields the gradient of the global
@@ -344,58 +458,7 @@ def backward(model: ModelSpec, params: dict, caches: list, handle=None) -> dict:
     over its sub-group (every member holds the same total), so those are
     divided by the sub-group size here to keep the convention uniform.
     """
-    if not caches or caches[-1][0] != "softmax_xent":
-        raise ModelError("backward needs caches from a forward pass that computed a loss")
-    grads = {}
-    _, probs, labels = caches[-1]
-    n = probs.shape[0]
-    d = probs.copy()
-    d[np.arange(n), labels] -= 1.0
-    d /= n
-    cur = d
-    for layer, (ishape, _), cache in zip(reversed(model.layers[:-1]),
-                                         reversed(model.shapes[:-1]),
-                                         reversed(caches[:-1])):
-        k = layer.kind
-        if k == "dense":
-            x_in = cache[1]
-            w = params[f"{layer.name}.w"]
-            grads[f"{layer.name}.w"] = cur.T @ x_in
-            grads[f"{layer.name}.b"] = cur.sum(axis=0)
-            cur = cur @ w
-        elif k == "conv3x3":
-            cols = cache[1]
-            w = params[f"{layer.name}.w"]
-            grads[f"{layer.name}.w"] = (cur.T @ cols).reshape(w.shape)
-            # einsum adds whole C-ordered rows in turn: bitwise `sum(axis=0)`
-            # for two or more columns, and 4x faster at (4096, 6). One column
-            # is a contiguous run, which `sum` folds pairwise and einsum not.
-            grads[f"{layer.name}.b"] = (np.einsum("ij->j", cur) if cur.shape[1] > 1
-                                        else cur.sum(axis=0))
-            if layer is not model.layers[0]:  # the input gradient is never used
-                cur = _col2im((w.reshape(w.shape[0], -1).T @ cur.T).T, n, ishape[1], ishape[2])
-        elif k == "relu":
-            cur = cur * cache[1]
-        elif k == "bn":
-            _, bn_cache, state = cache  # the forward's state: same gamma and eps
-            dy = Tensor._wrap(_check_finite(cur, f"{layer.name}.backward"))
-            if bn_cache.scope_key is not None:
-                if handle is None:
-                    raise ModelError(f"{layer.name}: synchronized cache needs a device handle")
-                dx, dgamma, dbeta = sync_bn_backward(handle, dy, bn_cache, state)
-                share = handle.group.bn_group_size
-                dgamma = dgamma / share
-                dbeta = dbeta / share
-            else:
-                dx, dgamma, dbeta = bn_backward_local(dy, bn_cache, state)
-            grads[f"{layer.name}.gamma"] = dgamma
-            grads[f"{layer.name}.beta"] = dbeta
-            cur = dx.array
-        elif k == "global_mean_pool":
-            c, h, wd = ishape
-            cur = np.broadcast_to(
-                (cur / (h * wd))[:, None, :], (n, h * wd, c)).reshape(n * h * wd, c)
-    return grads
+    return _plan_for(model, params, None, handle, False).backward(caches)
 
 
 def accuracy(logits: Tensor, labels: np.ndarray) -> float:

@@ -31,7 +31,7 @@ class NonFiniteError(FloatingPointError):
 
 def _check_finite(a: np.ndarray, context: str) -> np.ndarray:
     """Return `a`, or raise NonFiniteError naming `context` if it holds NaN/Inf."""
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise NonFiniteError(f"{context}: non-finite values in tensor data")
     return a
 
@@ -108,10 +108,17 @@ def sequential_sum_rows(rows: np.ndarray) -> np.ndarray:
     return np.cumsum(rows, axis=0)[-1]
 
 
-def channel_blocks(rows: np.ndarray, *vecs: np.ndarray, dtype=None):
+def repeats(rows: np.ndarray, count: int, dtype=None) -> np.ndarray:
+    """An uninitialised (count, k*C) operand for `channel_blocks(rows, ...)` to fill."""
+    m, c = rows.shape
+    return np.empty((count, min(m & -m, 64) * c), rows.dtype if dtype is None else dtype)
+
+
+def channel_blocks(rows: np.ndarray, *vecs: np.ndarray, out=None):
     """`rows` (M, C) as (M/k, k*C) blocks of k whole rows, and each (C,) vector
-    of `vecs` repeated k times, as (len(vecs), k*C) in `dtype` (the rows' by
-    default). k is the lowest set bit of M, capped at 64: 64 on 8x8 images.
+    of `vecs` repeated k times, as (len(vecs), k*C), filled into `out`, a
+    `repeats` operand of these rows, or a fresh one in the rows' dtype. k is
+    the lowest set bit of M, capped at 64: 64 on 8x8 images.
 
     An elementwise op of the blocks with a repeated vector meets each element
     with the operand of the (M, C) broadcast, so its result is bitwise the
@@ -120,7 +127,7 @@ def channel_blocks(rows: np.ndarray, *vecs: np.ndarray, dtype=None):
     Folds depend on the layout and stay on `sequential_sum_rows`.
     """
     m, c = rows.shape
-    k = min(m & -m, 64)
-    reps = np.empty((len(vecs), k, c), rows.dtype if dtype is None else dtype)
-    reps.transpose(1, 0, 2)[...] = vecs  # one fill, cast as `np.asarray(v, dtype)`
-    return rows.reshape(m // k, k * c), reps.reshape(len(vecs), k * c)
+    reps = repeats(rows, len(vecs)) if out is None else out
+    k = reps.shape[1] // c
+    reps.reshape(len(vecs), k, c).transpose(1, 0, 2)[...] = vecs  # cast as `np.asarray(v, dtype)`
+    return rows.reshape(m // k, k * c), reps

@@ -7,6 +7,7 @@ owns all file output. A failed worker or a deadlock in the collectives
 ends the run at once with the error `DeviceGroup.run` names; if that is a
 DivergenceError, the run's status is `diverged`. A slow worker is waited
 for. The dataset's images are finite, so each batch goes to the model as is.
+Each worker builds one model `RankPlan` and runs every step on it.
 Workers keep identical parameter replicas: every iteration they compute
 gradients on their shard, average them with a world AllReduce, and apply
 the same SGD step. The AllReduce payload is the gradients in the
@@ -49,6 +50,7 @@ from .model import (
     forward,
     init_buffers,
     init_params,
+    plan,
 )
 from .optim import (
     BATCH,
@@ -379,6 +381,8 @@ def run_training(config: ExperimentConfig) -> TrainResult:
         params = init_params(model, config.seed)
         buffers = init_buffers(model)
         sgd = SGDState.create(params, config.momentum, config.weight_decay)
+        # over the views `sgd_step` updates in place; it keeps `buffers` current
+        rank_plan = plan(model, params, buffers, handle, config.one_pass_bn)
         # gradients in the sgd.keys layout, then the task loss; the allreduce copies it
         payload = np.empty(sgd.flat_params.size + 1)
         rows, evals = [], []
@@ -395,9 +399,8 @@ def run_training(config: ExperimentConfig) -> TrainResult:
                 y = labels[sl]
                 lr = lr_at(res.policy, epoch, it, res.iters_per_epoch)
                 try:
-                    out = forward(model, params, buffers, x, y, mode="train",
-                                  handle=handle, one_pass_bn=config.one_pass_bn)
-                    grads = backward(model, params, out.caches, handle=handle)
+                    out = forward(rank_plan, params, buffers, x, y, mode="train")
+                    grads = backward(rank_plan, params, out.caches)
                 except NonFiniteError as e:
                     raise DivergenceError(f"epoch {epoch} iter {it}: {e}") from e
                 for k, span in sgd.spans.items():

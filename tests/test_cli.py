@@ -19,6 +19,9 @@ import pytest
 import bigbatch
 from bigbatch.analysis import (
     MAX_DRAW_SAMPLES,
+    MAX_TRIAL_DRAWS,
+    MAX_TRIALS,
+    TRIAL_DRAWS,
     AnalysisError,
     SamplerSpec,
     VarianceSpec,
@@ -37,6 +40,7 @@ from bigbatch.cli import (
     MAX_PREVIEW_ROWS,
     PREVIEW_ROWS,
     RATIO_CSV_HEADER,
+    VARIANCE_DEFAULTS,
     build_parser,
     main,
 )
@@ -850,10 +854,12 @@ POOL_DENSE = [{"kind": "global_mean_pool"}, {"kind": "dense", "out_features": No
      "dataset spec: classes must be an integer >= 2 and <= 256, got 257"),
     ("variance", {"trials": 2**16 + 1}, "bigbatch.analysis._collect_grads",
      "trials must be an integer >= 100 and <= 65536, got 65537"),
+    ("variance", {"trials": 100, "ks": [1, 10**6]}, "bigbatch.analysis._collect_grads",
+     "trials * (1 + ks[1]) must be an integer <= 327680, got 100000100"),
     ("ratio-study", {"batches_per_cell": 10**10}, "bigbatch.cli.posneg_ratio_study",
      "batches_per_cell must be an integer > 0 and <= 1048576, got 10000000000"),
 ], ids=["out_channels", "out_features", "classes-train", "classes-gen-data", "trials",
-        "batches_per_cell"])
+        "trial-draws", "batches_per_cell"])
 def test_capped_field_is_one_named_line(tmp_path, capsys, monkeypatch, command, fields,
                                         allocates, message):
     # a billion channels, or ten billion batches per cell, used to exit 1
@@ -947,6 +953,17 @@ def test_draw_size_rule_admits_the_cap(spec, name):
     assert rule(value, name) is None
     bigger = [MAX_DRAW_SAMPLES + 1] if name != "small_batch" else MAX_DRAW_SAMPLES + 1
     assert rule(bigger, name) is not None
+
+
+def test_trial_draws_rule_admits_the_cap():
+    # checked on the rule alone: the cap keeps 327,680 gradients
+    assert TRIAL_DRAWS(MAX_TRIAL_DRAWS, "n") is None
+    assert TRIAL_DRAWS(MAX_TRIAL_DRAWS + 1, "n") is not None
+    # the default ks at the trials cap and at the benchmark's 5000 trials
+    for trials in (MAX_TRIALS, 5000):
+        VarianceSpec(**{**VARIANCE_DEFAULTS, "trials": trials})
+    with pytest.raises(AnalysisError, match=r"^trials \* \(1 \+ ks\[0\]\) must be "):
+        VarianceSpec(**{**VARIANCE_DEFAULTS, "trials": MAX_TRIALS, "ks": [5]})
 
 
 def test_report_draw_counts(tmp_path, capsys, monkeypatch):

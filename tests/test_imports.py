@@ -67,11 +67,17 @@ def load_by_path(monkeypatch, name, path):
     return module
 
 
-def test_bench_tracing_installs_on_the_package_and_restores(monkeypatch):
+def load_bench(monkeypatch):
+    """The bench's `spans` and `workloads` modules, and the package as it loads it."""
     spans = load_by_path(monkeypatch, "spans", ROOT / "bench" / "spans.py")
     workloads = load_by_path(monkeypatch, "workloads", ROOT / "bench" / "workloads.py")
     bb = SimpleNamespace(**{m: importlib.import_module(f"bigbatch.{m}") for m in (
         "cli", "trainer", "model", "batchnorm", "collectives", "tensor", "data", "analysis")})
+    return spans, workloads, bb
+
+
+def test_bench_tracing_installs_on_the_package_and_restores(monkeypatch):
+    spans, workloads, bb = load_bench(monkeypatch)
     owners = [*vars(bb).values(), bb.tensor.Tensor, bb.collectives.DeviceGroup,
               bb.data.Dataset]
     before = [dict(vars(owner)) for owner in owners]
@@ -86,3 +92,22 @@ def test_bench_tracing_installs_on_the_package_and_restores(monkeypatch):
     finally:
         patches.restore()
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_bench_traced_names_stay_on_the_call_path(monkeypatch):
+    # a wrapper on a name the training step no longer calls would read 0
+    # for its per-layer metric instead of failing
+    spans, workloads, bb = load_bench(monkeypatch)
+    tracer, patches = spans.Tracer(), spans.Patches()
+    try:
+        workloads.install_tracing(bb, tracer, patches)
+        cfg = bb.trainer.ExperimentConfig.from_dict({  # the default model: cross BN
+            "world_size": 2, "per_device_batch": 4, "epochs": 1,
+            "dataset": {"size": 16, "classes": 2}})
+        assert bb.trainer.run_training(cfg).status == "ok"
+    finally:
+        patches.restore()
+    recorded = {tracer.names[int(i)] for log in tracer.logs for i in log.table()[:, 2]}
+    assert {"trainer.forward", "trainer.eval", "trainer.backward", "trainer.sgd_step",
+            "trainer.allreduce_sum", "model.sync_bn_forward", "model.sync_bn_backward",
+            "batchnorm.allreduce_sum"} <= recorded

@@ -14,6 +14,7 @@ from bigbatch.model import (
     forward,
     init_buffers,
     init_params,
+    plan,
 )
 from bigbatch.optim import SGDState, l2_penalty, sgd_step, weight_keys
 from bigbatch.tensor import NonFiniteError, Tensor
@@ -435,6 +436,89 @@ class TestGradients:
         for key in ref:
             mean = sum(o[key] for o in outs) / 3
             assert np.allclose(mean, ref[key], rtol=1e-12, atol=1e-14), key
+
+
+PLAN_CASES = {
+    # the bench model's two conv + cross BN blocks, on the one-pass statistics
+    "cross-one-pass": ((1, 8, 8), True, [
+        dict(kind="conv3x3", out_channels=6), dict(kind="bn", variant="cross"),
+        dict(kind="relu"), dict(kind="conv3x3", out_channels=6),
+        dict(kind="bn", variant="cross"), dict(kind="relu"),
+        dict(kind="global_mean_pool"), dict(kind="dense", out_features=4)]),
+    # local BN on the pooled (N, F) features
+    "local-bn-after-pool": ((1, 8, 8), False, [
+        dict(kind="conv3x3", out_channels=3), dict(kind="relu"),
+        dict(kind="global_mean_pool"), dict(kind="bn"), dict(kind="dense", out_features=3)]),
+    # N * 25 rows: the blocks are as short as the lowest set bit of N
+    "5x5": ((1, 5, 5), False, [
+        dict(kind="conv3x3", out_channels=3), dict(kind="bn", variant="cross"),
+        dict(kind="relu"), dict(kind="global_mean_pool"), dict(kind="dense", out_features=3)]),
+}
+
+
+class TestRankPlan:
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    @pytest.mark.parametrize("case", sorted(PLAN_CASES))
+    def test_plan_is_bitwise_fresh_calls(self, case, n):
+        # one plan over 4 SGD steps on each of two ranks, against fresh
+        # forward/backward calls on a second replica every step
+        in_shape, one_pass, layers = PLAN_CASES[case]
+        m = ModelSpec([LayerSpec(**layer) for layer in layers] + [LayerSpec("softmax_xent")],
+                      in_shape=in_shape)
+
+        def worker(h):
+            rng = np.random.default_rng((n, h.rank))
+            replicas = []
+            for _ in range(2):
+                params, buffers = init_params(m, 3), init_buffers(m)
+                replicas.append((params, buffers, SGDState.create(params, 0.9, 1e-3)))
+            (p, b, sgd), (fp, fb, fsgd) = replicas
+            rank_plan = plan(m, p, b, handle=h, one_pass_bn=one_pass)
+            held = []  # every step's results, which the later steps must not touch
+            for _ in range(4):
+                x = Tensor(rng.normal(size=(n, *in_shape)))
+                y = rng.integers(0, m.classes, size=n)
+                out = forward(rank_plan, p, b, x, y)
+                grads = backward(rank_plan, p, out.caches)
+                ref = forward(m, fp, fb, x, y, handle=h, one_pass_bn=one_pass)
+                ref_grads = backward(m, fp, ref.caches, handle=h)
+                assert out.loss == ref.loss
+                assert np.array_equal(out.logits.array, ref.logits.array)
+                assert grads.keys() == ref_grads.keys()
+                for key in grads:
+                    assert np.array_equal(grads[key], ref_grads[key]), key
+                for key in fb:
+                    assert np.array_equal(b[key], fb[key]), key
+                held.append((out.logits.array, grads, ref.logits.array, ref_grads))
+                sgd_step(p, grads, sgd, lr=0.05)
+                sgd_step(fp, ref_grads, fsgd, lr=0.05)
+            x = Tensor(rng.normal(size=(3, *in_shape)))  # eval at another batch size
+            got = forward(rank_plan, p, b, x, mode="eval").logits.array
+            assert np.array_equal(got, forward(m, fp, fb, x, mode="eval").logits.array)
+            for logits, grads, ref_logits, ref_grads in held:
+                assert np.array_equal(logits, ref_logits)
+                assert all(np.array_equal(grads[key], ref_grads[key]) for key in grads)
+
+        DeviceGroup(2).run(worker)
+
+    def test_plan_runs_on_its_own_params_and_buffers(self):
+        m = tiny_model()
+        p, b = init_params(m, 0), init_buffers(m)
+        rank_plan = plan(m, p, b)
+        x, labels = Tensor(np.ones((2, 1, 4, 4))), np.array([0, 1])
+        with pytest.raises(ModelError, match="built over"):
+            forward(rank_plan, dict(p), b, x, labels)
+        with pytest.raises(ModelError, match="built over"):
+            forward(rank_plan, p, init_buffers(m), x, labels)
+        out = forward(m, p, b, x, labels)
+        with pytest.raises(ModelError, match="built over"):
+            backward(rank_plan, dict(p), out.caches)
+
+    def test_backward_only_plan_refuses_a_forward(self):
+        m = tiny_model()
+        p = init_params(m, 0)
+        with pytest.raises(ModelError, match="runs only backward"):
+            plan(m, p, None).forward(Tensor(np.ones((2, 1, 4, 4))), np.array([0, 1]))
 
 
 def nchw_reference(m, params, buffers, x, labels, mode="train"):

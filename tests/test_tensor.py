@@ -6,6 +6,7 @@ from bigbatch.tensor import (
     Tensor,
     TensorError,
     channel_blocks,
+    repeats,
     sequential_sum_rows,
 )
 
@@ -169,10 +170,19 @@ class TestChannelBlocks:
         # float32 rows against float64 vectors: the broadcast promotes
         rows = np.random.default_rng(m).normal(size=(m, 3)).astype(np.float32)
         mu = np.array([0.1, -0.3, 2.0 / 3.0])
-        blocks, (mu_k,) = channel_blocks(rows, mu, dtype=mu.dtype)
+        blocks, (mu_k,) = channel_blocks(rows, mu, out=repeats(rows, 1, mu.dtype))
         got = (blocks - mu_k).reshape(rows.shape)
         assert got.dtype == np.float64
         assert np.array_equal(got, rows - mu)
+
+    def test_refilled_operand_equals_a_fresh_one(self):
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(96, 3))
+        out = repeats(rows, 2)
+        for _ in range(2):
+            vecs = rng.normal(size=(2, 3))
+            _, reps = channel_blocks(rows, *vecs, out=out)
+            assert reps is out and np.array_equal(reps, channel_blocks(rows, *vecs)[1])
 
     def test_rows_that_are_not_c_ordered(self):
         rows = np.asfortranarray(np.random.default_rng(4).normal(size=(64, 3)))

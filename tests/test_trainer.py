@@ -542,11 +542,12 @@ class TestRunTraining:
         aborted = {}
         real_forward = trainer.forward
 
-        def forward(*args, handle=None, **kwargs):
-            if handle is not None and handle.rank == 1:
+        def forward(rank_plan, *args, **kwargs):  # each worker passes its plan
+            handle = rank_plan.handle
+            if handle.rank == 1:
                 raise NonFiniteError("injected on rank 1")
             try:
-                return real_forward(*args, handle=handle, **kwargs)
+                return real_forward(rank_plan, *args, **kwargs)
             except CollectiveProtocolError as e:
                 aborted[handle.rank] = e
                 raise
@@ -557,6 +558,22 @@ class TestRunTraining:
         assert result.final_params is None and result.rows == []
         assert list(aborted) == [0] and aborted[0].from_abort
         assert "rank 1 failed with DivergenceError" in str(aborted[0])
+
+    def test_bn_state_is_built_once_per_worker(self, monkeypatch):
+        # each worker's plan builds one state per BN layer for all its steps;
+        # rank 0's eval forward, once an epoch, builds its own
+        import bigbatch.model as model_module
+        built = []
+
+        class CountingState(model_module.BNLayerState):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+        monkeypatch.setattr(model_module, "BNLayerState", CountingState)
+        result = run_training(smoke_config(world_size=2, per_device_batch=4, epochs=2))
+        assert result.status == "ok"
+        assert len(result.rows) == 2 * (64 // 8 + 1)  # 8 steps and one eval an epoch
+        assert len(built) == 2 + 2  # one BN layer: two workers, two evals
 
     def test_training_constructs_no_tensor(self, monkeypatch):
         # every batch and the eval set are slices of a checked dataset: no
