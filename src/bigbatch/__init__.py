@@ -40,6 +40,7 @@ from .model import (
     forward,
     init_buffers,
     init_params,
+    plan,
 )
 from .optim import (
     BASE_BATCH,
@@ -107,7 +108,7 @@ __all__ = [
     "sync_bn_forward", "sync_bn_backward",
     # model
     "ModelSpec", "LayerSpec", "ModelError",
-    "init_params", "init_buffers", "forward", "backward", "accuracy",
+    "init_params", "init_buffers", "plan", "forward", "backward", "accuracy",
     # optimizer and schedule
     "SGDState", "LRPolicy", "ScheduleError", "DivergenceError",
     "sgd_step", "lr_at", "make_policy", "scaled_target_lr", "weight_keys", "l2_penalty",

@@ -164,6 +164,7 @@ def variance_equivalence_ratio(grad_fn, sampler, batch_size: int, k: int,
     check(AnalysisError, (DRAW_SIZE, batch_size, "batch_size"), (K, k, "k"),
           (TRIALS, trials, "trials"))
     check(AnalysisError, (DRAW_SIZE, k * batch_size, "k * batch_size"))
+    check(AnalysisError, (TRIAL_DRAWS, trials * (1 + k), "trials * (1 + k)"))
     large_lr = (k * rate) if scaled else rate
     # per trial, one draw of k * batch_size samples, then k of batch_size
     stacks = _collect_grads(grad_fn, sampler, (k * batch_size,) + (batch_size,) * k,

@@ -300,13 +300,14 @@ def bn_update_running(state: BNLayerState, mu: np.ndarray, var: np.ndarray,
                       count: int) -> BNLayerState:
     """Blend batch statistics into the running estimates, in place.
 
-    The running variance uses the unbiased correction count/(count-1); the
-    batch variance itself stays biased for normalization.
+    The state's arrays are written, not rebound: a model's `buffers` see the
+    new values. The running variance uses the unbiased correction
+    count/(count-1); the batch variance itself stays biased for normalization.
     """
     if count <= 1:
         raise BatchNormError(f"running-variance update needs count > 1, got {count}")
     rho = state.running_momentum
     unbiased = var * (count / (count - 1.0))
-    state.running_mean = (1.0 - rho) * state.running_mean + rho * mu
-    state.running_var = (1.0 - rho) * state.running_var + rho * unbiased
+    state.running_mean[...] = (1.0 - rho) * state.running_mean + rho * mu
+    state.running_var[...] = (1.0 - rho) * state.running_var + rho * unbiased
     return state

@@ -27,11 +27,12 @@ layer output is scanned for NaN/Inf under the layer's name, once, except
 a ReLU's, which is finite wherever its input is. `Tensor` appears only at
 the boundaries: the model input, `ForwardResult.logits`, and the BN
 functions, which take and return the rows wrapped without a copy or a
-second scan. A `RankPlan` holds what a step would otherwise rebuild: the
-parameter arrays, each BN layer's `BNLayerState`, built once per plan,
-and its `BNOperands`. `forward` and `backward` build a plan and run it
-once; the trainer builds one per worker. A BN layer hands its state to
-`backward` through the cache; an eval forward keeps no caches.
+second scan. `forward` and `backward` run a `RankPlan`, which `plan`
+builds once over a rank's parameters, buffers and device handle. It holds
+what a step would otherwise rebuild: the parameter arrays, each BN
+layer's `BNLayerState` and its `BNOperands`. A BN layer's running
+statistics are the `buffers` arrays themselves, which each training
+forward blends in place; an eval forward reads them and keeps no caches.
 """
 
 from __future__ import annotations
@@ -244,212 +245,133 @@ class _Planned:
 
     keys = ()
 
-    def __init__(self, spec: LayerSpec, ishape: tuple, params: dict, buffers: dict | None):
+    def __init__(self, spec: LayerSpec, ishape: tuple, params: dict, buffers: dict):
         self.spec, self.ishape, name = spec, ishape, spec.name
         if spec.kind in ("dense", "conv3x3"):
             self.keys = (f"{name}.w", f"{name}.b")
             self.w, self.b = params[self.keys[0]], params[self.keys[1]]
             self.wmat = self.w.reshape(self.w.shape[0], -1)  # a conv's (Cout, C*9) view
         elif spec.kind == "bn":
-            self.keys = tuple(f"{name}.{p}" for p in ("gamma", "beta", "running_mean",
-                                                      "running_var"))
-            self.state = None if buffers is None else BNLayerState(
+            self.keys = (f"{name}.gamma", f"{name}.beta")
+            self.state = BNLayerState(
                 gamma=params[self.keys[0]], beta=params[self.keys[1]], eps=spec.eps,
-                running_mean=buffers[self.keys[2]], running_var=buffers[self.keys[3]],
+                running_mean=buffers[f"{name}.running_mean"],
+                running_var=buffers[f"{name}.running_var"],
                 running_momentum=spec.running_momentum)
             self.operands, self.scan = BNOperands(), f"{name}.backward"
 
 
 class RankPlan:
-    """One rank's forward and backward over one set of parameters, built once.
+    """One rank's model over one set of parameters and buffers, built once.
 
     Per layer it holds what a step would otherwise look up or build again:
     its parameter arrays (`sgd_step` writes into them in place, so they stay
     current), and for a BN layer one validated `BNLayerState` over its
-    parameters and running buffers plus its `BNOperands`. From the build on
-    the plan owns the running statistics and writes them back to `buffers`
-    after each training forward. Built with buffers=None, a plan runs only
-    `backward`, whose BN layers take the state the forward kept in its caches.
+    parameters and running buffers plus its `BNOperands`. A training forward
+    blends the batch statistics into those buffers in place. `handle` is the
+    rank's device handle, over whose normalization sub-group cross BN layers
+    reduce (with None they use device-local statistics); `one_pass_bn`
+    selects the fused single-exchange statistics path for those layers.
     """
 
-    def __init__(self, model: ModelSpec, params: dict, buffers: dict | None,
+    def __init__(self, model: ModelSpec, params: dict, buffers: dict,
                  handle=None, one_pass_bn: bool = False):
-        self.model, self.params, self.buffers = model, params, buffers
-        self.handle, self.one_pass_bn = handle, one_pass_bn
+        self.model, self.handle, self.one_pass_bn = model, handle, one_pass_bn
         self.layers = [_Planned(layer, ishape, params, buffers)
                        for layer, (ishape, _) in zip(model.layers, model.shapes)]
-
-    def forward(self, x: Tensor, labels: np.ndarray | None = None,
-                mode: str = "train") -> ForwardResult:
-        """`forward` on this plan's model, parameters, buffers and handle."""
-        model, handle = self.model, self.handle
-        if mode not in ("train", "eval"):
-            raise ModelError(f"mode must be 'train' or 'eval', got {mode!r}")
-        if x.shape[1:] != model.in_shape:
-            raise ModelError(f"input shape {x.shape[1:]} does not match model {model.in_shape}")
-        caches = []
-        keep = caches.append if mode == "train" else lambda entry: None
-        n = x.shape[0]
-        cur = x.array
-        if len(model.in_shape) == 3:
-            c, h, wd = model.in_shape
-            cur = cur.transpose(0, 2, 3, 1).reshape(n * h * wd, c)  # scanned by the Tensor
-        for planned in self.layers:
-            layer, ishape = planned.spec, planned.ishape
-            k = layer.kind
-            if k == "dense":
-                keep(("dense", cur))
-                cur = _check_finite(cur @ planned.w.T + planned.b, layer.name)
-            elif k == "conv3x3":
-                cols = _im2col(cur, n, ishape[1], ishape[2])
-                keep(("conv3x3", cols))
-                out = cols @ planned.wmat.T
-                blocks, (bias,) = channel_blocks(out, planned.b)
-                blocks += bias
-                cur = _check_finite(blocks.reshape(out.shape), layer.name)
-            elif k == "relu":
-                mask = cur > 0
-                keep(("relu", mask))
-                cur = cur * mask  # finite, as the scanned input is
-            elif k == "bn":
-                state, ops = planned.state, planned.operands
-                if state is None:
-                    raise ModelError("a plan built without buffers runs only backward")
-                x_bn = Tensor._wrap(cur)  # scanned as the previous layer's output
-                if mode == "eval":
-                    y, cache = bn_forward_local(x_bn, state, mode="eval", operands=ops)
-                elif layer.variant == "cross" and handle is not None:
-                    y, cache = sync_bn_forward(handle, x_bn, state, one_pass=self.one_pass_bn,
-                                               operands=ops)
-                else:
-                    y, cache = bn_forward_local(x_bn, state, mode="train", operands=ops)
-                if mode == "train":
-                    self.buffers[planned.keys[2]] = state.running_mean
-                    self.buffers[planned.keys[3]] = state.running_var
-                keep(("bn", cache, state))
-                cur = y.array
-            elif k == "global_mean_pool":
-                c, h, wd = ishape
-                # numpy's pairwise sum depends on memory layout: each (n, c) mean
-                # runs over H*W contiguous values, the order the outputs pin. The
-                # sum and division are `mean`'s own two steps, without its wrapper.
-                maps = np.ascontiguousarray(cur.reshape(n, h * wd, c).transpose(0, 2, 1))
-                keep(("global_mean_pool",))
-                cur = _check_finite(np.add.reduce(maps, axis=2) / (h * wd), layer.name)
-            elif k == "softmax_xent":
-                logits = Tensor._wrap(cur)  # scanned as the previous layer's output
-                if labels is None:
-                    return ForwardResult(logits=logits, loss=None, caches=caches)
-                z = cur
-                labels = np.asarray(labels)
-                if labels.shape != (z.shape[0],):
-                    raise ModelError(
-                        f"labels shape {labels.shape} does not match batch {z.shape[0]}")
-                if labels.min() < 0 or labels.max() >= z.shape[1]:
-                    raise ModelError("label values out of range for the class count")
-                zs = z - z.max(axis=1, keepdims=True)
-                ez = np.exp(zs)
-                probs = ez / ez.sum(axis=1, keepdims=True)
-                picked = probs[np.arange(z.shape[0]), labels]
-                # picked can underflow to zero for a wildly confident wrong
-                # prediction; the resulting inf is caught right below.
-                with np.errstate(divide="ignore"):
-                    task = float(np.add.reduce(-np.log(picked)) / n)  # np.mean's two steps
-                keep(("softmax_xent", probs, labels))
-                if not np.isfinite(task):
-                    raise NonFiniteError("loss became non-finite")
-                return ForwardResult(logits=logits, loss=task, caches=caches)
-        raise ModelError("model has no loss head")  # unreachable after validation
-
-    def backward(self, caches: list) -> dict:
-        """`backward` on this plan's model, parameters and handle."""
-        handle = self.handle
-        if not caches or caches[-1][0] != "softmax_xent":
-            raise ModelError("backward needs caches from a forward pass that computed a loss")
-        grads = {}
-        _, probs, labels = caches[-1]
-        n = probs.shape[0]
-        d = probs.copy()
-        d[np.arange(n), labels] -= 1.0
-        d /= n
-        cur = d
-        first = self.layers[0]
-        for planned, cache in zip(reversed(self.layers[:-1]), reversed(caches[:-1])):
-            layer, ishape, keys = planned.spec, planned.ishape, planned.keys
-            k = layer.kind
-            if k == "dense":
-                grads[keys[0]] = cur.T @ cache[1]
-                grads[keys[1]] = cur.sum(axis=0)
-                cur = cur @ planned.w
-            elif k == "conv3x3":
-                cols = cache[1]
-                grads[keys[0]] = (cur.T @ cols).reshape(planned.w.shape)
-                # einsum adds whole C-ordered rows in turn: bitwise `sum(axis=0)`
-                # for two or more columns, and 4x faster at (4096, 6). One column
-                # is a contiguous run, which `sum` folds pairwise and einsum not.
-                grads[keys[1]] = (np.einsum("ij->j", cur) if cur.shape[1] > 1
-                                  else cur.sum(axis=0))
-                if planned is not first:  # the input gradient is never used
-                    cur = _col2im((planned.wmat.T @ cur.T).T, n, ishape[1], ishape[2])
-            elif k == "relu":
-                cur = cur * cache[1]
-            elif k == "bn":
-                _, bn_cache, state = cache  # the forward's state: same gamma and eps
-                dy = Tensor._wrap(_check_finite(cur, planned.scan))
-                if bn_cache.scope_key is not None:
-                    if handle is None:
-                        raise ModelError(f"{layer.name}: synchronized cache needs a device handle")
-                    dx, dgamma, dbeta = sync_bn_backward(handle, dy, bn_cache, state,
-                                                         operands=planned.operands)
-                    share = handle.group.bn_group_size
-                    dgamma = dgamma / share
-                    dbeta = dbeta / share
-                else:
-                    dx, dgamma, dbeta = bn_backward_local(dy, bn_cache, state,
-                                                          operands=planned.operands)
-                grads[keys[0]] = dgamma
-                grads[keys[1]] = dbeta
-                cur = dx.array
-            elif k == "global_mean_pool":
-                c, h, wd = ishape
-                cur = (cur / (h * wd)).repeat(h * wd, axis=0)  # each image's row, H*W times
-        return grads
 
 
 plan = RankPlan  # model.plan(spec, params, buffers, handle=None, one_pass_bn=False)
 
 
-def _plan_for(model, params: dict, buffers: dict | None, handle, one_pass_bn) -> RankPlan:
-    if not isinstance(model, RankPlan):
-        return RankPlan(model, params, buffers, handle, one_pass_bn)
-    if model.params is not params or (buffers is not None and model.buffers is not buffers):
-        raise ModelError("a plan runs on the params and buffers it was built over")
-    return model
+def forward(plan: RankPlan, x: Tensor, labels: np.ndarray | None = None,
+            mode: str = "train") -> ForwardResult:
+    """Run the plan's model on a batch; with labels, also compute the task loss.
 
-
-def forward(model, params: dict, buffers: dict, x: Tensor,
-            labels: np.ndarray | None = None, mode: str = "train",
-            handle=None, one_pass_bn: bool = False) -> ForwardResult:
-    """Run the model on a batch; with labels, also compute the task loss.
-
-    `model` is a ModelSpec, or a `RankPlan` built over `params` and
-    `buffers`, which brings its own handle and BN path (the trainer builds
-    one per worker). `mode` selects BN behavior ("train" uses batch
-    statistics and updates the running buffers, "eval" reads them and keeps
-    no caches). Cross BN layers reduce over `handle`'s normalization
-    sub-group; with handle=None they use device-local statistics.
-    `one_pass_bn` selects the fused single-exchange statistics path for
-    those layers.
+    `mode` selects BN behavior: "train" uses batch statistics and updates
+    the running buffers in place, "eval" reads them and keeps no caches.
     """
-    return _plan_for(model, params, buffers, handle, one_pass_bn).forward(x, labels, mode)
+    model, handle = plan.model, plan.handle
+    if mode not in ("train", "eval"):
+        raise ModelError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if x.shape[1:] != model.in_shape:
+        raise ModelError(f"input shape {x.shape[1:]} does not match model {model.in_shape}")
+    caches = []
+    keep = caches.append if mode == "train" else lambda entry: None
+    n = x.shape[0]
+    cur = x.array
+    if len(model.in_shape) == 3:
+        c, h, wd = model.in_shape
+        cur = cur.transpose(0, 2, 3, 1).reshape(n * h * wd, c)  # scanned by the Tensor
+    for planned in plan.layers:
+        layer, ishape = planned.spec, planned.ishape
+        k = layer.kind
+        if k == "dense":
+            keep(("dense", cur))
+            cur = _check_finite(cur @ planned.w.T + planned.b, layer.name)
+        elif k == "conv3x3":
+            cols = _im2col(cur, n, ishape[1], ishape[2])
+            keep(("conv3x3", cols))
+            out = cols @ planned.wmat.T
+            blocks, (bias,) = channel_blocks(out, planned.b)
+            blocks += bias
+            cur = _check_finite(blocks.reshape(out.shape), layer.name)
+        elif k == "relu":
+            mask = cur > 0
+            keep(("relu", mask))
+            cur = cur * mask  # finite, as the scanned input is
+        elif k == "bn":
+            state, ops = planned.state, planned.operands
+            x_bn = Tensor._wrap(cur)  # scanned as the previous layer's output
+            if mode == "eval":
+                y, cache = bn_forward_local(x_bn, state, mode="eval", operands=ops)
+            elif layer.variant == "cross" and handle is not None:
+                y, cache = sync_bn_forward(handle, x_bn, state, one_pass=plan.one_pass_bn,
+                                           operands=ops)
+            else:
+                y, cache = bn_forward_local(x_bn, state, mode="train", operands=ops)
+            keep(("bn", cache))
+            cur = y.array
+        elif k == "global_mean_pool":
+            c, h, wd = ishape
+            # numpy's pairwise sum depends on memory layout: each (n, c) mean
+            # runs over H*W contiguous values, the order the outputs pin. The
+            # sum and division are `mean`'s own two steps, without its wrapper.
+            maps = np.ascontiguousarray(cur.reshape(n, h * wd, c).transpose(0, 2, 1))
+            keep(("global_mean_pool",))
+            cur = _check_finite(np.add.reduce(maps, axis=2) / (h * wd), layer.name)
+        elif k == "softmax_xent":
+            logits = Tensor._wrap(cur)  # scanned as the previous layer's output
+            if labels is None:
+                return ForwardResult(logits=logits, loss=None, caches=caches)
+            z = cur
+            labels = np.asarray(labels)
+            if labels.shape != (z.shape[0],):
+                raise ModelError(
+                    f"labels shape {labels.shape} does not match batch {z.shape[0]}")
+            if labels.min() < 0 or labels.max() >= z.shape[1]:
+                raise ModelError("label values out of range for the class count")
+            zs = z - z.max(axis=1, keepdims=True)
+            ez = np.exp(zs)
+            probs = ez / ez.sum(axis=1, keepdims=True)
+            picked = probs[np.arange(z.shape[0]), labels]
+            # picked can underflow to zero for a wildly confident wrong
+            # prediction; the resulting inf is caught right below.
+            with np.errstate(divide="ignore"):
+                task = float(np.add.reduce(-np.log(picked)) / n)  # np.mean's two steps
+            keep(("softmax_xent", probs, labels))
+            if not np.isfinite(task):
+                raise NonFiniteError("loss became non-finite")
+            return ForwardResult(logits=logits, loss=task, caches=caches)
+    raise ModelError("model has no loss head")  # unreachable after validation
 
 
-def backward(model, params: dict, caches: list, handle=None) -> dict:
+def backward(plan: RankPlan, caches: list) -> dict:
     """Gradients of the task loss for every parameter.
 
-    Must be called with the cache list of a train-mode forward that reached
-    the loss head; `model` is the forward's ModelSpec or `RankPlan`. The
-    weight-decay gradient is not here: `optim.sgd_step` adds it.
+    Must be called with the cache list of a train-mode forward on the same
+    plan that reached the loss head. The weight-decay gradient is not here:
+    `optim.sgd_step` adds it.
 
     Under data parallelism every entry follows one convention: averaging
     the returned dicts across all ranks yields the gradient of the global
@@ -458,7 +380,55 @@ def backward(model, params: dict, caches: list, handle=None) -> dict:
     over its sub-group (every member holds the same total), so those are
     divided by the sub-group size here to keep the convention uniform.
     """
-    return _plan_for(model, params, None, handle, False).backward(caches)
+    handle = plan.handle
+    if not caches or caches[-1][0] != "softmax_xent":
+        raise ModelError("backward needs caches from a forward pass that computed a loss")
+    grads = {}
+    _, probs, labels = caches[-1]
+    n = probs.shape[0]
+    d = probs.copy()
+    d[np.arange(n), labels] -= 1.0
+    d /= n
+    cur = d
+    first = plan.layers[0]
+    for planned, cache in zip(reversed(plan.layers[:-1]), reversed(caches[:-1])):
+        layer, ishape, keys = planned.spec, planned.ishape, planned.keys
+        k = layer.kind
+        if k == "dense":
+            grads[keys[0]] = cur.T @ cache[1]
+            grads[keys[1]] = cur.sum(axis=0)
+            cur = cur @ planned.w
+        elif k == "conv3x3":
+            cols = cache[1]
+            grads[keys[0]] = (cur.T @ cols).reshape(planned.w.shape)
+            # einsum adds whole C-ordered rows in turn: bitwise `sum(axis=0)`
+            # for two or more columns, and 4x faster at (4096, 6). One column
+            # is a contiguous run, which `sum` folds pairwise and einsum not.
+            grads[keys[1]] = (np.einsum("ij->j", cur) if cur.shape[1] > 1
+                              else cur.sum(axis=0))
+            if planned is not first:  # the input gradient is never used
+                cur = _col2im((planned.wmat.T @ cur.T).T, n, ishape[1], ishape[2])
+        elif k == "relu":
+            cur = cur * cache[1]
+        elif k == "bn":
+            bn_cache, state = cache[1], planned.state
+            dy = Tensor._wrap(_check_finite(cur, planned.scan))
+            if bn_cache.scope_key is not None:
+                dx, dgamma, dbeta = sync_bn_backward(handle, dy, bn_cache, state,
+                                                     operands=planned.operands)
+                share = handle.group.bn_group_size
+                dgamma = dgamma / share
+                dbeta = dbeta / share
+            else:
+                dx, dgamma, dbeta = bn_backward_local(dy, bn_cache, state,
+                                                      operands=planned.operands)
+            grads[keys[0]] = dgamma
+            grads[keys[1]] = dbeta
+            cur = dx.array
+        elif k == "global_mean_pool":
+            c, h, wd = ishape
+            cur = (cur / (h * wd)).repeat(h * wd, axis=0)  # each image's row, H*W times
+    return grads
 
 
 def accuracy(logits: Tensor, labels: np.ndarray) -> float:

@@ -7,7 +7,9 @@ owns all file output. A failed worker or a deadlock in the collectives
 ends the run at once with the error `DeviceGroup.run` names; if that is a
 DivergenceError, the run's status is `diverged`. A slow worker is waited
 for. The dataset's images are finite, so each batch goes to the model as is.
-Each worker builds one model `RankPlan` and runs every step on it.
+Each worker builds one model `RankPlan` and runs every step on it; the
+plan's BN layers update the worker's running-statistics buffers in place,
+and rank 0 evaluates on its plan once an epoch.
 Workers keep identical parameter replicas: every iteration they compute
 gradients on their shard, average them with a world AllReduce, and apply
 the same SGD step. The AllReduce payload is the gradients in the
@@ -381,7 +383,7 @@ def run_training(config: ExperimentConfig) -> TrainResult:
         params = init_params(model, config.seed)
         buffers = init_buffers(model)
         sgd = SGDState.create(params, config.momentum, config.weight_decay)
-        # over the views `sgd_step` updates in place; it keeps `buffers` current
+        # over the views `sgd_step` updates in place and the buffers BN blends into
         rank_plan = plan(model, params, buffers, handle, config.one_pass_bn)
         # gradients in the sgd.keys layout, then the task loss; the allreduce copies it
         payload = np.empty(sgd.flat_params.size + 1)
@@ -399,8 +401,8 @@ def run_training(config: ExperimentConfig) -> TrainResult:
                 y = labels[sl]
                 lr = lr_at(res.policy, epoch, it, res.iters_per_epoch)
                 try:
-                    out = forward(rank_plan, params, buffers, x, y, mode="train")
-                    grads = backward(rank_plan, params, out.caches)
+                    out = forward(rank_plan, x, y, mode="train")
+                    grads = backward(rank_plan, out.caches)
                 except NonFiniteError as e:
                     raise DivergenceError(f"epoch {epoch} iter {it}: {e}") from e
                 for k, span in sgd.spans.items():
@@ -424,7 +426,7 @@ def run_training(config: ExperimentConfig) -> TrainResult:
             if status == "diverged":
                 break
             if handle.rank == 0:
-                ev = forward(model, params, buffers, eval_x, labels=None, mode="eval")
+                ev = forward(rank_plan, eval_x, mode="eval")
                 acc = accuracy(ev.logits, dataset.eval_labels)
                 evals.append((epoch, acc))
                 last_lr = lr_at(res.policy, epoch, res.iters_per_epoch - 1,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .batchnorm import BNLayerState, bn_forward_local, sync_bn_backward, sync_bn_forward
 from .collectives import SCOPE_BN_GROUP, SCOPE_WORLD, DeviceGroup, allreduce_sum, broadcast
-from .model import LayerSpec, ModelSpec, backward, forward, init_buffers, init_params
+from .model import LayerSpec, ModelSpec, backward, forward, init_buffers, init_params, plan
 from .optim import SGDState, l2_penalty, lr_at, make_policy, scaled_target_lr, sgd_step
 from .tensor import Tensor
 
@@ -231,15 +231,14 @@ def model_fd_max_err(seed: int = 0, weight_decay: float = 1e-2,
     params["01_bn.gamma"] = params["01_bn.gamma"] + 0.3 * rng.standard_normal(3)
 
     def total_loss(p):
-        buffers = init_buffers(model)
-        out = forward(model, p, buffers, x, labels, mode="train")
+        out = forward(plan(model, p, init_buffers(model)), x, labels, mode="train")
         return out.loss + l2_penalty(p, weight_decay)
 
-    buffers = init_buffers(model)
-    out = forward(model, params, buffers, x, labels, mode="train")
+    model_plan = plan(model, params, init_buffers(model))
+    out = forward(model_plan, x, labels, mode="train")
     replica = dict(params)
     sgd = SGDState.create(replica, momentum=0.0, weight_decay=weight_decay)
-    sgd_step(replica, backward(model, params, out.caches), sgd, lr=0.0)
+    sgd_step(replica, backward(model_plan, out.caches), sgd, lr=0.0)
     grads = sgd.velocity  # g + wd * w
     worst = 0.0
     coord_rng = np.random.default_rng((seed, 2))

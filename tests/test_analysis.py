@@ -125,6 +125,16 @@ class TestEquivalenceRatio:
             variance_equivalence_ratio(scalar_linear_grad, normal_pair_sampler,
                                        1, 1, 1e-300, 100, 0)
 
+    def test_trial_draws_are_capped_before_drawing(self, monkeypatch):
+        # `VarianceSpec` rejects these values; called directly, the function
+        # would keep 10**8 gradients
+        def no_collect(*args):
+            raise AssertionError("collected gradients before checking the bounds")
+        monkeypatch.setattr("bigbatch.analysis._collect_grads", no_collect)
+        with pytest.raises(AnalysisError, match=r"^trials \* \(1 \+ k\) must be "):
+            variance_equivalence_ratio(scalar_linear_grad, normal_pair_sampler,
+                                       1, 10**6, 0.02, 100, 0)
+
     def test_bad_k(self):
         with pytest.raises(AnalysisError, match="k must be"):
             variance_equivalence_ratio(scalar_linear_grad, normal_pair_sampler,

@@ -213,6 +213,20 @@ class TestRunningStats:
         assert np.allclose(st.running_mean, cache.mu, atol=0)
         assert np.allclose(st.running_var, cache.var * (5 / 4), atol=1e-15)
 
+    def test_update_writes_the_given_arrays(self):
+        # a model's buffers are the state's arrays; rebinding them would
+        # leave the buffers behind
+        rng = np.random.default_rng(10)
+        mean, var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+        st = BNLayerState(gamma=np.ones(3), beta=np.zeros(3), running_mean=mean,
+                          running_var=var, running_momentum=0.3)
+        mu, batch_var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+        want_mean = (1.0 - 0.3) * mean + 0.3 * mu
+        want_var = (1.0 - 0.3) * var + 0.3 * (batch_var * (6 / 5.0))
+        assert bn_update_running(st, mu, batch_var, 6) is st
+        assert st.running_mean is mean and st.running_var is var
+        assert np.array_equal(mean, want_mean) and np.array_equal(var, want_var)
+
     def test_update_needs_count_above_one(self):
         st = BNLayerState.create(2)
         with pytest.raises(BatchNormError):

@@ -1017,3 +1017,40 @@ def test_report_bytes_are_pinned(tmp_path, capsys, case):
     assert main([command, "--config", cfg, "--seed", "3", "--out", str(out)]) == EXIT_OK
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in digests} == digests
+
+
+# sha256 of each `train` output, recorded at df5015d; same-version determinism
+# alone would not see a model or trainer change move the bytes across versions
+POOL_BN = [{"kind": "conv3x3", "out_channels": 3}, {"kind": "relu"},
+           {"kind": "global_mean_pool"}, {"kind": "bn"}, {"kind": "dense", "out_features": None}]
+PINNED_TRAIN = {
+    "cross-bn-group-one-pass": (dict(world_size=4, per_device_batch=2, bn_group_size=2,
+                                     one_pass_bn=True, epochs=2, seed=1,
+                                     dataset={"size": 64, "classes": 4}), EXIT_OK, {
+        "checkpoint.npz": "01983cf29f0c4cfd48768edc1515fbdf428c1eaca8ddb9d65da678e706ac7e1e",
+        "manifest.json": "25ea5dedf419fa1bd5276355439b3221bea42420916a78fcfbd25e1e4ebc7fad",
+        "metrics.csv": "95eca9a3990bf30d33d5948d70cde8f860be5794a7ce6dfb4efe433b14d84dc9"}),
+    "local-bn-after-pool": (dict(world_size=2, per_device_batch=4, epochs=2, seed=2,
+                                 model=POOL_BN, dataset={"size": 64, "classes": 4}), EXIT_OK, {
+        "checkpoint.npz": "f230deb91b30cd647ff012e75396e7d28191b696c86ac18f26929e4f15f43cef",
+        "manifest.json": "fd9987987cb76a3114917ed69842116defa982cd840f788c34b1ce3185262b98",
+        "metrics.csv": "1c4b08907bdfcaad440e15c41b72b627aa7d075e85181d562fb753e254d3983a"}),
+    "5x5": (dict(world_size=2, per_device_batch=4, epochs=2, seed=4,
+                 dataset={"size": 64, "classes": 3, "height": 5, "width": 5}), EXIT_OK, {
+        "checkpoint.npz": "d4103e1617c84898c8baef8c3fff1b92d8bb3ddd8db5f0dd2d651e7116481272",
+        "manifest.json": "c9ad0ee7888c3bf0bba01f53a59690b0af7d7d5675cb176edfad4e0b15c56015",
+        "metrics.csv": "4510b1fc6b1204ea1897deef7233afd5b4f8af9371f106ee8db59aa7637af398"}),
+    "diverging": ({**DIVERGENT, "world_size": 2, "per_device_batch": 4}, EXIT_DIVERGED, {
+        "manifest.json": "6a6abcfe31c9bfcb0d4a4e559cc8b8583b68d0055e19d3ad3f2f29d677adec91",
+        "metrics.csv": "1faae4e7600da4eb07c8ddd4e3f147d7de43f6e8237843ff865059eabec98c31"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TRAIN))
+def test_train_bytes_are_pinned(tmp_path, capsys, case):
+    fields, code, digests = PINNED_TRAIN[case]
+    out = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, **fields),
+                 "--out", str(out)]) == code
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == digests

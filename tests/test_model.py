@@ -149,7 +149,7 @@ class TestLayerForwards:
         p = init_params(m, 1)
         p["00_dense.b"] = rng.normal(size=3)  # exercise the bias too
         x = rng.normal(size=(6, 4))
-        out = forward(m, p, init_buffers(m), Tensor(x))
+        out = forward(plan(m, p, init_buffers(m)), Tensor(x))
         want = loop_dense(x, p["00_dense.w"], p["00_dense.b"])
         assert np.allclose(out.logits.array, want, atol=1e-12)
         assert out.loss is None
@@ -163,14 +163,14 @@ class TestLayerForwards:
         p = init_params(m, 2)
         p["00_conv3x3.b"] = rng.normal(size=3)
         x = rng.normal(size=(2, 2, 5, 4))
-        out = forward(m, p, init_buffers(m), Tensor(x))
+        out = forward(plan(m, p, init_buffers(m)), Tensor(x))
         want = loop_global_mean_pool(loop_conv3x3(x, p["00_conv3x3.w"], p["00_conv3x3.b"]))
         assert np.allclose(out.logits.array, want, atol=1e-12)
 
     def test_relu_clamps(self):
         m = ModelSpec([LayerSpec("relu"), LayerSpec("softmax_xent")], in_shape=(3,))
         x = np.array([[-1.0, 0.0, 2.0], [0.5, -3.0, 0.0]])
-        out = forward(m, {}, {}, Tensor(x))
+        out = forward(plan(m, {}, {}), Tensor(x))
         assert np.array_equal(out.logits.array, [[0.0, 0.0, 2.0], [0.5, 0.0, 0.0]])
 
     def test_loss_matches_loop(self):
@@ -178,7 +178,7 @@ class TestLayerForwards:
         rng = np.random.default_rng(72)
         z = np.abs(rng.normal(size=(5, 4)))  # positive so relu is identity
         labels = rng.integers(0, 4, size=5)
-        out = forward(m, {}, {}, Tensor(z), labels)
+        out = forward(plan(m, {}, {}), Tensor(z), labels)
         assert abs(out.loss - loop_softmax_xent(z, labels)) < 1e-12
         assert l2_penalty({}, 0.0) == 0.0
 
@@ -187,7 +187,7 @@ class TestLayerForwards:
                       in_shape=(3,))
         p = init_params(m, 3)
         x = np.random.default_rng(73).normal(size=(4, 3))
-        out = forward(m, p, {}, Tensor(x), np.zeros(4, dtype=int))
+        out = forward(plan(m, p, {}), Tensor(x), np.zeros(4, dtype=int))
         reg = l2_penalty(p, 0.03)
         want = 0.5 * 0.03 * float(np.sum(p["00_dense.w"] ** 2))  # biases excluded
         assert abs(reg - want) < 1e-15
@@ -202,42 +202,42 @@ class TestForwardValidation:
     def test_input_shape_checked(self):
         m = tiny_model()
         with pytest.raises(ModelError, match="input shape"):
-            forward(m, init_params(m, 0), init_buffers(m), Tensor(np.ones((2, 1, 5, 5))))
+            forward(plan(m, init_params(m, 0), init_buffers(m)), Tensor(np.ones((2, 1, 5, 5))))
 
     def test_mode_checked(self):
         m = tiny_model()
         with pytest.raises(ModelError, match="mode"):
-            forward(m, init_params(m, 0), init_buffers(m),
+            forward(plan(m, init_params(m, 0), init_buffers(m)),
                     Tensor(np.ones((2, 1, 4, 4))), mode="predict")
 
     def test_label_shape_checked(self):
         m = ModelSpec([LayerSpec("softmax_xent")], in_shape=(3,))
         with pytest.raises(ModelError, match="labels shape"):
-            forward(m, {}, {}, Tensor(np.ones((4, 3))), np.zeros((2, 2), dtype=int))
+            forward(plan(m, {}, {}), Tensor(np.ones((4, 3))), np.zeros((2, 2), dtype=int))
 
     def test_label_range_checked(self):
         m = ModelSpec([LayerSpec("softmax_xent")], in_shape=(3,))
         with pytest.raises(ModelError, match="out of range"):
-            forward(m, {}, {}, Tensor(np.ones((4, 3))), np.array([0, 1, 3, 0]))
+            forward(plan(m, {}, {}), Tensor(np.ones((4, 3))), np.array([0, 1, 3, 0]))
 
     def test_backward_needs_loss_caches(self):
         m = tiny_model()
-        p = init_params(m, 0)
-        out = forward(m, p, init_buffers(m), Tensor(np.ones((2, 1, 4, 4))))  # no labels
+        rank_plan = plan(m, init_params(m, 0), init_buffers(m))
+        out = forward(rank_plan, Tensor(np.ones((2, 1, 4, 4))))  # no labels
         with pytest.raises(ModelError, match="backward"):
-            backward(m, p, out.caches)
+            backward(rank_plan, out.caches)
 
     @pytest.mark.parametrize("labels", [None, [0, 1]])
     def test_eval_keeps_no_caches(self, labels):
         # nothing reads an eval forward's caches; keeping them held the
         # patch matrices of a whole eval batch alive
         m = tiny_model()
-        p = init_params(m, 0)
+        rank_plan = plan(m, init_params(m, 0), init_buffers(m))
         x = Tensor(np.random.default_rng(3).normal(size=(2, 1, 4, 4)))
-        out = forward(m, p, init_buffers(m), x, labels, mode="eval")
+        out = forward(rank_plan, x, labels, mode="eval")
         assert out.caches == []
         with pytest.raises(ModelError, match="backward"):
-            backward(m, p, out.caches)
+            backward(rank_plan, out.caches)
 
 
 class TestFiniteness:
@@ -253,7 +253,7 @@ class TestFiniteness:
         p["00_conv3x3.w"][0, 0, 1, 1] = np.inf
         x, labels = self.batch()
         with pytest.raises(NonFiniteError, match="^00_conv3x3: non-finite"):
-            forward(m, p, init_buffers(m), x, labels)
+            forward(plan(m, p, init_buffers(m)), x, labels)
 
     def test_overflowing_bn_names_the_bn_forward(self):
         m = tiny_model()
@@ -261,16 +261,17 @@ class TestFiniteness:
         p["01_bn.gamma"] = np.full_like(p["01_bn.gamma"], 1e308)  # gamma * x_hat overflows
         x, labels = self.batch()
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^bn_forward: non-finite"):
-            forward(m, p, init_buffers(m), x, labels)
+            forward(plan(m, p, init_buffers(m)), x, labels)
 
     def test_nan_cotangent_names_the_bn_backward(self):
         m = tiny_model()
         p = init_params(m, 0)
         x, labels = self.batch()
-        out = forward(m, p, init_buffers(m), x, labels)
-        p["04_dense.w"] = np.full_like(p["04_dense.w"], np.nan)  # only backward reads it now
+        rank_plan = plan(m, p, init_buffers(m))
+        out = forward(rank_plan, x, labels)
+        p["04_dense.w"][...] = np.nan  # only backward reads it now
         with pytest.raises(NonFiniteError, match="^01_bn.backward: non-finite"):
-            backward(m, p, out.caches)
+            backward(rank_plan, out.caches)
 
     def test_overflowing_dense_names_the_dense(self):
         m = tiny_model()
@@ -279,7 +280,7 @@ class TestFiniteness:
         p["04_dense.b"] = np.full_like(p["04_dense.b"], np.finfo(np.float64).max)
         x, labels = self.batch()
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^04_dense: non-finite"):
-            forward(m, p, init_buffers(m), x, labels)
+            forward(plan(m, p, init_buffers(m)), x, labels)
 
     def test_each_value_scanned_once(self, monkeypatch):
         # the input Tensor was scanned when built, and a ReLU of finite
@@ -294,7 +295,7 @@ class TestFiniteness:
         monkeypatch.setattr(model_module, "_check_finite", counting)
         m = tiny_model()
         x, labels = self.batch()
-        forward(m, init_params(m, 0), init_buffers(m), x, labels)
+        forward(plan(m, init_params(m, 0), init_buffers(m)), x, labels)
         assert scanned == ["00_conv3x3", "03_global_mean_pool", "04_dense"]
 
     def test_one_bn_state_per_layer_per_step(self, monkeypatch):
@@ -306,12 +307,13 @@ class TestFiniteness:
                 built.append(self)
                 super().__post_init__()
 
-        m = tiny_model()  # LayerSpec checks its bounds with a BNLayerState too
+        m = tiny_model()  # LayerSpec checks its rules itself and builds no BNLayerState
         p = init_params(m, 0)
         monkeypatch.setattr(model_module, "BNLayerState", CountingState)
         x, labels = self.batch()
-        out = forward(m, p, init_buffers(m), x, labels)
-        backward(m, p, out.caches)
+        rank_plan = plan(m, p, init_buffers(m))
+        out = forward(rank_plan, x, labels)
+        backward(rank_plan, out.caches)
         assert len(built) == sum(layer.kind == "bn" for layer in m.layers) == 1
 
     def test_params_stay_writable_and_unchanged(self):
@@ -319,9 +321,10 @@ class TestFiniteness:
         p = init_params(m, 0)
         before = {k: v.copy() for k, v in p.items()}
         x, labels = self.batch()
-        out = forward(m, p, init_buffers(m), x, labels)
+        rank_plan = plan(m, p, init_buffers(m))
+        out = forward(rank_plan, x, labels)
         l2_penalty(p, 1e-3)
-        backward(m, p, out.caches)
+        backward(rank_plan, out.caches)
         for key, value in p.items():
             assert value.flags.writeable, key
             assert np.array_equal(value, before[key]), key
@@ -339,14 +342,15 @@ class TestGradients:
         wd = 1e-2
 
         def loss():
-            return (forward(m, params, init_buffers(m), Tensor(x), labels).loss
+            return (forward(plan(m, params, init_buffers(m)), Tensor(x), labels).loss
                     + l2_penalty(params, wd))
 
-        out = forward(m, params, init_buffers(m), Tensor(x), labels)
+        rank_plan = plan(m, params, init_buffers(m))
+        out = forward(rank_plan, Tensor(x), labels)
         # the gradient training applies: a zero-rate step leaves v = g + wd * w
         replica = dict(params)
         sgd = SGDState.create(replica, momentum=0.0, weight_decay=wd)
-        sgd_step(replica, backward(m, params, out.caches), sgd, lr=0.0)
+        sgd_step(replica, backward(rank_plan, out.caches), sgd, lr=0.0)
         grads = sgd.velocity
 
         worst = 0.0
@@ -366,10 +370,10 @@ class TestGradients:
         bufs = init_buffers(m)
         x = Tensor(np.random.default_rng(81).normal(size=(4, 1, 4, 4)))
         before = {k: v.copy() for k, v in bufs.items()}
-        forward(m, p, bufs, x, mode="eval")
+        forward(plan(m, p, bufs), x, mode="eval")
         for k in bufs:
             assert np.array_equal(bufs[k], before[k])
-        forward(m, p, bufs, x, mode="train")
+        forward(plan(m, p, bufs), x, mode="train")
         assert not np.array_equal(bufs["01_bn.running_mean"], before["01_bn.running_mean"])
 
     def test_cross_bn_without_handle_equals_local(self):
@@ -387,8 +391,8 @@ class TestGradients:
         x = rng.normal(size=(4, 1, 4, 4))
         labels = rng.integers(0, 2, size=4)
         pc, pl = init_params(mc, 7), init_params(ml, 7)
-        oc = forward(mc, pc, init_buffers(mc), Tensor(x), labels)
-        ol = forward(ml, pl, init_buffers(ml), Tensor(x), labels)
+        oc = forward(plan(mc, pc, init_buffers(mc)), Tensor(x), labels)
+        ol = forward(plan(ml, pl, init_buffers(ml)), Tensor(x), labels)
         assert oc.loss == ol.loss  # bitwise same path
 
     def test_world_mean_of_grads_is_global_gradient(self):
@@ -419,8 +423,8 @@ class TestGradients:
 
         def whole(h):
             m, p = make()
-            out = forward(m, p, init_buffers(m), Tensor(x), labels, handle=h)
-            return backward(m, p, out.caches, handle=h)
+            rank_plan = plan(m, p, init_buffers(m), h)
+            return backward(rank_plan, forward(rank_plan, Tensor(x), labels).caches)
 
         (ref,) = g1.run(whole)
 
@@ -429,8 +433,8 @@ class TestGradients:
         def shard(h):
             m, p = make()
             sl = slice(2 * h.rank, 2 * h.rank + 2)
-            out = forward(m, p, init_buffers(m), Tensor(x[sl]), labels[sl], handle=h)
-            return backward(m, p, out.caches, handle=h)
+            rank_plan = plan(m, p, init_buffers(m), h)
+            return backward(rank_plan, forward(rank_plan, Tensor(x[sl]), labels[sl]).caches)
 
         outs = g3.run(shard)
         for key in ref:
@@ -478,10 +482,11 @@ class TestRankPlan:
             for _ in range(4):
                 x = Tensor(rng.normal(size=(n, *in_shape)))
                 y = rng.integers(0, m.classes, size=n)
-                out = forward(rank_plan, p, b, x, y)
-                grads = backward(rank_plan, p, out.caches)
-                ref = forward(m, fp, fb, x, y, handle=h, one_pass_bn=one_pass)
-                ref_grads = backward(m, fp, ref.caches, handle=h)
+                out = forward(rank_plan, x, y)
+                grads = backward(rank_plan, out.caches)
+                fresh = plan(m, fp, fb, handle=h, one_pass_bn=one_pass)
+                ref = forward(fresh, x, y)
+                ref_grads = backward(fresh, ref.caches)
                 assert out.loss == ref.loss
                 assert np.array_equal(out.logits.array, ref.logits.array)
                 assert grads.keys() == ref_grads.keys()
@@ -493,32 +498,38 @@ class TestRankPlan:
                 sgd_step(p, grads, sgd, lr=0.05)
                 sgd_step(fp, ref_grads, fsgd, lr=0.05)
             x = Tensor(rng.normal(size=(3, *in_shape)))  # eval at another batch size
-            got = forward(rank_plan, p, b, x, mode="eval").logits.array
-            assert np.array_equal(got, forward(m, fp, fb, x, mode="eval").logits.array)
+            got = forward(rank_plan, x, mode="eval").logits.array
+            assert np.array_equal(got, forward(plan(m, fp, fb), x, mode="eval").logits.array)
             for logits, grads, ref_logits, ref_grads in held:
                 assert np.array_equal(logits, ref_logits)
                 assert all(np.array_equal(grads[key], ref_grads[key]) for key in grads)
 
         DeviceGroup(2).run(worker)
 
-    def test_plan_runs_on_its_own_params_and_buffers(self):
+    def test_running_stats_are_blended_into_the_buffers_in_place(self):
         m = tiny_model()
-        p, b = init_params(m, 0), init_buffers(m)
-        rank_plan = plan(m, p, b)
-        x, labels = Tensor(np.ones((2, 1, 4, 4))), np.array([0, 1])
-        with pytest.raises(ModelError, match="built over"):
-            forward(rank_plan, dict(p), b, x, labels)
-        with pytest.raises(ModelError, match="built over"):
-            forward(rank_plan, p, init_buffers(m), x, labels)
-        out = forward(m, p, b, x, labels)
-        with pytest.raises(ModelError, match="built over"):
-            backward(rank_plan, dict(p), out.caches)
-
-    def test_backward_only_plan_refuses_a_forward(self):
-        m = tiny_model()
-        p = init_params(m, 0)
-        with pytest.raises(ModelError, match="runs only backward"):
-            plan(m, p, None).forward(Tensor(np.ones((2, 1, 4, 4))), np.array([0, 1]))
+        layer = m.layers[1]
+        b = init_buffers(m)
+        rank_plan = plan(m, init_params(m, 0), b)
+        rng = np.random.default_rng(84)
+        keys = ("01_bn.running_mean", "01_bn.running_var")
+        arrays = tuple(b[key] for key in keys)
+        for _ in range(3):
+            old = tuple(a.copy() for a in arrays)
+            x = Tensor(rng.normal(size=(4, 1, 4, 4)))
+            out = forward(rank_plan, x, rng.integers(0, 3, size=4))
+            assert all(b[key] is a for key, a in zip(keys, arrays))
+            cache, rho = out.caches[1][1], layer.running_momentum
+            count = cache.total_count
+            # `bn_update_running`'s blend, computed out of place
+            want_mean = (1.0 - rho) * old[0] + rho * cache.mu
+            want_var = (1.0 - rho) * old[1] + rho * (cache.var * (count / (count - 1.0)))
+            assert np.array_equal(b[keys[0]], want_mean)
+            assert np.array_equal(b[keys[1]], want_var)
+        before = tuple(a.copy() for a in arrays)
+        forward(rank_plan, Tensor(rng.normal(size=(3, 1, 4, 4))), mode="eval")
+        assert all(b[key] is a for key, a in zip(keys, arrays))
+        assert all(np.array_equal(a, want) for a, want in zip(arrays, before))
 
 
 def nchw_reference(m, params, buffers, x, labels, mode="train"):
@@ -548,8 +559,6 @@ def nchw_reference(m, params, buffers, x, labels, mode="train"):
                 running_var=buffers[f"{name}.running_var"],
                 running_momentum=layer.running_momentum)
             y, cache = bn_forward_local(Tensor(cur), state, mode=mode)
-            buffers[f"{name}.running_mean"] = state.running_mean
-            buffers[f"{name}.running_var"] = state.running_var
             caches.append((state, cache))
             cur = y.array
         elif k == "relu":
@@ -676,12 +685,13 @@ def assert_bitwise_the_nchw_model(in_shape, layers, n, mode="train"):
         for key in buffers:
             buffers[key] = ref_buffers[key] = rng.uniform(0.5, 1.5, size=buffers[key].shape)
         logits = nchw_reference(m, params, ref_buffers, x, None, mode="eval")
-        out = forward(m, params, buffers, Tensor(x), mode="eval")
+        out = forward(plan(m, params, buffers), Tensor(x), mode="eval")
         assert np.array_equal(out.logits.array, logits)
         return
 
-    out = forward(m, params, buffers, Tensor(x), labels)
-    grads = backward(m, params, out.caches)
+    rank_plan = plan(m, params, buffers)
+    out = forward(rank_plan, Tensor(x), labels)
+    grads = backward(rank_plan, out.caches)
     logits, loss, ref_grads = nchw_reference(m, params, ref_buffers, x, labels)
 
     assert np.array_equal(out.logits.array, logits)
@@ -744,8 +754,9 @@ def test_one_channel_conv_bias_gradient_is_the_column_sum():
     params = init_params(m, 3)
     rng = np.random.default_rng(96)
     labels = rng.integers(0, 2, size=8)
-    out = forward(m, params, init_buffers(m), Tensor(rng.normal(size=(8, 1, 8, 8))), labels)
-    grads = backward(m, params, out.caches)
+    rank_plan = plan(m, params, init_buffers(m))
+    out = forward(rank_plan, Tensor(rng.normal(size=(8, 1, 8, 8))), labels)
+    grads = backward(rank_plan, out.caches)
     d = out.caches[-1][1].copy()
     d[np.arange(8), labels] -= 1.0
     d /= 8

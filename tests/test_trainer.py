@@ -29,6 +29,7 @@ from bigbatch import (
     init_params,
     l2_penalty,
     lr_at,
+    plan,
     run_training,
     sgd_step,
     write_outputs,
@@ -560,8 +561,8 @@ class TestRunTraining:
         assert "rank 1 failed with DivergenceError" in str(aborted[0])
 
     def test_bn_state_is_built_once_per_worker(self, monkeypatch):
-        # each worker's plan builds one state per BN layer for all its steps;
-        # rank 0's eval forward, once an epoch, builds its own
+        # each worker's plan builds one state per BN layer for all its steps,
+        # and rank 0's eval forward, once an epoch, runs on that plan
         import bigbatch.model as model_module
         built = []
 
@@ -573,7 +574,7 @@ class TestRunTraining:
         result = run_training(smoke_config(world_size=2, per_device_batch=4, epochs=2))
         assert result.status == "ok"
         assert len(result.rows) == 2 * (64 // 8 + 1)  # 8 steps and one eval an epoch
-        assert len(built) == 2 + 2  # one BN layer: two workers, two evals
+        assert len(built) == 2  # one BN layer: two workers
 
     def test_training_constructs_no_tensor(self, monkeypatch):
         # every batch and the eval set are slices of a checked dataset: no
@@ -613,8 +614,9 @@ class TestLocalBNIsThePathology:
             rng = np.random.default_rng((11, h.rank))
             x = Tensor(rng.normal(size=(6, 1, 4, 4)))
             y = rng.integers(0, 3, size=6)
-            out = forward(spec, params, buffers, x, y, mode="train", handle=h)
-            grads = backward(spec, params, out.caches, handle=h)
+            rank_plan = plan(spec, params, buffers, h)
+            out = forward(rank_plan, x, y, mode="train")
+            grads = backward(rank_plan, out.caches)
             keys = sorted(grads)
             flat = np.concatenate([grads[k].ravel() for k in keys])
             mean = allreduce_sum(h, SCOPE_WORLD, flat) / 2
