@@ -8,7 +8,8 @@ combines the payloads strictly in ascending-rank order (or takes the
 root's vector for a broadcast) and publishes the outcome to the scope. The
 result is independent of scheduling and arrival order. Every collective,
 a broadcast root's included, returns only once its whole scope has
-arrived.
+arrived. A one-rank scope has no one to wait for: its collective returns
+the rank's own vector, copied, without the rendezvous.
 
 A mismatched call pattern (one rank doing a different collective, or
 running ahead) is diagnosed with rank IDs, and a failing rank wakes every
@@ -230,6 +231,8 @@ def _rendezvous(handle: DeviceHandle, scope_key: str, kind: str,
     group = handle.group
     table = group._tables[scope_key]
     seq = handle._next_seq(scope_key)
+    if len(table.ranks) == 1:  # no one to wait for; `_settle` keeps this fresh copy as is
+        return payload
     with group._cond:
         table.slots[handle.rank] = (kind, seq, root, payload)
         my_round = table.round

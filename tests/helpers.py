@@ -266,6 +266,13 @@ def loop_update_variances(grad_fn, sampler, batch_size, k, rate, trials, seed, s
     return loop_block_variance(large)[1], loop_block_variance(small)[1]
 
 
+# a model whose first conv has one output channel, for which OpenBLAS takes
+# a matrix-vector path
+WIDTH_ONE_CONV = [{"kind": "conv3x3", "out_channels": 1}, {"kind": "bn", "variant": "cross"},
+                  {"kind": "relu"}, {"kind": "global_mean_pool"},
+                  {"kind": "dense", "out_features": None}]
+
+
 def rank_outcomes(group, fn):
     """Each rank's result or exception from `group.run(fn)`, by rank.
 

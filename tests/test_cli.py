@@ -50,6 +50,8 @@ from bigbatch.optim import lr_at, make_policy
 from bigbatch.trainer import CSV_HEADER
 from bigbatch.verify import FD_TOL, SUITES, CheckResult, run_suite, sync_bn_fd_max_err
 
+from helpers import WIDTH_ONE_CONV
+
 
 def write_config(tmp_path, name="cfg.json", **fields):
     p = tmp_path / name
@@ -1019,8 +1021,9 @@ def test_report_bytes_are_pinned(tmp_path, capsys, case):
             for name in digests} == digests
 
 
-# sha256 of each `train` output, recorded at df5015d; same-version determinism
-# alone would not see a model or trainer change move the bytes across versions
+# sha256 of each `train` output, recorded at df5015d (`bn-group-one` and
+# `eval-off-chunk` at a2575a1); same-version determinism alone would not see a
+# model or trainer change move the bytes across versions
 POOL_BN = [{"kind": "conv3x3", "out_channels": 3}, {"kind": "relu"},
            {"kind": "global_mean_pool"}, {"kind": "bn"}, {"kind": "dense", "out_features": None}]
 PINNED_TRAIN = {
@@ -1040,6 +1043,20 @@ PINNED_TRAIN = {
         "checkpoint.npz": "d4103e1617c84898c8baef8c3fff1b92d8bb3ddd8db5f0dd2d651e7116481272",
         "manifest.json": "c9ad0ee7888c3bf0bba01f53a59690b0af7d7d5675cb176edfad4e0b15c56015",
         "metrics.csv": "4510b1fc6b1204ea1897deef7233afd5b4f8af9371f106ee8db59aa7637af398"}),
+    # one-rank BN scopes at world 4
+    "bn-group-one": (dict(world_size=4, per_device_batch=2, bn_group_size=1, epochs=2, seed=5,
+                          dataset={"size": 64, "classes": 4}), EXIT_OK, {
+        "checkpoint.npz": "50badefb4025853d13bd9a02a91d4c35abca5e656685889fcad0cba771cb60f0",
+        "manifest.json": "8158e7c865bda8359428d010b957ed8448dc781bcf8344416bfd4376dbea0763",
+        "metrics.csv": "d133f11ce579793568ebe75cccf1152681d8522aabcb26f9fdd4aede465f033d"}),
+    # 5x7 images: 117 an eval forward, so 130 eval images take two
+    "eval-off-chunk": (dict(world_size=2, per_device_batch=4, epochs=2, seed=6,
+                            model=WIDTH_ONE_CONV,
+                            dataset={"size": 64, "classes": 3, "height": 5, "width": 7,
+                                     "eval_size": 130}), EXIT_OK, {
+        "checkpoint.npz": "363d37abe462fba72c4a8bb507c915410762a4c1975518f2164e026984fc4e07",
+        "manifest.json": "882a98acdcfab39371975d99ccf828fd532d9c65a2489f85cce3b513c3a98352",
+        "metrics.csv": "12a5fd04e0425619304231aee0f8fc7b165b51a2e59ae3614c38587ab505c33a"}),
     "diverging": ({**DIVERGENT, "world_size": 2, "per_device_batch": 4}, EXIT_DIVERGED, {
         "manifest.json": "6a6abcfe31c9bfcb0d4a4e559cc8b8583b68d0055e19d3ad3f2f29d677adec91",
         "metrics.csv": "1faae4e7600da4eb07c8ddd4e3f147d7de43f6e8237843ff865059eabec98c31"}),

@@ -104,6 +104,41 @@ def test_allreduce_preserves_negative_zero():
     assert np.signbit(out[0])
 
 
+def test_one_rank_scopes_return_their_own_vector():
+    # sub-groups of one: each rank's BN-scope allreduce is a copy of its own
+    # vector, bits and -0.0 kept; the world scope still sums every rank's
+    src = [np.array([float(r), -0.0]) for r in range(4)]
+    g = DeviceGroup(4, bn_group_size=1)
+
+    def fn(h):
+        own = allreduce_sum(h, SCOPE_BN_GROUP, src[h.rank])
+        return own, allreduce_sum(h, SCOPE_WORLD, src[h.rank])
+
+    for r, (own, whole) in enumerate(g.run(fn)):
+        assert own is not src[r] and own.tobytes() == src[r].tobytes()
+        assert whole.tolist() == [6.0, 0.0]
+
+
+def test_broadcast_world_of_one_returns_copy():
+    g = DeviceGroup(1)
+    src = np.array([2.5, -0.0])
+    (out,) = g.run(lambda h: broadcast(h, SCOPE_WORLD, 0, src))
+    assert out is not src and out.tobytes() == src.tobytes()
+    out[0] = 99.0
+    assert src[0] == 2.5
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda h: allreduce_sum(h, SCOPE_BN_GROUP, np.ones((2, 2))), "1-D vector"),
+    (lambda h: broadcast(h, SCOPE_BN_GROUP, 1 - h.rank, np.ones(2)), "outside scope"),
+    (lambda h: broadcast(h, SCOPE_BN_GROUP, h.rank, None), "must supply data"),
+    (lambda h: allreduce_sum(h, "everyone", [1.0]), "unknown scope"),
+])
+def test_one_rank_scope_keeps_its_checks(call, match):
+    with pytest.raises(CollectiveProtocolError, match=match):
+        DeviceGroup(2, bn_group_size=1).run(call)
+
+
 def test_scope_isolation():
     # Two sub-groups of two; each group's total must only include its own
     # members, and the world total includes everyone.

@@ -49,7 +49,7 @@ from bigbatch.trainer import (
     resolve_dataset,
 )
 
-from helpers import rank_outcomes
+from helpers import WIDTH_ONE_CONV, rank_outcomes
 
 
 def smoke_config(**overrides):
@@ -589,6 +589,53 @@ class TestRunTraining:
         result = run_training(smoke_config(world_size=2, per_device_batch=4, epochs=2))
         assert result.status == "ok" and len(result.eval_history) == 2
         assert calls == []
+
+
+# the bench's model (bench/workloads.py)
+BENCH_MODEL = [{"kind": "conv3x3", "out_channels": 6}, {"kind": "bn", "variant": "cross"},
+               {"kind": "relu"}, {"kind": "conv3x3", "out_channels": 6},
+               {"kind": "bn", "variant": "cross"}, {"kind": "relu"},
+               {"kind": "global_mean_pool"}, {"kind": "dense", "out_features": None}]
+
+
+class TestEvalChunks:
+    """Rank 0's eval forwards at most `EVAL_ROWS` pixel rows at a time."""
+
+    def test_eval_forwards_stay_within_the_row_limit(self, monkeypatch):
+        sizes = []
+        real_forward = trainer.forward
+
+        def forward(rank_plan, x, *args, mode="train", **kwargs):
+            if mode == "eval":
+                sizes.append(x.shape[0])
+            return real_forward(rank_plan, x, *args, mode=mode, **kwargs)
+        monkeypatch.setattr(trainer, "forward", forward)
+        config = smoke_config(epochs=2, dataset={"size": 64, "classes": 4, "eval_size": 100})
+        result = run_training(config)
+        assert trainer.EVAL_ROWS == 4096 and sizes == [64, 36] * 2  # 8x8 images, per epoch
+        sizes.clear()
+        monkeypatch.setattr(trainer, "EVAL_ROWS", 100 * 64)  # one forward of all 100
+        reference = run_training(config)
+        assert sizes == [100] * 2
+        assert result.eval_history == reference.eval_history and result.rows == reference.rows
+
+    @pytest.mark.parametrize("layers, hw, n", [(BENCH_MODEL, (8, 8), 256),
+                                               (WIDTH_ONE_CONV, (5, 7), 333)])
+    def test_chunked_logits_are_bitwise_one_call(self, layers, hw, n):
+        h, w = hw
+        model = build_model(smoke_config(model=layers), 4, (1, h, w))
+        rng = np.random.default_rng(7)
+        params, buffers = init_params(model, 3), init_buffers(model)
+        for v in buffers.values():  # running statistics away from their init
+            v[...] = rng.uniform(0.5, 1.5, v.shape)
+        rank_plan = plan(model, params, buffers)
+        x = rng.standard_normal((n, 1, h, w))
+        step = trainer.EVAL_ROWS // (h * w)
+        chunks = [Tensor(x[i:i + step]) for i in range(0, n, step)]
+        assert len(chunks) in (3, 4)
+        chunked = trainer.eval_logits(rank_plan, chunks).array
+        whole = forward(rank_plan, Tensor(x), mode="eval").logits.array
+        assert chunked.tobytes() == whole.tobytes()
 
 
 class TestLocalBNIsThePathology:
