@@ -15,7 +15,6 @@ import numpy as np
 from bigbatch import (
     BNLayerState,
     DeviceGroup,
-    Tensor,
     bn_forward_local,
     sync_bn_forward,
 )
@@ -41,7 +40,7 @@ print(f"{WORLD} devices, {PER_DEVICE} images each, {CHANNELS} channels\n")
 print("per-device channel means (local BN, each replica on its own):")
 local_mus = []
 for r, x in enumerate(shards):
-    _, cache = bn_forward_local(Tensor(x), fresh_state())
+    _, cache = bn_forward_local(x, fresh_state())
     local_mus.append(cache.mu)
     print(f"  device {r}: {np.array2string(cache.mu, precision=4)}")
 print(f"  spread across devices: {np.ptp(np.stack(local_mus), axis=0)}")
@@ -52,8 +51,8 @@ group = DeviceGroup(WORLD)
 
 
 def sync_worker(handle):
-    y, cache = sync_bn_forward(handle, Tensor(shards[handle.rank]), fresh_state())
-    return y.array, cache.mu, cache.var
+    y, cache = sync_bn_forward(handle, shards[handle.rank], fresh_state())
+    return y, cache.mu, cache.var
 
 
 outs = group.run(sync_worker)
@@ -62,21 +61,21 @@ for r, (_, mu, _) in enumerate(outs):
     print(f"  device {r}: {np.array2string(mu, precision=4)}")
 
 big = np.concatenate(shards)
-ref_y, ref_cache = bn_forward_local(Tensor(big), fresh_state())
+ref_y, ref_cache = bn_forward_local(big, fresh_state())
 print(f"\nreference: one device, batch of {big.shape[0]}")
 print(f"  mean:     {np.array2string(ref_cache.mu, precision=4)}")
 
 stacked = np.concatenate([o[0] for o in outs])
-gap = np.max(np.abs(stacked - ref_y.array))
+gap = np.max(np.abs(stacked - ref_y))
 print(f"  max |sharded output - big batch output| = {gap:.3e}")
 
 # --- 3. one reduction instead of two ---------------------------------------
 
 
 def one_pass_worker(handle):
-    y, _ = sync_bn_forward(handle, Tensor(shards[handle.rank]), fresh_state(),
+    y, _ = sync_bn_forward(handle, shards[handle.rank], fresh_state(),
                            one_pass=True)
-    return y.array
+    return y
 
 
 one = np.concatenate(DeviceGroup(WORLD).run(one_pass_worker))
@@ -95,9 +94,9 @@ def buffer_worker(mode):
     def worker(handle):
         state = fresh_state()
         if mode == "local":
-            bn_forward_local(Tensor(shards[handle.rank]), state)
+            bn_forward_local(shards[handle.rank], state)
         else:
-            sync_bn_forward(handle, Tensor(shards[handle.rank]), state)
+            sync_bn_forward(handle, shards[handle.rank], state)
         return state.running_mean
 
     return DeviceGroup(WORLD).run(worker)

@@ -11,13 +11,15 @@ A one-pass variant (single reduction of sums, squared sums, and counts) is
 available behind a flag; it saves a collective round at the cost of the
 classic cancellation hazard in ``E[x^2] - E[x]^2``.
 
-The four public functions keep `Tensor`s of layout (N, C) or (N, C, H, W)
-at their edge and convert once each way. In between, all runs in the
-input's dtype on C-ordered (M, C) rows, one per (n, y, x) position: folds
-on the rows, per-channel arithmetic on their `channel_blocks`, one NaN/Inf
-scan per output. The model's activations are such rows already, and a
-caller that runs one layer step after step passes the same `BNOperands`,
-so the step's small operand arrays are refilled, not allocated again.
+The four public functions take and return ndarrays of layout (N, C) or
+(N, C, H, W), float32 or float64, and convert once each way; what they
+return is C-ordered. In between, all runs in the input's dtype on
+C-ordered (M, C) rows, one per (n, y, x) position: folds on the rows,
+per-channel arithmetic on their `channel_blocks`, one NaN/Inf scan per
+output, which is where a non-finite input stops. The model's activations
+are such rows already, and a caller that runs one layer step after step
+passes the same `BNOperands`, so the step's small operand arrays are
+refilled, not allocated again.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .collectives import SCOPE_BN_GROUP, DeviceHandle, allreduce_sum
 from .schema import check, number
-from .tensor import Tensor, _check_finite, channel_blocks, repeats, sequential_sum_rows
+from .tensor import _check_finite, channel_blocks, repeats, sequential_sum_rows
 
 
 class BatchNormError(ValueError):
@@ -130,25 +132,28 @@ class BNOperands:
         return self
 
 
-def _rows(x: Tensor, state: BNLayerState) -> np.ndarray:
-    """`x` as C-ordered (M, C) rows, once its layout matches `state`."""
-    if len(x.shape) not in (2, 4):
+def _rows(x: np.ndarray, state: BNLayerState) -> np.ndarray:
+    """`x` as C-ordered (M, C) rows, once its layout, dtype and extents fit `state`."""
+    if x.ndim not in (2, 4):
         raise BatchNormError(f"expected layout (N,C) or (N,C,H,W), got shape {x.shape}")
+    if x.dtype not in (np.float64, np.float32) or 0 in x.shape:
+        raise BatchNormError(f"expected float32 or float64 values and positive extents, "
+                             f"got {x.dtype} of shape {x.shape}")
     if x.shape[1] != state.channels:
         raise BatchNormError(
             f"input has {x.shape[1]} channels but state has {state.channels}"
         )
-    if len(x.shape) == 2:
-        return x.array
-    return np.ascontiguousarray(x.array.transpose(0, 2, 3, 1)).reshape(-1, state.channels)
+    if x.ndim == 2:
+        return np.ascontiguousarray(x)
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, state.channels)
 
 
 def _unrows(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The inverse of `_rows` for an input of `shape`."""
+    """The inverse of `_rows` for an input of `shape`, C-ordered."""
     if len(shape) == 2:
         return rows
     n, c, h, w = shape
-    return rows.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(rows.reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
 
 def _normalize(rows: np.ndarray, shape, state: BNLayerState, mu, var, count: int,
@@ -197,8 +202,8 @@ def _train_forward(rows: np.ndarray, shape, state: BNLayerState, reduce_vec,
     return y, cache
 
 
-def bn_forward_local(x: Tensor, state: BNLayerState, mode: str = "train",
-                     operands: BNOperands | None = None) -> tuple[Tensor, BNForwardCache]:
+def bn_forward_local(x: np.ndarray, state: BNLayerState, mode: str = "train",
+                     operands: BNOperands | None = None) -> tuple[np.ndarray, BNForwardCache]:
     """Batch normalization over a single device's batch.
 
     Training mode computes biased per-channel statistics from `x` and
@@ -215,15 +220,15 @@ def bn_forward_local(x: Tensor, state: BNLayerState, mode: str = "train",
                               state.running_var.copy(), rows.shape[0], False, ops)
     else:
         raise BatchNormError(f"mode must be 'train' or 'eval', got {mode!r}")
-    return Tensor._wrap(_unrows(y, x.shape)), cache
+    return _unrows(y, x.shape), cache
 
 
-def sync_bn_forward(handle: DeviceHandle, x_local: Tensor, state: BNLayerState,
+def sync_bn_forward(handle: DeviceHandle, x_local: np.ndarray, state: BNLayerState,
                     one_pass: bool = False,
-                    operands: BNOperands | None = None) -> tuple[Tensor, BNForwardCache]:
+                    operands: BNOperands | None = None) -> tuple[np.ndarray, BNForwardCache]:
     """Training-mode batch normalization synchronized across a BN sub-group.
 
-    Every rank of the sub-group must call this with tensors of identical
+    Every rank of the sub-group must call this with arrays of identical
     channel/spatial extents (per-device batch sizes may differ; counts are
     reduced along with the sums so the mean stays exact). All ranks end up
     with bitwise-identical statistics, and the output matches
@@ -233,10 +238,10 @@ def sync_bn_forward(handle: DeviceHandle, x_local: Tensor, state: BNLayerState,
     y, cache = _train_forward(
         rows, x_local.shape, state, lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v),
         handle.bn_scope_key, one_pass, (operands or BNOperands()).fit(rows))
-    return Tensor._wrap(_unrows(y, x_local.shape)), cache
+    return _unrows(y, x_local.shape), cache
 
 
-def _backward_core(dy: Tensor, cache: BNForwardCache, state: BNLayerState, reduce_vec,
+def _backward_core(dy: np.ndarray, cache: BNForwardCache, state: BNLayerState, reduce_vec,
                    operands: BNOperands | None):
     if not cache.train:
         raise BatchNormError("backward requires a training-mode forward cache")
@@ -265,19 +270,19 @@ def _backward_core(dy: Tensor, cache: BNForwardCache, state: BNLayerState, reduc
     return _check_finite(dx.reshape(rows.shape), "bn_backward"), dgamma, dbeta
 
 
-def bn_backward_local(dy: Tensor, cache: BNForwardCache, state: BNLayerState,
-                      operands: BNOperands | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+def bn_backward_local(dy: np.ndarray, cache: BNForwardCache, state: BNLayerState,
+                      operands: BNOperands | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward pass matching a local training-mode forward."""
     if cache.scope_key is not None:
         raise BatchNormError("cache came from a synchronized forward; use sync_bn_backward")
     # the local sums are the totals, copied out of the operand the next step refills
     dx, dgamma, dbeta = _backward_core(dy, cache, state, np.copy, operands)
-    return Tensor._wrap(_unrows(dx, dy.shape)), dgamma, dbeta
+    return _unrows(dx, dy.shape), dgamma, dbeta
 
 
-def sync_bn_backward(handle: DeviceHandle, dy_local: Tensor, cache: BNForwardCache,
+def sync_bn_backward(handle: DeviceHandle, dy_local: np.ndarray, cache: BNForwardCache,
                      state: BNLayerState,
-                     operands: BNOperands | None = None) -> tuple[Tensor, np.ndarray, np.ndarray]:
+                     operands: BNOperands | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward pass matching `sync_bn_forward` on the same sub-group.
 
     The two per-channel reductions (sum of dy and sum of dy * x_hat) are
@@ -293,7 +298,7 @@ def sync_bn_backward(handle: DeviceHandle, dy_local: Tensor, cache: BNForwardCac
     dx, dgamma, dbeta = _backward_core(dy_local, cache, state,
                                        lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v),
                                        operands)
-    return Tensor._wrap(_unrows(dx, dy_local.shape)), dgamma, dbeta
+    return _unrows(dx, dy_local.shape), dgamma, dbeta
 
 
 def bn_update_running(state: BNLayerState, mu: np.ndarray, var: np.ndarray,

@@ -22,15 +22,14 @@ goes the other way: the patch gradient is formed channel-major,
 `W.T @ dout.T`, and `_col2im` scatters it with nine long shifted adds.
 Flat activations after pooling are plain (N, F).
 
-Activations and gradients pass between layers as plain ndarrays; each
-layer output is scanned for NaN/Inf under the layer's name, once, except
-a ReLU's, which is finite wherever its input is. `Tensor` appears only at
-the boundaries: the model input, `ForwardResult.logits`, and the BN
-functions, which take and return the rows wrapped without a copy or a
-second scan. `forward` and `backward` run a `RankPlan`, which `plan`
-builds once over a rank's parameters, buffers and device handle. It holds
-what a step would otherwise rebuild: the parameter arrays, each BN
-layer's `BNLayerState` and its `BNOperands`. A BN layer's running
+Activations and gradients pass between layers as plain ndarrays, the BN
+functions' arguments and results and the logits included; each layer
+output is scanned for NaN/Inf under the layer's name, once, except a
+ReLU's, which is finite wherever its input is. `Tensor` is the type of
+the model input alone. `forward` and `backward` run a `RankPlan`, which
+`plan` builds once over a rank's parameters, buffers and device handle.
+It holds what a step would otherwise rebuild: the parameter arrays, each
+BN layer's `BNLayerState` and its `BNOperands`. A BN layer's running
 statistics are the `buffers` arrays themselves, which each training
 forward blends in place; an eval forward reads them and keeps no caches.
 """
@@ -145,7 +144,7 @@ class ModelSpec:
 
 @dataclass
 class ForwardResult:
-    logits: Tensor
+    logits: np.ndarray
     loss: float | None  # the task loss; the L2 penalty is `optim.l2_penalty`
     caches: list
 
@@ -321,17 +320,15 @@ def forward(plan: RankPlan, x: Tensor, labels: np.ndarray | None = None,
             keep(("relu", mask))
             cur = cur * mask  # finite, as the scanned input is
         elif k == "bn":
-            state, ops = planned.state, planned.operands
-            x_bn = Tensor._wrap(cur)  # scanned as the previous layer's output
+            state, ops = planned.state, planned.operands  # cur is scanned already
             if mode == "eval":
-                y, cache = bn_forward_local(x_bn, state, mode="eval", operands=ops)
+                cur, cache = bn_forward_local(cur, state, mode="eval", operands=ops)
             elif layer.variant == "cross" and handle is not None:
-                y, cache = sync_bn_forward(handle, x_bn, state, one_pass=plan.one_pass_bn,
-                                           operands=ops)
+                cur, cache = sync_bn_forward(handle, cur, state, one_pass=plan.one_pass_bn,
+                                             operands=ops)
             else:
-                y, cache = bn_forward_local(x_bn, state, mode="train", operands=ops)
+                cur, cache = bn_forward_local(cur, state, mode="train", operands=ops)
             keep(("bn", cache))
-            cur = y.array
         elif k == "global_mean_pool":
             c, h, wd = ishape
             # numpy's pairwise sum depends on memory layout: each (n, c) mean
@@ -341,10 +338,9 @@ def forward(plan: RankPlan, x: Tensor, labels: np.ndarray | None = None,
             keep(("global_mean_pool",))
             cur = _check_finite(np.add.reduce(maps, axis=2) / (h * wd), layer.name)
         elif k == "softmax_xent":
-            logits = Tensor._wrap(cur)  # scanned as the previous layer's output
+            z = cur  # the logits, scanned as the previous layer's output
             if labels is None:
-                return ForwardResult(logits=logits, loss=None, caches=caches)
-            z = cur
+                return ForwardResult(logits=z, loss=None, caches=caches)
             labels = np.asarray(labels)
             if labels.shape != (z.shape[0],):
                 raise ModelError(
@@ -362,7 +358,7 @@ def forward(plan: RankPlan, x: Tensor, labels: np.ndarray | None = None,
             keep(("softmax_xent", probs, labels))
             if not np.isfinite(task):
                 raise NonFiniteError("loss became non-finite")
-            return ForwardResult(logits=logits, loss=task, caches=caches)
+            return ForwardResult(logits=z, loss=task, caches=caches)
     raise ModelError("model has no loss head")  # unreachable after validation
 
 
@@ -412,26 +408,25 @@ def backward(plan: RankPlan, caches: list) -> dict:
             cur = cur * cache[1]
         elif k == "bn":
             bn_cache, state = cache[1], planned.state
-            dy = Tensor._wrap(_check_finite(cur, planned.scan))
+            dy = _check_finite(cur, planned.scan)
             if bn_cache.scope_key is not None:
-                dx, dgamma, dbeta = sync_bn_backward(handle, dy, bn_cache, state,
-                                                     operands=planned.operands)
+                cur, dgamma, dbeta = sync_bn_backward(handle, dy, bn_cache, state,
+                                                      operands=planned.operands)
                 share = handle.group.bn_group_size
                 dgamma = dgamma / share
                 dbeta = dbeta / share
             else:
-                dx, dgamma, dbeta = bn_backward_local(dy, bn_cache, state,
-                                                      operands=planned.operands)
+                cur, dgamma, dbeta = bn_backward_local(dy, bn_cache, state,
+                                                       operands=planned.operands)
             grads[keys[0]] = dgamma
             grads[keys[1]] = dbeta
-            cur = dx.array
         elif k == "global_mean_pool":
             c, h, wd = ishape
             cur = (cur / (h * wd)).repeat(h * wd, axis=0)  # each image's row, H*W times
     return grads
 
 
-def accuracy(logits: Tensor, labels: np.ndarray) -> float:
+def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of rows whose arg-max class matches the label."""
-    pred = np.argmax(logits.array, axis=1)
+    pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == np.asarray(labels)))

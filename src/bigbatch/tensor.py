@@ -7,13 +7,12 @@ produces bitwise-identical sums and a scalar loop reproduces them
 exactly; its docstring says which numpy fold keeps that order on which
 input. `channel_blocks` says why its block view keeps the broadcast's bits.
 
-`Tensor` is the type of the public boundaries: the model input, the
-logits, and the batch-norm functions' inputs and outputs. Inside, the
-model and batch norm compute on plain arrays and run the same finiteness
-scan (`_check_finite`) on every one they compute, under the name of the
-layer or operation that produced it. `Tensor._wrap` turns such an array,
-or a dataset's (checked where it was made), into a tensor without a copy;
-`Tensor(...)` always copies and scans its input.
+`Tensor` is the type of the model's input and nothing else: `Tensor(...)`
+copies and scans a caller's values, and `Tensor._wrap` takes a dataset's
+images, or a slice of them, checked where the dataset was made, without
+a copy. The model and batch norm compute on plain arrays and run one
+finiteness scan (`_check_finite`) on every one they compute, under the
+name of the layer or operation that produced it.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ class Tensor:
     """Immutable dense array, row-major, f64 by default.
 
     Values are finite: the constructor scans them, and `_wrap` takes only
-    arrays scanned before, so NaN/Inf never pass a public boundary silently.
+    arrays checked before, so NaN/Inf never enter the model silently.
     The underlying buffer is marked read-only and may be shared freely
     across device workers.
     """
@@ -61,11 +60,10 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, a: np.ndarray) -> "Tensor":
-        """Wrap an array the library has just scanned (`_check_finite`), or a
-        dataset's images or a slice of them, checked where the dataset was
-        made; copy it only if it is not C-ordered, and mark it read-only.
-        Only for f64/f32 arrays with a positive extent on every axis that no
-        caller holds a writable reference to."""
+        """Wrap a dataset's images or a slice of them, checked where the
+        dataset was made; copy them only if they are not C-ordered, and mark
+        them read-only. Only for f64/f32 arrays with a positive extent on
+        every axis that no caller holds a writable reference to."""
         if not a.flags.c_contiguous:
             a = np.ascontiguousarray(a)
         t = cls.__new__(cls)
@@ -78,16 +76,9 @@ class Tensor:
         return self._a.shape
 
     @property
-    def dtype(self) -> np.dtype:
-        return self._a.dtype
-
-    @property
     def array(self) -> np.ndarray:
         """Read-only view with the tensor's shape."""
         return self._a
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
 
 
 def sequential_sum_rows(rows: np.ndarray) -> np.ndarray:

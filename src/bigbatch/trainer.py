@@ -363,10 +363,9 @@ def _count_allreduce_rounds(model: ModelSpec, one_pass: bool) -> int:
     return rounds
 
 
-def eval_logits(rank_plan, chunks: list) -> Tensor:
+def eval_logits(rank_plan, chunks: list) -> np.ndarray:
     """Eval-mode logits of the chunks' images in order, one `forward` per chunk."""
-    return Tensor._wrap(np.concatenate(
-        [forward(rank_plan, x, mode="eval").logits.array for x in chunks]))
+    return np.concatenate([forward(rank_plan, x, mode="eval").logits for x in chunks])
 
 
 def run_training(config: ExperimentConfig) -> TrainResult:

@@ -67,9 +67,8 @@ def _group_forward(g, xs, gamma, beta, one_pass=False):
 
     def worker(handle):
         state = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-        y, cache = sync_bn_forward(handle, Tensor(xs[handle.rank]), state,
-                                   one_pass=one_pass)
-        return y.array, cache.mu, cache.var, state
+        y, cache = sync_bn_forward(handle, xs[handle.rank], state, one_pass=one_pass)
+        return y, cache.mu, cache.var, state
 
     return group.run(worker)
 
@@ -81,9 +80,9 @@ def check_concat_equivalence(seed=0, cases=25, tol=1e-9) -> CheckResult:
         g, c, xs, gamma, beta = _random_case(rng)
         outs = _group_forward(g, xs, gamma, beta)
         ref_state = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-        ref, _ = bn_forward_local(Tensor(np.concatenate(xs)), ref_state)
+        ref, _ = bn_forward_local(np.concatenate(xs), ref_state)
         stacked = np.concatenate([o[0] for o in outs])
-        worst = max(worst, rel_err(stacked, ref.array))
+        worst = max(worst, rel_err(stacked, ref))
     return CheckResult("bn.concat_equivalence", worst <= tol,
                        f"max rel err {worst:.3e} over {cases} cases")
 
@@ -94,8 +93,8 @@ def check_single_group_bitwise(seed=1) -> CheckResult:
     gamma, beta = rng.standard_normal(3), rng.standard_normal(3)
     (y_sync, mu, var, _), = _group_forward(1, [x], gamma, beta)
     y_local, cache = bn_forward_local(
-        Tensor(x), BNLayerState(gamma=gamma.copy(), beta=beta.copy()))
-    same = (np.array_equal(y_sync, y_local.array)
+        x, BNLayerState(gamma=gamma.copy(), beta=beta.copy()))
+    same = (np.array_equal(y_sync, y_local)
             and np.array_equal(mu, cache.mu) and np.array_equal(var, cache.var))
     return CheckResult("bn.single_group_bitwise", same,
                        "synchronized path at group size 1 equals local BN byte for byte")
@@ -118,13 +117,13 @@ def check_running_stats(seed=3) -> CheckResult:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((6, 2, 3, 3))
     state = BNLayerState.create(2, running_momentum=1.0)
-    _, cache = bn_forward_local(Tensor(x), state)
+    _, cache = bn_forward_local(x, state)
     m = cache.total_count
     want_var = cache.var * (m / (m - 1.0))
     ok = (np.allclose(state.running_mean, cache.mu, rtol=0, atol=0)
           and np.allclose(state.running_var, want_var, rtol=0, atol=0))
     before = state.running_var.copy()
-    bn_forward_local(Tensor(x), state, mode="eval")
+    bn_forward_local(x, state, mode="eval")
     ok = ok and np.array_equal(state.running_var, before)
     return CheckResult("bn.running_stats", ok,
                        "momentum-1 update equals unbiased batch stats; eval leaves them alone")
@@ -170,13 +169,13 @@ def sync_bn_fd_max_err(world_size: int, shard_sizes, channels: int, hw,
 
         def objective(local_x, g_vec, b_vec):
             state = BNLayerState(gamma=g_vec.copy(), beta=b_vec.copy())
-            y, _ = sync_bn_forward(handle, Tensor(local_x), state)
-            part = float(np.sum(y.array * cots[me]))
+            y, _ = sync_bn_forward(handle, local_x, state)
+            part = float(np.sum(y * cots[me]))
             return float(allreduce_sum(handle, SCOPE_WORLD, np.array([part]))[0])
 
         state = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-        _, cache = sync_bn_forward(handle, Tensor(xs[me]), state)
-        dx, dgamma, dbeta = sync_bn_backward(handle, Tensor(cots[me]), cache, state)
+        _, cache = sync_bn_forward(handle, xs[me], state)
+        dx, dgamma, dbeta = sync_bn_backward(handle, cots[me], cache, state)
 
         worst = 0.0
         for r in range(world_size):
@@ -188,7 +187,7 @@ def sync_bn_fd_max_err(world_size: int, shard_sizes, channels: int, hw,
                     lo[idx] -= FD_STEP
                 fd = (objective(hi, gamma, beta) - objective(lo, gamma, beta)) / (2 * FD_STEP)
                 if r == me:
-                    worst = max(worst, rel_err(fd, dx.array[idx]))
+                    worst = max(worst, rel_err(fd, dx[idx]))
         for c in range(channels):
             for vec, grad in ((gamma, dgamma), (beta, dbeta)):
                 hi = vec.copy()

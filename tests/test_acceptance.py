@@ -23,7 +23,6 @@ from bigbatch import (
     SCOPE_BN_GROUP,
     SCOPE_WORLD,
     SamplerSpec,
-    Tensor,
     allreduce_sum,
     bn_forward_local,
     broadcast,
@@ -72,13 +71,13 @@ def test_criterion_1_cross_device_bn_matches_concatenated_batch(verdict):
 
         def worker(handle):
             state = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-            y, _ = sync_bn_forward(handle, Tensor(xs[handle.rank]), state)
-            return y.array
+            y, _ = sync_bn_forward(handle, xs[handle.rank], state)
+            return y
 
         outs = DeviceGroup(g).run(worker)
         ref_state = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-        ref, _ = bn_forward_local(Tensor(np.concatenate(xs)), ref_state)
-        worst = max(worst, rel_err(np.concatenate(outs), ref.array))
+        ref, _ = bn_forward_local(np.concatenate(xs), ref_state)
+        worst = max(worst, rel_err(np.concatenate(outs), ref))
     elapsed = time.perf_counter() - t0
     verdict("cross-device bn == one big batch",
             worst <= 1e-9 and elapsed < 60.0,
@@ -112,13 +111,13 @@ def _fd_case(case_seed, step=1e-5):
 
         def objective(local_x, g_vec, b_vec):
             state = BNLayerState(gamma=g_vec.copy(), beta=b_vec.copy())
-            y, _ = sync_bn_forward(handle, Tensor(local_x), state)
-            part = float(np.sum(y.array * cots[me]))
+            y, _ = sync_bn_forward(handle, local_x, state)
+            part = float(np.sum(y * cots[me]))
             return float(allreduce_sum(handle, SCOPE_WORLD, np.array([part]))[0])
 
         state = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-        _, cache = sync_bn_forward(handle, Tensor(xs[me]), state)
-        dx, dgamma, dbeta = sync_bn_backward(handle, Tensor(cots[me]), cache, state)
+        _, cache = sync_bn_forward(handle, xs[me], state)
+        dx, dgamma, dbeta = sync_bn_backward(handle, cots[me], cache, state)
 
         worst = 0.0
         for r in range(world):
@@ -130,7 +129,7 @@ def _fd_case(case_seed, step=1e-5):
                 fd = (objective(hi, gamma, beta)
                       - objective(lo, gamma, beta)) / (2 * step)
                 if r == me:
-                    worst = max(worst, rel_err(fd, dx.array[idx]))
+                    worst = max(worst, rel_err(fd, dx[idx]))
         for ci in range(c):
             hi, lo = gamma.copy(), gamma.copy()
             hi[ci] += step

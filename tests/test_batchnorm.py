@@ -12,7 +12,6 @@ from bigbatch.batchnorm import (
     sync_bn_forward,
 )
 from bigbatch.collectives import CollectiveProtocolError, DeviceGroup
-from bigbatch.tensor import Tensor
 
 from helpers import (
     channel_rows,
@@ -40,7 +39,7 @@ def group_forward(world, bn_group, shards, state_fn, one_pass=False):
 
     def fn(h):
         st = state_fn()
-        y, cache = sync_bn_forward(h, Tensor(shards[h.rank]), st, one_pass=one_pass)
+        y, cache = sync_bn_forward(h, shards[h.rank], st, one_pass=one_pass)
         return y, cache, st
 
     return g.run(fn)
@@ -84,15 +83,15 @@ class TestLocalForward:
         rng = np.random.default_rng(sum(shape))
         x = rng.normal(size=shape).astype(dtype)
         st = random_state(rng, shape[1])
-        y, cache = bn_forward_local(Tensor(x), st, mode="train")
+        y, cache = bn_forward_local(x, st, mode="train")
         want_y, want_mu, want_var = loop_bn_forward(x, st.gamma, st.beta, st.eps)
         assert y.dtype == dtype  # the input's dtype is kept
         if dtype == np.float32:
-            assert np.allclose(y.array, want_y, rtol=0, atol=1e-5)
+            assert np.allclose(y, want_y, rtol=0, atol=1e-5)
             assert np.allclose(cache.mu, want_mu, rtol=1e-6, atol=1e-7)
             assert np.allclose(cache.var, want_var, rtol=1e-6, atol=1e-7)
         else:
-            assert np.allclose(y.array, want_y, rtol=0, atol=1e-12)
+            assert np.allclose(y, want_y, rtol=0, atol=1e-12)
             assert np.allclose(cache.mu, want_mu, rtol=1e-13, atol=0)
             assert np.allclose(cache.var, want_var, rtol=1e-12, atol=1e-15)
         assert cache.total_count == x.size // shape[1]
@@ -105,9 +104,9 @@ class TestLocalForward:
         rng = np.random.default_rng(sum(shape))
         x, dy = rng.normal(size=shape), rng.normal(size=shape)
         st = BNLayerState.create(shape[1])
-        _, cache = bn_forward_local(Tensor(x), st)
+        _, cache = bn_forward_local(x, st)
         assert np.array_equal(cache.mu, loop_channel_sum(x) / (x.size // shape[1]))
-        _, _, dbeta = bn_backward_local(Tensor(dy), cache, st)
+        _, _, dbeta = bn_backward_local(dy, cache, st)
         assert np.array_equal(dbeta, loop_channel_sum(dy))
 
     def test_frozen_case(self):
@@ -115,13 +114,13 @@ class TestLocalForward:
         rng = np.random.default_rng(23)
         x = rng.normal(size=(4, 2))
         st = BNLayerState(gamma=np.array([1.5, 0.5]), beta=np.array([0.1, -0.2]))
-        y, cache = bn_forward_local(Tensor(x), st)
+        y, cache = bn_forward_local(x, st)
         assert abs(cache.mu[0] - 0.4591714964384243) < 1e-15
         assert abs(cache.mu[1] - -0.90541242423664) < 1e-15
         assert abs(cache.var[0] - 0.12006252582474286) < 1e-15
         assert abs(cache.var[1] - 1.7584970005300984) < 1e-15
-        assert abs(y.array[0, 0] - 0.5072946592418226) < 1e-12
-        assert abs(y.array[0, 1] - 0.22343109749756324) < 1e-12
+        assert abs(y[0, 0] - 0.5072946592418226) < 1e-12
+        assert abs(y[0, 1] - 0.22343109749756324) < 1e-12
 
     def test_normalized_stats(self):
         # The outputs of training-mode BN with identity affine have mean 0
@@ -129,30 +128,41 @@ class TestLocalForward:
         rng = np.random.default_rng(31)
         x = rng.normal(loc=3.0, scale=2.5, size=(64, 3, 2, 2))
         st = BNLayerState.create(3)
-        y, _ = bn_forward_local(Tensor(x), st)
-        rows = np.stack(channel_rows(y.array))
+        y, _ = bn_forward_local(x, st)
+        rows = np.stack(channel_rows(y))
         assert np.allclose(rows.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(rows.var(axis=0), 1.0, atol=1e-4)  # eps skews slightly
 
     def test_single_element_batch_rejected(self):
         st = BNLayerState.create(3)
         with pytest.raises(BatchNormError, match="at least 2"):
-            bn_forward_local(Tensor(np.ones((1, 3))), st)
+            bn_forward_local(np.ones((1, 3)), st)
 
     def test_rank_3_rejected(self):
         st = BNLayerState.create(3)
         with pytest.raises(BatchNormError, match="expected layout"):
-            bn_forward_local(Tensor(np.ones((2, 3, 4))), st)
+            bn_forward_local(np.ones((2, 3, 4)), st)
+
+    @pytest.mark.parametrize("x, named", [
+        (np.arange(6, dtype=np.int64).reshape(3, 2), "int64"),
+        (np.ones((0, 2)), r"shape \(0, 2\)"),
+        (np.ones((3, 2, 0, 4)), r"shape \(3, 2, 0, 4\)"),
+    ], ids=["int64", "no_rows", "no_height"])
+    def test_values_rejected(self, x, named):
+        # not int64 results, nor a ZeroDivisionError from the block view
+        with pytest.raises(BatchNormError, match=named) as err:
+            bn_forward_local(x, BNLayerState.create(2))
+        assert "\n" not in str(err.value)
 
     def test_channel_mismatch(self):
         st = BNLayerState.create(3)
         with pytest.raises(BatchNormError):
-            bn_forward_local(Tensor(np.ones((4, 2))), st)
+            bn_forward_local(np.ones((4, 2)), st)
 
     def test_bad_mode(self):
         st = BNLayerState.create(2)
         with pytest.raises(BatchNormError):
-            bn_forward_local(Tensor(np.ones((4, 2))), st, mode="test")
+            bn_forward_local(np.ones((4, 2)), st, mode="test")
 
 
 class TestEvalForward:
@@ -162,25 +172,25 @@ class TestEvalForward:
             running_mean=np.array([1.0, -1.0]), running_var=np.array([4.0, 0.25]),
         )
         x = np.array([[3.0, 0.0], [1.0, -1.0]])
-        y, cache = bn_forward_local(Tensor(x), st, mode="eval")
+        y, cache = bn_forward_local(x, st, mode="eval")
         want = np.empty_like(x)
         for n in range(2):
             for c in range(2):
                 xh = (x[n, c] - st.running_mean[c]) / np.sqrt(st.running_var[c] + 1e-5)
                 want[n, c] = st.gamma[c] * xh + st.beta[c]
-        assert np.allclose(y.array, want, atol=1e-12)
+        assert np.allclose(y, want, atol=1e-12)
         assert cache.train is False
 
     def test_eval_does_not_touch_state(self):
         st = BNLayerState.create(2)
         before = (st.running_mean.copy(), st.running_var.copy())
-        bn_forward_local(Tensor(np.random.default_rng(1).normal(size=(8, 2))), st, mode="eval")
+        bn_forward_local(np.random.default_rng(1).normal(size=(8, 2)), st, mode="eval")
         assert np.array_equal(st.running_mean, before[0])
         assert np.array_equal(st.running_var, before[1])
 
     def test_eval_cache_rejected_by_backward(self):
         st = BNLayerState.create(2)
-        x = Tensor(np.random.default_rng(2).normal(size=(4, 2)))
+        x = np.random.default_rng(2).normal(size=(4, 2))
         _, cache = bn_forward_local(x, st, mode="eval")
         with pytest.raises(BatchNormError, match="training-mode"):
             bn_backward_local(x, cache, st)
@@ -192,7 +202,7 @@ class TestRunningStats:
         x = rng.normal(size=(10, 2))
         st = random_state(rng, 2, momentum=0.25)
         rm0, rv0 = st.running_mean.copy(), st.running_var.copy()
-        _, cache = bn_forward_local(Tensor(x), st)
+        _, cache = bn_forward_local(x, st)
         m = cache.total_count
         want_mean = 0.75 * rm0 + 0.25 * cache.mu
         want_var = 0.75 * rv0 + 0.25 * cache.var * (m / (m - 1.0))
@@ -201,7 +211,7 @@ class TestRunningStats:
 
     def test_momentum_zero_freezes(self):
         st = BNLayerState.create(2, running_momentum=0.0)
-        bn_forward_local(Tensor(np.random.default_rng(8).normal(size=(6, 2))), st)
+        bn_forward_local(np.random.default_rng(8).normal(size=(6, 2)), st)
         assert np.array_equal(st.running_mean, np.zeros(2))
         assert np.array_equal(st.running_var, np.ones(2))
 
@@ -209,7 +219,7 @@ class TestRunningStats:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(5, 3))
         st = BNLayerState.create(3, running_momentum=1.0)
-        _, cache = bn_forward_local(Tensor(x), st)
+        _, cache = bn_forward_local(x, st)
         assert np.allclose(st.running_mean, cache.mu, atol=0)
         assert np.allclose(st.running_var, cache.var * (5 / 4), atol=1e-15)
 
@@ -254,9 +264,9 @@ class TestSyncForward:
                 members = range(gi * bn_group, (gi + 1) * bn_group)
                 concat = np.concatenate([shards[r] for r in members], axis=0)
                 ref_y, ref_cache = bn_forward_local(
-                    Tensor(concat), BNLayerState(gamma=gamma.copy(), beta=beta.copy()))
-                got_y = np.concatenate([out[r][0].array for r in members], axis=0)
-                assert np.allclose(got_y, ref_y.array, rtol=1e-9, atol=1e-12)
+                    concat, BNLayerState(gamma=gamma.copy(), beta=beta.copy()))
+                got_y = np.concatenate([out[r][0] for r in members], axis=0)
+                assert np.allclose(got_y, ref_y, rtol=1e-9, atol=1e-12)
                 for r in members:
                     assert np.allclose(out[r][1].mu, ref_cache.mu, rtol=1e-12, atol=1e-15)
                     assert np.allclose(out[r][1].var, ref_cache.var, rtol=1e-12, atol=1e-15)
@@ -271,7 +281,7 @@ class TestSyncForward:
                             lambda: BNLayerState(gamma=gamma.copy(), beta=beta.copy()))
         concat = np.concatenate(shards, axis=0)
         want_y, want_mu, want_var = loop_bn_forward(concat, gamma, beta, 1e-5)
-        got_y = np.concatenate([out[0][0].array, out[1][0].array], axis=0)
+        got_y = np.concatenate([out[0][0], out[1][0]], axis=0)
         assert np.allclose(got_y, want_y, atol=1e-12)
         assert np.allclose(out[0][1].mu, want_mu, atol=1e-14)
         assert np.allclose(out[0][1].var, want_var, atol=1e-14)
@@ -290,8 +300,8 @@ class TestSyncForward:
         out = group_forward(2, 1, [x, rng.normal(size=(4, 3, 2, 2))],
                             lambda: BNLayerState.create(3))
         y_sync, cache_sync = out[0][0], out[0][1]
-        y_local, cache_local = bn_forward_local(Tensor(x), BNLayerState.create(3))
-        assert np.array_equal(y_sync.array, y_local.array)  # bitwise
+        y_local, cache_local = bn_forward_local(x, BNLayerState.create(3))
+        assert np.array_equal(y_sync, y_local)  # bitwise
         assert np.array_equal(cache_sync.mu, cache_local.mu)
         assert np.array_equal(cache_sync.var, cache_local.var)
 
@@ -301,10 +311,10 @@ class TestSyncForward:
         rng = np.random.default_rng(44)
         x = rng.normal(size=(5, 2))
         out = group_forward(2, 2, [x, x.copy()], lambda: BNLayerState.create(2))
-        _, cache_local = bn_forward_local(Tensor(x), BNLayerState.create(2))
+        _, cache_local = bn_forward_local(x, BNLayerState.create(2))
         assert np.array_equal(out[0][1].mu, cache_local.mu)
         assert np.array_equal(out[0][1].var, cache_local.var)
-        assert np.array_equal(out[0][0].array, out[1][0].array)
+        assert np.array_equal(out[0][0], out[1][0])
 
     def test_one_pass_close_to_two_pass(self):
         rng = np.random.default_rng(45)
@@ -316,8 +326,8 @@ class TestSyncForward:
         two = group_forward(3, 3, shards, mk, one_pass=False)
         one = group_forward(3, 3, shards, mk, one_pass=True)
         for r in range(3):
-            num = np.abs(one[r][0].array - two[r][0].array)
-            den = np.maximum(np.abs(two[r][0].array), 1e-3)
+            num = np.abs(one[r][0] - two[r][0])
+            den = np.maximum(np.abs(two[r][0]), 1e-3)
             assert float(np.max(num / den)) < 1e-9
 
     def test_running_stats_updated_identically_on_all_ranks(self):
@@ -328,7 +338,7 @@ class TestSyncForward:
         assert np.array_equal(st0.running_mean, st1.running_mean)
         assert np.array_equal(st0.running_var, st1.running_var)
         concat = np.concatenate(shards, axis=0)
-        _, ref = bn_forward_local(Tensor(concat), BNLayerState.create(2))
+        _, ref = bn_forward_local(concat, BNLayerState.create(2))
         assert np.allclose(st0.running_mean, ref.mu, atol=1e-15)
         assert np.allclose(st0.running_var, ref.var * (6 / 5), atol=1e-15)
 
@@ -345,7 +355,7 @@ class TestSyncForward:
 
         def lone(h):
             with pytest.raises(BatchNormError, match="at least 2"):
-                sync_bn_forward(h, Tensor(np.ones((1, 3))), BNLayerState.create(3))
+                sync_bn_forward(h, np.ones((1, 3)), BNLayerState.create(3))
             return True
 
         assert g1.run(lone) == [True]
@@ -356,7 +366,7 @@ class TestSyncForward:
         def fn(h):
             c = 3 if h.rank == 0 else 4
             st = BNLayerState.create(c)
-            return sync_bn_forward(h, Tensor(np.ones((2, c)) * h.rank), st)
+            return sync_bn_forward(h, np.ones((2, c)) * h.rank, st)
 
         with pytest.raises(CollectiveProtocolError):
             g.run(fn)
@@ -368,8 +378,8 @@ class TestBackwardLocal:
         x = rng.normal(size=(3, 2, 2, 2))
         dy = rng.normal(size=(3, 2, 2, 2))
         st = random_state(rng, 2)
-        _, cache = bn_forward_local(Tensor(x), st)
-        _, dgamma, dbeta = bn_backward_local(Tensor(dy), cache, st)
+        _, cache = bn_forward_local(x, st)
+        _, dgamma, dbeta = bn_backward_local(dy, cache, st)
         want_dbeta = loop_sequential_sum(channel_rows(dy))
         assert cache.x_hat.shape == (12, 2)  # rows in (n, y, x) order
         want_dgamma = loop_sequential_sum(
@@ -384,17 +394,17 @@ class TestBackwardLocal:
         st = random_state(rng, 3)
 
         def loss():
-            y, _ = bn_forward_local(Tensor(x), BNLayerState(
+            y, _ = bn_forward_local(x, BNLayerState(
                 gamma=st.gamma.copy(), beta=st.beta.copy(), eps=st.eps))
-            return float(np.sum(y.array * c_obj))
+            return float(np.sum(y * c_obj))
 
-        _, cache = bn_forward_local(Tensor(x), BNLayerState(
+        _, cache = bn_forward_local(x, BNLayerState(
             gamma=st.gamma.copy(), beta=st.beta.copy(), eps=st.eps))
-        dx, dgamma, dbeta = bn_backward_local(Tensor(c_obj), cache, st)
+        dx, dgamma, dbeta = bn_backward_local(c_obj, cache, st)
 
         for idx in [(0, 0), (1, 2), (3, 1), (2, 0)]:
             fd = fd_entry(loss, x, idx, h=1e-6)
-            assert abs(dx.array[idx] - fd) < 2e-6 * max(1.0, abs(fd))
+            assert abs(dx[idx] - fd) < 2e-6 * max(1.0, abs(fd))
 
         for ci in range(3):
             fd_g = fd_entry(loss, st.gamma, (ci,), h=1e-6)
@@ -408,21 +418,21 @@ class TestBackwardLocal:
                                var=np.ones(2), total_count=2, train=True,
                                scope_key="bn0")
         with pytest.raises(BatchNormError, match="synchronized"):
-            bn_backward_local(Tensor(np.ones((2, 2))), cache, st)
+            bn_backward_local(np.ones((2, 2)), cache, st)
 
     def test_shape_mismatch(self):
         st = BNLayerState.create(2)
-        x = Tensor(np.random.default_rng(52).normal(size=(4, 2)))
+        x = np.random.default_rng(52).normal(size=(4, 2))
         _, cache = bn_forward_local(x, st)
         with pytest.raises(BatchNormError, match="cotangent"):
-            bn_backward_local(Tensor(np.ones((3, 2))), cache, st)
+            bn_backward_local(np.ones((3, 2)), cache, st)
         # the cache holds (M, C) rows; a 4-D cotangent with the same rows
         # but another layout must still be refused
         st = BNLayerState.create(3)
-        x = Tensor(np.random.default_rng(53).normal(size=(2, 3, 4, 4)))
+        x = np.random.default_rng(53).normal(size=(2, 3, 4, 4))
         _, cache = bn_forward_local(x, st)
         with pytest.raises(BatchNormError, match="cotangent"):
-            bn_backward_local(Tensor(np.ones((2, 3, 2, 8))), cache, st)
+            bn_backward_local(np.ones((2, 3, 2, 8)), cache, st)
 
 
     def test_float32_keeps_dtype(self):
@@ -431,12 +441,12 @@ class TestBackwardLocal:
         x, dy = rng.normal(size=(2, 3, 4, 4)), rng.normal(size=(2, 3, 4, 4))
         st = random_state(rng, 3)
         st64 = BNLayerState(gamma=st.gamma.copy(), beta=st.beta.copy())
-        _, cache = bn_forward_local(Tensor(x.astype(np.float32)), st)
-        dx, dgamma, dbeta = bn_backward_local(Tensor(dy.astype(np.float32)), cache, st)
+        _, cache = bn_forward_local(x.astype(np.float32), st)
+        dx, dgamma, dbeta = bn_backward_local(dy.astype(np.float32), cache, st)
         assert (dx.dtype, dgamma.dtype, dbeta.dtype) == (np.float32,) * 3
-        _, cache64 = bn_forward_local(Tensor(x), st64)
-        dx64, dgamma64, dbeta64 = bn_backward_local(Tensor(dy), cache64, st64)
-        assert np.allclose(dx.array, dx64.array, rtol=0, atol=1e-5)
+        _, cache64 = bn_forward_local(x, st64)
+        dx64, dgamma64, dbeta64 = bn_backward_local(dy, cache64, st64)
+        assert np.allclose(dx, dx64, rtol=0, atol=1e-5)
         assert np.allclose(dgamma, dgamma64, rtol=0, atol=1e-4)
         assert np.allclose(dbeta, dbeta64, rtol=0, atol=1e-4)
 
@@ -489,14 +499,45 @@ class TestBytesAtEveryRowCount:
         (y_w, mu_w, var_w, x_hat_w), (dx_w, dgamma_w, dbeta_w), y_eval_w = (
             transcribed_bn(x, dy, st))
 
-        y_eval, _ = bn_forward_local(Tensor(x), st, mode="eval")
-        assert np.array_equal(y_eval.array, y_eval_w)
-        y, cache = bn_forward_local(Tensor(x), st)
-        dx, dgamma, dbeta = bn_backward_local(Tensor(dy), cache, st)
-        for got, want in [(y.array, y_w), (cache.mu, mu_w), (cache.var, var_w),
-                          (cache.x_hat, x_hat_w), (dx.array, dx_w),
+        y_eval, _ = bn_forward_local(x, st, mode="eval")
+        assert np.array_equal(y_eval, y_eval_w)
+        y, cache = bn_forward_local(x, st)
+        dx, dgamma, dbeta = bn_backward_local(dy, cache, st)
+        for got, want in [(y, y_w), (cache.mu, mu_w), (cache.var, var_w),
+                          (cache.x_hat, x_hat_w), (dx, dx_w),
                           (dgamma, dgamma_w), (dbeta, dbeta_w)]:
             assert np.array_equal(got, want)
+
+
+class TestArraysAtTheEdge:
+    """Inputs in any memory order; outputs are C-ordered ndarrays, bitwise the
+    results of C-ordered copies of the inputs."""
+
+    @pytest.mark.parametrize("shape", [(37, 3), (3, 4, 5, 6)], ids=["rows", "nchw"])
+    @pytest.mark.parametrize("path", ["local", "two_pass", "one_pass"])
+    def test_fortran_order_gives_the_c_order_bits(self, shape, path):
+        rng = np.random.default_rng(sum(shape))
+        x, dy = (rng.normal(loc=0.4, size=shape[::-1]).T for _ in range(2))
+        assert x.flags.f_contiguous and not x.flags.c_contiguous
+        gamma, beta = rng.uniform(0.5, 1.5, shape[1]), rng.normal(size=shape[1])
+
+        def run(x, dy):
+            def fn(h):
+                st = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
+                if path == "local":
+                    y, cache = bn_forward_local(x, st)
+                    return (y, *bn_backward_local(dy, cache, st))
+                y, cache = sync_bn_forward(h, x, st, one_pass=path == "one_pass")
+                return (y, *sync_bn_backward(h, dy, cache, st))
+
+            return DeviceGroup(1).run(fn)[0]
+
+        got = run(x, dy)
+        want = run(np.ascontiguousarray(x), np.ascontiguousarray(dy))
+        for a in got[:2]:
+            assert type(a) is np.ndarray and a.shape == shape and a.flags.c_contiguous
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBackwardSync:
@@ -510,16 +551,16 @@ class TestBackwardSync:
 
         def fn(h):
             st = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-            _, cache = sync_bn_forward(h, Tensor(shards[h.rank]), st)
-            return sync_bn_backward(h, Tensor(dys[h.rank]), cache, st)
+            _, cache = sync_bn_forward(h, shards[h.rank], st)
+            return sync_bn_backward(h, dys[h.rank], cache, st)
 
         out = g.run(fn)
         st_ref = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-        _, cache_ref = bn_forward_local(Tensor(np.concatenate(shards)), st_ref)
+        _, cache_ref = bn_forward_local(np.concatenate(shards), st_ref)
         dx_ref, dgamma_ref, dbeta_ref = bn_backward_local(
-            Tensor(np.concatenate(dys)), cache_ref, st_ref)
-        got_dx = np.concatenate([out[0][0].array, out[1][0].array])
-        assert np.allclose(got_dx, dx_ref.array, rtol=1e-9, atol=1e-12)
+            np.concatenate(dys), cache_ref, st_ref)
+        got_dx = np.concatenate([out[0][0], out[1][0]])
+        assert np.allclose(got_dx, dx_ref, rtol=1e-9, atol=1e-12)
         for r in range(2):
             assert np.allclose(out[r][1], dgamma_ref, rtol=1e-12, atol=1e-14)
             assert np.allclose(out[r][2], dbeta_ref, rtol=1e-12, atol=1e-14)
@@ -532,8 +573,8 @@ class TestBackwardSync:
 
         def fn(h):
             st = BNLayerState.create(2)
-            _, cache = sync_bn_forward(h, Tensor(shards[h.rank]), st)
-            return sync_bn_backward(h, Tensor(dys[h.rank]), cache, st)
+            _, cache = sync_bn_forward(h, shards[h.rank], st)
+            return sync_bn_backward(h, dys[h.rank], cache, st)
 
         out = g.run(fn)
         assert np.array_equal(out[0][1], out[1][1])  # group 0 agrees
@@ -548,7 +589,7 @@ class TestBackwardSync:
                                    var=np.ones(2), total_count=2, train=True,
                                    scope_key="bn7")
             with pytest.raises(BatchNormError, match="bn7"):
-                sync_bn_backward(h, Tensor(np.ones((2, 2))), cache,
+                sync_bn_backward(h, np.ones((2, 2)), cache,
                                  BNLayerState.create(2))
             return True
 
@@ -559,7 +600,7 @@ class TestBackwardSync:
 
         def fn(h):
             st = BNLayerState.create(2)
-            x = Tensor(np.random.default_rng(62).normal(size=(4, 2)))
+            x = np.random.default_rng(62).normal(size=(4, 2))
             _, cache = bn_forward_local(x, st)
             with pytest.raises(BatchNormError):
                 sync_bn_backward(h, x, cache, st)

@@ -1071,3 +1071,30 @@ def test_train_bytes_are_pinned(tmp_path, capsys, case):
                  "--out", str(out)]) == code
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in out.iterdir()} == digests
+
+
+# `verify all`'s stdout, recorded at 5f6ecf0: a change that keeps every check
+# passing can still move the errors the checks print
+PINNED_VERIFY_ALL = """\
+[PASS] bn.concat_equivalence  (max rel err 2.220e-13 over 25 cases)
+[PASS] bn.single_group_bitwise  (synchronized path at group size 1 equals local BN byte for byte)
+[PASS] bn.one_pass_agreement  (max rel err 4.215e-15)
+[PASS] bn.running_stats  (momentum-1 update equals unbiased batch stats; eval leaves them alone)
+[PASS] collectives.rank_symmetry  (world 8: every rank saw identical bytes)
+[PASS] collectives.repeat_determinism  (two runs produced identical bytes)
+[PASS] collectives.sequential_order  (sum equals strict rank 0..n-1 left-to-right accumulation)
+[PASS] collectives.scope_isolation  (per-subgroup sums [3.0, 3.0, 7.0, 7.0])
+[PASS] grad.sync_bn_fd  (max rel err 2.882e-09)
+[PASS] grad.model_fd  (max rel err 8.649e-10)
+[PASS] schedule.base_case  (batch 16 keeps the 0.02 base rate)
+[PASS] schedule.normal_breakpoints  (x0.1 at epochs 8 and 10, exact)
+[PASS] schedule.long_breakpoints  (x0.1 at 11/14 plus x0.5 at 17, exact)
+[PASS] schedule.warmup_endpoints  (ramp runs from 0.02 to 0.32 exactly)
+[PASS] schedule.nonincreasing_after_warmup  (rate never rises once the ramp is over)
+OK: 0 failing check(s) across 4 suite(s)
+"""
+
+
+def test_verify_all_output_is_pinned(capsys):
+    assert main(["verify", "all"]) == EXIT_OK
+    assert capsys.readouterr().out == PINNED_VERIFY_ALL

@@ -151,7 +151,7 @@ class TestLayerForwards:
         x = rng.normal(size=(6, 4))
         out = forward(plan(m, p, init_buffers(m)), Tensor(x))
         want = loop_dense(x, p["00_dense.w"], p["00_dense.b"])
-        assert np.allclose(out.logits.array, want, atol=1e-12)
+        assert np.allclose(out.logits, want, atol=1e-12)
         assert out.loss is None
 
     def test_conv_and_pool_match_loops(self):
@@ -165,13 +165,13 @@ class TestLayerForwards:
         x = rng.normal(size=(2, 2, 5, 4))
         out = forward(plan(m, p, init_buffers(m)), Tensor(x))
         want = loop_global_mean_pool(loop_conv3x3(x, p["00_conv3x3.w"], p["00_conv3x3.b"]))
-        assert np.allclose(out.logits.array, want, atol=1e-12)
+        assert np.allclose(out.logits, want, atol=1e-12)
 
     def test_relu_clamps(self):
         m = ModelSpec([LayerSpec("relu"), LayerSpec("softmax_xent")], in_shape=(3,))
         x = np.array([[-1.0, 0.0, 2.0], [0.5, -3.0, 0.0]])
         out = forward(plan(m, {}, {}), Tensor(x))
-        assert np.array_equal(out.logits.array, [[0.0, 0.0, 2.0], [0.5, 0.0, 0.0]])
+        assert np.array_equal(out.logits, [[0.0, 0.0, 2.0], [0.5, 0.0, 0.0]])
 
     def test_loss_matches_loop(self):
         m = ModelSpec([LayerSpec("relu"), LayerSpec("softmax_xent")], in_shape=(4,))
@@ -194,7 +194,7 @@ class TestLayerForwards:
         assert abs((out.loss + reg) - (out.loss + want)) < 1e-15
 
     def test_accuracy(self):
-        logits = Tensor(np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 0.5], [0.1, 0.2]]))
+        logits = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 0.5], [0.1, 0.2]])
         assert accuracy(logits, np.array([0, 1, 1, 1])) == 0.75
 
 
@@ -488,18 +488,18 @@ class TestRankPlan:
                 ref = forward(fresh, x, y)
                 ref_grads = backward(fresh, ref.caches)
                 assert out.loss == ref.loss
-                assert np.array_equal(out.logits.array, ref.logits.array)
+                assert np.array_equal(out.logits, ref.logits)
                 assert grads.keys() == ref_grads.keys()
                 for key in grads:
                     assert np.array_equal(grads[key], ref_grads[key]), key
                 for key in fb:
                     assert np.array_equal(b[key], fb[key]), key
-                held.append((out.logits.array, grads, ref.logits.array, ref_grads))
+                held.append((out.logits, grads, ref.logits, ref_grads))
                 sgd_step(p, grads, sgd, lr=0.05)
                 sgd_step(fp, ref_grads, fsgd, lr=0.05)
             x = Tensor(rng.normal(size=(3, *in_shape)))  # eval at another batch size
-            got = forward(rank_plan, x, mode="eval").logits.array
-            assert np.array_equal(got, forward(plan(m, fp, fb), x, mode="eval").logits.array)
+            got = forward(rank_plan, x, mode="eval").logits
+            assert np.array_equal(got, forward(plan(m, fp, fb), x, mode="eval").logits)
             for logits, grads, ref_logits, ref_grads in held:
                 assert np.array_equal(logits, ref_logits)
                 assert all(np.array_equal(grads[key], ref_grads[key]) for key in grads)
@@ -558,9 +558,9 @@ def nchw_reference(m, params, buffers, x, labels, mode="train"):
                 running_mean=buffers[f"{name}.running_mean"],
                 running_var=buffers[f"{name}.running_var"],
                 running_momentum=layer.running_momentum)
-            y, cache = bn_forward_local(Tensor(cur), state, mode=mode)
+            y, cache = bn_forward_local(cur, state, mode=mode)
             caches.append((state, cache))
-            cur = y.array
+            cur = y
         elif k == "relu":
             caches.append(cur > 0)
             cur = cur * caches[-1]
@@ -593,8 +593,8 @@ def nchw_reference(m, params, buffers, x, labels, mode="train"):
         elif k == "bn":
             state, bn_cache = cache
             dx, grads[f"{name}.gamma"], grads[f"{name}.beta"] = bn_backward_local(
-                Tensor(cur), bn_cache, state)
-            cur = dx.array
+                cur, bn_cache, state)
+            cur = dx
         elif k == "relu":
             cur = cur * cache
         elif k == "global_mean_pool":
@@ -686,7 +686,7 @@ def assert_bitwise_the_nchw_model(in_shape, layers, n, mode="train"):
             buffers[key] = ref_buffers[key] = rng.uniform(0.5, 1.5, size=buffers[key].shape)
         logits = nchw_reference(m, params, ref_buffers, x, None, mode="eval")
         out = forward(plan(m, params, buffers), Tensor(x), mode="eval")
-        assert np.array_equal(out.logits.array, logits)
+        assert np.array_equal(out.logits, logits)
         return
 
     rank_plan = plan(m, params, buffers)
@@ -694,7 +694,7 @@ def assert_bitwise_the_nchw_model(in_shape, layers, n, mode="train"):
     grads = backward(rank_plan, out.caches)
     logits, loss, ref_grads = nchw_reference(m, params, ref_buffers, x, labels)
 
-    assert np.array_equal(out.logits.array, logits)
+    assert np.array_equal(out.logits, logits)
     assert out.loss == loss
     assert sorted(grads) == sorted(ref_grads) == sorted(params)
     for key in params:

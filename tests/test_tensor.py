@@ -16,16 +16,16 @@ from helpers import loop_sequential_sum
 class TestTensorConstruction:
     def test_defaults_to_f64(self):
         t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert t.dtype == np.float64
+        assert t.array.dtype == np.float64
         assert t.shape == (2, 2)
 
     def test_int_input_promoted_to_f64(self):
         t = Tensor(np.arange(6).reshape(2, 3))
-        assert t.dtype == np.float64
+        assert t.array.dtype == np.float64
 
     def test_f32_kept(self):
         t = Tensor(np.ones((2, 2), dtype=np.float32))
-        assert t.dtype == np.float32
+        assert t.array.dtype == np.float32
 
     def test_rejects_scalar(self):
         with pytest.raises(TensorError):

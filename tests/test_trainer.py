@@ -633,8 +633,8 @@ class TestEvalChunks:
         step = trainer.EVAL_ROWS // (h * w)
         chunks = [Tensor(x[i:i + step]) for i in range(0, n, step)]
         assert len(chunks) in (3, 4)
-        chunked = trainer.eval_logits(rank_plan, chunks).array
-        whole = forward(rank_plan, Tensor(x), mode="eval").logits.array
+        chunked = trainer.eval_logits(rank_plan, chunks)
+        whole = forward(rank_plan, Tensor(x), mode="eval").logits
         assert chunked.tobytes() == whole.tobytes()
 
 
