@@ -12,18 +12,22 @@ Three groups of tools live here:
 
 Everything is seeded and reduces in trial-index order, so reports are
 reproducible regardless of how trials might be scheduled. The trial loops
-cost little beyond seeding, sampling and the gradients themselves: numpy's
-wrapped calls (`np.mean`, `np.var`, `Generator.choice(p=)`) are taken in
-their own steps, bit for bit, and per-trial arithmetic runs once over the
-stacked trials.
+cost little beyond sampling and the gradients themselves: numpy's wrapped
+calls (`np.mean`, `np.var`, `Generator.choice(p=)`) are taken in their own
+steps, bit for bit; per-trial arithmetic runs once over the stacked trials;
+and trial t's fresh generator gets `default_rng((seed, t))`'s state from one
+vectorized SeedSequence pass over all trials (`_trial_seed_words`, pinned by
+`tests/test_analysis.py::TestTrialSeeds`).
 """
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .schema import array, check, check_fields, integer, number, ruled
 
@@ -76,13 +80,64 @@ class VarianceReport:
     ci_half_width: float
 
 
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hash step on uint32 arrays: XOR in the running constant,
+    step the constant by `mult`, multiply by it, fold the high half down."""
+    def step(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & 0xFFFFFFFF
+        value *= const
+        return value ^ value >> 16
+    return step
+
+
+def _trial_seed_words(seed: int, trials: int) -> np.ndarray:
+    """(trials, 4) uint64 whose row t is `SeedSequence((seed, t)).generate_state(4,
+    np.uint64)`, hashed for every trial at once: the entropy is the seed's
+    little-endian 32-bit words, then t, mixed into a pool of 4 words."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise AnalysisError(f"seed must be a non-negative integer, got {seed}")
+    entropy = [np.full(trials, seed >> s & 0xFFFFFFFF, np.uint32)
+               for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.arange(trials, dtype=np.uint32))
+    entropy += [np.zeros(trials, np.uint32)] * (4 - len(entropy))
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        r = 0xCA01F9DD * x - 0x4973F715 * y
+        return r ^ r >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:  # entropy past the pool mixes into every pool word
+        pool = [mix(p, hashmix(word)) for p in pool]
+    out = _hashmix(0x8B51F9DD, 0x58F38DED)  # generate_state: 8 uint32, paired little-endian
+    words = np.stack([out(pool[i % 4]) for i in range(8)], axis=1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Words(ISeedSequence):
+    """Hands `PCG64` one precomputed row of `_trial_seed_words`; it cannot spawn."""
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _collect_grads(grad_fn, sampler, sizes, trials, seed) -> dict:
     """Per block, a (trials, len(sizes), ...) float stack of gradients: trial t
-    draws one mini-batch of each of `sizes` in turn from a generator seeded
-    (seed, t)."""
+    draws one mini-batch of each of `sizes` in turn from its own generator,
+    whose state is bitwise `np.random.default_rng((seed, t))`'s. A trial's
+    generator does not support `spawn`."""
     cols = defaultdict(list)
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
+    for words in _trial_seed_words(seed, trials):
+        rng = np.random.Generator(np.random.PCG64(_Words(words)))
         for n in sizes:
             for key, g in grad_fn(sampler(rng, n)).items():
                 cols[key].append(g)

@@ -26,12 +26,13 @@ Activations and gradients pass between layers as plain ndarrays, the BN
 functions' arguments and results and the logits included; each layer
 output is scanned for NaN/Inf under the layer's name, once, except a
 ReLU's, which is finite wherever its input is. `Tensor` is the type of
-the model input alone. `forward` and `backward` run a `RankPlan`, which
-`plan` builds once over a rank's parameters, buffers and device handle.
-It holds what a step would otherwise rebuild: the parameter arrays, each
-BN layer's `BNLayerState` and its `BNOperands`. A BN layer's running
-statistics are the `buffers` arrays themselves, which each training
-forward blends in place; an eval forward reads them and keeps no caches.
+the model input alone; `forward` rejects any other input. `forward` and
+`backward` run a `RankPlan`, which `plan` builds once over a rank's
+parameters, buffers and device handle. It holds what a step would
+otherwise rebuild: the parameter arrays, each BN layer's `BNLayerState`
+and its `BNOperands`. A BN layer's running statistics are the `buffers`
+arrays themselves, which each training forward blends in place; an eval
+forward reads them and keeps no caches.
 """
 
 from __future__ import annotations
@@ -293,6 +294,8 @@ def forward(plan: RankPlan, x: Tensor, labels: np.ndarray | None = None,
     model, handle = plan.model, plan.handle
     if mode not in ("train", "eval"):
         raise ModelError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if not isinstance(x, Tensor):
+        raise ModelError(f"model input must be a Tensor, got {type(x).__name__}")
     if x.shape[1:] != model.in_shape:
         raise ModelError(f"input shape {x.shape[1:]} does not match model {model.in_shape}")
     caches = []

@@ -82,6 +82,11 @@ ALLREDUCE_ROUND_MS = 0.5
 # Rank 0 evaluates at most this many pixel rows per forward: at 8x8 images the
 # conv patch matrix stays near 1.8 MB instead of 7.1 MB for 256 images at once.
 EVAL_ROWS = 4096
+# The largest conv patch matrix a rank's training forward may build and keep
+# until backward forms its same-sized gradient: per_device_batch * H * W * 9 *
+# C_in float64. 2**28 bytes (256 MiB) is 151 times the bench model's 1.8 MB (64
+# 8x8 images into 6 channels), 75 times the largest test's 3.5 MB (128 images).
+MAX_PATCH_BYTES = 2**28
 
 DIVERGENCE_LOSS_FACTOR = 1e3
 DIVERGENCE_STREAK = 100
@@ -219,7 +224,8 @@ def build_model(config: ExperimentConfig, classes: int, in_shape: tuple) -> Mode
     """ModelSpec from the config's layer dicts, loss head appended.
 
     Rejects a BN layer that could not normalize in training: fewer than two
-    elements per channel under the config's batch and BN group size.
+    elements per channel under the config's batch and BN group size. Rejects
+    a conv whose patch matrix on one rank would exceed MAX_PATCH_BYTES.
     """
     raw = config.model if config.model is not None else [dict(d) for d in DEFAULT_MODEL]
     layers = []
@@ -242,6 +248,13 @@ def build_model(config: ExperimentConfig, classes: int, in_shape: tuple) -> Mode
         raise ConfigError(
             f"model emits {spec.classes} classes but the dataset has {classes}")
     for layer, (ishape, _) in zip(spec.layers, spec.shapes):
+        if layer.kind == "conv3x3":
+            patch = config.per_device_batch * int(np.prod(ishape)) * 9 * 8
+            if patch > MAX_PATCH_BYTES:
+                raise ConfigError(
+                    f"model layer {layer.name}: per_device_batch {config.per_device_batch} "
+                    f"makes a {patch}-byte patch matrix (batch * {ishape[1]}x{ishape[2]} "
+                    f"* 9 * {ishape[0]} channels * 8), more than {MAX_PATCH_BYTES}")
         if layer.kind != "bn":
             continue
         # per-channel elements a training step normalizes over: the rank's

@@ -6,11 +6,14 @@ import pytest
 from bigbatch.analysis import (
     DRIFT_EXPONENT_BOUND,
     MAX_DRAW_SAMPLES,
+    MAX_TRIALS,
     AnalysisError,
     SamplerSpec,
     _aggregate_variance,
     _draw_mixture,
     _mixture_table,
+    _trial_seed_words,
+    _Words,
     drift_scale,
     estimate_grad_variance,
     normal_pair_sampler,
@@ -420,3 +423,52 @@ class TestFastFormsMatchTheirReferences:
                                          scaled=scaled)
         assert (rep.var_large, rep.var_small) == loop_update_variances(
             grad_fn, normal_pair_sampler, 3, k, 0.07, 101, 2, scaled)
+
+
+class TestTrialSeeds:
+    """Trial t's generator is bitwise `default_rng((seed, t))`, built from
+    `_trial_seed_words` without numpy's per-call seeding."""
+
+    # 2**200 is seven 32-bit words: with t, eight entropy words, four past the pool
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200]
+    TRIAL_INDICES = [*range(12), 255, 256, 4097, 40_503, MAX_TRIALS - 2, MAX_TRIALS - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=["0", "1", "2**32-1", "2**32", "2**64+3",
+                                                  "2**200"])
+    def test_generators_are_default_rng(self, seed):
+        words = _trial_seed_words(seed, MAX_TRIALS)
+        assert words.shape == (MAX_TRIALS, 4) and words.dtype == np.uint64
+        for t in self.TRIAL_INDICES:
+            assert np.array_equal(words[t], np.random.SeedSequence((seed, t))
+                                  .generate_state(4, np.uint64)), t
+            rng = np.random.Generator(np.random.PCG64(_Words(words[t])))
+            ref = np.random.default_rng((seed, t))
+            assert rng.bit_generator.state == ref.bit_generator.state, t
+            assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5)), t
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(AnalysisError, match="seed must be a non-negative integer, got -1"):
+            _trial_seed_words(-1, 100)
+
+    @pytest.mark.parametrize("report", ["variance", "equivalence"])
+    def test_each_trial_keeps_its_own_generator(self, report):
+        seen = []
+
+        def keeping_sampler(rng, n):
+            seen.append(rng)
+            return normal_pair_sampler(rng, n)
+
+        trials, seed, sizes = 120, 11, (6,) if report == "variance" else (6, 3, 3)
+        if report == "variance":
+            estimate_grad_variance(scalar_linear_grad, keeping_sampler, 6, trials, seed)
+        else:
+            variance_equivalence_ratio(scalar_linear_grad, keeping_sampler, 3, 2, 0.1,
+                                       trials, seed)
+        per_trial = seen[::len(sizes)]
+        assert seen == [rng for rng in per_trial for _ in sizes]
+        assert len({id(rng) for rng in per_trial}) == trials
+        for t in (0, 1, trials // 2, trials - 1):  # every trial is done; each draws on
+            ref = np.random.default_rng((seed, t))
+            for n in sizes:
+                normal_pair_sampler(ref, n)
+            assert np.array_equal(per_trial[t].standard_normal(4), ref.standard_normal(4)), t

@@ -204,6 +204,14 @@ class TestForwardValidation:
         with pytest.raises(ModelError, match="input shape"):
             forward(plan(m, init_params(m, 0), init_buffers(m)), Tensor(np.ones((2, 1, 5, 5))))
 
+    @pytest.mark.parametrize("x", [np.ones((2, 3)), [[1.0, 2.0, 3.0]]])
+    def test_input_must_be_a_tensor(self, x):
+        m = ModelSpec([LayerSpec("dense", out_features=2), LayerSpec("softmax_xent")],
+                      in_shape=(3,))
+        with pytest.raises(ModelError) as err:
+            forward(plan(m, init_params(m, 0), {}), x)
+        assert str(err.value) == f"model input must be a Tensor, got {type(x).__name__}"
+
     def test_mode_checked(self):
         m = tiny_model()
         with pytest.raises(ModelError, match="mode"):

@@ -6,6 +6,7 @@ accuracy checks live in test_acceptance.py.
 """
 
 import json
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -42,6 +43,7 @@ from bigbatch.model import ModelSpec, LayerSpec
 from bigbatch.schema import csv_line
 from bigbatch.tensor import NonFiniteError
 from bigbatch.trainer import (
+    MAX_PATCH_BYTES,
     _count_allreduce_rounds,
     build_model,
     iteration_wall_ms,
@@ -49,7 +51,7 @@ from bigbatch.trainer import (
     resolve_dataset,
 )
 
-from helpers import WIDTH_ONE_CONV, rank_outcomes
+from helpers import WIDTH_ONE_CONV, rank_outcomes, rel_err
 
 
 def smoke_config(**overrides):
@@ -274,6 +276,32 @@ class TestBuildModelAndResolve:
                                bn_group_size=group, model=model)
         build_model(cfg, classes=4, in_shape=(1, 4, 4))
 
+    # a 256-wide conv feeding a second one: per 8x8 image the second's patch
+    # matrix holds 64 * 9 * 256 float64, 1,179,648 bytes
+    WIDE_CONVS = [{"kind": "conv3x3", "out_channels": 256}, {"kind": "conv3x3", "out_channels": 2},
+                  {"kind": "global_mean_pool"}, {"kind": "dense", "out_features": None}]
+
+    def test_patch_matrix_cap(self):
+        per_image = 64 * 9 * 256 * 8
+        largest = MAX_PATCH_BYTES // per_image
+        assert largest == 227
+        build_model(ExperimentConfig(per_device_batch=largest, model=self.WIDE_CONVS),
+                    classes=4, in_shape=(1, 8, 8))
+        cfg = ExperimentConfig(world_size=4, per_device_batch=largest + 1, model=self.WIDE_CONVS)
+        with pytest.raises(ConfigError) as err:
+            build_model(cfg, classes=4, in_shape=(1, 8, 8))
+        assert str(err.value) == (
+            f"model layer 01_conv3x3: per_device_batch 228 makes a {228 * per_image}-byte "
+            f"patch matrix (batch * 8x8 * 9 * 256 channels * 8), more than {MAX_PATCH_BYTES}")
+
+    def test_patch_matrix_cap_counts_the_image_size(self):
+        # one input channel: 72 bytes per pixel, so 2**28 // (72 * 32 * 32) = 3640 images
+        model = [{"kind": "conv3x3", "out_channels": 2}, {"kind": "global_mean_pool"},
+                 {"kind": "dense", "out_features": None}]
+        build_model(ExperimentConfig(per_device_batch=3640, model=model), 4, (1, 32, 32))
+        with pytest.raises(ConfigError, match="^model layer 00_conv3x3: per_device_batch 3641 "):
+            build_model(ExperimentConfig(per_device_batch=3641, model=model), 4, (1, 32, 32))
+
     def test_impossible_bn_fails_before_any_thread_starts(self, monkeypatch):
         def no_threads(*args, **kwargs):
             raise AssertionError("DeviceGroup.run was reached")
@@ -442,6 +470,31 @@ class TestRunTraining:
             assert abs(a.task_loss - b.task_loss) <= 1e-9 * max(1.0, abs(b.task_loss))
         for (ea, aa), (eb, ab) in zip(wide.eval_history, narrow.eval_history):
             assert ea == eb and aa == ab
+
+    def test_megdet_layout_matches_one_device(self):
+        # MegDet's 2 images per device, at 64 devices, against one device at
+        # the same total batch of 128, on the bench model: criterion 6's check
+        model = [{"kind": "conv3x3", "out_channels": 6}, {"kind": "bn", "variant": "cross"},
+                 {"kind": "relu"},
+                 {"kind": "conv3x3", "out_channels": 6}, {"kind": "bn", "variant": "cross"},
+                 {"kind": "relu"},
+                 {"kind": "global_mean_pool"}, {"kind": "dense", "out_features": None}]
+        base = dict(base_lr=0.10, base_batch=8, warmup_iters=32, epochs=1, model=model,
+                    dataset={"size": 512, "classes": 4, "separation": 4.0, "eval_size": 64},
+                    seed=0)
+        t0 = time.perf_counter()
+        wide = run_training(ExperimentConfig.from_dict(
+            {**base, "world_size": 64, "per_device_batch": 2}))
+        narrow = run_training(ExperimentConfig.from_dict(
+            {**base, "world_size": 1, "per_device_batch": 128}))
+        elapsed = time.perf_counter() - t0
+        assert wide.status == narrow.status == "ok"
+        lw = [r.task_loss for r in wide.rows if r.task_loss is not None]
+        ln = [r.task_loss for r in narrow.rows if r.task_loss is not None]
+        assert len(lw) == len(ln) == 4
+        assert max(rel_err(a, b) for a, b in zip(lw, ln)) <= 1e-7
+        assert wide.eval_history == narrow.eval_history
+        assert elapsed < 30.0
 
     def test_one_pass_bn_changes_cost_not_outcome(self):
         two_pass = run_training(smoke_config(world_size=2, per_device_batch=4,
