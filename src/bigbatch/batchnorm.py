@@ -17,14 +17,14 @@ return is C-ordered. In between, all runs in the input's dtype on
 C-ordered (M, C) rows, one per (n, y, x) position: folds on the rows,
 per-channel arithmetic on their `channel_blocks`, one NaN/Inf scan per
 output, which is where a non-finite input stops. The model's activations
-are such rows already, and a caller that runs one layer step after step
-passes the same `BNOperands`, so the step's small operand arrays are
-refilled, not allocated again.
+are such rows already. Each call refills the small operand arrays its
+state holds, so a caller that runs one layer step after step keeps the
+same state and allocates them once per row count and dtype.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,13 +41,36 @@ EPS = number(gt=0)  # `LayerSpec` declares both rules for its fields
 RUNNING_MOMENTUM = number(ge=0, le=1)
 
 
+class BNOperands:
+    """A BN layer's per-step operands, refilled in place while its input keeps
+    one row count and dtype, reallocated when either changes: the packed
+    statistics vectors, whose count slot is filled at allocation, and the
+    `channel_blocks` repeats of the step's per-channel vectors."""
+
+    key = None
+
+    def fit(self, rows: np.ndarray) -> None:
+        m, c = rows.shape
+        if self.key != (m, rows.dtype):
+            self.key = (m, rows.dtype)
+            self.two_pass = np.empty(c + 1)         # sums, count
+            self.one_pass = np.empty(2 * c + 1)     # sums, squared sums, count
+            self.two_pass[c] = self.one_pass[2 * c] = m
+            self.grad_sums = np.empty(2 * c, rows.dtype)  # dy, dy * x_hat
+            self.mu = repeats(rows, 1, np.float64)  # the packed sums are float64
+            self.normalize = repeats(rows, 4)
+            self.grad = repeats(rows, 3)
+
+
 @dataclass
 class BNLayerState:
     """Per-channel affine parameters plus running statistics.
 
     `running_momentum` is the fraction of the batch statistic blended into
     the running estimate each training step (0 freezes the statistics, 1
-    replaces them outright).
+    replaces them outright). A state serves one rank: each training
+    forward blends into its running statistics in place, and every call
+    refills its `operands`.
     """
 
     gamma: np.ndarray
@@ -56,6 +79,7 @@ class BNLayerState:
     running_mean: np.ndarray = None
     running_var: np.ndarray = None
     running_momentum: float = 0.1
+    operands: BNOperands = field(default_factory=BNOperands, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, channels: int, eps: float = 1e-5, running_momentum: float = 0.1):
@@ -110,30 +134,9 @@ class BNForwardCache:
     scope_key: str | None = None  # None for a purely local forward
 
 
-class BNOperands:
-    """A BN layer's per-step operands, refilled in place while its input keeps
-    one row count and dtype, reallocated when either changes: the packed
-    statistics vectors, whose count slot is filled at allocation, and the
-    `channel_blocks` repeats of the step's per-channel vectors."""
-
-    key = None
-
-    def fit(self, rows: np.ndarray) -> "BNOperands":
-        m, c = rows.shape
-        if self.key != (m, rows.dtype):
-            self.key = (m, rows.dtype)
-            self.two_pass = np.empty(c + 1)         # sums, count
-            self.one_pass = np.empty(2 * c + 1)     # sums, squared sums, count
-            self.two_pass[c] = self.one_pass[2 * c] = m
-            self.grad_sums = np.empty(2 * c, rows.dtype)  # dy, dy * x_hat
-            self.mu = repeats(rows, 1, np.float64)  # the packed sums are float64
-            self.normalize = repeats(rows, 4)
-            self.grad = repeats(rows, 3)
-        return self
-
-
 def _rows(x: np.ndarray, state: BNLayerState) -> np.ndarray:
-    """`x` as C-ordered (M, C) rows, once its layout, dtype and extents fit `state`."""
+    """`x` as C-ordered (M, C) rows, once its layout, dtype and extents fit
+    `state`, whose operands are then fitted to the rows."""
     if x.ndim not in (2, 4):
         raise BatchNormError(f"expected layout (N,C) or (N,C,H,W), got shape {x.shape}")
     if x.dtype not in (np.float64, np.float32) or 0 in x.shape:
@@ -143,9 +146,10 @@ def _rows(x: np.ndarray, state: BNLayerState) -> np.ndarray:
         raise BatchNormError(
             f"input has {x.shape[1]} channels but state has {state.channels}"
         )
-    if x.ndim == 2:
-        return np.ascontiguousarray(x)
-    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, state.channels)
+    rows = (np.ascontiguousarray(x) if x.ndim == 2 else
+            np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, state.channels))
+    state.operands.fit(rows)
+    return rows
 
 
 def _unrows(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -157,12 +161,12 @@ def _unrows(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _normalize(rows: np.ndarray, shape, state: BNLayerState, mu, var, count: int,
-               train: bool, ops: BNOperands, scope_key=None) -> tuple[np.ndarray, BNForwardCache]:
+               train: bool, scope_key=None) -> tuple[np.ndarray, BNForwardCache]:
     """y = gamma * x_hat + beta, x_hat = inv_std * rows + (-mu * inv_std), in the
     dtype of `rows`. Only y is scanned: it is non-finite wherever x_hat is."""
     inv_std = 1.0 / np.sqrt(var + state.eps)
     blocks, (inv, shift, gamma, beta) = channel_blocks(
-        rows, inv_std, -mu * inv_std, state.gamma, state.beta, out=ops.normalize)
+        rows, inv_std, -mu * inv_std, state.gamma, state.beta, out=state.operands.normalize)
     x_hat = blocks * inv
     x_hat += shift
     y = x_hat * gamma
@@ -172,8 +176,8 @@ def _normalize(rows: np.ndarray, shape, state: BNLayerState, mu, var, count: int
 
 
 def _train_forward(rows: np.ndarray, shape, state: BNLayerState, reduce_vec,
-                   scope_key, one_pass: bool, ops: BNOperands) -> tuple[np.ndarray, BNForwardCache]:
-    c = state.channels
+                   scope_key, one_pass: bool) -> tuple[np.ndarray, BNForwardCache]:
+    c, ops = state.channels, state.operands
     if one_pass:
         packed = ops.one_pass
         packed[:c] = sequential_sum_rows(rows)
@@ -197,35 +201,32 @@ def _train_forward(rows: np.ndarray, shape, state: BNLayerState, reduce_vec,
         raise BatchNormError(
             f"training-mode statistics need at least 2 elements per channel, got {m_int}"
         )
-    y, cache = _normalize(rows, shape, state, mu, var, m_int, True, ops, scope_key)
+    y, cache = _normalize(rows, shape, state, mu, var, m_int, True, scope_key)
     bn_update_running(state, mu, var, m_int)
     return y, cache
 
 
-def bn_forward_local(x: np.ndarray, state: BNLayerState, mode: str = "train",
-                     operands: BNOperands | None = None) -> tuple[np.ndarray, BNForwardCache]:
+def bn_forward_local(x: np.ndarray, state: BNLayerState,
+                     mode: str = "train") -> tuple[np.ndarray, BNForwardCache]:
     """Batch normalization over a single device's batch.
 
     Training mode computes biased per-channel statistics from `x` and
     updates the running estimates; eval mode normalizes with the running
-    statistics and leaves the state untouched. `operands`, kept by the
-    caller across steps, saves allocating them again.
+    statistics and leaves the state untouched.
     """
     rows = _rows(x, state)
-    ops = (operands or BNOperands()).fit(rows)
     if mode == "train":
-        y, cache = _train_forward(rows, x.shape, state, lambda v: v, None, False, ops)
+        y, cache = _train_forward(rows, x.shape, state, lambda v: v, None, False)
     elif mode == "eval":
         y, cache = _normalize(rows, x.shape, state, state.running_mean.copy(),
-                              state.running_var.copy(), rows.shape[0], False, ops)
+                              state.running_var.copy(), rows.shape[0], False)
     else:
         raise BatchNormError(f"mode must be 'train' or 'eval', got {mode!r}")
     return _unrows(y, x.shape), cache
 
 
 def sync_bn_forward(handle: DeviceHandle, x_local: np.ndarray, state: BNLayerState,
-                    one_pass: bool = False,
-                    operands: BNOperands | None = None) -> tuple[np.ndarray, BNForwardCache]:
+                    one_pass: bool = False) -> tuple[np.ndarray, BNForwardCache]:
     """Training-mode batch normalization synchronized across a BN sub-group.
 
     Every rank of the sub-group must call this with arrays of identical
@@ -237,12 +238,11 @@ def sync_bn_forward(handle: DeviceHandle, x_local: np.ndarray, state: BNLayerSta
     rows = _rows(x_local, state)
     y, cache = _train_forward(
         rows, x_local.shape, state, lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v),
-        handle.bn_scope_key, one_pass, (operands or BNOperands()).fit(rows))
+        handle.bn_scope_key, one_pass)
     return _unrows(y, x_local.shape), cache
 
 
-def _backward_core(dy: np.ndarray, cache: BNForwardCache, state: BNLayerState, reduce_vec,
-                   operands: BNOperands | None):
+def _backward_core(dy: np.ndarray, cache: BNForwardCache, state: BNLayerState, reduce_vec):
     if not cache.train:
         raise BatchNormError("backward requires a training-mode forward cache")
     if dy.shape != cache.shape:
@@ -252,8 +252,7 @@ def _backward_core(dy: np.ndarray, cache: BNForwardCache, state: BNLayerState, r
     c = state.channels
     if cache.mu.shape != (c,):
         raise BatchNormError("cache does not match this layer state")
-    rows, x_hat = _rows(dy, state), cache.x_hat
-    ops = (operands or BNOperands()).fit(rows)
+    rows, x_hat, ops = _rows(dy, state), cache.x_hat, state.operands
     ops.grad_sums[:c] = sequential_sum_rows(rows)
     ops.grad_sums[c:] = sequential_sum_rows(rows * x_hat)
     total = reduce_vec(ops.grad_sums)
@@ -270,19 +269,18 @@ def _backward_core(dy: np.ndarray, cache: BNForwardCache, state: BNLayerState, r
     return _check_finite(dx.reshape(rows.shape), "bn_backward"), dgamma, dbeta
 
 
-def bn_backward_local(dy: np.ndarray, cache: BNForwardCache, state: BNLayerState,
-                      operands: BNOperands | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def bn_backward_local(dy: np.ndarray, cache: BNForwardCache,
+                      state: BNLayerState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward pass matching a local training-mode forward."""
     if cache.scope_key is not None:
         raise BatchNormError("cache came from a synchronized forward; use sync_bn_backward")
     # the local sums are the totals, copied out of the operand the next step refills
-    dx, dgamma, dbeta = _backward_core(dy, cache, state, np.copy, operands)
+    dx, dgamma, dbeta = _backward_core(dy, cache, state, np.copy)
     return _unrows(dx, dy.shape), dgamma, dbeta
 
 
 def sync_bn_backward(handle: DeviceHandle, dy_local: np.ndarray, cache: BNForwardCache,
-                     state: BNLayerState,
-                     operands: BNOperands | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     state: BNLayerState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward pass matching `sync_bn_forward` on the same sub-group.
 
     The two per-channel reductions (sum of dy and sum of dy * x_hat) are
@@ -296,8 +294,7 @@ def sync_bn_backward(handle: DeviceHandle, dy_local: np.ndarray, cache: BNForwar
             f"belongs to {scope_key!r}"
         )
     dx, dgamma, dbeta = _backward_core(dy_local, cache, state,
-                                       lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v),
-                                       operands)
+                                       lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v))
     return _unrows(dx, dy_local.shape), dgamma, dbeta
 
 

@@ -2,7 +2,7 @@
 
 Each device is a worker thread. Collectives meet at a rendezvous: one slot
 table per scope (`world`, `bn0`, `bn1`, ...), guarded by the group's
-condition variable. Every rank deposits its call (kind, per-scope sequence
+condition variable. Every rank deposits its call (kind, the scope's round
 number, root, payload); the last to arrive checks that all calls agree,
 combines the payloads strictly in ascending-rank order (or takes the
 root's vector for a broadcast) and publishes the outcome to the scope. The
@@ -52,8 +52,8 @@ class _Table:
     """Rendezvous state of one scope: a slot per rank and the last outcome."""
 
     ranks: list[int]
-    slots: dict[int, tuple] = field(default_factory=dict)  # rank -> (kind, seq, root, payload)
-    round: int = 0
+    slots: dict[int, tuple] = field(default_factory=dict)  # rank -> (kind, round, root, payload)
+    round: int = 0  # numbers the scope's calls: a rank deposits once a round
     result: np.ndarray | None = None
     error: str | None = None
 
@@ -69,7 +69,6 @@ class DeviceHandle:
     def __init__(self, group: "DeviceGroup", rank: int):
         self.group = group
         self.rank = rank
-        self._seq: dict[str, int] = {}
         self.bn_group_index = rank // group.bn_group_size
         self.bn_scope_key = f"bn{self.bn_group_index}"  # this device's sub-group scope
         self.bn_group_ranks = group._tables[self.bn_scope_key].ranks
@@ -87,11 +86,6 @@ class DeviceHandle:
                 f"rank {self.rank}: unknown scope {scope!r}; expected one of {_SCOPE_NAMES}"
             )
         return info
-
-    def _next_seq(self, scope_key: str) -> int:
-        seq = self._seq.get(scope_key, 0)
-        self._seq[scope_key] = seq + 1
-        return seq
 
 
 class DeviceGroup:
@@ -133,10 +127,9 @@ class DeviceGroup:
         self._failure = None
         self._returned = set()
         self._blocked = 0
-        for table in self._tables.values():
+        for table in self._tables.values():  # each run numbers its calls from #0
             table.slots.clear()
-        for h in self.handles:  # a failed run leaves the ranks' counts unequal
-            h._seq.clear()
+            table.round = 0
 
         def runner(handle: DeviceHandle):
             try:
@@ -230,12 +223,11 @@ def _rendezvous(handle: DeviceHandle, scope_key: str, kind: str,
     """
     group = handle.group
     table = group._tables[scope_key]
-    seq = handle._next_seq(scope_key)
     if len(table.ranks) == 1:  # no one to wait for; `_settle` keeps this fresh copy as is
         return payload
     with group._cond:
-        table.slots[handle.rank] = (kind, seq, root, payload)
         my_round = table.round
+        table.slots[handle.rank] = (kind, my_round, root, payload)
         if len(table.slots) == len(table.ranks):
             table.result, table.error = _settle(table, scope_key)
             table.slots.clear()

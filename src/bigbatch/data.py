@@ -28,9 +28,9 @@ class DataError(ValueError):
 
 # Generated images live in memory as float64: 2**27 elements is 1 GiB.
 MAX_DATASET_ELEMENTS = 2**27
-# `class_means` compares every pair of classes in a Python loop, and a
-# dataset calls it twice: 2**8 classes make 32,640 pairs, 0.19 s a call on
-# one CPU; the count grows with classes**2.
+# `class_means` compares every pair of classes in a Python loop, once per
+# dataset: 2**8 classes make 32,640 pairs, 0.19 s on one CPU; the count
+# grows with classes**2.
 MAX_CLASSES = 2**8
 
 
@@ -114,8 +114,7 @@ class Dataset:
         return digest.hexdigest()
 
 
-def _draw_split(spec: DatasetSpec, rng: np.random.Generator, n: int):
-    means = class_means(spec)
+def _draw_split(spec: DatasetSpec, means: np.ndarray, rng: np.random.Generator, n: int):
     # Balanced label assignment in a seeded random order; avoids empty
     # classes on small splits, which would break nearest-mean probes.
     labels = rng.permutation(np.arange(n) % spec.classes).astype(np.int64)
@@ -126,9 +125,10 @@ def _draw_split(spec: DatasetSpec, rng: np.random.Generator, n: int):
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is named below
 def generate_dataset(spec: DatasetSpec, seed: int) -> Dataset:
-    images, labels = _draw_split(spec, np.random.default_rng((seed, 0)), spec.size)
+    means = class_means(spec)
+    images, labels = _draw_split(spec, means, np.random.default_rng((seed, 0)), spec.size)
     ev_images, ev_labels = _draw_split(
-        spec, np.random.default_rng((seed, 1)), spec.resolved_eval_size())
+        spec, means, np.random.default_rng((seed, 1)), spec.resolved_eval_size())
     if not (np.isfinite(images).all() and np.isfinite(ev_images).all()):  # as load_dataset
         raise DataError(f"separation {spec.separation!r} and noise_sigma "
                         f"{spec.noise_sigma!r} overflow the generated images to NaN or Inf")

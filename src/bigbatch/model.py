@@ -29,10 +29,10 @@ ReLU's, which is finite wherever its input is. `Tensor` is the type of
 the model input alone; `forward` rejects any other input. `forward` and
 `backward` run a `RankPlan`, which `plan` builds once over a rank's
 parameters, buffers and device handle. It holds what a step would
-otherwise rebuild: the parameter arrays, each BN layer's `BNLayerState`
-and its `BNOperands`. A BN layer's running statistics are the `buffers`
-arrays themselves, which each training forward blends in place; an eval
-forward reads them and keeps no caches.
+otherwise rebuild: the parameter arrays and each BN layer's `BNLayerState`,
+which keeps the layer's step operands. A BN layer's running statistics
+are the `buffers` arrays themselves, which each training forward blends
+in place; an eval forward reads them and keeps no caches.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .batchnorm import (
     EPS,
     RUNNING_MOMENTUM,
     BNLayerState,
-    BNOperands,
     bn_backward_local,
     bn_forward_local,
     sync_bn_backward,
@@ -241,7 +240,7 @@ def _col2im(dcols: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
 
 class _Planned:
     """One layer of a `RankPlan`: its spec and input shape, its parameter keys,
-    a dense or conv layer's arrays, and a BN layer's state and operands."""
+    a dense or conv layer's arrays, and a BN layer's state."""
 
     keys = ()
 
@@ -258,7 +257,7 @@ class _Planned:
                 running_mean=buffers[f"{name}.running_mean"],
                 running_var=buffers[f"{name}.running_var"],
                 running_momentum=spec.running_momentum)
-            self.operands, self.scan = BNOperands(), f"{name}.backward"
+            self.scan = f"{name}.backward"
 
 
 class RankPlan:
@@ -267,11 +266,11 @@ class RankPlan:
     Per layer it holds what a step would otherwise look up or build again:
     its parameter arrays (`sgd_step` writes into them in place, so they stay
     current), and for a BN layer one validated `BNLayerState` over its
-    parameters and running buffers plus its `BNOperands`. A training forward
-    blends the batch statistics into those buffers in place. `handle` is the
-    rank's device handle, over whose normalization sub-group cross BN layers
-    reduce (with None they use device-local statistics); `one_pass_bn`
-    selects the fused single-exchange statistics path for those layers.
+    parameters and running buffers. A training forward blends the batch
+    statistics into those buffers in place. `handle` is the rank's device
+    handle, over whose normalization sub-group cross BN layers reduce (with
+    None they use device-local statistics); `one_pass_bn` selects the fused
+    single-exchange statistics path for those layers.
     """
 
     def __init__(self, model: ModelSpec, params: dict, buffers: dict,
@@ -323,14 +322,13 @@ def forward(plan: RankPlan, x: Tensor, labels: np.ndarray | None = None,
             keep(("relu", mask))
             cur = cur * mask  # finite, as the scanned input is
         elif k == "bn":
-            state, ops = planned.state, planned.operands  # cur is scanned already
+            state = planned.state  # cur is scanned already
             if mode == "eval":
-                cur, cache = bn_forward_local(cur, state, mode="eval", operands=ops)
+                cur, cache = bn_forward_local(cur, state, mode="eval")
             elif layer.variant == "cross" and handle is not None:
-                cur, cache = sync_bn_forward(handle, cur, state, one_pass=plan.one_pass_bn,
-                                             operands=ops)
+                cur, cache = sync_bn_forward(handle, cur, state, one_pass=plan.one_pass_bn)
             else:
-                cur, cache = bn_forward_local(cur, state, mode="train", operands=ops)
+                cur, cache = bn_forward_local(cur, state, mode="train")
             keep(("bn", cache))
         elif k == "global_mean_pool":
             c, h, wd = ishape
@@ -413,14 +411,12 @@ def backward(plan: RankPlan, caches: list) -> dict:
             bn_cache, state = cache[1], planned.state
             dy = _check_finite(cur, planned.scan)
             if bn_cache.scope_key is not None:
-                cur, dgamma, dbeta = sync_bn_backward(handle, dy, bn_cache, state,
-                                                      operands=planned.operands)
+                cur, dgamma, dbeta = sync_bn_backward(handle, dy, bn_cache, state)
                 share = handle.group.bn_group_size
                 dgamma = dgamma / share
                 dbeta = dbeta / share
             else:
-                cur, dgamma, dbeta = bn_backward_local(dy, bn_cache, state,
-                                                       operands=planned.operands)
+                cur, dgamma, dbeta = bn_backward_local(dy, bn_cache, state)
             grads[keys[0]] = dgamma
             grads[keys[1]] = dbeta
         elif k == "global_mean_pool":

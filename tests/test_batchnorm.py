@@ -607,3 +607,82 @@ class TestBackwardSync:
             return True
 
         assert g.run(fn) == [True]
+
+
+def on_path(path, fn):
+    """Rank 0's `fn(rank, forward, backward)` for one BN path: local on one
+    rank, or synchronized two-pass or one-pass over a group of two."""
+    if path == "local":
+        return fn(0, bn_forward_local, bn_backward_local)
+
+    def worker(h):
+        return fn(h.rank, lambda x, st: sync_bn_forward(h, x, st, one_pass=path == "one_pass"),
+                  lambda dy, cache, st: sync_bn_backward(h, dy, cache, st))
+
+    return DeviceGroup(2).run(worker)[0]
+
+
+def operand_arrays(st):
+    return {name: a for name, a in vars(st.operands).items() if isinstance(a, np.ndarray)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("path", ["local", "two_pass", "one_pass"])
+class TestOperandsOnTheState:
+    """Every BN call refills the operand arrays its state keeps."""
+
+    def test_refilled_at_one_row_count_and_dtype(self, path, dtype):
+        def fn(rank, forward, backward):
+            rng = np.random.default_rng((70, rank))
+            st = random_state(rng, 3)
+            x = rng.normal(size=(4, 3, 2, 2)).astype(dtype)
+            _, cache = forward(x, st)
+            held = operand_arrays(st)
+            for _ in range(2):
+                backward(x, cache, st)
+                _, cache = forward(x * 2, st)
+            now = operand_arrays(st)
+            assert len(held) == 6 and now.keys() == held.keys()
+            assert all(now[name] is held[name] for name in held)
+
+        on_path(path, fn)
+
+    def test_a_new_row_count_or_dtype_reallocates(self, path, dtype):
+        other = np.float64 if dtype == np.float32 else np.float32
+
+        def fn(rank, forward, backward):
+            rng = np.random.default_rng((71, rank))
+            st = random_state(rng, 3)
+            x = rng.normal(size=(4, 3, 2, 2))
+            forward(x.astype(dtype), st)
+            for x2 in (x[:3].astype(dtype), x[:3].astype(other)):
+                held = operand_arrays(st)
+                forward(x2, st)
+                now = operand_arrays(st)
+                assert all(now[name] is not held[name] for name in held)
+
+        on_path(path, fn)
+
+    @pytest.mark.parametrize("second", [(4, 3, 2, 2), (5, 3, 2, 2)], ids=["same", "more"])
+    def test_interleaved_calls_are_bitwise_fresh_states(self, path, dtype, second):
+        # forward x1, forward x2, then backward on the first cache and on the
+        # second: each result is what a fresh state gives for its own call pair
+        def fn(rank, forward, backward):
+            rng = np.random.default_rng((72, rank))
+            st = random_state(rng, 3)
+            xs = [rng.normal(loc=0.5, size=shape).astype(dtype)
+                  for shape in ((4, 3, 2, 2), second)]
+            dys = [rng.normal(size=x.shape).astype(dtype) for x in xs]
+            outs = [forward(x, st) for x in xs]
+            grads = [backward(dy, cache, st) for dy, (_, cache) in zip(dys, outs)]
+            for x, dy, (y, cache), got in zip(xs, dys, outs, grads):
+                fresh = BNLayerState(gamma=st.gamma.copy(), beta=st.beta.copy())
+                want_y, want_cache = forward(x, fresh)
+                assert cache.total_count == x.size // 3 * (1 if path == "local" else 2)
+                assert cache.total_count == want_cache.total_count
+                for a, b in [(y, want_y), (cache.x_hat, want_cache.x_hat),
+                             (cache.mu, want_cache.mu), (cache.var, want_cache.var),
+                             *zip(got, backward(dy, want_cache, fresh))]:
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+        on_path(path, fn)

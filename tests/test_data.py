@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bigbatch import data
 from bigbatch.data import (
     DataError,
     DatasetSpec,
@@ -100,6 +101,16 @@ class TestGeneration:
         assert a.content_hash() == b.content_hash()
         c = generate_dataset(spec, seed=6)
         assert a.content_hash() != c.content_hash()
+
+    def test_class_means_are_computed_once(self, monkeypatch):
+        # both splits draw around one set: the pairwise comparison grows
+        # with classes**2 and takes 0.19 s at the class cap
+        calls = []
+        monkeypatch.setattr(data, "class_means",
+                            lambda spec: calls.append(spec) or class_means(spec))
+        spec = DatasetSpec(size=16, classes=2, eval_size=16)
+        generate_dataset(spec, seed=1)
+        assert calls == [spec]
 
     def test_train_and_eval_draws_are_independent(self):
         spec = DatasetSpec(size=16, classes=2, eval_size=16)

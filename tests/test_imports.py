@@ -1,8 +1,10 @@
-"""Every name a module imports is used in it (no linter ships with the lab).
+"""Every name a module imports is used in it, and every private module-level
+name of the package is used in the package (no linter ships with the lab).
 
-Covers the package, the tests and the demos. The package's `__init__.py` is
-exempt: it imports to re-export, and exports exactly what it imports. The
-bench's tracer must still find every binding it wraps.
+The import check covers the package, the tests and the demos. The
+package's `__init__.py` is exempt: it imports to re-export, and exports
+exactly what it imports. The bench's tracer must still find every binding
+it wraps.
 """
 
 import ast
@@ -56,6 +58,41 @@ def test_package_exports_exactly_what_it_imports():
     imported = {alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert imported == set(bigbatch.__all__) - {"__version__"}
+
+
+def unused_private_names(sources: dict) -> list:
+    """Module-level names `_x` defined in `sources` (file name -> text) that no
+    source reads, as a name or as an attribute."""
+    defined, used = {}, set()
+    for file, text in sources.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            defined.update((name, f"{file}:{node.lineno}") for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
+
+
+def test_guard_catches_an_unused_private_name():
+    sources = {"a.py": "_used = 1\n_dead, _kept = 2, 3\ndef _helper():\n    return _used\n"
+                       "class _Gone:\n    pass\n__all__ = []\n",
+               "b.py": "from a import _helper\nimport a\nprint(_helper(), a._kept)\n"}
+    assert unused_private_names(sources) == ["_Gone (a.py:5)", "_dead (a.py:2)"]
+
+
+def test_no_unused_private_names():
+    assert unused_private_names({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
 
 
 def load_by_path(monkeypatch, name, path):

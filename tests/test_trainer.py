@@ -11,6 +11,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bigbatch import (
     CSV_HEADER,
@@ -495,6 +497,43 @@ class TestRunTraining:
         assert max(rel_err(a, b) for a, b in zip(lw, ln)) <= 1e-7
         assert wide.eval_history == narrow.eval_history
         assert elapsed < 30.0
+
+    def test_bn_groups_train_like_devices_holding_a_group_each(self):
+        # (world, g, B) against (world / g, 1, g * B): each BN group's shards
+        # are contiguous slices of one permutation, so by concat-equivalence
+        # the groups normalize what the wider devices do; g = 1 would compare
+        # a run with itself
+        @settings(max_examples=16, derandomize=True, deadline=None, database=None)
+        @given(layout=st.sampled_from([(w, g) for w in (2, 4, 8) for g in (2, 4, 8)
+                                       if w % g == 0]),
+               batch=st.integers(1, 3), one_pass=st.booleans(),
+               convs=st.integers(1, 2), bn_after_pool=st.booleans())
+        def check(layout, batch, one_pass, convs, bn_after_pool):
+            (world, g), cross = layout, {"kind": "bn", "variant": "cross"}
+            model = [*[layer for _ in range(convs) for layer in (
+                {"kind": "conv3x3", "out_channels": 3}, cross, {"kind": "relu"})],
+                {"kind": "global_mean_pool"}, *([cross] if bn_after_pool else []),
+                {"kind": "dense", "out_features": None}]
+            base = dict(base_lr=0.1, base_batch=8, warmup_iters=2, epochs=1, model=model,
+                        one_pass_bn=one_pass, seed=world * 10 + batch,
+                        dataset={"size": 4 * world * batch, "classes": 2, "eval_size": 8,
+                                 "height": 4, "width": 4})
+            wide = run_training(ExperimentConfig.from_dict(
+                {**base, "world_size": world, "bn_group_size": g, "per_device_batch": batch}))
+            narrow = run_training(ExperimentConfig.from_dict(
+                {**base, "world_size": world // g, "bn_group_size": 1,
+                 "per_device_batch": g * batch}))
+            assert wide.status == narrow.status == "ok"
+            lw = [r.task_loss for r in wide.rows if r.task_loss is not None]
+            ln = [r.task_loss for r in narrow.rows if r.task_loss is not None]
+            assert len(lw) == len(ln) == 4
+            assert max(rel_err(a, b) for a, b in zip(lw, ln)) <= 1e-10
+            assert wide.eval_history == narrow.eval_history
+            assert wide.final_buffers.keys() == narrow.final_buffers.keys()
+            for key, a in wide.final_buffers.items():
+                assert rel_err(a, narrow.final_buffers[key]) <= 1e-10, key
+
+        check()
 
     def test_one_pass_bn_changes_cost_not_outcome(self):
         two_pass = run_training(smoke_config(world_size=2, per_device_batch=4,
