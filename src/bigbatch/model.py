@@ -28,9 +28,10 @@ output is scanned for NaN/Inf under the layer's name, once, except a
 ReLU's, which is finite wherever its input is. `Tensor` is the type of
 the model input alone; `forward` rejects any other input. `forward` and
 `backward` run a `RankPlan`, which `plan` builds once over a rank's
-parameters, buffers and device handle. It holds what a step would
-otherwise rebuild: the parameter arrays and each BN layer's `BNLayerState`,
-which keeps the layer's step operands. A BN layer's running statistics
+parameters, buffers and device handle. It holds the `params` dict, each
+layer's parameter keys and each BN layer's `BNLayerState`, which keeps the
+layer's step operands; a layer looks its arrays up in `params` when it
+runs, so the dict stays their one holder. A BN layer's running statistics
 are the `buffers` arrays themselves, which each training forward blends
 in place; an eval forward reads them and keeps no caches.
 """
@@ -159,17 +160,12 @@ def init_params(model: ModelSpec, seed: int) -> dict:
     for i, layer in enumerate(model.layers):
         rng = np.random.default_rng((seed, i))
         ishape, _ = model.shapes[i]
-        if layer.kind == "dense":
-            fan_in = ishape[0]
-            bound = np.sqrt(6.0 / fan_in)
-            params[f"{layer.name}.w"] = rng.uniform(-bound, bound, (layer.out_features, fan_in))
-            params[f"{layer.name}.b"] = np.zeros(layer.out_features)
-        elif layer.kind == "conv3x3":
-            fan_in = ishape[0] * 9
-            bound = np.sqrt(6.0 / fan_in)
-            params[f"{layer.name}.w"] = rng.uniform(
-                -bound, bound, (layer.out_channels, ishape[0], 3, 3))
-            params[f"{layer.name}.b"] = np.zeros(layer.out_channels)
+        if layer.kind in ("dense", "conv3x3"):
+            shape = ((layer.out_features, ishape[0]) if layer.kind == "dense"
+                     else (layer.out_channels, ishape[0], 3, 3))
+            bound = np.sqrt(6.0 / np.prod(shape[1:]))  # fan-in
+            params[f"{layer.name}.w"] = rng.uniform(-bound, bound, shape)
+            params[f"{layer.name}.b"] = np.zeros(shape[0])
         elif layer.kind == "bn":
             c = ishape[0]
             params[f"{layer.name}.gamma"] = np.ones(c)
@@ -238,46 +234,35 @@ def _col2im(dcols: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
     return np.ascontiguousarray(dst[w + 1:w + 1 + c * p].reshape(c, p).T)
 
 
-class _Planned:
-    """One layer of a `RankPlan`: its spec and input shape, its parameter keys,
-    a dense or conv layer's arrays, and a BN layer's state."""
-
-    keys = ()
-
-    def __init__(self, spec: LayerSpec, ishape: tuple, params: dict, buffers: dict):
-        self.spec, self.ishape, name = spec, ishape, spec.name
-        if spec.kind in ("dense", "conv3x3"):
-            self.keys = (f"{name}.w", f"{name}.b")
-            self.w, self.b = params[self.keys[0]], params[self.keys[1]]
-            self.wmat = self.w.reshape(self.w.shape[0], -1)  # a conv's (Cout, C*9) view
-        elif spec.kind == "bn":
-            self.keys = (f"{name}.gamma", f"{name}.beta")
-            self.state = BNLayerState(
-                gamma=params[self.keys[0]], beta=params[self.keys[1]], eps=spec.eps,
-                running_mean=buffers[f"{name}.running_mean"],
-                running_var=buffers[f"{name}.running_var"],
-                running_momentum=spec.running_momentum)
-            self.scan = f"{name}.backward"
-
-
 class RankPlan:
     """One rank's model over one set of parameters and buffers, built once.
 
-    Per layer it holds what a step would otherwise look up or build again:
-    its parameter arrays (`sgd_step` writes into them in place, so they stay
-    current), and for a BN layer one validated `BNLayerState` over its
-    parameters and running buffers. A training forward blends the batch
-    statistics into those buffers in place. `handle` is the rank's device
-    handle, over whose normalization sub-group cross BN layers reduce (with
-    None they use device-local statistics); `one_pass_bn` selects the fused
-    single-exchange statistics path for those layers.
+    Per layer it holds the spec, the input shape, the parameter keys and, for
+    a BN layer, one validated `BNLayerState` over its running buffers, which a
+    training forward blends in place. It holds no parameter array: each layer
+    looks its arrays up in `params` when it runs, and every forward points a BN
+    state's `gamma` and `beta` at the current ones. `handle` is the rank's
+    device handle, over whose normalization sub-group cross BN layers reduce
+    (with None they use device-local statistics); `one_pass_bn` selects the
+    fused single-exchange statistics path for those layers.
     """
 
     def __init__(self, model: ModelSpec, params: dict, buffers: dict,
                  handle=None, one_pass_bn: bool = False):
-        self.model, self.handle, self.one_pass_bn = model, handle, one_pass_bn
-        self.layers = [_Planned(layer, ishape, params, buffers)
-                       for layer, (ishape, _) in zip(model.layers, model.shapes)]
+        self.model, self.params, self.handle, self.one_pass_bn = model, params, handle, one_pass_bn
+        self.layers = []  # (spec, input shape, parameter keys, BN state or None)
+        for layer, (ishape, _) in zip(model.layers, model.shapes):
+            name, state = layer.name, None
+            suffixes = {"dense": ("w", "b"), "conv3x3": ("w", "b"),
+                        "bn": ("gamma", "beta")}.get(layer.kind, ())
+            keys = tuple(f"{name}.{suffix}" for suffix in suffixes)
+            if layer.kind == "bn":
+                state = BNLayerState(
+                    gamma=params[keys[0]], beta=params[keys[1]], eps=layer.eps,
+                    running_mean=buffers[f"{name}.running_mean"],
+                    running_var=buffers[f"{name}.running_var"],
+                    running_momentum=layer.running_momentum)
+            self.layers.append((layer, ishape, keys, state))
 
 
 plan = RankPlan  # model.plan(spec, params, buffers, handle=None, one_pass_bn=False)
@@ -290,7 +275,7 @@ def forward(plan: RankPlan, x: Tensor, labels: np.ndarray | None = None,
     `mode` selects BN behavior: "train" uses batch statistics and updates
     the running buffers in place, "eval" reads them and keeps no caches.
     """
-    model, handle = plan.model, plan.handle
+    model, params, handle = plan.model, plan.params, plan.handle
     if mode not in ("train", "eval"):
         raise ModelError(f"mode must be 'train' or 'eval', got {mode!r}")
     if not isinstance(x, Tensor):
@@ -304,25 +289,25 @@ def forward(plan: RankPlan, x: Tensor, labels: np.ndarray | None = None,
     if len(model.in_shape) == 3:
         c, h, wd = model.in_shape
         cur = cur.transpose(0, 2, 3, 1).reshape(n * h * wd, c)  # scanned by the Tensor
-    for planned in plan.layers:
-        layer, ishape = planned.spec, planned.ishape
+    for layer, ishape, keys, state in plan.layers:
         k = layer.kind
         if k == "dense":
             keep(("dense", cur))
-            cur = _check_finite(cur @ planned.w.T + planned.b, layer.name)
+            cur = _check_finite(cur @ params[keys[0]].T + params[keys[1]], layer.name)
         elif k == "conv3x3":
+            w = params[keys[0]]
             cols = _im2col(cur, n, ishape[1], ishape[2])
             keep(("conv3x3", cols))
-            out = cols @ planned.wmat.T
-            blocks, (bias,) = channel_blocks(out, planned.b)
+            out = cols @ w.reshape(w.shape[0], -1).T  # the (Cout, C*9) kernel view
+            blocks, (bias,) = channel_blocks(out, params[keys[1]])
             blocks += bias
             cur = _check_finite(blocks.reshape(out.shape), layer.name)
         elif k == "relu":
             mask = cur > 0
             keep(("relu", mask))
             cur = cur * mask  # finite, as the scanned input is
-        elif k == "bn":
-            state = planned.state  # cur is scanned already
+        elif k == "bn":  # cur is scanned already
+            state.gamma, state.beta = params[keys[0]], params[keys[1]]
             if mode == "eval":
                 cur, cache = bn_forward_local(cur, state, mode="eval")
             elif layer.variant == "cross" and handle is not None:
@@ -377,7 +362,7 @@ def backward(plan: RankPlan, caches: list) -> dict:
     over its sub-group (every member holds the same total), so those are
     divided by the sub-group size here to keep the convention uniform.
     """
-    handle = plan.handle
+    params, handle = plan.params, plan.handle
     if not caches or caches[-1][0] != "softmax_xent":
         raise ModelError("backward needs caches from a forward pass that computed a loss")
     grads = {}
@@ -387,29 +372,29 @@ def backward(plan: RankPlan, caches: list) -> dict:
     d[np.arange(n), labels] -= 1.0
     d /= n
     cur = d
-    first = plan.layers[0]
-    for planned, cache in zip(reversed(plan.layers[:-1]), reversed(caches[:-1])):
-        layer, ishape, keys = planned.spec, planned.ishape, planned.keys
+    first = plan.layers[0][0]
+    for (layer, ishape, keys, state), cache in zip(reversed(plan.layers[:-1]),
+                                                   reversed(caches[:-1])):
         k = layer.kind
         if k == "dense":
             grads[keys[0]] = cur.T @ cache[1]
             grads[keys[1]] = cur.sum(axis=0)
-            cur = cur @ planned.w
+            cur = cur @ params[keys[0]]
         elif k == "conv3x3":
-            cols = cache[1]
-            grads[keys[0]] = (cur.T @ cols).reshape(planned.w.shape)
+            cols, w = cache[1], params[keys[0]]
+            grads[keys[0]] = (cur.T @ cols).reshape(w.shape)
             # einsum adds whole C-ordered rows in turn: bitwise `sum(axis=0)`
             # for two or more columns, and 4x faster at (4096, 6). One column
             # is a contiguous run, which `sum` folds pairwise and einsum not.
             grads[keys[1]] = (np.einsum("ij->j", cur) if cur.shape[1] > 1
                               else cur.sum(axis=0))
-            if planned is not first:  # the input gradient is never used
-                cur = _col2im((planned.wmat.T @ cur.T).T, n, ishape[1], ishape[2])
+            if layer is not first:  # the input gradient is never used
+                cur = _col2im((w.reshape(w.shape[0], -1).T @ cur.T).T, n, ishape[1], ishape[2])
         elif k == "relu":
             cur = cur * cache[1]
         elif k == "bn":
-            bn_cache, state = cache[1], planned.state
-            dy = _check_finite(cur, planned.scan)
+            bn_cache = cache[1]  # `state` holds the gamma its forward read
+            dy = _check_finite(cur, f"{layer.name}.backward")
             if bn_cache.scope_key is not None:
                 cur, dgamma, dbeta = sync_bn_backward(handle, dy, bn_cache, state)
                 share = handle.group.bn_group_size

@@ -87,6 +87,10 @@ EVAL_ROWS = 4096
 # C_in float64. 2**28 bytes (256 MiB) is 151 times the bench model's 1.8 MB (64
 # 8x8 images into 6 channels), 75 times the largest test's 3.5 MB (128 images).
 MAX_PATCH_BYTES = 2**28
+# Every rank is a thread of one process, so the world's patch matrices add up:
+# world_size times the per-rank figure, at most 2**30 bytes (1 GiB), 606 times
+# the bench's largest total (1.8 MB), 303 times the largest test's (3.5 MB).
+MAX_WORLD_PATCH_BYTES = 2**30
 
 DIVERGENCE_LOSS_FACTOR = 1e3
 DIVERGENCE_STREAK = 100
@@ -225,7 +229,8 @@ def build_model(config: ExperimentConfig, classes: int, in_shape: tuple) -> Mode
 
     Rejects a BN layer that could not normalize in training: fewer than two
     elements per channel under the config's batch and BN group size. Rejects
-    a conv whose patch matrix on one rank would exceed MAX_PATCH_BYTES.
+    a conv whose patch matrix on one rank would exceed MAX_PATCH_BYTES, or
+    whose patch matrices over the world would exceed MAX_WORLD_PATCH_BYTES.
     """
     raw = config.model if config.model is not None else [dict(d) for d in DEFAULT_MODEL]
     layers = []
@@ -255,6 +260,11 @@ def build_model(config: ExperimentConfig, classes: int, in_shape: tuple) -> Mode
                     f"model layer {layer.name}: per_device_batch {config.per_device_batch} "
                     f"makes a {patch}-byte patch matrix (batch * {ishape[1]}x{ishape[2]} "
                     f"* 9 * {ishape[0]} channels * 8), more than {MAX_PATCH_BYTES}")
+            if config.world_size * patch > MAX_WORLD_PATCH_BYTES:
+                raise ConfigError(
+                    f"model layer {layer.name}: world_size {config.world_size} ranks at "
+                    f"per_device_batch {config.per_device_batch} make {config.world_size * patch} "
+                    f"bytes of patch matrices, more than {MAX_WORLD_PATCH_BYTES}")
         if layer.kind != "bn":
             continue
         # per-channel elements a training step normalizes over: the rank's
@@ -367,7 +377,11 @@ class TrainResult:
 
 
 def _count_allreduce_rounds(model: ModelSpec, one_pass: bool) -> int:
-    """Collective rounds per iteration under the wall-clock cost model."""
+    """Allreduce rounds a rank makes per iteration, under the wall-clock cost model.
+
+    The replica checksum broadcast, one round every `checksum_interval`
+    iterations, is left out: `wall_ms` does not depend on that setting.
+    """
     rounds = 1  # gradient AllReduce
     per_bn = 2 if not one_pass else 1
     for layer in model.layers:
@@ -408,7 +422,6 @@ def run_training(config: ExperimentConfig) -> TrainResult:
         params = init_params(model, config.seed)
         buffers = init_buffers(model)
         sgd = SGDState.create(params, config.momentum, config.weight_decay)
-        # over the views `sgd_step` updates in place and the buffers BN blends into
         rank_plan = plan(model, params, buffers, handle, config.one_pass_bn)
         # gradients in the sgd.keys layout, then the task loss; the allreduce copies it
         payload = np.empty(sgd.flat_params.size + 1)

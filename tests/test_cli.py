@@ -201,6 +201,23 @@ class TestTrain:
             "config error: model layer 01_conv3x3: per_device_batch 228 makes a ")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("command", ["train", "lr-preview", "gen-data"])
+    def test_world_patch_matrices_over_the_cap(self, tmp_path, capsys, monkeypatch, command):
+        # 8 ranks of 114 8x8 images into a 256-wide conv: each rank's 134 MB
+        # patch matrix is under the per-rank cap, the world's 1.08 GB over its own
+        def no_patches(*args):
+            raise MemoryError("a patch matrix was built")
+        monkeypatch.setattr(bigbatch.model, "_im2col", no_patches)
+        model = [{"kind": "conv3x3", "out_channels": 256}, {"kind": "conv3x3", "out_channels": 2},
+                 {"kind": "global_mean_pool"}, {"kind": "dense", "out_features": None}]
+        cfg = train_config(tmp_path, world_size=8, per_device_batch=114, model=model,
+                           dataset={"size": 1024, "classes": 4})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(
+            "config error: model layer 01_conv3x3: world_size 8 ranks at per_device_batch 114 ")
+        assert not (tmp_path / "r").exists()
+
     def test_bn_with_two_elements_per_channel_trains(self, tmp_path, capsys):
         cfg = train_config(tmp_path, per_device_batch=2, epochs=1, model=self.POOLED_BN)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_OK

@@ -3,19 +3,26 @@ name of the package is used in the package (no linter ships with the lab).
 
 The import check covers the package, the tests and the demos. The
 package's `__init__.py` is exempt: it imports to re-export, and exports
-exactly what it imports. The bench's tracer must still find every binding
-it wraps.
+exactly what it imports. README's config tables name exactly the fields of
+the configs they document. The bench's tracer must still find every
+binding it wraps.
 """
 
 import ast
 import importlib.util
+import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import bigbatch
+from bigbatch import cli
+from bigbatch.data import DatasetSpec
+from bigbatch.model import LayerSpec
+from bigbatch.trainer import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bigbatch"
@@ -93,6 +100,39 @@ def test_guard_catches_an_unused_private_name():
 
 def test_no_unused_private_names():
     assert unused_private_names({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def config_table_names(readme: str) -> list:
+    """The backticked names in the first column of each table under
+    "## Config reference", one list per table, in order."""
+    section = readme.split("\n## Config reference\n", 1)[1].split("\n## ", 1)[0]
+    tables, rows = [], None
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            rows = None
+        elif rows is None:  # a table's header row
+            rows = []
+            tables.append(rows)
+        else:  # the separator row's first cell holds no backticks
+            rows.extend(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    return tables
+
+
+def test_guard_reads_each_config_table():
+    readme = ("| `x` | y |\n\n## Config reference\n\nprose `p`\n\n| field | rule |\n"
+              "|---|---|\n| `a` | `b` |\n| `c`, `d` | e |\n\nprose\n\n| field | rule |\n"
+              "|---|---|\n| `e` | f |\n\n## Next\n\n| `g` | h |\n")
+    assert config_table_names(readme) == [["a", "c", "d"], ["e"]]
+
+
+def test_config_reference_names_every_field():
+    assert config_table_names((ROOT / "README.md").read_text()) == [
+        [f.name for f in fields(ExperimentConfig)],
+        [f.name for f in fields(DatasetSpec)],
+        [f.name for f in fields(LayerSpec)],
+        list(cli.VARIANCE_DEFAULTS),
+        list(cli.RATIO_DEFAULTS),
+    ]
 
 
 def load_by_path(monkeypatch, name, path):

@@ -27,6 +27,7 @@ from helpers import (
     loop_softmax_xent,
     nchw_col2im,
     nchw_im2col,
+    rel_err,
 )
 
 
@@ -514,6 +515,42 @@ class TestRankPlan:
 
         DeviceGroup(2).run(worker)
 
+    def test_plan_built_before_the_optimizer_state_trains_alike(self):
+        # `SGDState.create` rebinds every `params` entry to a view of its flat
+        # buffer; a plan that kept the arrays it was built over would train
+        # on the initial weights for ever
+        m = ModelSpec(CRITERION_7 + [LayerSpec("softmax_xent")], in_shape=(1, 8, 8))
+
+        def worker(h):
+            rng = np.random.default_rng((97, h.rank))
+            runs = []
+            for before in (True, False):
+                params, buffers = init_params(m, 3), init_buffers(m)
+                rank_plan = plan(m, params, buffers, handle=h) if before else None
+                sgd = SGDState.create(params, 0.9, 1e-3)
+                rank_plan = rank_plan or plan(m, params, buffers, handle=h)
+                runs.append((rank_plan, params, buffers, sgd, []))
+            for _ in range(5):
+                x = Tensor(rng.normal(size=(4, 1, 8, 8)))
+                y = rng.integers(0, m.classes, size=4)
+                for rank_plan, params, _, sgd, log in runs:
+                    out = forward(rank_plan, x, y)
+                    grads = backward(rank_plan, out.caches)
+                    log.append((out.loss, grads))
+                    sgd_step(params, grads, sgd, lr=0.05)
+            (a, ap, ab, _, alog), (b, bp, bb, _, blog) = runs
+            for (aloss, agrads), (bloss, bgrads) in zip(alog, blog):
+                assert aloss == bloss
+                assert all(np.array_equal(agrads[key], bgrads[key]) for key in ap)
+            assert alog[0][0] != alog[-1][0]  # it trained
+            for ours, theirs in ((ap, bp), (ab, bb)):
+                assert all(np.array_equal(ours[key], theirs[key]) for key in ours)
+            x = Tensor(rng.normal(size=(3, 1, 8, 8)))
+            assert np.array_equal(forward(a, x, mode="eval").logits,
+                                  forward(b, x, mode="eval").logits)
+
+        DeviceGroup(2).run(worker)
+
     def test_running_stats_are_blended_into_the_buffers_in_place(self):
         m = tiny_model()
         layer = m.layers[1]
@@ -677,6 +714,34 @@ class TestChannelsLastLayout:
         # bytes only at these sizes fails here.
         assert_bitwise_the_nchw_model((1, 8, 8), CRITERION_7, n,
                                       mode="eval" if n == 256 else "train")
+
+
+    def test_one_output_channel_conv_first_is_the_nchw_model_to_rounding(self):
+        # With one output channel OpenBLAS forms the conv products on the
+        # Fortran-ordered patch matrix by a matrix-vector path, whose bits are
+        # not those of a C-ordered copy: the values agree, and a fresh plan
+        # repeats the bits.
+        m = ModelSpec([LayerSpec("conv3x3", out_channels=1), LayerSpec("relu"),
+                       LayerSpec("conv3x3", out_channels=3), LayerSpec("bn"), LayerSpec("relu"),
+                       LayerSpec("global_mean_pool"), LayerSpec("dense", out_features=3),
+                       LayerSpec("softmax_xent")], in_shape=(2, 4, 5))
+        rng = np.random.default_rng(98)
+        params = init_params(m, 11)
+        x, labels = rng.normal(size=(5, 2, 4, 5)), rng.integers(0, 3, size=5)
+        runs = []
+        for _ in range(2):
+            rank_plan = plan(m, params, init_buffers(m))
+            out = forward(rank_plan, Tensor(x), labels)
+            runs.append((out.logits, backward(rank_plan, out.caches)))
+        (logits, grads), (again, grads_again) = runs
+        assert np.array_equal(logits, again)
+        assert all(np.array_equal(grads[key], grads_again[key]) for key in params)
+        ref_logits, _, ref_grads = nchw_reference(m, params, init_buffers(m), x, labels)
+        assert sorted(grads) == sorted(ref_grads) == sorted(params)
+        # a conv bias feeding BN has a zero gradient, here rounding noise near
+        # 1e-17, which `rel_err`'s floor of 1e-3 keeps from reading as large
+        assert rel_err(logits, ref_logits) <= 1e-12
+        assert all(rel_err(grads[key], ref_grads[key]) <= 1e-12 for key in params)
 
 
 def assert_bitwise_the_nchw_model(in_shape, layers, n, mode="train"):

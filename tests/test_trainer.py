@@ -6,7 +6,9 @@ accuracy checks live in test_acceptance.py.
 """
 
 import json
+import math
 import time
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -39,13 +41,14 @@ from bigbatch import (
     SGDState,
     Tensor,
 )
-from bigbatch import trainer
+from bigbatch import batchnorm, trainer
 from bigbatch.collectives import CollectiveProtocolError
 from bigbatch.model import ModelSpec, LayerSpec
 from bigbatch.schema import csv_line
 from bigbatch.tensor import NonFiniteError
 from bigbatch.trainer import (
     MAX_PATCH_BYTES,
+    MAX_WORLD_PATCH_BYTES,
     _count_allreduce_rounds,
     build_model,
     iteration_wall_ms,
@@ -296,6 +299,20 @@ class TestBuildModelAndResolve:
             f"model layer 01_conv3x3: per_device_batch 228 makes a {228 * per_image}-byte "
             f"patch matrix (batch * 8x8 * 9 * 256 channels * 8), more than {MAX_PATCH_BYTES}")
 
+    def test_world_patch_matrix_cap(self):
+        # the ranks are threads of one process, so their patch matrices add up
+        per_image = 64 * 9 * 256 * 8
+        largest = MAX_WORLD_PATCH_BYTES // (8 * per_image)
+        assert largest == 113 and (largest + 1) * per_image < MAX_PATCH_BYTES
+        build_model(ExperimentConfig(world_size=8, per_device_batch=largest,
+                                     model=self.WIDE_CONVS), classes=4, in_shape=(1, 8, 8))
+        cfg = ExperimentConfig(world_size=8, per_device_batch=largest + 1, model=self.WIDE_CONVS)
+        with pytest.raises(ConfigError) as err:
+            build_model(cfg, classes=4, in_shape=(1, 8, 8))
+        assert str(err.value) == (
+            f"model layer 01_conv3x3: world_size 8 ranks at per_device_batch 114 make "
+            f"{8 * 114 * per_image} bytes of patch matrices, more than {MAX_WORLD_PATCH_BYTES}")
+
     def test_patch_matrix_cap_counts_the_image_size(self):
         # one input channel: 72 bytes per pixel, so 2**28 // (72 * 32 * 32) = 3640 images
         model = [{"kind": "conv3x3", "out_channels": 2}, {"kind": "global_mean_pool"},
@@ -382,6 +399,39 @@ class TestMetricsAndWallModel:
             LayerSpec(kind="softmax_xent"),
         ], in_shape=(1, 8, 8))
         assert _count_allreduce_rounds(spec, one_pass=False) == 1
+
+    # a spatial and a pooled BN layer, each set to the case's variant
+    TWO_BN = [{"kind": "conv3x3", "out_channels": 3}, {"kind": "bn"}, {"kind": "relu"},
+              {"kind": "global_mean_pool"}, {"kind": "bn"}, {"kind": "dense", "out_features": None}]
+
+    @pytest.mark.parametrize("variant,one_pass,group", [
+        ("cross", False, None), ("cross", True, None), ("local", False, None), ("cross", False, 1)],
+        ids=["cross-two-pass", "cross-one-pass", "local", "cross-group-1"])
+    def test_counted_collectives_match_the_cost_model(self, monkeypatch, variant, one_pass, group):
+        # through the bindings the bench counts; the checksum broadcast is
+        # traffic the cost model leaves out
+        calls = {"allreduce": Counter(), "broadcast": Counter()}
+
+        def counting(kind, fn):
+            def call(handle, *args):
+                calls[kind][handle.rank] += 1  # one thread per rank
+                return fn(handle, *args)
+            return call
+
+        for module in (trainer, batchnorm):
+            monkeypatch.setattr(module, "allreduce_sum",
+                                counting("allreduce", module.allreduce_sum))
+        monkeypatch.setattr(trainer, "broadcast", counting("broadcast", trainer.broadcast))
+        model = [dict(layer, variant=variant) if layer["kind"] == "bn" else layer
+                 for layer in self.TWO_BN]
+        cfg = smoke_config(world_size=4, per_device_batch=2, bn_group_size=group,
+                           one_pass_bn=one_pass, epochs=2, checksum_interval=3, model=model,
+                           dataset={"size": 40, "classes": 4, "height": 4, "width": 4})
+        assert run_training(cfg).status == "ok"
+        rounds = _count_allreduce_rounds(build_model(cfg, 4, (1, 4, 4)), one_pass)
+        iters = 40 // 8  # per epoch; checked at iterations 0 and 3
+        assert calls["allreduce"] == {rank: 2 * iters * rounds for rank in range(4)}
+        assert calls["broadcast"] == {rank: 2 * math.ceil(iters / 3) for rank in range(4)}
 
     def test_single_device_pays_no_latency(self):
         cfg = ExperimentConfig(world_size=1, per_device_batch=8)
