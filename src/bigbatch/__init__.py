@@ -82,7 +82,6 @@ from .data import (
 from .trainer import (
     CSV_HEADER,
     ConfigError,
-    DivergenceMonitor,
     ExperimentConfig,
     MetricsRow,
     TrainerError,
@@ -122,7 +121,5 @@ __all__ = [
     "load_dataset", "class_means",
     # trainer
     "ExperimentConfig", "ConfigError", "TrainerError", "TrainResult",
-    "MetricsRow", "CSV_HEADER", "DivergenceMonitor",
-    "check_replica_sync",
-    "run_training", "write_outputs",
+    "MetricsRow", "CSV_HEADER", "check_replica_sync", "run_training", "write_outputs",
 ]

@@ -35,7 +35,7 @@ from .analysis import (
 )
 from .collectives import CollectiveError
 from .data import DataError, DatasetSpec, generate_dataset, save_dataset
-from .optim import DivergenceError, ScheduleError, lr_at
+from .optim import ScheduleError, lr_at
 from .schema import check, csv_header, csv_text, integer, json_text, mapping
 from .trainer import (
     ConfigError,
@@ -289,9 +289,6 @@ def main(argv=None) -> int:
     except (ConfigError, DataError, AnalysisError, ScheduleError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except DivergenceError as e:
-        print(f"diverged: {e}", file=sys.stderr)
-        return EXIT_DIVERGED
     except (CollectiveError, TrainerError) as e:
         print(f"run failed: {e}", file=sys.stderr)
         return EXIT_RUN_FAILED

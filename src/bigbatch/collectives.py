@@ -75,9 +75,6 @@ class DeviceHandle:
         self._scopes = {SCOPE_WORLD: ("world", group._tables["world"].ranks),
                         SCOPE_BN_GROUP: (self.bn_scope_key, self.bn_group_ranks)}
 
-    def __repr__(self):
-        return f"DeviceHandle(rank={self.rank}, world={self.group.world_size})"
-
     def _scope_info(self, scope: str) -> tuple[str, list[int]]:
         """(scope key, member ranks) of a scope name; callers must not mutate the list."""
         info = self._scopes.get(scope) if isinstance(scope, str) else None

@@ -52,6 +52,8 @@ class DatasetSpec:
         n = (self.size + self.resolved_eval_size()) * self.height * self.width
         if n > MAX_DATASET_ELEMENTS:
             raise DataError(f"(size + eval_size) * height * width must be <= 2**27, got {n}")
+        for _ in _unit_bumps(self):  # raises on a class bump that underflows
+            pass
 
     def resolved_eval_size(self) -> int:
         if self.eval_size is not None:
@@ -64,6 +66,27 @@ class DatasetSpec:
         return min(self.height, self.width) / 6.0
 
 
+def _unit_bumps(spec: DatasetSpec):
+    """Each class's mean before scaling, in class order: its amplitude times
+    a unit-norm bump. Raises DataError, naming `blob_sigma`, when a bump's
+    norm is not positive: no grid point lies close enough to its center."""
+    h, w, c = spec.height, spec.width, spec.classes
+    sig = spec.resolved_blob_sigma()
+    ys, xs = np.arange(h)[:, None], np.arange(w)  # the grid, broadcast to (h, w) below
+    radius = 0.35 * min(h - 1, w - 1)
+    for i in range(c):
+        ang = 2.0 * np.pi * i / c
+        cy = (h - 1) / 2.0 + radius * np.sin(ang)
+        cx = (w - 1) / 2.0 + radius * np.cos(ang)
+        with np.errstate(divide="ignore", invalid="ignore"):  # sig * sig may underflow
+            bump = np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2) / (2.0 * sig * sig))
+        norm = np.linalg.norm(bump)
+        if not 0 < norm < np.inf:
+            raise DataError(f"blob_sigma {sig!r} is too small for the {h}x{w} grid: "
+                            f"class {i}'s bump underflows to zero")
+        yield (1 + i // 2) * (1 if i % 2 == 0 else -1) * bump.ravel() / norm
+
+
 def class_means(spec: DatasetSpec) -> np.ndarray:
     """(classes, 1, H, W) mean images with exact minimum separation.
 
@@ -71,29 +94,16 @@ def class_means(spec: DatasetSpec) -> np.ndarray:
     center, with a signed amplitude ramp (+1, -1, +2, -2, ...) so classes
     stay distinguishable even through channel-pooling layers. The whole
     set is scaled so the closest pair of means is separation * noise_sigma
-    apart in L2.
+    apart in L2. Two unit bumps are non-negative and differ in amplitude or
+    sign, so the closest pair is at least 1 apart before scaling.
     """
-    h, w, c = spec.height, spec.width, spec.classes
-    sig = spec.resolved_blob_sigma()
-    ys, xs = np.mgrid[0:h, 0:w]
-    radius = 0.35 * min(h - 1, w - 1)
-    bumps = np.empty((c, h * w))
-    for i in range(c):
-        ang = 2.0 * np.pi * i / c
-        cy = (h - 1) / 2.0 + radius * np.sin(ang)
-        cx = (w - 1) / 2.0 + radius * np.cos(ang)
-        bump = np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2) / (2.0 * sig * sig))
-        amp = (1 + i // 2) * (1 if i % 2 == 0 else -1)
-        bumps[i] = amp * bump.ravel() / np.linalg.norm(bump)
+    bumps = np.array([*_unit_bumps(spec)])
     dmin = np.inf
-    for i in range(c):
-        for j in range(i + 1, c):
+    for i in range(spec.classes):
+        for j in range(i + 1, spec.classes):
             dmin = min(dmin, np.linalg.norm(bumps[i] - bumps[j]))
-    if dmin <= 1e-9:
-        raise DataError(
-            f"class bump centers coincide for {c} classes on a {h}x{w} grid")
     scale = spec.separation * spec.noise_sigma / dmin
-    return (scale * bumps).reshape(c, 1, h, w)
+    return (scale * bumps).reshape(spec.classes, 1, spec.height, spec.width)
 
 
 @dataclass

@@ -289,7 +289,7 @@ def forward(plan: RankPlan, x: Tensor, labels: np.ndarray | None = None,
     if len(model.in_shape) == 3:
         c, h, wd = model.in_shape
         cur = cur.transpose(0, 2, 3, 1).reshape(n * h * wd, c)  # scanned by the Tensor
-    for layer, ishape, keys, state in plan.layers:
+    for layer, ishape, keys, state in plan.layers[:-1]:  # the loss head runs below
         k = layer.kind
         if k == "dense":
             keep(("dense", cur))
@@ -323,29 +323,26 @@ def forward(plan: RankPlan, x: Tensor, labels: np.ndarray | None = None,
             maps = np.ascontiguousarray(cur.reshape(n, h * wd, c).transpose(0, 2, 1))
             keep(("global_mean_pool",))
             cur = _check_finite(np.add.reduce(maps, axis=2) / (h * wd), layer.name)
-        elif k == "softmax_xent":
-            z = cur  # the logits, scanned as the previous layer's output
-            if labels is None:
-                return ForwardResult(logits=z, loss=None, caches=caches)
-            labels = np.asarray(labels)
-            if labels.shape != (z.shape[0],):
-                raise ModelError(
-                    f"labels shape {labels.shape} does not match batch {z.shape[0]}")
-            if labels.min() < 0 or labels.max() >= z.shape[1]:
-                raise ModelError("label values out of range for the class count")
-            zs = z - z.max(axis=1, keepdims=True)
-            ez = np.exp(zs)
-            probs = ez / ez.sum(axis=1, keepdims=True)
-            picked = probs[np.arange(z.shape[0]), labels]
-            # picked can underflow to zero for a wildly confident wrong
-            # prediction; the resulting inf is caught right below.
-            with np.errstate(divide="ignore"):
-                task = float(np.add.reduce(-np.log(picked)) / n)  # np.mean's two steps
-            keep(("softmax_xent", probs, labels))
-            if not np.isfinite(task):
-                raise NonFiniteError("loss became non-finite")
-            return ForwardResult(logits=z, loss=task, caches=caches)
-    raise ModelError("model has no loss head")  # unreachable after validation
+    z = cur  # the logits, scanned as the last layer's output
+    if labels is None:
+        return ForwardResult(logits=z, loss=None, caches=caches)
+    labels = np.asarray(labels)
+    if labels.shape != (z.shape[0],):
+        raise ModelError(f"labels shape {labels.shape} does not match batch {z.shape[0]}")
+    if labels.min() < 0 or labels.max() >= z.shape[1]:
+        raise ModelError("label values out of range for the class count")
+    zs = z - z.max(axis=1, keepdims=True)
+    ez = np.exp(zs)
+    probs = ez / ez.sum(axis=1, keepdims=True)
+    picked = probs[np.arange(z.shape[0]), labels]
+    # picked can underflow to zero for a wildly confident wrong prediction;
+    # the resulting inf is caught right below.
+    with np.errstate(divide="ignore"):
+        task = float(np.add.reduce(-np.log(picked)) / n)  # np.mean's two steps
+    keep(("softmax_xent", probs, labels))
+    if not np.isfinite(task):
+        raise NonFiniteError("loss became non-finite")
+    return ForwardResult(logits=z, loss=task, caches=caches)
 
 
 def backward(plan: RankPlan, caches: list) -> dict:

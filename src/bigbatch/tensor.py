@@ -36,7 +36,8 @@ def _check_finite(a: np.ndarray, context: str) -> np.ndarray:
 
 
 class Tensor:
-    """Immutable dense array, row-major, f64 by default.
+    """Immutable dense array, f64 by default, row-major as the constructor
+    copies it; `_wrap` keeps the layout of the dataset's arrays.
 
     Values are finite: the constructor scans them, and `_wrap` takes only
     arrays checked before, so NaN/Inf never enter the model silently.
@@ -61,11 +62,9 @@ class Tensor:
     @classmethod
     def _wrap(cls, a: np.ndarray) -> "Tensor":
         """Wrap a dataset's images or a slice of them, checked where the
-        dataset was made; copy them only if they are not C-ordered, and mark
-        them read-only. Only for f64/f32 arrays with a positive extent on
-        every axis that no caller holds a writable reference to."""
-        if not a.flags.c_contiguous:
-            a = np.ascontiguousarray(a)
+        dataset was made, without a copy, and mark them read-only. Only for
+        f64/f32 arrays with a positive extent on every axis that no caller
+        holds a writable reference to."""
         t = cls.__new__(cls)
         t._a = a
         a.flags.writeable = False

@@ -5,12 +5,13 @@ it declares, see `schema`, then the checks that span fields), builds the
 dataset, model, and schedule from it, spawns one worker per device, and
 owns all file output. A failed worker or a deadlock in the collectives
 ends the run at once with the error `DeviceGroup.run` names; if that is a
-DivergenceError, the run's status is `diverged`. A slow worker is waited
-for. The dataset's images are finite, so each batch goes to the model as is.
-Each worker builds one model `RankPlan` and runs every step on it; the
-plan's BN layers update the worker's running-statistics buffers in place,
-and rank 0 evaluates on its plan once an epoch, one forward per chunk of at
-most `EVAL_ROWS` pixel rows, so the conv patch matrix stays cache-sized.
+DivergenceError (a rank's loss, activation or update went non-finite), the
+run's status is `diverged`. A slow worker is waited for. The dataset's
+images are finite, so each batch goes to the model as is. Each worker
+builds one model `RankPlan` and runs every step on it; the plan's BN
+layers update the worker's running-statistics buffers in place, and rank
+0 evaluates on its plan once an epoch, one forward per chunk of at most
+`EVAL_ROWS` pixel rows, so the conv patch matrix stays cache-sized.
 Workers keep identical parameter replicas: every iteration they compute
 gradients on their shard, average them with a world AllReduce, and apply
 the same SGD step. The AllReduce payload is the gradients in the
@@ -92,38 +93,6 @@ MAX_PATCH_BYTES = 2**28
 # the bench's largest total (1.8 MB), 303 times the largest test's (3.5 MB).
 MAX_WORLD_PATCH_BYTES = 2**30
 
-DIVERGENCE_LOSS_FACTOR = 1e3
-DIVERGENCE_STREAK = 100
-
-
-class DivergenceMonitor:
-    """Watches the per-iteration mean loss for runaway growth.
-
-    Two triggers: a non-finite loss raises DivergenceError on the spot,
-    and a loss staying above `factor` times the first observed magnitude
-    for `streak` consecutive iterations makes observe() return True so the
-    caller can stop cleanly. All ranks feed this the same allreduced loss,
-    so every replica reaches the same verdict on the same iteration.
-    """
-
-    def __init__(self, factor: float = DIVERGENCE_LOSS_FACTOR,
-                 streak: int = DIVERGENCE_STREAK):
-        self.factor = factor
-        self.streak = streak
-        self.initial: float | None = None
-        self.run_length = 0
-
-    def observe(self, mean_loss: float, context: str = "") -> bool:
-        if not np.isfinite(mean_loss):
-            raise DivergenceError(f"{context}: mean loss is non-finite")
-        if self.initial is None:
-            self.initial = max(abs(mean_loss), float(np.finfo(float).tiny))
-        if abs(mean_loss) > self.factor * self.initial:
-            self.run_length += 1
-        else:
-            self.run_length = 0
-        return self.run_length >= self.streak
-
 DEFAULT_MODEL = (
     {"kind": "conv3x3", "out_channels": 4},
     {"kind": "bn", "variant": "cross"},
@@ -181,7 +150,8 @@ class ExperimentConfig:
     # run plumbing
     seed: int = ruled(integer(ge=0), 0)
     out_dir: str | None = ruled(string(null=True), None)
-    checksum_interval: int = ruled(integer(ge=0), 10)  # iterations between checks; 0 disables
+    # the replica check runs where this divides the iteration index in the epoch; 0: never
+    checksum_interval: int = ruled(integer(ge=0), 10)
 
     @property
     def total_batch(self) -> int:
@@ -379,8 +349,9 @@ class TrainResult:
 def _count_allreduce_rounds(model: ModelSpec, one_pass: bool) -> int:
     """Allreduce rounds a rank makes per iteration, under the wall-clock cost model.
 
-    The replica checksum broadcast, one round every `checksum_interval`
-    iterations, is left out: `wall_ms` does not depend on that setting.
+    The replica checksum broadcast, one round at each iteration whose index
+    within the epoch is a multiple of `checksum_interval`, is left out:
+    `wall_ms` does not depend on that setting.
     """
     rounds = 1  # gradient AllReduce
     per_bn = 2 if not one_pass else 1
@@ -426,8 +397,6 @@ def run_training(config: ExperimentConfig) -> TrainResult:
         # gradients in the sgd.keys layout, then the task loss; the allreduce copies it
         payload = np.empty(sgd.flat_params.size + 1)
         rows, evals = [], []
-        monitor = DivergenceMonitor()
-        status, diverged_at = "ok", None
         for epoch in range(res.epochs):
             perm = np.random.default_rng((config.seed, 3, epoch)).permutation(
                 images.shape[0])
@@ -447,22 +416,12 @@ def run_training(config: ExperimentConfig) -> TrainResult:
                     payload[span] = grads[k].ravel()
                 payload[-1] = out.loss
                 mean = allreduce_sum(handle, SCOPE_WORLD, payload) / world
-                mean_task = float(mean[-1])
-                if handle.rank == 0:  # only rank 0 reports reg_loss: the pre-step penalty
-                    reg = l2_penalty(params, config.weight_decay)
+                if handle.rank == 0:  # only rank 0 reports; reg_loss is the pre-step penalty
+                    task, reg = float(mean[-1]), l2_penalty(params, config.weight_decay)
+                    rows.append(MetricsRow(epoch, it, lr, task, reg, task + reg, None, iter_ms))
                 sgd_step(params, mean[:-1], sgd, lr)
                 if config.checksum_interval and it % config.checksum_interval == 0:
                     check_replica_sync(handle, params, f"epoch {epoch} iter {it}")
-                tripped = monitor.observe(mean_task, f"epoch {epoch} iter {it}")
-                if handle.rank == 0:
-                    rows.append(MetricsRow(epoch, it, lr, mean_task, reg,
-                                           mean_task + reg, None, iter_ms))
-                if tripped:
-                    status = "diverged"
-                    diverged_at = f"epoch {epoch} iter {it}"
-                    break
-            if status == "diverged":
-                break
             if handle.rank == 0:
                 acc = accuracy(eval_logits(rank_plan, eval_chunks), dataset.eval_labels)
                 evals.append((epoch, acc))
@@ -470,11 +429,12 @@ def run_training(config: ExperimentConfig) -> TrainResult:
                                 res.iters_per_epoch)
                 rows.append(MetricsRow(epoch, res.iters_per_epoch, last_lr,
                                        None, None, None, acc, eval_ms))
-        return status, diverged_at, rows, evals, params, buffers
+        return rows, evals, params, buffers
 
     group = DeviceGroup(world, bn_group_size=res.bn_group_size)
     try:  # rank 0 reports; the other ranks' rows are empty, their state the same
-        status, diverged_at, rows, evals, params, buffers = group.run(worker)[0]
+        rows, evals, params, buffers = group.run(worker)[0]
+        status, diverged_at = "ok", None
     except DivergenceError as e:  # a blow-up mid-step leaves no trustworthy state
         status, diverged_at, rows, evals, params, buffers = "diverged", str(e), [], [], None, None
 

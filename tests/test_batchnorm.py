@@ -434,6 +434,13 @@ class TestBackwardLocal:
         with pytest.raises(BatchNormError, match="cotangent"):
             bn_backward_local(np.ones((2, 3, 2, 8)), cache, st)
 
+    def test_cache_of_another_layer_state(self):
+        # the cotangent fits the cache; the state, with other channels, does not
+        x = np.random.default_rng(55).normal(size=(4, 2))
+        _, cache = bn_forward_local(x, BNLayerState.create(2))
+        with pytest.raises(BatchNormError, match="cache does not match this layer state"):
+            bn_backward_local(np.ones((4, 2)), cache, BNLayerState.create(3))
+
 
     def test_float32_keeps_dtype(self):
         # the forward keeps float32; the backward used to return float64

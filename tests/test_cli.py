@@ -48,7 +48,8 @@ from bigbatch.collectives import CollectiveProtocolError, DeviceGroup
 from bigbatch.trainer import TrainerError
 from bigbatch.optim import lr_at, make_policy
 from bigbatch.trainer import CSV_HEADER
-from bigbatch.verify import FD_TOL, SUITES, CheckResult, run_suite, sync_bn_fd_max_err
+from bigbatch.verify import (FD_TOL, SUITES, CheckResult, _random_case, run_suite,
+                             sync_bn_fd_max_err)
 
 from helpers import WIDTH_ONE_CONV
 
@@ -287,6 +288,11 @@ class TestVerify:
                      "collectives.rank_symmetry", "schedule.normal_breakpoints"):
             assert f"[PASS] {name}" in out
         assert "FAIL]" not in out
+
+    def test_random_bn_case_normalizes_two_elements_at_least(self):
+        # seed 1486 draws one shard of one 1x1 image; the case adds an image to it
+        g, c, xs, gamma, beta = _random_case(np.random.default_rng(1486))
+        assert g == 1 and [x.shape for x in xs] == [(2, c, 1, 1)]
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
@@ -579,6 +585,20 @@ class TestGenData:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"dataset file {data_dir / name}.npy holds " in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "lr-preview"])
+    def test_saved_dataset_smaller_than_the_total_batch(self, tmp_path, capsys, command):
+        # a spec's size is checked with the config; a saved dataset's once it is read
+        data_dir = tmp_path / "data"
+        cfg = train_config(tmp_path, dataset={"size": 8, "classes": 4})
+        assert main(["gen-data", "--config", cfg, "--out", str(data_dir)]) == EXIT_OK
+        capsys.readouterr()
+        cfg = train_config(tmp_path, name="run.json", world_size=4, per_device_batch=4,
+                           dataset={"dir": str(data_dir)})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == ("config error: dataset size 8 is smaller than the "
+                                           "total batch 16\n")
+        assert not (tmp_path / "r").exists()
 
     def test_requires_out(self, tmp_path, capsys):
         cfg = train_config(tmp_path)
@@ -935,6 +955,22 @@ def test_overflowing_dataset_spec_is_one_named_line(tmp_path, command):
     assert done.stderr == ("config error: separation 1e+308 and noise_sigma 10000000000.0 "
                            "overflow the generated images to NaN or Inf\n")
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "lr-preview", "gen-data"])
+@pytest.mark.parametrize("sigma,code", [(0.018, EXIT_BAD_CONFIG), (0.02, EXIT_OK)])
+def test_blob_sigma_too_small_for_the_grid(tmp_path, capsys, command, sigma, code):
+    # on the 8x8 grid a bump's norm underflows to zero below blob_sigma 0.01841;
+    # train and gen-data used to blame separation and noise_sigma, lr-preview to run
+    cfg = train_config(tmp_path, epochs=1, dataset={**SPEC, "blob_sigma": sigma})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        assert err == "" and (tmp_path / "r").exists()
+    else:
+        assert err == (f"config error: dataset spec: blob_sigma {sigma} is too small for "
+                       "the 8x8 grid: class 0's bump underflows to zero\n")
+        assert not (tmp_path / "r").exists()
 
 
 def test_preview_row_rule_admits_the_cap():

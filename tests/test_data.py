@@ -35,6 +35,30 @@ class TestSpec:
         assert spec.resolved_eval_size() == 25
         assert spec.resolved_blob_sigma() == 8 / 6
 
+    def test_explicit_blob_sigma(self):
+        spec = DatasetSpec(size=16, classes=2, blob_sigma=0.5)
+        assert spec.resolved_blob_sigma() == 0.5
+        assert not np.array_equal(class_means(spec), class_means(DatasetSpec(16, 2)))
+
+    @pytest.mark.parametrize("sigma", [0.0184, 1e-200])
+    def test_blob_sigma_too_small_for_the_grid(self, sigma):
+        # every bump underflows to zero, and normalizing it made NaN means;
+        # at 1e-200 sigma squared is zero too, which numpy must not warn of
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as e:
+                DatasetSpec(size=16, classes=4, blob_sigma=sigma)
+        assert str(e.value) == (f"blob_sigma {sigma!r} is too small for the 8x8 grid: "
+                                "class 0's bump underflows to zero")
+
+    def test_blob_sigma_just_large_enough(self):
+        # only the two pixels nearest each bump's center stay above zero
+        spec = DatasetSpec(size=16, classes=4, blob_sigma=0.0185, separation=3.0)
+        means = class_means(spec).reshape(4, -1)
+        assert [np.count_nonzero(m) for m in means] == [2, 2, 2, 2]
+        dmin = min(np.linalg.norm(means[i] - means[j]) for i in range(4) for j in range(i))
+        assert abs(dmin - 3.0) < 1e-12
+
     def test_eval_size_floor(self):
         spec = DatasetSpec(size=10, classes=5)
         assert spec.resolved_eval_size() == 5  # at least one per class

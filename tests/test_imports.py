@@ -5,7 +5,8 @@ The import check covers the package, the tests and the demos. The
 package's `__init__.py` is exempt: it imports to re-export, and exports
 exactly what it imports. README's config tables name exactly the fields of
 the configs they document. The bench's tracer must still find every
-binding it wraps.
+binding it wraps, and the line audit's collector must still find a line
+that never ran.
 """
 
 import ast
@@ -133,6 +134,19 @@ def test_config_reference_names_every_field():
         list(cli.VARIANCE_DEFAULTS),
         list(cli.RATIO_DEFAULTS),
     ]
+
+
+def test_line_audit_reports_the_line_never_run(tmp_path):
+    # `line_audit.py` is not collected; its collector must see device threads
+    from line_audit import Collector
+    snippet = tmp_path / "snippet.py"
+    snippet.write_text("import threading\n\n\ndef f(x):\n    if x:\n        return 1\n"
+                       "    return 2\n\n\nt = threading.Thread(target=f, args=(1,))\n"
+                       "t.start()\nt.join()\n")
+    collector = Collector([snippet])
+    with collector.tracing():
+        exec(compile(snippet.read_text(), str(snippet), "exec"), {})
+    assert collector.missed(tmp_path.resolve()) == ["snippet.py:7: return 2"]
 
 
 def load_by_path(monkeypatch, name, path):

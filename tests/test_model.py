@@ -76,6 +76,20 @@ class TestSpecValidation:
             ModelSpec([LayerSpec("dense", out_features=2), LayerSpec("softmax_xent")],
                       in_shape=(1, 4, 4))
 
+    def test_needs_a_layer(self):
+        with pytest.raises(ModelError, match="^model needs at least one layer$"):
+            ModelSpec([], in_shape=(4,))
+
+    def test_pool_needs_spatial_input(self):
+        with pytest.raises(ModelError, match=r"^00_global_mean_pool: pool needs \(C,H,W\) "):
+            ModelSpec([LayerSpec("global_mean_pool"), LayerSpec("softmax_xent")],
+                      in_shape=(4,))
+
+    def test_bn_needs_flat_or_spatial_input(self):
+        with pytest.raises(ModelError, match=r"^00_bn: bn needs \(F,\) or \(C,H,W\) input, "
+                                             r"got \(4, 4\)$"):
+            ModelSpec([LayerSpec("bn"), LayerSpec("softmax_xent")], in_shape=(4, 4))
+
     def test_loss_head_needs_flat_logits(self):
         with pytest.raises(ModelError, match="loss head"):
             ModelSpec([LayerSpec("conv3x3", out_channels=2), LayerSpec("softmax_xent")],

@@ -20,8 +20,6 @@ from bigbatch import (
     CSV_HEADER,
     ConfigError,
     DeviceGroup,
-    DivergenceError,
-    DivergenceMonitor,
     ExperimentConfig,
     MetricsRow,
     SCOPE_WORLD,
@@ -43,6 +41,7 @@ from bigbatch import (
 )
 from bigbatch import batchnorm, trainer
 from bigbatch.collectives import CollectiveProtocolError
+from bigbatch.data import DatasetSpec, generate_dataset, save_dataset
 from bigbatch.model import ModelSpec, LayerSpec
 from bigbatch.schema import csv_line
 from bigbatch.tensor import NonFiniteError
@@ -72,56 +71,6 @@ def smoke_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
-
-
-class TestDivergenceMonitor:
-    def test_defaults(self):
-        m = DivergenceMonitor()
-        assert m.factor == 1e3
-        assert m.streak == 100
-
-    def test_non_finite_raises_naming_the_iteration(self):
-        m = DivergenceMonitor()
-        m.observe(1.0)
-        with pytest.raises(DivergenceError, match="epoch 2 iter 7"):
-            m.observe(float("nan"), "epoch 2 iter 7")
-        with pytest.raises(DivergenceError):
-            DivergenceMonitor().observe(float("inf"), "start")
-
-    def test_trips_on_exactly_the_streak_th_high_loss(self):
-        m = DivergenceMonitor(factor=10.0, streak=5)
-        assert m.observe(1.0) is False  # sets the baseline
-        for _ in range(4):
-            assert m.observe(50.0) is False
-        assert m.observe(50.0) is True
-
-    def test_recovery_resets_the_count(self):
-        m = DivergenceMonitor(factor=10.0, streak=3)
-        m.observe(1.0)
-        m.observe(100.0)
-        m.observe(100.0)
-        assert m.observe(2.0) is False  # back under the bar
-        m.observe(100.0)
-        m.observe(100.0)
-        assert m.observe(100.0) is True
-
-    def test_threshold_is_relative_to_the_first_loss(self):
-        m = DivergenceMonitor(factor=10.0, streak=1)
-        m.observe(3.0)
-        assert m.observe(29.9) is False
-        assert m.observe(30.1) is True
-
-    def test_magnitude_not_sign(self):
-        m = DivergenceMonitor(factor=10.0, streak=1)
-        m.observe(-2.0)
-        assert m.observe(-21.0) is True
-
-    def test_zero_initial_loss_does_not_blow_up(self):
-        # the baseline gets floored at the smallest positive float, so any
-        # later nonzero loss counts as runaway rather than dividing by zero
-        m = DivergenceMonitor(factor=10.0, streak=1)
-        assert m.observe(0.0) is False
-        assert m.observe(1e-300) is True
 
 
 class TestReplicaSync:
@@ -197,6 +146,9 @@ class TestExperimentConfig:
     def test_dataset_spec_errors_surface(self):
         with pytest.raises(ConfigError, match="dataset spec"):
             ExperimentConfig(dataset={"size": 64, "classes": 1}).validate()
+        # the spec's own checks, past its fields' rules, raise DataError
+        with pytest.raises(ConfigError, match="^dataset spec: size must cover at least one "):
+            ExperimentConfig(per_device_batch=2, dataset={"size": 3, "classes": 4}).validate()
         with pytest.raises(ConfigError, match="mapping"):
             ExperimentConfig(dataset=[64, 4]).validate()
 
@@ -246,6 +198,12 @@ class TestBuildModelAndResolve:
     def test_bad_layer_kind(self):
         cfg = ExperimentConfig(model=[{"kind": "attention"}])
         with pytest.raises(ConfigError, match="model layer"):
+            build_model(cfg, classes=4, in_shape=(1, 4, 4))
+
+    def test_model_shape_error_is_a_config_error(self):
+        cfg = ExperimentConfig(model=[{"kind": "global_mean_pool"}, {"kind": "global_mean_pool"},
+                                      {"kind": "dense", "out_features": None}])
+        with pytest.raises(ConfigError, match=r"^model: 01_global_mean_pool: pool needs "):
             build_model(cfg, classes=4, in_shape=(1, 4, 4))
 
     POOLED_BN = [{"kind": "global_mean_pool"}, {"kind": "bn", "variant": "local"},
@@ -738,6 +696,21 @@ BENCH_MODEL = [{"kind": "conv3x3", "out_channels": 6}, {"kind": "bn", "variant":
                {"kind": "relu"}, {"kind": "conv3x3", "out_channels": 6},
                {"kind": "bn", "variant": "cross"}, {"kind": "relu"},
                {"kind": "global_mean_pool"}, {"kind": "dense", "out_features": None}]
+
+
+def test_fortran_ordered_dataset_trains_to_the_same_bytes(tmp_path):
+    # the trainer hands the model the dataset's images without a copy, in
+    # whatever layout `np.load` gives them; the model's entry converts them
+    ds = generate_dataset(DatasetSpec(size=64, classes=4), 0)
+    save_dataset(ds, tmp_path / "c")
+    save_dataset(ds, tmp_path / "f")
+    for key in ("images", "eval_images"):
+        np.save(tmp_path / "f" / f"{key}.npy", np.asfortranarray(getattr(ds, key)))
+    c, f = (run_training(smoke_config(world_size=2, per_device_batch=4, epochs=2,
+                                      dataset={"dir": str(tmp_path / d)})) for d in "cf")
+    assert f.rows == c.rows and f.eval_history == c.eval_history
+    assert {k: v.tobytes() for k, v in f.final_params.items()} == {
+        k: v.tobytes() for k, v in c.final_params.items()}
 
 
 class TestEvalChunks:
