@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -34,7 +34,7 @@ from .analysis import (
     variance_equivalence_ratio,
 )
 from .collectives import CollectiveError
-from .data import DataError, DatasetSpec, generate_dataset, save_dataset
+from .data import DataError, generate_dataset, save_dataset
 from .optim import ScheduleError, lr_at
 from .schema import check, csv_header, csv_text, integer, json_text, mapping
 from .trainer import (
@@ -117,9 +117,7 @@ def _experiment_config(args) -> ExperimentConfig:
     if args.config is None:
         raise ConfigError("this subcommand requires --config")
     cfg = ExperimentConfig.from_json(args.config)
-    if args.seed is not None:  # checked in main
-        cfg.seed = args.seed
-    return cfg
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def cmd_train(args) -> int:
@@ -200,7 +198,7 @@ def cmd_ratio_study(args) -> int:
 def cmd_lr_preview(args) -> int:
     cfg = _experiment_config(args)
     # the sizes come from the spec: generating the data to count it is waste
-    spec = resolve_dataset(cfg).spec if "dir" in cfg.dataset else DatasetSpec(**cfg.dataset)
+    spec = cfg.dataset_spec or resolve_dataset(cfg).spec
     res = resolve(cfg, spec)
     build_model(cfg, spec.classes, (1, spec.height, spec.width))  # rejects what train would
     n = res.iters_per_epoch
@@ -221,12 +219,12 @@ def cmd_lr_preview(args) -> int:
 
 def cmd_gen_data(args) -> int:
     cfg = _experiment_config(args)
-    if "dir" in cfg.dataset:
+    spec = cfg.dataset_spec
+    if spec is None:
         raise ConfigError("gen-data needs a generator spec, not a dataset dir")
     if args.out is None:
         raise ConfigError("gen-data requires --out")
     _out_dir(args.out)
-    spec = DatasetSpec(**cfg.dataset)
     build_model(cfg, spec.classes, (1, spec.height, spec.width))  # rejects what train would
     ds = generate_dataset(spec, cfg.seed)
     meta = save_dataset(ds, args.out)

@@ -1,8 +1,8 @@
 """Deterministic data-parallel training runs on the simulated device group.
 
-The orchestrator checks an ExperimentConfig (each field against the rule
-it declares, see `schema`, then the checks that span fields), builds the
-dataset, model, and schedule from it, spawns one worker per device, and
+An ExperimentConfig checks itself when it is made (see `schema`) and is
+frozen, so `--seed` makes a checked copy. From it the orchestrator builds
+the dataset, model, and schedule; it spawns one worker per device and
 owns all file output. A failed worker or a deadlock in the collectives
 ends the run at once with the error `DeviceGroup.run` names; if that is a
 DivergenceError (a rank's loss, activation or update went non-finite), the
@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, asdict
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +126,7 @@ def read_json_object(path) -> dict:
     return raw
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     # parallel layout
     world_size: int = ruled(WORLD_SIZE, 1)
@@ -161,37 +162,39 @@ class ExperimentConfig:
     def bn_group(self) -> int:
         return self.world_size if self.bn_group_size is None else self.bn_group_size
 
+    @cached_property  # not a field: asdict and the manifest leave it out
+    def dataset_spec(self) -> DatasetSpec | None:
+        """The generator spec, built once per config; None for a saved dataset."""
+        if "dir" in self.dataset:
+            return None
+        try:
+            return DatasetSpec(**self.dataset)
+        except DataError as e:
+            raise ConfigError(f"dataset spec: {e}") from None
+
+    def __post_init__(self):
+        check_fields(self, ConfigError)
+        if self.world_size % self.bn_group != 0:
+            raise ConfigError(f"bn_group_size {self.bn_group} must divide world_size "
+                              f"{self.world_size}")
+        if self.dataset_spec is not None and self.dataset_spec.size < self.total_batch:
+            raise ConfigError(f"dataset size {self.dataset_spec.size} is smaller than the "
+                              f"total batch {self.total_batch}")
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         check(ConfigError, (mapping(cls), raw, ""))
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
+        return cls(**raw)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         return cls.from_dict(read_json_object(path))
 
-    def validate(self):
-        """Every field against its rule, then the checks that span fields."""
-        check_fields(self, ConfigError)
-        if self.world_size % self.bn_group != 0:
-            raise ConfigError(f"bn_group_size {self.bn_group} must divide world_size "
-                              f"{self.world_size}")
-        if "dir" not in self.dataset:
-            try:
-                spec = DatasetSpec(**self.dataset)
-            except DataError as e:
-                raise ConfigError(f"dataset spec: {e}") from None
-            if spec.size < self.total_batch:
-                raise ConfigError(f"dataset size {spec.size} is smaller than the total "
-                                  f"batch {self.total_batch}")
-
 
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
-    if "dir" in config.dataset:
+    if config.dataset_spec is None:
         return load_dataset(config.dataset["dir"])
-    return generate_dataset(DatasetSpec(**config.dataset), config.seed)
+    return generate_dataset(config.dataset_spec, config.seed)
 
 
 def build_model(config: ExperimentConfig, classes: int, in_shape: tuple) -> ModelSpec:
@@ -211,7 +214,7 @@ def build_model(config: ExperimentConfig, classes: int, in_shape: tuple) -> Mode
         entry.pop("name", None)
         try:
             layers.append(LayerSpec(**entry))
-        except (TypeError, ModelError) as e:
+        except ModelError as e:
             raise ConfigError(f"model layer {entry}: {e}") from None
     if not layers or layers[-1].kind != "softmax_xent":
         layers.append(LayerSpec(kind="softmax_xent"))
@@ -370,7 +373,6 @@ def run_training(config: ExperimentConfig) -> TrainResult:
     """Execute one experiment; pure computation, no file output here."""
     import time
 
-    config.validate()
     t0 = time.perf_counter()
     dataset = resolve_dataset(config)
     res = resolve(config, dataset.spec)

@@ -4,23 +4,25 @@ name of the package is used in the package (no linter ships with the lab).
 The import check covers the package, the tests and the demos. The
 package's `__init__.py` is exempt: it imports to re-export, and exports
 exactly what it imports. README's config tables name exactly the fields of
-the configs they document. The bench's tracer must still find every
-binding it wraps, and the line audit's collector must still find a line
-that never ran.
+the configs they document, and every class whose fields declare rules
+checks them when an instance is made. The bench's tracer must still find
+every binding it wraps, and the line audit's collector must still find a
+line that never ran.
 """
 
 import ast
 import importlib.util
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import pytest
 
 import bigbatch
 from bigbatch import cli
+from bigbatch.analysis import SamplerSpec, VarianceSpec
 from bigbatch.data import DatasetSpec
 from bigbatch.model import LayerSpec
 from bigbatch.trainer import ExperimentConfig
@@ -134,6 +136,54 @@ def test_config_reference_names_every_field():
         list(cli.VARIANCE_DEFAULTS),
         list(cli.RATIO_DEFAULTS),
     ]
+
+
+def ruled_classes(modules) -> list:
+    """Every dataclass defined in `modules` that declares a field with `ruled`."""
+    return sorted((cls for m in modules for cls in vars(m).values()
+                   if isinstance(cls, type) and cls.__module__ == m.__name__
+                   and is_dataclass(cls) and any("rule" in f.metadata for f in fields(cls))),
+                  key=lambda cls: cls.__name__)
+
+
+def unchecked_fields(cls, valid: dict) -> list:
+    """The ruled fields of `cls` that take `object()`, which every rule refuses,
+    when an instance is built from the keyword arguments `valid`."""
+    taken = []
+    for f in fields(cls):
+        if "rule" in f.metadata:
+            try:
+                cls(**{**valid, f.name: object()})
+            except ValueError:  # every config error class is one
+                continue
+            taken.append(f.name)
+    return taken
+
+
+def test_guard_finds_a_ruled_class_that_does_not_check_itself():
+    snippet = ModuleType("snippet")
+    exec("from dataclasses import dataclass\n"
+         "from bigbatch.schema import check_fields, integer, ruled\n"
+         "@dataclass\nclass Loose:\n    n: int = ruled(integer(), 0)\n    note: str = ''\n"
+         "@dataclass\nclass Strict:\n    n: int = ruled(integer(), 0)\n"
+         "    def __post_init__(self):\n        check_fields(self, ValueError)\n"
+         "@dataclass\nclass Plain:\n    n: int = 0\n", vars(snippet))
+    assert ruled_classes([snippet]) == [snippet.Loose, snippet.Strict]
+    assert unchecked_fields(snippet.Loose, {}) == ["n"]
+    assert unchecked_fields(snippet.Strict, {}) == []
+
+
+def test_every_ruled_class_checks_itself_when_made():
+    # a rule that only a separate call applies is a rule some caller forgets
+    valid = {ExperimentConfig: {}, DatasetSpec: {"size": 8, "classes": 2},
+             LayerSpec: {"kind": "relu"}, VarianceSpec: cli.VARIANCE_DEFAULTS,
+             SamplerSpec: {"seed": 0, **cli.RATIO_DEFAULTS}}
+    modules = [importlib.import_module(f"bigbatch.{p.stem}")
+               for p in MODULES if p.stem != "__main__"]
+    classes = ruled_classes(modules)
+    assert set(classes) == set(valid), "give each ruled class a valid instance here"
+    assert {cls.__name__: unchecked_fields(cls, valid[cls]) for cls in classes} == {
+        cls.__name__: [] for cls in classes}
 
 
 def test_line_audit_reports_the_line_never_run(tmp_path):

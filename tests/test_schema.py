@@ -6,7 +6,9 @@ The property test starts from small valid `train`, `lr-preview`,
 schema declares, replaces the value at one path with a value from a pool
 of likely mistakes (or adds an unknown key), and runs the command in
 process. Whatever it does, it must end with exit 0, 2 or 3 and at most
-one stderr line, never an exception or a traceback.
+one stderr line, never an exception or a traceback. A second property
+runs each perturbed `train` config through `lr-preview` and `gen-data`
+too: when one of the three exits 2, all three exit 2 with `train`'s line.
 """
 
 import contextlib
@@ -209,5 +211,25 @@ def test_one_bad_value_never_escapes(tmp_path_factory, command, examples):
         assert code in (cli.EXIT_OK, cli.EXIT_BAD_CONFIG, cli.EXIT_DIVERGED), (code, err)
         assert err.count("\n") <= 1 and err.endswith("\n") == bool(err)
         assert err.startswith("config error: ") == (code == cli.EXIT_BAD_CONFIG)
+
+    check()
+
+
+def test_lr_preview_and_gen_data_give_trains_verdict(tmp_path_factory):
+    # whenever one of the three commands that read a training config
+    # rejects a perturbed one, all three reject it with train's line
+    commands = ("train", "lr-preview", "gen-data")
+    for command in commands:
+        assert run(command, TRAIN, tmp_path_factory.mktemp("base")) == (cli.EXIT_OK, "")
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(path=st.sampled_from(list(paths(TRAIN))), value=st.sampled_from(POOL + [UNKNOWN]))
+    def check(path, value):
+        if value is not UNKNOWN and not path:
+            return  # the root is always a JSON object, read_json_object's case
+        cfg = perturbed(TRAIN, path, value)
+        verdicts = {c: run(c, cfg, tmp_path_factory.mktemp("run")) for c in commands}
+        if any(code == cli.EXIT_BAD_CONFIG for code, _ in verdicts.values()):
+            assert set(verdicts.values()) == {verdicts["train"]}, verdicts
 
     check()

@@ -39,7 +39,7 @@ from bigbatch import (
     SGDState,
     Tensor,
 )
-from bigbatch import batchnorm, trainer
+from bigbatch import batchnorm, cli, data, trainer
 from bigbatch.collectives import CollectiveProtocolError
 from bigbatch.data import DatasetSpec, generate_dataset, save_dataset
 from bigbatch.model import ModelSpec, LayerSpec
@@ -121,9 +121,8 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"learning_rate": 0.1, "seed": 3})
 
     def test_validate_reports_every_problem_at_once(self):
-        cfg = ExperimentConfig(world_size=0, base_lr=-1.0, momentum=1.5)
         with pytest.raises(ConfigError) as e:
-            cfg.validate()
+            ExperimentConfig(world_size=0, base_lr=-1.0, momentum=1.5)
         msg = str(e.value)
         assert "world_size" in msg
         assert "base_lr" in msg
@@ -131,30 +130,47 @@ class TestExperimentConfig:
 
     def test_bn_group_must_divide_world(self):
         with pytest.raises(ConfigError, match="divide"):
-            ExperimentConfig(world_size=4, bn_group_size=3).validate()
+            ExperimentConfig(world_size=4, bn_group_size=3)
 
     def test_dataset_smaller_than_total_batch(self):
-        cfg = ExperimentConfig(world_size=4, per_device_batch=16,
-                               dataset={"size": 32, "classes": 4})
         with pytest.raises(ConfigError, match="smaller than the total batch"):
-            cfg.validate()
+            ExperimentConfig(world_size=4, per_device_batch=16,
+                             dataset={"size": 32, "classes": 4})
 
     def test_bad_policy_name(self):
         with pytest.raises(ConfigError, match="policy"):
-            ExperimentConfig(policy="cosine").validate()
+            ExperimentConfig(policy="cosine")
 
     def test_dataset_spec_errors_surface(self):
         with pytest.raises(ConfigError, match="dataset spec"):
-            ExperimentConfig(dataset={"size": 64, "classes": 1}).validate()
+            ExperimentConfig(dataset={"size": 64, "classes": 1})
         # the spec's own checks, past its fields' rules, raise DataError
         with pytest.raises(ConfigError, match="^dataset spec: size must cover at least one "):
-            ExperimentConfig(per_device_batch=2, dataset={"size": 3, "classes": 4}).validate()
+            ExperimentConfig(per_device_batch=2, dataset={"size": 3, "classes": 4})
         with pytest.raises(ConfigError, match="mapping"):
-            ExperimentConfig(dataset=[64, 4]).validate()
+            ExperimentConfig(dataset=[64, 4])
 
     def test_dataset_dir_skips_spec_validation(self):
         # pointing at a directory defers all checks to load time
-        ExperimentConfig(dataset={"dir": "/nonexistent/for/now"}).validate()
+        assert ExperimentConfig(dataset={"dir": "/nonexistent/for/now"}).dataset_spec is None
+
+    @pytest.mark.parametrize("command, builds, passes", [
+        ("train", 1, 2), ("lr-preview", 1, 1), ("gen-data", 1, 2)])
+    def test_dataset_spec_is_built_once_per_command(self, tmp_path, monkeypatch, capsys,
+                                                     command, builds, passes):
+        # a spec build runs the class-bump code for the blob_sigma rule;
+        # train and gen-data run it once more to draw the data
+        counts = Counter()
+        init, bumps = DatasetSpec.__post_init__, data._unit_bumps
+        monkeypatch.setattr(DatasetSpec, "__post_init__",
+                            lambda spec: counts.update(["builds"]) or init(spec))
+        monkeypatch.setattr(data, "_unit_bumps",
+                            lambda spec: counts.update(["passes"]) or bumps(spec))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"per_device_batch": 4, "epochs": 1,
+                                    "dataset": {"size": 16, "classes": 2}}))
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert (counts["builds"], counts["passes"]) == (builds, passes)
 
     def test_from_json(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -196,9 +212,9 @@ class TestBuildModelAndResolve:
             build_model(cfg, classes=4, in_shape=(1, 4, 4))
 
     def test_bad_layer_kind(self):
-        cfg = ExperimentConfig(model=[{"kind": "attention"}])
-        with pytest.raises(ConfigError, match="model layer"):
-            build_model(cfg, classes=4, in_shape=(1, 4, 4))
+        # the config's layer rule rejects it before any layer is built
+        with pytest.raises(ConfigError, match=r"^model\[0\]\.kind must be one of "):
+            ExperimentConfig(model=[{"kind": "attention"}])
 
     def test_model_shape_error_is_a_config_error(self):
         cfg = ExperimentConfig(model=[{"kind": "global_mean_pool"}, {"kind": "global_mean_pool"},
@@ -243,14 +259,17 @@ class TestBuildModelAndResolve:
     # matrix holds 64 * 9 * 256 float64, 1,179,648 bytes
     WIDE_CONVS = [{"kind": "conv3x3", "out_channels": 256}, {"kind": "conv3x3", "out_channels": 2},
                   {"kind": "global_mean_pool"}, {"kind": "dense", "out_features": None}]
+    # a dataset that holds every total batch the cap tests build, up to 3641
+    FITS = {"size": 4096, "classes": 4}
 
     def test_patch_matrix_cap(self):
         per_image = 64 * 9 * 256 * 8
         largest = MAX_PATCH_BYTES // per_image
         assert largest == 227
-        build_model(ExperimentConfig(per_device_batch=largest, model=self.WIDE_CONVS),
-                    classes=4, in_shape=(1, 8, 8))
-        cfg = ExperimentConfig(world_size=4, per_device_batch=largest + 1, model=self.WIDE_CONVS)
+        build_model(ExperimentConfig(per_device_batch=largest, model=self.WIDE_CONVS,
+                                     dataset=self.FITS), classes=4, in_shape=(1, 8, 8))
+        cfg = ExperimentConfig(world_size=4, per_device_batch=largest + 1, model=self.WIDE_CONVS,
+                               dataset=self.FITS)
         with pytest.raises(ConfigError) as err:
             build_model(cfg, classes=4, in_shape=(1, 8, 8))
         assert str(err.value) == (
@@ -263,8 +282,10 @@ class TestBuildModelAndResolve:
         largest = MAX_WORLD_PATCH_BYTES // (8 * per_image)
         assert largest == 113 and (largest + 1) * per_image < MAX_PATCH_BYTES
         build_model(ExperimentConfig(world_size=8, per_device_batch=largest,
-                                     model=self.WIDE_CONVS), classes=4, in_shape=(1, 8, 8))
-        cfg = ExperimentConfig(world_size=8, per_device_batch=largest + 1, model=self.WIDE_CONVS)
+                                     model=self.WIDE_CONVS, dataset=self.FITS),
+                    classes=4, in_shape=(1, 8, 8))
+        cfg = ExperimentConfig(world_size=8, per_device_batch=largest + 1, model=self.WIDE_CONVS,
+                               dataset=self.FITS)
         with pytest.raises(ConfigError) as err:
             build_model(cfg, classes=4, in_shape=(1, 8, 8))
         assert str(err.value) == (
@@ -275,9 +296,11 @@ class TestBuildModelAndResolve:
         # one input channel: 72 bytes per pixel, so 2**28 // (72 * 32 * 32) = 3640 images
         model = [{"kind": "conv3x3", "out_channels": 2}, {"kind": "global_mean_pool"},
                  {"kind": "dense", "out_features": None}]
-        build_model(ExperimentConfig(per_device_batch=3640, model=model), 4, (1, 32, 32))
+        build_model(ExperimentConfig(per_device_batch=3640, model=model, dataset=self.FITS),
+                    4, (1, 32, 32))
+        cfg = ExperimentConfig(per_device_batch=3641, model=model, dataset=self.FITS)
         with pytest.raises(ConfigError, match="^model layer 00_conv3x3: per_device_batch 3641 "):
-            build_model(ExperimentConfig(per_device_batch=3641, model=model), 4, (1, 32, 32))
+            build_model(cfg, 4, (1, 32, 32))
 
     def test_impossible_bn_fails_before_any_thread_starts(self, monkeypatch):
         def no_threads(*args, **kwargs):
