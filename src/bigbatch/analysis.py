@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .schema import array, check, check_fields, integer, number, ruled
+from .schema import SEED, array, check, check_fields, integer, number, ruled
 
 BOOTSTRAP_RESAMPLES = 1000
 # Trials per estimate: at least enough for a stable bootstrap, at most 2**16.
@@ -310,7 +310,7 @@ class SamplerSpec:
     batch_sizes: tuple = ruled(array(DRAW_SIZE))
     epochs: int = ruled(integer(gt=0))
     batches_per_cell: int = ruled(integer(gt=0, le=MAX_BATCHES_PER_CELL))
-    seed: int = ruled(integer(ge=0))
+    seed: int = ruled(SEED)
     drift_early_scale: float = ruled(number(gt=0, le=1), 1.0)
     drift_late_scale: float = ruled(number(gt=0, le=1), 1.0)
     drift_rate: float = ruled(number(ge=0), 0.0)

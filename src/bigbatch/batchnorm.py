@@ -98,10 +98,6 @@ class BNLayerState:
             self.running_mean = np.zeros(c)
         if self.running_var is None:
             self.running_var = np.ones(c)
-        self.validate()
-
-    def validate(self):
-        c = self.gamma.shape[0]
         for name in ("beta", "running_mean", "running_var"):
             if getattr(self, name).shape != (c,):
                 raise BatchNormError(f"{name} must have length {c}")

@@ -7,7 +7,9 @@ Subcommands: `train` (one experiment), `verify` (invariant suites),
 
 Config fields declare their rules (`schema`): `train`, `lr-preview` and
 `gen-data` on the config dataclasses, `ratio-study` on `SamplerSpec`, `variance` on
-`VarianceSpec`.
+`VarianceSpec`. Each command builds its config once, through `schema.load`,
+and that construction checks it; `--seed` replaces a training config's
+file seed before it, and is `ratio-study`'s only seed.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 3 training divergence, 4 run failed (a collective or replica error).
@@ -18,7 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -36,7 +38,7 @@ from .analysis import (
 from .collectives import CollectiveError
 from .data import DataError, generate_dataset, save_dataset
 from .optim import ScheduleError, lr_at
-from .schema import check, csv_header, csv_text, integer, json_text, mapping
+from .schema import SEED, check, csv_header, csv_text, integer, json_text, load
 from .trainer import (
     ConfigError,
     ExperimentConfig,
@@ -78,17 +80,6 @@ RATIO_DEFAULTS = {
 MAX_PREVIEW_ROWS = 2**20
 PREVIEW_ROWS = integer(le=MAX_PREVIEW_ROWS)  # epochs * iters_per_epoch, one row per iteration
 
-# the --seed flag of every command takes the config seed's rule
-SEED_RULE = next(f.metadata["rule"] for f in fields(ExperimentConfig) if f.name == "seed")
-
-
-def _load_json_config(path, spec, defaults: dict) -> dict:
-    """`defaults` overridden by the config file, checked with the rules `spec` declares."""
-    raw = {} if path is None else read_json_object(path)
-    rules = {f.name: f.metadata["rule"] for f in fields(spec) if f.name in defaults}
-    check(ConfigError, (mapping(rules), raw, ""))
-    return {**defaults, **raw}
-
 
 def _out_dir(path) -> Path:
     """An output directory path, which must not name or lie under an existing file."""
@@ -116,8 +107,11 @@ def _emit(out, texts: dict) -> None:
 def _experiment_config(args) -> ExperimentConfig:
     if args.config is None:
         raise ConfigError("this subcommand requires --config")
-    cfg = ExperimentConfig.from_json(args.config)
-    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+    raw = read_json_object(args.config)
+    # --seed replaces a file seed its rule takes; a bad one is reported with the rest
+    if args.seed is not None and SEED(raw.get("seed", args.seed), "seed") is None:
+        raw = {**raw, "seed": args.seed}
+    return ExperimentConfig.from_dict(raw)
 
 
 def cmd_train(args) -> int:
@@ -158,8 +152,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_variance(args) -> int:
-    cfg = _load_json_config(args.config, VarianceSpec, VARIANCE_DEFAULTS)
-    spec = VarianceSpec(**cfg)
+    raw = {} if args.config is None else read_json_object(args.config)
+    cfg = {**VARIANCE_DEFAULTS, **raw}
+    spec = load(VarianceSpec, cfg, AnalysisError)
     out = args.out and _out_dir(args.out)
     seed = args.seed if args.seed is not None else 0
     law = []
@@ -185,10 +180,12 @@ def cmd_variance(args) -> int:
 
 
 def cmd_ratio_study(args) -> int:
-    cfg = _load_json_config(args.config, SamplerSpec, RATIO_DEFAULTS)
-    out = args.out and _out_dir(args.out)
+    raw = {} if args.config is None else read_json_object(args.config)
+    cfg = {**RATIO_DEFAULTS, **raw}
     seed = args.seed if args.seed is not None else 0
-    cells = posneg_ratio_study(SamplerSpec(seed=seed, **cfg))
+    spec = load(SamplerSpec, cfg, AnalysisError, seed=seed)  # a file seed is unknown
+    out = args.out and _out_dir(args.out)
+    cells = posneg_ratio_study(spec)
     report = {"seed": seed, "config": cfg, "cells": [asdict(c) for c in cells]}
     _emit(out, {"ratio_study.csv": csv_text(RatioCell, cells),
                 "ratio_study.json": json_text(report)})
@@ -234,16 +231,6 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-class _SuiteChoices:
-    """`verify`'s suite argument choices: `SUITES` as it is when a command is parsed."""
-
-    def __contains__(self, name) -> bool:
-        return name == "all" or name in SUITES
-
-    def __iter__(self):
-        return iter(sorted(SUITES) + ["all"])
-
-
 @functools.cache  # built on the first command, reused by every later one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -259,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("train", help="run one training experiment"))
     v = sub.add_parser("verify", help="run an invariant suite")
-    v.add_argument("suite", choices=_SuiteChoices())
+    v.add_argument("suite", choices=[*sorted(SUITES), "all"])
     v.add_argument("--seed", type=int, default=0)
     common(sub.add_parser("variance", help="gradient-variance report"))
     common(sub.add_parser("ratio-study", help="positive/negative ratio table"))
@@ -282,7 +269,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.seed is not None:
-            check(ConfigError, (SEED_RULE, args.seed, "seed"))
+            check(ConfigError, (SEED, args.seed, "seed"))
         return COMMANDS[args.command](args)
     except (ConfigError, DataError, AnalysisError, ScheduleError) as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -109,6 +109,9 @@ def keyed(key: str, present, absent):
         present if isinstance(value, dict) and key in value else absent)(value, name)
 
 
+SEED = integer(ge=0)  # every seed: a training config's, a sampler spec's, the --seed flag's
+
+
 def ruled(rule, default=MISSING, **kwargs):
     """A dataclass field declared with its rule; without a default it is required."""
     return field(default=default, metadata={"rule": rule}, **kwargs)
@@ -118,6 +121,17 @@ def check(error: type, *checks, prefix: str = "") -> None:
     """Raise `error` naming every `(rule, value, name)` of `checks` whose value breaks its rule."""
     if problems := [p for rule, value, name in checks if (p := rule(value, name))]:
         raise error(prefix + "; ".join(problems))
+
+
+def load(cls, raw: dict, error: type, **given):
+    """`cls(**raw, **given)`, the one construction of a config, whose
+    `__post_init__` checks each value. A key of `raw` that is no field of
+    `cls`, or that `given` sets, is unknown: it raises one `error` naming the
+    unknown keys and then every bad value of `raw`, in field order."""
+    rules = {f.name: f.metadata["rule"] for f in fields(cls) if f.name not in given}
+    if not raw.keys() <= rules.keys():
+        check(error, (mapping(rules), raw, ""))
+    return cls(**raw, **given)
 
 
 def check_fields(obj, error: type, prefix: str = "") -> None:

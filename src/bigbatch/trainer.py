@@ -1,26 +1,26 @@
 """Deterministic data-parallel training runs on the simulated device group.
 
-An ExperimentConfig checks itself when it is made (see `schema`) and is
-frozen, so `--seed` makes a checked copy. From it the orchestrator builds
-the dataset, model, and schedule; it spawns one worker per device and
-owns all file output. A failed worker or a deadlock in the collectives
-ends the run at once with the error `DeviceGroup.run` names; if that is a
-DivergenceError (a rank's loss, activation or update went non-finite), the
-run's status is `diverged`. A slow worker is waited for. The dataset's
-images are finite, so each batch goes to the model as is. Each worker
-builds one model `RankPlan` and runs every step on it; the plan's BN
-layers update the worker's running-statistics buffers in place, and rank
-0 evaluates on its plan once an epoch, one forward per chunk of at most
-`EVAL_ROWS` pixel rows, so the conv patch matrix stays cache-sized.
-Workers keep identical parameter replicas: every iteration they compute
-gradients on their shard, average them with a world AllReduce, and apply
-the same SGD step. The AllReduce payload is the gradients in the
-optimizer's sorted-key order followed by the task loss, so the mean's
-gradient part is already in the layout of the replica's flat parameter
-buffer and goes to `sgd_step` as one vector. Sharding is a seeded epoch
-permutation split into contiguous per-rank slices, which is what makes an
-n-device run directly comparable to a single device training on the
-concatenated batch.
+An ExperimentConfig is frozen and checks itself when it is made (see
+`schema`), once per command: `--seed` replaces the file's seed first. From
+it the orchestrator builds the dataset, model, and schedule; it spawns one
+worker per device and owns all file output. A failed worker or a deadlock
+in the collectives ends the run at once with the error `DeviceGroup.run`
+names; if that is a DivergenceError (a rank's loss, activation or update
+went non-finite), the run's status is `diverged`. A slow worker is waited
+for. The dataset's images are finite, so each batch goes to the model as
+is. Each worker builds one model `RankPlan` and runs every step on it; the
+plan's BN layers update the worker's running-statistics buffers in place,
+and rank 0 evaluates on its plan once an epoch, one forward per chunk of
+at most `EVAL_ROWS` pixel rows, so the conv patch matrix stays
+cache-sized. Workers keep identical parameter replicas: every iteration
+they compute gradients on their shard, average them with a world
+AllReduce, and apply the same SGD step. The AllReduce payload is the
+gradients in the optimizer's sorted-key order followed by the task loss,
+so the mean's gradient part is already in the layout of the replica's flat
+parameter buffer and goes to `sgd_step` as one vector. Sharding is a
+seeded epoch permutation split into contiguous per-rank slices, which is
+what makes an n-device run directly comparable to a single device training
+on the concatenated batch.
 
 Every byte of the output files (metrics CSV, manifest, checkpoint) is a
 function of the config alone. The wall_ms column therefore reports a
@@ -70,8 +70,8 @@ from .optim import (
     make_policy,
     sgd_step,
 )
-from .schema import (array, boolean, check, check_fields, csv_header, csv_text, integer,
-                     json_text, keyed, mapping, number, ruled, string)
+from .schema import (SEED, array, boolean, check_fields, csv_header, csv_text, integer,
+                     json_text, keyed, load, mapping, number, ruled, string)
 from .tensor import NonFiniteError, Tensor
 
 # Idealized per-iteration cost model (documented, deterministic):
@@ -149,7 +149,7 @@ class ExperimentConfig:
                                 mapping(DatasetSpec, label="dataset spec")),
                           default_factory=lambda: {"size": 256, "classes": 4})
     # run plumbing
-    seed: int = ruled(integer(ge=0), 0)
+    seed: int = ruled(SEED, 0)
     out_dir: str | None = ruled(string(null=True), None)
     # the replica check runs where this divides the iteration index in the epoch; 0: never
     checksum_interval: int = ruled(integer(ge=0), 10)
@@ -183,12 +183,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        check(ConfigError, (mapping(cls), raw, ""))
-        return cls(**raw)
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(read_json_object(path))
+        return load(cls, raw, ConfigError)
 
 
 def resolve_dataset(config: ExperimentConfig) -> Dataset:

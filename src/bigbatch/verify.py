@@ -209,6 +209,8 @@ def _tiny_model() -> ModelSpec:
         LayerSpec(kind="conv3x3", out_channels=3),
         LayerSpec(kind="bn"),
         LayerSpec(kind="relu"),
+        LayerSpec(kind="conv3x3", out_channels=3),  # a second conv forms an input gradient
+        LayerSpec(kind="relu"),
         LayerSpec(kind="global_mean_pool"),
         LayerSpec(kind="dense", out_features=3),
         LayerSpec(kind="softmax_xent"),

@@ -45,7 +45,7 @@ from bigbatch.cli import (
     main,
 )
 from bigbatch.collectives import CollectiveProtocolError, DeviceGroup
-from bigbatch.trainer import TrainerError
+from bigbatch.trainer import ExperimentConfig, TrainerError
 from bigbatch.optim import lr_at, make_policy
 from bigbatch.trainer import CSV_HEADER
 from bigbatch.verify import (FD_TOL, SUITES, CheckResult, _random_case, run_suite,
@@ -302,24 +302,21 @@ class TestVerify:
             run_suite("nope")
 
     def test_the_parser_is_built_once(self, capsys, monkeypatch):
-        # rebuilding it took 1.4 ms a command; a suite added after it was
-        # built is still a choice, since the choices are read at parse time
+        # rebuilding it took 1.4 ms a command
         parser = build_parser()
 
         def no_parser(*args, **kwargs):
             raise AssertionError("built another parser")
         monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
-        monkeypatch.setitem(
-            SUITES, "late", lambda seed=0: [CheckResult("late.check", True, "added late")])
-        assert main(["verify", "late"]) == EXIT_OK
-        assert "[PASS] late.check" in capsys.readouterr().out
+        assert main(["verify", "schedule"]) == EXIT_OK
+        assert "[PASS] schedule.base_case" in capsys.readouterr().out
         assert build_parser() is parser
 
     def test_failing_check_yields_exit_one(self, capsys, monkeypatch):
         monkeypatch.setitem(
-            SUITES, "doomed",
+            SUITES, "schedule",
             lambda seed=0: [CheckResult("doomed.check", False, "injected")])
-        assert main(["verify", "doomed"]) == EXIT_CHECK_FAILED
+        assert main(["verify", "schedule"]) == EXIT_CHECK_FAILED
         out = capsys.readouterr().out
         assert "[FAIL] doomed.check  (injected)" in out
         assert "FAILED: 1 failing" in out
@@ -334,6 +331,21 @@ class TestVerify:
             return sync_bn_backward(handle, dy, cache, dataclasses.replace(state, eps=3e-3))
         monkeypatch.setattr("bigbatch.verify.sync_bn_backward", wrong_eps)
         assert sync_bn_fd_max_err(*args) > FD_TOL
+
+    def test_grad_suite_catches_a_col2im_without_edge_zeroing(self, capsys, monkeypatch):
+        # the model FD check's second conv forms an input gradient, so a
+        # scatter that adds the taps crossing an image edge must fail it
+        def col2im_without_edge_zeroing(dcols, n, h, w):
+            c, p = dcols.shape[1] // 9, n * h * w
+            taps = dcols.T.reshape(c, 3, 3, p)
+            dst = np.zeros(c * p + 2 * (w + 1))
+            for i in range(3):
+                for j in range(3):
+                    dst[i * w + j:i * w + j + c * p] += taps[:, i, j].reshape(-1)
+            return dst[w + 1:w + 1 + c * p].reshape(c, p).T
+        monkeypatch.setattr("bigbatch.model._col2im", col2im_without_edge_zeroing)
+        assert main(["verify", "grad"]) == EXIT_CHECK_FAILED
+        assert "[FAIL] grad.model_fd" in capsys.readouterr().out
 
     def test_check_line_format(self):
         assert CheckResult("a.b", True).line() == "[PASS] a.b"
@@ -669,6 +681,44 @@ def test_bad_value_is_one_named_line(tmp_path, capsys, command, fields, field):
     assert main([command, "--config", cfg, *out]) == EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: ") and field in err
+    assert not (tmp_path / "r").exists()
+
+
+TRAIN_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+RATIO_FIELDS = [f.name for f in dataclasses.fields(SamplerSpec) if f.name != "seed"]
+
+
+@pytest.mark.parametrize("command, fields, expected, bad", [
+    ("train", {"bogus": 1, "epochs": 0}, TRAIN_FIELDS,
+     "epochs must be a positive integer or null, got 0"),
+    ("variance", {"bogus": 1, "trials": 5}, list(VARIANCE_DEFAULTS),
+     "trials must be an integer >= 100 and <= 65536, got 5"),
+    ("ratio-study", {"bogus": 1, "epochs": 0}, RATIO_FIELDS,
+     "epochs must be a positive integer, got 0"),
+])
+def test_unknown_key_and_bad_value_are_one_line(tmp_path, capsys, command, fields, expected,
+                                               bad):
+    cfg = write_config(tmp_path, **fields)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: unknown fields ['bogus']; expected {expected}; {bad}\n")
+    assert not (tmp_path / "r").exists()
+
+
+def test_ratio_study_seed_comes_from_the_flag_only(tmp_path, capsys):
+    cfg = write_config(tmp_path, seed=3)
+    assert main(["ratio-study", "--config", cfg, "--seed", "3"]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: unknown fields ['seed']; expected {RATIO_FIELDS}\n")
+
+
+@pytest.mark.parametrize("command", ["train", "lr-preview", "gen-data"])
+def test_seed_flag_does_not_hide_a_bad_file_seed(tmp_path, capsys, command):
+    cfg = train_config(tmp_path, seed=-1)
+    assert main([command, "--config", cfg, "--seed", "5",
+                 "--out", str(tmp_path / "r")]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: seed must be a non-negative integer, got -1\n")
     assert not (tmp_path / "r").exists()
 
 
@@ -1144,7 +1194,8 @@ def test_train_bytes_are_pinned(tmp_path, capsys, case):
 
 
 # `verify all`'s stdout, recorded at 5f6ecf0: a change that keeps every check
-# passing can still move the errors the checks print
+# passing can still move the errors the checks print. grad.model_fd's line
+# moved when its model gained a second conv, whose input gradient it checks
 PINNED_VERIFY_ALL = """\
 [PASS] bn.concat_equivalence  (max rel err 2.220e-13 over 25 cases)
 [PASS] bn.single_group_bitwise  (synchronized path at group size 1 equals local BN byte for byte)
@@ -1155,7 +1206,7 @@ PINNED_VERIFY_ALL = """\
 [PASS] collectives.sequential_order  (sum equals strict rank 0..n-1 left-to-right accumulation)
 [PASS] collectives.scope_isolation  (per-subgroup sums [3.0, 3.0, 7.0, 7.0])
 [PASS] grad.sync_bn_fd  (max rel err 2.882e-09)
-[PASS] grad.model_fd  (max rel err 8.649e-10)
+[PASS] grad.model_fd  (max rel err 1.106e-08)
 [PASS] schedule.base_case  (batch 16 keeps the 0.02 base rate)
 [PASS] schedule.normal_breakpoints  (x0.1 at epochs 8 and 10, exact)
 [PASS] schedule.long_breakpoints  (x0.1 at 11/14 plus x0.5 at 17, exact)

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigbatch import cli, collectives, optim
+from bigbatch import cli, collectives, optim, schema
 from bigbatch.data import MAX_CLASSES, DatasetSpec
 from bigbatch.model import MAX_LAYER_WIDTH, LayerSpec
 from bigbatch.analysis import (MAX_BATCHES_PER_CELL, MAX_TRIALS, RatioCell, SamplerSpec,
@@ -97,6 +97,8 @@ def test_config_declares_the_library_rules():
     assert rules["world_size"] is collectives.WORLD_SIZE
     assert rules["base_lr"] is optim.RATE and rules["base_batch"] is optim.BATCH
     assert rules["policy"] is optim.POLICY
+    sampler = {f.name: f.metadata["rule"] for f in fields(SamplerSpec)}
+    assert rules["seed"] is sampler["seed"] is cli.SEED is schema.SEED  # and the --seed flag
 
 
 def test_report_defaults_are_unchanged():

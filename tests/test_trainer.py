@@ -5,8 +5,11 @@ of epochs) so the whole file runs in seconds; the heavyweight parity and
 accuracy checks live in test_acceptance.py.
 """
 
+import contextlib
 import json
 import math
+import sys
+import threading
 import time
 from collections import Counter
 from dataclasses import asdict
@@ -39,7 +42,7 @@ from bigbatch import (
     SGDState,
     Tensor,
 )
-from bigbatch import batchnorm, cli, data, trainer
+from bigbatch import batchnorm, cli, data, schema, trainer
 from bigbatch.collectives import CollectiveProtocolError
 from bigbatch.data import DatasetSpec, generate_dataset, save_dataset
 from bigbatch.model import ModelSpec, LayerSpec
@@ -51,6 +54,7 @@ from bigbatch.trainer import (
     _count_allreduce_rounds,
     build_model,
     iteration_wall_ms,
+    read_json_object,
     resolve,
     resolve_dataset,
 )
@@ -71,6 +75,25 @@ def smoke_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
+
+
+@contextlib.contextmanager
+def rule_evaluations():
+    """Count the `schema` rule evaluations (calls of the closure every rule
+    is) in this thread and in the threads it starts, as a list of 1s."""
+    rule = schema.integer().__code__
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is rule:
+            calls.append(1)
+    sys.setprofile(hook)
+    threading.setprofile(hook)
+    try:
+        yield calls
+    finally:
+        threading.setprofile(None)
+        sys.setprofile(None)
 
 
 class TestReplicaSync:
@@ -154,12 +177,14 @@ class TestExperimentConfig:
         # pointing at a directory defers all checks to load time
         assert ExperimentConfig(dataset={"dir": "/nonexistent/for/now"}).dataset_spec is None
 
+    @pytest.mark.parametrize("seed", [[], ["--seed", "5"]], ids=["file seed", "seed flag"])
     @pytest.mark.parametrize("command, builds, passes", [
         ("train", 1, 2), ("lr-preview", 1, 1), ("gen-data", 1, 2)])
     def test_dataset_spec_is_built_once_per_command(self, tmp_path, monkeypatch, capsys,
-                                                     command, builds, passes):
+                                                     command, builds, passes, seed):
         # a spec build runs the class-bump code for the blob_sigma rule;
-        # train and gen-data run it once more to draw the data
+        # train and gen-data run it once more to draw the data. --seed
+        # replaces the file's seed before the one construction
         counts = Counter()
         init, bumps = DatasetSpec.__post_init__, data._unit_bumps
         monkeypatch.setattr(DatasetSpec, "__post_init__",
@@ -169,23 +194,50 @@ class TestExperimentConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"per_device_batch": 4, "epochs": 1,
                                     "dataset": {"size": 16, "classes": 2}}))
-        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                         *seed]) == 0
         assert (counts["builds"], counts["passes"]) == (builds, passes)
 
-    def test_from_json(self, tmp_path):
+    RAW = {"world_size": 2, "per_device_batch": 4, "epochs": 1, "seed": 3,
+           "model": [{"kind": "conv3x3", "out_channels": 2}, {"kind": "bn"},
+                     {"kind": "relu"}, {"kind": "global_mean_pool"}, {"kind": "dense"}],
+           "dataset": {"size": 16, "classes": 2}}
+
+    def test_from_dict_runs_each_rule_as_construction_does(self):
+        # a valid dict is checked once, by the construction's own rules
+        with rule_evaluations() as direct:
+            ExperimentConfig(**self.RAW)
+        with rule_evaluations() as loaded:
+            ExperimentConfig.from_dict(self.RAW)
+        assert direct and len(loaded) == len(direct)
+
+    @pytest.mark.parametrize("command", ["train", "lr-preview", "gen-data"])
+    def test_seed_flag_adds_at_most_two_rule_evaluations(self, tmp_path, capsys, command):
+        # one for the flag in main, one for the file seed it replaces
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self.RAW))
+        counts = []
+        for seed in ([], ["--seed", "5"]):
+            argv = [command, "--config", str(path), "--out", str(tmp_path / str(len(seed)))]
+            with rule_evaluations() as calls:
+                assert cli.main(argv + seed) == 0
+            counts.append(len(calls))
+        assert counts[0] < counts[1] <= counts[0] + 2
+
+    def test_from_a_json_file(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"world_size": 2, "per_device_batch": 4}))
-        cfg = ExperimentConfig.from_json(p)
+        cfg = ExperimentConfig.from_dict(read_json_object(p))
         assert cfg.total_batch == 8
 
         with pytest.raises(ConfigError, match="not found"):
-            ExperimentConfig.from_json(tmp_path / "missing.json")
+            read_json_object(tmp_path / "missing.json")
         (tmp_path / "broken.json").write_text("{nope")
         with pytest.raises(ConfigError, match="not valid JSON"):
-            ExperimentConfig.from_json(tmp_path / "broken.json")
+            read_json_object(tmp_path / "broken.json")
         (tmp_path / "list.json").write_text("[1, 2]")
         with pytest.raises(ConfigError, match="JSON object"):
-            ExperimentConfig.from_json(tmp_path / "list.json")
+            read_json_object(tmp_path / "list.json")
 
 
 class TestBuildModelAndResolve:
