@@ -80,7 +80,6 @@ from .data import (
     save_dataset,
 )
 from .trainer import (
-    CSV_HEADER,
     ConfigError,
     ExperimentConfig,
     MetricsRow,
@@ -121,5 +120,5 @@ __all__ = [
     "load_dataset", "class_means",
     # trainer
     "ExperimentConfig", "ConfigError", "TrainerError", "TrainResult",
-    "MetricsRow", "CSV_HEADER", "check_replica_sync", "run_training", "write_outputs",
+    "MetricsRow", "check_replica_sync", "run_training", "write_outputs",
 ]

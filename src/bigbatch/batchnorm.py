@@ -126,7 +126,6 @@ class BNForwardCache:
     mu: np.ndarray
     var: np.ndarray
     total_count: int
-    train: bool
     scope_key: str | None = None  # None for a purely local forward
 
 
@@ -156,10 +155,10 @@ def _unrows(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(rows.reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
 
-def _normalize(rows: np.ndarray, shape, state: BNLayerState, mu, var, count: int,
-               train: bool, scope_key=None) -> tuple[np.ndarray, BNForwardCache]:
-    """y = gamma * x_hat + beta, x_hat = inv_std * rows + (-mu * inv_std), in the
-    dtype of `rows`. Only y is scanned: it is non-finite wherever x_hat is."""
+def _normalize(rows: np.ndarray, state: BNLayerState, mu, var) -> tuple[np.ndarray, np.ndarray]:
+    """(y, x_hat) as (M, C) rows in the dtype of `rows`: y = gamma * x_hat + beta,
+    x_hat = inv_std * rows + (-mu * inv_std). Only y is scanned: it is
+    non-finite wherever x_hat is."""
     inv_std = 1.0 / np.sqrt(var + state.eps)
     blocks, (inv, shift, gamma, beta) = channel_blocks(
         rows, inv_std, -mu * inv_std, state.gamma, state.beta, out=state.operands.normalize)
@@ -167,8 +166,7 @@ def _normalize(rows: np.ndarray, shape, state: BNLayerState, mu, var, count: int
     x_hat += shift
     y = x_hat * gamma
     y += beta
-    return _check_finite(y.reshape(rows.shape), "bn_forward"), BNForwardCache(
-        x_hat.reshape(rows.shape), shape, mu, var, count, train, scope_key)
+    return _check_finite(y.reshape(rows.shape), "bn_forward"), x_hat.reshape(rows.shape)
 
 
 def _train_forward(rows: np.ndarray, shape, state: BNLayerState, reduce_vec,
@@ -197,25 +195,26 @@ def _train_forward(rows: np.ndarray, shape, state: BNLayerState, reduce_vec,
         raise BatchNormError(
             f"training-mode statistics need at least 2 elements per channel, got {m_int}"
         )
-    y, cache = _normalize(rows, shape, state, mu, var, m_int, True, scope_key)
+    y, x_hat = _normalize(rows, state, mu, var)
     bn_update_running(state, mu, var, m_int)
-    return y, cache
+    return y, BNForwardCache(x_hat, shape, mu, var, m_int, scope_key)
 
 
 def bn_forward_local(x: np.ndarray, state: BNLayerState,
-                     mode: str = "train") -> tuple[np.ndarray, BNForwardCache]:
+                     mode: str = "train") -> tuple[np.ndarray, BNForwardCache | None]:
     """Batch normalization over a single device's batch.
 
-    Training mode computes biased per-channel statistics from `x` and
-    updates the running estimates; eval mode normalizes with the running
-    statistics and leaves the state untouched.
+    Training mode computes biased per-channel statistics from `x`, updates
+    the running estimates and returns the backward cache; eval mode
+    normalizes with the running statistics, leaves the state untouched and
+    returns None for the cache.
     """
     rows = _rows(x, state)
     if mode == "train":
         y, cache = _train_forward(rows, x.shape, state, lambda v: v, None, False)
     elif mode == "eval":
-        y, cache = _normalize(rows, x.shape, state, state.running_mean.copy(),
-                              state.running_var.copy(), rows.shape[0], False)
+        y, _ = _normalize(rows, state, state.running_mean, state.running_var)
+        cache = None
     else:
         raise BatchNormError(f"mode must be 'train' or 'eval', got {mode!r}")
     return _unrows(y, x.shape), cache
@@ -239,7 +238,7 @@ def sync_bn_forward(handle: DeviceHandle, x_local: np.ndarray, state: BNLayerSta
 
 
 def _backward_core(dy: np.ndarray, cache: BNForwardCache, state: BNLayerState, reduce_vec):
-    if not cache.train:
+    if cache is None:  # what an eval forward returns
         raise BatchNormError("backward requires a training-mode forward cache")
     if dy.shape != cache.shape:
         raise BatchNormError(
@@ -268,7 +267,7 @@ def _backward_core(dy: np.ndarray, cache: BNForwardCache, state: BNLayerState, r
 def bn_backward_local(dy: np.ndarray, cache: BNForwardCache,
                       state: BNLayerState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward pass matching a local training-mode forward."""
-    if cache.scope_key is not None:
+    if cache is not None and cache.scope_key is not None:
         raise BatchNormError("cache came from a synchronized forward; use sync_bn_backward")
     # the local sums are the totals, copied out of the operand the next step refills
     dx, dgamma, dbeta = _backward_core(dy, cache, state, np.copy)
@@ -284,7 +283,7 @@ def sync_bn_backward(handle: DeviceHandle, dy_local: np.ndarray, cache: BNForwar
     rank and the whole pass is the exact adjoint of the forward.
     """
     scope_key = handle.bn_scope_key
-    if cache.scope_key != scope_key:
+    if cache is not None and cache.scope_key != scope_key:
         raise BatchNormError(
             f"cache was produced under scope {cache.scope_key!r} but this device "
             f"belongs to {scope_key!r}"
@@ -295,8 +294,8 @@ def sync_bn_backward(handle: DeviceHandle, dy_local: np.ndarray, cache: BNForwar
 
 
 def bn_update_running(state: BNLayerState, mu: np.ndarray, var: np.ndarray,
-                      count: int) -> BNLayerState:
-    """Blend batch statistics into the running estimates, in place.
+                      count: int) -> None:
+    """Blend batch statistics into the running estimates, in place; returns None.
 
     The state's arrays are written, not rebound: a model's `buffers` see the
     new values. The running variance uses the unbiased correction
@@ -308,4 +307,3 @@ def bn_update_running(state: BNLayerState, mu: np.ndarray, var: np.ndarray,
     unbiased = var * (count / (count - 1.0))
     state.running_mean[...] = (1.0 - rho) * state.running_mean + rho * mu
     state.running_var[...] = (1.0 - rho) * state.running_var + rho * unbiased
-    return state

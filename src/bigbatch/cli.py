@@ -38,7 +38,7 @@ from .analysis import (
 from .collectives import CollectiveError
 from .data import DataError, generate_dataset, save_dataset
 from .optim import ScheduleError, lr_at
-from .schema import SEED, check, csv_header, csv_text, integer, json_text, load
+from .schema import SEED, check, csv_text, integer, json_text, load
 from .trainer import (
     ConfigError,
     ExperimentConfig,
@@ -57,8 +57,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_RUN_FAILED = 4
-
-RATIO_CSV_HEADER = csv_header(RatioCell)
 
 
 @dataclass

@@ -203,8 +203,8 @@ class SGDState:
         return flat
 
 
-def sgd_step(params: dict, grads, state: SGDState, lr: float) -> dict:
-    """One momentum-SGD update of the state's flat buffers, in place.
+def sgd_step(params: dict, grads, state: SGDState, lr: float) -> None:
+    """One momentum-SGD update of the state's flat buffers, in place; returns None.
 
     g' = grad + wd * w on the decay spans, v <- m * v + g', w <- w - lr * v,
     elementwise over the whole layout. `grads` is either a dict keyed like
@@ -235,4 +235,3 @@ def sgd_step(params: dict, grads, state: SGDState, lr: float) -> dict:
         raise DivergenceError(f"non-finite update for parameter {key!r}")
     state.flat_velocity[:] = v
     w[:] = w_new
-    return params

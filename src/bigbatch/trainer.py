@@ -70,7 +70,7 @@ from .optim import (
     make_policy,
     sgd_step,
 )
-from .schema import (SEED, array, boolean, check_fields, csv_header, csv_text, integer,
+from .schema import (SEED, array, boolean, check_fields, csv_text, integer,
                      json_text, keyed, load, mapping, number, ruled, string)
 from .tensor import NonFiniteError, Tensor
 
@@ -301,30 +301,21 @@ class MetricsRow:
     wall_ms: float
 
 
-CSV_HEADER = csv_header(MetricsRow)
-
-
 def iteration_wall_ms(config: ExperimentConfig, allreduce_rounds: int) -> float:
     latency = ALLREDUCE_ROUND_MS * (config.world_size - 1).bit_length()
     return config.per_device_batch * SAMPLE_STEP_MS + allreduce_rounds * latency
 
 
-def _params_checksum(params: dict) -> int:
-    crc = 0
-    for key in sorted(params):
-        crc = zlib.crc32(np.ascontiguousarray(params[key]).tobytes(), crc)
-    return crc
-
-
-def check_replica_sync(handle, params: dict, context: str) -> None:
+def check_replica_sync(handle, flat_params: np.ndarray, context: str) -> None:
     """Raise TrainerError if this rank's parameter bytes differ from rank 0's.
 
-    Every rank in the world scope must call this together; rank 0
-    broadcasts its checksum and the others compare. Catches silent replica
-    drift (a missed gradient exchange, a stray in-place edit) close to
-    where it happened instead of at the end of the run.
+    `flat_params` is the replica's one parameter buffer (`SGDState.flat_params`),
+    whose CRC-32 is the checksum. Every rank in the world scope must call this
+    together; rank 0 broadcasts its checksum and the others compare. Catches
+    silent replica drift (a missed gradient exchange, a stray in-place edit)
+    close to where it happened instead of at the end of the run.
     """
-    crc = _params_checksum(params)
+    crc = zlib.crc32(flat_params)
     ref = broadcast(handle, SCOPE_WORLD, 0,
                     np.array([float(crc)]) if handle.rank == 0 else None)
     if int(ref[0]) != crc:
@@ -336,7 +327,7 @@ def check_replica_sync(handle, params: dict, context: str) -> None:
 class TrainResult:
     status: str                      # "ok" or "diverged"
     rows: list
-    eval_history: list               # (epoch, accuracy) pairs
+    eval_history: list               # (epoch, accuracy) of each eval row
     final_params: dict | None
     final_buffers: dict | None
     diverged_at: str | None
@@ -393,7 +384,7 @@ def run_training(config: ExperimentConfig) -> TrainResult:
         rank_plan = plan(model, params, buffers, handle, config.one_pass_bn)
         # gradients in the sgd.keys layout, then the task loss; the allreduce copies it
         payload = np.empty(sgd.flat_params.size + 1)
-        rows, evals = [], []
+        rows = []
         for epoch in range(res.epochs):
             perm = np.random.default_rng((config.seed, 3, epoch)).permutation(
                 images.shape[0])
@@ -418,22 +409,19 @@ def run_training(config: ExperimentConfig) -> TrainResult:
                     rows.append(MetricsRow(epoch, it, lr, task, reg, task + reg, None, iter_ms))
                 sgd_step(params, mean[:-1], sgd, lr)
                 if config.checksum_interval and it % config.checksum_interval == 0:
-                    check_replica_sync(handle, params, f"epoch {epoch} iter {it}")
-            if handle.rank == 0:
+                    check_replica_sync(handle, sgd.flat_params, f"epoch {epoch} iter {it}")
+            if handle.rank == 0:  # the eval row carries the epoch's last rate
                 acc = accuracy(eval_logits(rank_plan, eval_chunks), dataset.eval_labels)
-                evals.append((epoch, acc))
-                last_lr = lr_at(res.policy, epoch, res.iters_per_epoch - 1,
-                                res.iters_per_epoch)
-                rows.append(MetricsRow(epoch, res.iters_per_epoch, last_lr,
+                rows.append(MetricsRow(epoch, res.iters_per_epoch, lr,
                                        None, None, None, acc, eval_ms))
-        return rows, evals, params, buffers
+        return rows, params, buffers
 
     group = DeviceGroup(world, bn_group_size=res.bn_group_size)
     try:  # rank 0 reports; the other ranks' rows are empty, their state the same
-        rows, evals, params, buffers = group.run(worker)[0]
+        rows, params, buffers = group.run(worker)[0]
         status, diverged_at = "ok", None
     except DivergenceError as e:  # a blow-up mid-step leaves no trustworthy state
-        status, diverged_at, rows, evals, params, buffers = "diverged", str(e), [], [], None, None
+        status, diverged_at, rows, params, buffers = "diverged", str(e), [], None, None
 
     manifest = {
         "config": asdict(config),
@@ -452,7 +440,9 @@ def run_training(config: ExperimentConfig) -> TrainResult:
         },
     }
     return TrainResult(
-        status=status, rows=rows, eval_history=evals, final_params=params,
+        status=status, rows=rows,
+        eval_history=[(r.epoch, r.eval_acc) for r in rows if r.eval_acc is not None],
+        final_params=params,
         final_buffers=buffers, diverged_at=diverged_at, manifest=manifest,
         measured_wall_s=time.perf_counter() - t0,
     )

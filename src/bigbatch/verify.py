@@ -122,9 +122,10 @@ def check_running_stats(seed=3) -> CheckResult:
     want_var = cache.var * (m / (m - 1.0))
     ok = (np.allclose(state.running_mean, cache.mu, rtol=0, atol=0)
           and np.allclose(state.running_var, want_var, rtol=0, atol=0))
-    before = state.running_var.copy()
-    bn_forward_local(x, state, mode="eval")
-    ok = ok and np.array_equal(state.running_var, before)
+    before = state.running_mean.tobytes() + state.running_var.tobytes()
+    # another batch: an eval that blended its statistics would rewrite both buffers
+    bn_forward_local(2 * x + 1, state, mode="eval")
+    ok = ok and state.running_mean.tobytes() + state.running_var.tobytes() == before
     return CheckResult("bn.running_stats", ok,
                        "momentum-1 update equals unbiased batch stats; eval leaves them alone")
 
@@ -140,6 +141,18 @@ def suite_bn(seed: int = 0) -> list:
 
 # ---------------------------------------------------------------------------
 # grad suite
+
+
+def _central_diff(f, a: np.ndarray, idx=None) -> float:
+    """(f(hi) - f(lo)) / (2 * FD_STEP) on two copies of `a`, moved by +-FD_STEP
+    at `idx`. With idx None both stay unmoved: a rank that owns no coordinate
+    still evaluates a collective objective in lockstep with its peers."""
+    hi = a.copy()
+    lo = a.copy()
+    if idx is not None:
+        hi[idx] += FD_STEP
+        lo[idx] -= FD_STEP
+    return (f(hi) - f(lo)) / (2 * FD_STEP)
 
 
 def sync_bn_fd_max_err(world_size: int, shard_sizes, channels: int, hw,
@@ -180,25 +193,14 @@ def sync_bn_fd_max_err(world_size: int, shard_sizes, channels: int, hw,
         worst = 0.0
         for r in range(world_size):
             for idx in coords[r]:
-                hi = xs[me].copy()
-                lo = xs[me].copy()
-                if r == me:
-                    hi[idx] += FD_STEP
-                    lo[idx] -= FD_STEP
-                fd = (objective(hi, gamma, beta) - objective(lo, gamma, beta)) / (2 * FD_STEP)
+                fd = _central_diff(lambda a: objective(a, gamma, beta), xs[me],
+                                   idx if r == me else None)
                 if r == me:
                     worst = max(worst, rel_err(fd, dx[idx]))
         for c in range(channels):
-            for vec, grad in ((gamma, dgamma), (beta, dbeta)):
-                hi = vec.copy()
-                lo = vec.copy()
-                hi[c] += FD_STEP
-                lo[c] -= FD_STEP
-                if vec is gamma:
-                    fd = (objective(xs[me], hi, beta) - objective(xs[me], lo, beta)) / (2 * FD_STEP)
-                else:
-                    fd = (objective(xs[me], gamma, hi) - objective(xs[me], gamma, lo)) / (2 * FD_STEP)
-                worst = max(worst, rel_err(fd, grad[c]))
+            fd_gamma = _central_diff(lambda g: objective(xs[me], g, beta), gamma, c)
+            fd_beta = _central_diff(lambda b: objective(xs[me], gamma, b), beta, c)
+            worst = max(worst, rel_err(fd_gamma, dgamma[c]), rel_err(fd_beta, dbeta[c]))
         return worst
 
     return max(group.run(worker))
@@ -244,17 +246,12 @@ def model_fd_max_err(seed: int = 0, weight_decay: float = 1e-2,
     worst = 0.0
     coord_rng = np.random.default_rng((seed, 2))
     for key in sorted(params):
-        flat = params[key].ravel()
-        n = flat.size
+        shape = params[key].shape
+        n = params[key].size
         picks = coord_rng.choice(n, size=min(coords_per_block, n), replace=False)
         for i in picks:
-            hi = dict(params)
-            hi[key] = params[key].copy()
-            hi[key].ravel()[i] += FD_STEP
-            lo = dict(params)
-            lo[key] = params[key].copy()
-            lo[key].ravel()[i] -= FD_STEP
-            fd = (total_loss(hi) - total_loss(lo)) / (2 * FD_STEP)
+            fd = _central_diff(lambda w: total_loss({**params, key: w.reshape(shape)}),
+                               params[key].ravel(), i)
             worst = max(worst, rel_err(fd, grads[key].ravel()[i]))
     return worst
 

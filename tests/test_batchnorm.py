@@ -179,7 +179,7 @@ class TestEvalForward:
                 xh = (x[n, c] - st.running_mean[c]) / np.sqrt(st.running_var[c] + 1e-5)
                 want[n, c] = st.gamma[c] * xh + st.beta[c]
         assert np.allclose(y, want, atol=1e-12)
-        assert cache.train is False
+        assert cache is None
 
     def test_eval_does_not_touch_state(self):
         st = BNLayerState.create(2)
@@ -187,6 +187,20 @@ class TestEvalForward:
         bn_forward_local(np.random.default_rng(1).normal(size=(8, 2)), st, mode="eval")
         assert np.array_equal(st.running_mean, before[0])
         assert np.array_equal(st.running_var, before[1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 3, 4, 3)])
+    def test_returns_no_cache_and_leaves_buffers_bitwise(self, shape, dtype):
+        rng = np.random.default_rng(3)
+        st = random_state(rng, 3)
+        st.running_mean[:] = rng.normal(size=3)
+        st.running_var[:] = rng.uniform(0.5, 2.0, size=3)
+        mean, var = st.running_mean, st.running_var
+        before = mean.tobytes() + var.tobytes()
+        _, cache = bn_forward_local(rng.normal(size=shape).astype(dtype), st, mode="eval")
+        assert cache is None
+        assert st.running_mean is mean and st.running_var is var
+        assert mean.tobytes() + var.tobytes() == before
 
     def test_eval_cache_rejected_by_backward(self):
         st = BNLayerState.create(2)
@@ -233,7 +247,7 @@ class TestRunningStats:
         mu, batch_var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
         want_mean = (1.0 - 0.3) * mean + 0.3 * mu
         want_var = (1.0 - 0.3) * var + 0.3 * (batch_var * (6 / 5.0))
-        assert bn_update_running(st, mu, batch_var, 6) is st
+        assert bn_update_running(st, mu, batch_var, 6) is None
         assert st.running_mean is mean and st.running_var is var
         assert np.array_equal(mean, want_mean) and np.array_equal(var, want_var)
 
@@ -415,10 +429,14 @@ class TestBackwardLocal:
     def test_rejects_sync_cache(self):
         st = BNLayerState.create(2)
         cache = BNForwardCache(x_hat=np.ones((2, 2)), shape=(2, 2), mu=np.zeros(2),
-                               var=np.ones(2), total_count=2, train=True,
-                               scope_key="bn0")
+                               var=np.ones(2), total_count=2, scope_key="bn0")
         with pytest.raises(BatchNormError, match="synchronized"):
             bn_backward_local(np.ones((2, 2)), cache, st)
+
+    def test_rejects_no_cache_with_one_line(self):
+        with pytest.raises(BatchNormError) as e:
+            bn_backward_local(np.ones((2, 2)), None, BNLayerState.create(2))
+        assert str(e.value) == "backward requires a training-mode forward cache"
 
     def test_shape_mismatch(self):
         st = BNLayerState.create(2)
@@ -593,14 +611,22 @@ class TestBackwardSync:
 
         def fn(h):
             cache = BNForwardCache(x_hat=np.ones((2, 2)), shape=(2, 2), mu=np.zeros(2),
-                                   var=np.ones(2), total_count=2, train=True,
-                                   scope_key="bn7")
+                                   var=np.ones(2), total_count=2, scope_key="bn7")
             with pytest.raises(BatchNormError, match="bn7"):
                 sync_bn_backward(h, np.ones((2, 2)), cache,
                                  BNLayerState.create(2))
             return True
 
         assert g.run(fn) == [True]
+
+    def test_rejects_no_cache_with_one_line(self):
+        # every rank refuses before it enters a collective
+        def fn(h):
+            with pytest.raises(BatchNormError) as e:
+                sync_bn_backward(h, np.ones((2, 2)), None, BNLayerState.create(2))
+            return str(e.value)
+
+        assert DeviceGroup(2).run(fn) == ["backward requires a training-mode forward cache"] * 2
 
     def test_rejects_local_cache(self):
         g = DeviceGroup(1)

@@ -23,6 +23,7 @@ from bigbatch.analysis import (
     MAX_TRIALS,
     TRIAL_DRAWS,
     AnalysisError,
+    RatioCell,
     SamplerSpec,
     VarianceSpec,
     estimate_grad_variance,
@@ -39,7 +40,6 @@ from bigbatch.cli import (
     EXIT_RUN_FAILED,
     MAX_PREVIEW_ROWS,
     PREVIEW_ROWS,
-    RATIO_CSV_HEADER,
     VARIANCE_DEFAULTS,
     build_parser,
     main,
@@ -47,11 +47,13 @@ from bigbatch.cli import (
 from bigbatch.collectives import CollectiveProtocolError, DeviceGroup
 from bigbatch.trainer import ExperimentConfig, TrainerError
 from bigbatch.optim import lr_at, make_policy
-from bigbatch.trainer import CSV_HEADER
+from bigbatch.schema import csv_header
+from bigbatch.trainer import MetricsRow
 from bigbatch.verify import (FD_TOL, SUITES, CheckResult, _random_case, run_suite,
                              sync_bn_fd_max_err)
 
 from helpers import WIDTH_ONE_CONV
+from test_mutants import col2im_without_edge_zeroing
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
@@ -104,7 +106,7 @@ class TestTrain:
         stdout = capsys.readouterr().out
         assert "status: ok" in stdout
         assert f"outputs in: {out}" in stdout
-        assert (out / "metrics.csv").read_text().splitlines()[0] == CSV_HEADER
+        assert (out / "metrics.csv").read_text().splitlines()[0] == csv_header(MetricsRow)
         assert (out / "manifest.json").exists()
         assert (out / "checkpoint.npz").exists()
 
@@ -335,14 +337,6 @@ class TestVerify:
     def test_grad_suite_catches_a_col2im_without_edge_zeroing(self, capsys, monkeypatch):
         # the model FD check's second conv forms an input gradient, so a
         # scatter that adds the taps crossing an image edge must fail it
-        def col2im_without_edge_zeroing(dcols, n, h, w):
-            c, p = dcols.shape[1] // 9, n * h * w
-            taps = dcols.T.reshape(c, 3, 3, p)
-            dst = np.zeros(c * p + 2 * (w + 1))
-            for i in range(3):
-                for j in range(3):
-                    dst[i * w + j:i * w + j + c * p] += taps[:, i, j].reshape(-1)
-            return dst[w + 1:w + 1 + c * p].reshape(c, p).T
         monkeypatch.setattr("bigbatch.model._col2im", col2im_without_edge_zeroing)
         assert main(["verify", "grad"]) == EXIT_CHECK_FAILED
         assert "[FAIL] grad.model_fd" in capsys.readouterr().out
@@ -420,15 +414,15 @@ class TestRatioStudy:
                  drift_batch_exponent=0.5)
 
     def test_header_is_pinned(self):
-        assert RATIO_CSV_HEADER == ("epoch,batch_size,mean_ratio_pct,std_ratio_pct,"
-                                    "mean_pos_frac_pct,std_pos_frac_pct,"
-                                    "zero_positive_batches")
+        assert csv_header(RatioCell) == ("epoch,batch_size,mean_ratio_pct,std_ratio_pct,"
+                                         "mean_pos_frac_pct,std_pos_frac_pct,"
+                                         "zero_positive_batches")
 
     def test_stdout_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **self.FIXED)
         assert main(["ratio-study", "--config", cfg]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == RATIO_CSV_HEADER
+        assert lines[0] == csv_header(RatioCell)
         assert len(lines) == 1 + 2 * 2  # epochs x batch sizes
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "8"
@@ -440,7 +434,7 @@ class TestRatioStudy:
         out = tmp_path / "study"
         assert main(["ratio-study", "--config", cfg, "--out", str(out)]) == EXIT_OK
         csv = (out / "ratio_study.csv").read_text().splitlines()
-        assert csv[0] == RATIO_CSV_HEADER
+        assert csv[0] == csv_header(RatioCell)
         report = json.loads((out / "ratio_study.json").read_text())
         assert len(report["cells"]) == 4
         assert report["cells"][0]["zero_positive_batches"] == 0
@@ -770,7 +764,7 @@ def test_drift_batch_exponent_at_its_bounds_runs(tmp_path, capsys, exponent):
     cfg = write_config(tmp_path, drift_batch_exponent=exponent, batch_sizes=[1, 16, 256],
                        epochs=1, batches_per_cell=2)
     assert main(["ratio-study", "--config", cfg]) == EXIT_OK
-    assert capsys.readouterr().out.startswith(RATIO_CSV_HEADER + "\n")
+    assert capsys.readouterr().out.startswith(csv_header(RatioCell) + "\n")
 
 
 @pytest.mark.parametrize("command", ["train", "variance", "ratio-study", "lr-preview",

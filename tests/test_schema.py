@@ -30,7 +30,7 @@ from bigbatch.analysis import (MAX_BATCHES_PER_CELL, MAX_TRIALS, RatioCell, Samp
                                VarianceSpec)
 from bigbatch.schema import (array, boolean, csv_header, csv_line, csv_text, integer, json_text,
                              mapping, number, one_of, string)
-from bigbatch.trainer import CSV_HEADER, ExperimentConfig, MetricsRow
+from bigbatch.trainer import ExperimentConfig, MetricsRow
 
 
 @pytest.mark.parametrize("rule,value,message", [
@@ -130,8 +130,8 @@ def test_csv_rule():
 
 
 def test_csv_headers_are_the_record_fields():
-    assert CSV_HEADER == ",".join(f.name for f in fields(MetricsRow))
-    assert cli.RATIO_CSV_HEADER == ",".join(f.name for f in fields(RatioCell))
+    assert csv_header(MetricsRow) == ",".join(f.name for f in fields(MetricsRow))
+    assert csv_header(RatioCell) == ",".join(f.name for f in fields(RatioCell))
 
 
 def test_json_layout():

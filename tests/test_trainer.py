@@ -11,6 +11,7 @@ import math
 import sys
 import threading
 import time
+import zlib
 from collections import Counter
 from dataclasses import asdict
 
@@ -20,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bigbatch import (
-    CSV_HEADER,
     ConfigError,
     DeviceGroup,
     ExperimentConfig,
@@ -46,7 +46,7 @@ from bigbatch import batchnorm, cli, data, schema, trainer
 from bigbatch.collectives import CollectiveProtocolError
 from bigbatch.data import DatasetSpec, generate_dataset, save_dataset
 from bigbatch.model import ModelSpec, LayerSpec
-from bigbatch.schema import csv_line
+from bigbatch.schema import csv_header, csv_line
 from bigbatch.tensor import NonFiniteError
 from bigbatch.trainer import (
     MAX_PATCH_BYTES,
@@ -101,8 +101,9 @@ class TestReplicaSync:
         group = DeviceGroup(2)
 
         def worker(h):
-            params = {"w": np.arange(6.0).reshape(2, 3), "b": np.zeros(3)}
-            check_replica_sync(h, params, "epoch 0 iter 0")
+            sgd = SGDState.create({"w": np.arange(6.0).reshape(2, 3), "b": np.zeros(3)},
+                                  momentum=0.0, weight_decay=0.0)
+            check_replica_sync(h, sgd.flat_params, "epoch 0 iter 0")
             return "ok"
 
         assert group.run(worker) == ["ok", "ok"]
@@ -111,10 +112,10 @@ class TestReplicaSync:
         group = DeviceGroup(2)
 
         def worker(h):
-            params = {"w": np.ones((2, 2))}
+            flat = np.ones(4)
             if h.rank == 1:
-                params["w"] = params["w"] + 1e-12
-            check_replica_sync(h, params, "epoch 1 iter 4")
+                flat = flat + 1e-12
+            check_replica_sync(h, flat, "epoch 1 iter 4")
             return "ok"
 
         out = rank_outcomes(group, worker)
@@ -122,6 +123,34 @@ class TestReplicaSync:
         assert isinstance(out[1], TrainerError)
         assert "rank 1" in str(out[1])
         assert "epoch 1 iter 4" in str(out[1])
+
+    def test_one_ulp_in_any_span_is_named(self):
+        params = {"a.w": np.arange(6.0).reshape(2, 3), "a.b": np.zeros(3), "z": np.ones(1)}
+        spans = SGDState.create(dict(params), 0.0, 0.0).spans
+        for key, span in spans.items():
+            for i in (span.start, span.stop - 1):
+                def worker(h):
+                    flat = SGDState.create(dict(params), 0.0, 0.0).flat_params
+                    if h.rank == 1:
+                        flat[i] = np.nextafter(flat[i], np.inf)
+                    check_replica_sync(h, flat, f"epoch 2 iter {i}")
+                    return "ok"
+
+                out = rank_outcomes(DeviceGroup(2), worker)
+                assert out[0] == "ok", key
+                assert str(out[1]) == f"replica checksum mismatch on rank 1 at epoch 2 iter {i}"
+
+    def test_flat_crc_is_the_chained_per_key_crc(self):
+        # the checksum rank 0 broadcasts is the one a per-key walk in sorted
+        # order would chain, so hashing the flat buffer changes no value
+        rng = np.random.default_rng(4)
+        params = {"b.w": rng.normal(size=(3, 2)), "a.b": rng.normal(size=4),
+                  "a.w": rng.normal(size=(2, 2, 3))}
+        sgd = SGDState.create(params, 0.9, 1e-4)
+        crc = 0
+        for key in sorted(params):
+            crc = zlib.crc32(np.ascontiguousarray(params[key]).tobytes(), crc)
+        assert zlib.crc32(sgd.flat_params) == crc
 
 
 class TestExperimentConfig:
@@ -402,7 +431,7 @@ class TestBuildModelAndResolve:
 
 class TestMetricsAndWallModel:
     def test_header_is_pinned(self):
-        assert CSV_HEADER == "epoch,iter,lr,task_loss,reg_loss,total_loss,eval_acc,wall_ms"
+        assert csv_header(MetricsRow) == "epoch,iter,lr,task_loss,reg_loss,total_loss,eval_acc,wall_ms"
 
     def test_csv_line_formats_floats_and_blanks(self):
         row = MetricsRow(epoch=0, iter=1, lr=0.1, task_loss=1.5, reg_loss=None,
@@ -490,6 +519,22 @@ class TestRunTraining:
         assert len(result.eval_history) == 8
         assert result.eval_history[-1][1] >= 0.6  # chance is 0.25
         assert result.final_params is not None
+
+    def test_eval_history_is_the_eval_rows(self):
+        diverging = {
+            "world_size": 1, "per_device_batch": 8, "base_lr": 2000.0,
+            "warmup_iters": 0, "momentum": 0.0, "epochs": 3,
+            "model": [{"kind": "global_mean_pool"},
+                      {"kind": "dense", "out_features": None}],
+            "dataset": {"size": 128, "classes": 4, "height": 4, "width": 4},
+        }
+        ok = run_training(smoke_config(world_size=2, per_device_batch=4, epochs=2))
+        diverged = run_training(ExperimentConfig.from_dict(diverging))
+        assert (ok.status, diverged.status) == ("ok", "diverged")
+        for result, epochs in ((ok, [0, 1]), (diverged, [])):
+            evals = [r for r in result.rows if r.task_loss is None]
+            assert result.eval_history == [(r.epoch, r.eval_acc) for r in evals]
+            assert [epoch for epoch, _ in result.eval_history] == epochs
 
     def test_rows_follow_the_cost_model_and_schedule(self):
         cfg = smoke_config()
@@ -658,7 +703,7 @@ class TestRunTraining:
         result = run_training(cfg)
         write_outputs(result, tmp_path / "run")
         csv = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
-        assert csv[0] == CSV_HEADER
+        assert csv[0] == csv_header(MetricsRow)
         assert len(csv) == 1 + 9
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest == result.manifest
@@ -685,7 +730,7 @@ class TestRunTraining:
         # the blow-up happened mid-allreduce, so no trustworthy state exists
         assert result.final_params is None
         write_outputs(result, tmp_path / "run")
-        assert (tmp_path / "run" / "metrics.csv").read_text() == CSV_HEADER + "\n"
+        assert (tmp_path / "run" / "metrics.csv").read_text() == csv_header(MetricsRow) + "\n"
         assert not (tmp_path / "run" / "checkpoint.npz").exists()
 
     def test_trained_params_are_views_of_one_buffer(self):
