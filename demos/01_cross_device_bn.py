@@ -29,10 +29,6 @@ gamma = rng.standard_normal(CHANNELS)
 beta = rng.standard_normal(CHANNELS)
 
 
-def fresh_state():
-    return BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-
-
 print(f"{WORLD} devices, {PER_DEVICE} images each, {CHANNELS} channels\n")
 
 # --- 1. per-device statistics scatter --------------------------------------
@@ -40,7 +36,7 @@ print(f"{WORLD} devices, {PER_DEVICE} images each, {CHANNELS} channels\n")
 print("per-device channel means (local BN, each replica on its own):")
 local_mus = []
 for r, x in enumerate(shards):
-    _, cache = bn_forward_local(x, fresh_state())
+    _, cache = bn_forward_local(x, gamma, beta, BNLayerState.create(CHANNELS))
     local_mus.append(cache.mu)
     print(f"  device {r}: {np.array2string(cache.mu, precision=4)}")
 print(f"  spread across devices: {np.ptp(np.stack(local_mus), axis=0)}")
@@ -51,7 +47,8 @@ group = DeviceGroup(WORLD)
 
 
 def sync_worker(handle):
-    y, cache = sync_bn_forward(handle, shards[handle.rank], fresh_state())
+    y, cache = sync_bn_forward(handle, shards[handle.rank], gamma, beta,
+                               BNLayerState.create(CHANNELS))
     return y, cache.mu, cache.var
 
 
@@ -61,7 +58,7 @@ for r, (_, mu, _) in enumerate(outs):
     print(f"  device {r}: {np.array2string(mu, precision=4)}")
 
 big = np.concatenate(shards)
-ref_y, ref_cache = bn_forward_local(big, fresh_state())
+ref_y, ref_cache = bn_forward_local(big, gamma, beta, BNLayerState.create(CHANNELS))
 print(f"\nreference: one device, batch of {big.shape[0]}")
 print(f"  mean:     {np.array2string(ref_cache.mu, precision=4)}")
 
@@ -73,8 +70,8 @@ print(f"  max |sharded output - big batch output| = {gap:.3e}")
 
 
 def one_pass_worker(handle):
-    y, _ = sync_bn_forward(handle, shards[handle.rank], fresh_state(),
-                           one_pass=True)
+    y, _ = sync_bn_forward(handle, shards[handle.rank], gamma, beta,
+                           BNLayerState.create(CHANNELS), one_pass=True)
     return y
 
 
@@ -92,11 +89,11 @@ print("\nrunning_mean after one training forward:")
 
 def buffer_worker(mode):
     def worker(handle):
-        state = fresh_state()
+        state = BNLayerState.create(CHANNELS)
         if mode == "local":
-            bn_forward_local(shards[handle.rank], state)
+            bn_forward_local(shards[handle.rank], gamma, beta, state)
         else:
-            sync_bn_forward(handle, shards[handle.rank], state)
+            sync_bn_forward(handle, shards[handle.rank], gamma, beta, state)
         return state.running_mean
 
     return DeviceGroup(WORLD).run(worker)

@@ -64,41 +64,30 @@ class BNOperands:
 
 @dataclass
 class BNLayerState:
-    """Per-channel affine parameters plus running statistics.
+    """A BN layer's running statistics, what it carries from step to step.
 
     `running_momentum` is the fraction of the batch statistic blended into
     the running estimate each training step (0 freezes the statistics, 1
     replaces them outright). A state serves one rank: each training
     forward blends into its running statistics in place, and every call
-    refills its `operands`.
+    refills its `operands`. The affine gamma and beta are the caller's,
+    passed to each forward.
     """
 
-    gamma: np.ndarray
-    beta: np.ndarray
+    running_mean: np.ndarray
+    running_var: np.ndarray
     eps: float = 1e-5
-    running_mean: np.ndarray = None
-    running_var: np.ndarray = None
     running_momentum: float = 0.1
     operands: BNOperands = field(default_factory=BNOperands, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, channels: int, eps: float = 1e-5, running_momentum: float = 0.1):
-        return cls(
-            gamma=np.ones(channels),
-            beta=np.zeros(channels),
-            eps=eps,
-            running_mean=np.zeros(channels),
-            running_var=np.ones(channels),
-            running_momentum=running_momentum,
-        )
+        return cls(running_mean=np.zeros(channels), running_var=np.ones(channels),
+                   eps=eps, running_momentum=running_momentum)
 
     def __post_init__(self):
-        c = self.gamma.shape[0]
-        if self.running_mean is None:
-            self.running_mean = np.zeros(c)
-        if self.running_var is None:
-            self.running_var = np.ones(c)
-        for name in ("beta", "running_mean", "running_var"):
+        c = self.channels
+        for name in ("running_mean", "running_var"):
             if getattr(self, name).shape != (c,):
                 raise BatchNormError(f"{name} must have length {c}")
         check(BatchNormError, (EPS, self.eps, "eps"),
@@ -108,7 +97,7 @@ class BNLayerState:
 
     @property
     def channels(self) -> int:
-        return self.gamma.shape[0]
+        return self.running_mean.shape[0]
 
 
 @dataclass
@@ -116,22 +105,25 @@ class BNForwardCache:
     """Values saved by a training-mode forward pass for the backward pass.
 
     `x_hat` is kept as (M, C) rows; `shape` is the caller's layout, which
-    the cotangent must match. `total_count` is the number of scalar
+    the cotangent must match; `gamma` is the scale the forward read, which
+    the backward differentiates. `total_count` is the number of scalar
     elements per channel that the statistics were reduced over, across the
     whole normalization group.
     """
 
     x_hat: np.ndarray
     shape: tuple[int, ...]
+    gamma: np.ndarray
     mu: np.ndarray
     var: np.ndarray
     total_count: int
     scope_key: str | None = None  # None for a purely local forward
 
 
-def _rows(x: np.ndarray, state: BNLayerState) -> np.ndarray:
+def _rows(x: np.ndarray, state: BNLayerState, gamma=None, beta=None) -> np.ndarray:
     """`x` as C-ordered (M, C) rows, once its layout, dtype and extents fit
-    `state`, whose operands are then fitted to the rows."""
+    `state`, and a forward's `gamma` and `beta` have one entry per channel;
+    the state's operands are then fitted to the rows."""
     if x.ndim not in (2, 4):
         raise BatchNormError(f"expected layout (N,C) or (N,C,H,W), got shape {x.shape}")
     if x.dtype not in (np.float64, np.float32) or 0 in x.shape:
@@ -141,6 +133,9 @@ def _rows(x: np.ndarray, state: BNLayerState) -> np.ndarray:
         raise BatchNormError(
             f"input has {x.shape[1]} channels but state has {state.channels}"
         )
+    affine_shape = (state.channels,)
+    if gamma is not None and (gamma.shape != affine_shape or beta.shape != affine_shape):
+        raise BatchNormError(f"gamma and beta must have length {state.channels}")
     rows = (np.ascontiguousarray(x) if x.ndim == 2 else
             np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, state.channels))
     state.operands.fit(rows)
@@ -155,21 +150,22 @@ def _unrows(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(rows.reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
 
-def _normalize(rows: np.ndarray, state: BNLayerState, mu, var) -> tuple[np.ndarray, np.ndarray]:
+def _normalize(rows: np.ndarray, state: BNLayerState, gamma, beta,
+               mu, var) -> tuple[np.ndarray, np.ndarray]:
     """(y, x_hat) as (M, C) rows in the dtype of `rows`: y = gamma * x_hat + beta,
     x_hat = inv_std * rows + (-mu * inv_std). Only y is scanned: it is
     non-finite wherever x_hat is."""
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    blocks, (inv, shift, gamma, beta) = channel_blocks(
-        rows, inv_std, -mu * inv_std, state.gamma, state.beta, out=state.operands.normalize)
+    blocks, (inv, shift, gamma_k, beta_k) = channel_blocks(
+        rows, inv_std, -mu * inv_std, gamma, beta, out=state.operands.normalize)
     x_hat = blocks * inv
     x_hat += shift
-    y = x_hat * gamma
-    y += beta
+    y = x_hat * gamma_k
+    y += beta_k
     return _check_finite(y.reshape(rows.shape), "bn_forward"), x_hat.reshape(rows.shape)
 
 
-def _train_forward(rows: np.ndarray, shape, state: BNLayerState, reduce_vec,
+def _train_forward(rows: np.ndarray, shape, gamma, beta, state: BNLayerState, reduce_vec,
                    scope_key, one_pass: bool) -> tuple[np.ndarray, BNForwardCache]:
     c, ops = state.channels, state.operands
     if one_pass:
@@ -195,12 +191,12 @@ def _train_forward(rows: np.ndarray, shape, state: BNLayerState, reduce_vec,
         raise BatchNormError(
             f"training-mode statistics need at least 2 elements per channel, got {m_int}"
         )
-    y, x_hat = _normalize(rows, state, mu, var)
+    y, x_hat = _normalize(rows, state, gamma, beta, mu, var)
     bn_update_running(state, mu, var, m_int)
-    return y, BNForwardCache(x_hat, shape, mu, var, m_int, scope_key)
+    return y, BNForwardCache(x_hat, shape, gamma, mu, var, m_int, scope_key)
 
 
-def bn_forward_local(x: np.ndarray, state: BNLayerState,
+def bn_forward_local(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, state: BNLayerState,
                      mode: str = "train") -> tuple[np.ndarray, BNForwardCache | None]:
     """Batch normalization over a single device's batch.
 
@@ -209,18 +205,19 @@ def bn_forward_local(x: np.ndarray, state: BNLayerState,
     normalizes with the running statistics, leaves the state untouched and
     returns None for the cache.
     """
-    rows = _rows(x, state)
+    rows = _rows(x, state, gamma, beta)
     if mode == "train":
-        y, cache = _train_forward(rows, x.shape, state, lambda v: v, None, False)
+        y, cache = _train_forward(rows, x.shape, gamma, beta, state, lambda v: v, None, False)
     elif mode == "eval":
-        y, _ = _normalize(rows, state, state.running_mean, state.running_var)
+        y, _ = _normalize(rows, state, gamma, beta, state.running_mean, state.running_var)
         cache = None
     else:
         raise BatchNormError(f"mode must be 'train' or 'eval', got {mode!r}")
     return _unrows(y, x.shape), cache
 
 
-def sync_bn_forward(handle: DeviceHandle, x_local: np.ndarray, state: BNLayerState,
+def sync_bn_forward(handle: DeviceHandle, x_local: np.ndarray, gamma: np.ndarray,
+                    beta: np.ndarray, state: BNLayerState,
                     one_pass: bool = False) -> tuple[np.ndarray, BNForwardCache]:
     """Training-mode batch normalization synchronized across a BN sub-group.
 
@@ -230,10 +227,10 @@ def sync_bn_forward(handle: DeviceHandle, x_local: np.ndarray, state: BNLayerSta
     with bitwise-identical statistics, and the output matches
     `bn_forward_local` on the concatenation of all shards.
     """
-    rows = _rows(x_local, state)
+    rows = _rows(x_local, state, gamma, beta)
     y, cache = _train_forward(
-        rows, x_local.shape, state, lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v),
-        handle.bn_scope_key, one_pass)
+        rows, x_local.shape, gamma, beta, state,
+        lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v), handle.bn_scope_key, one_pass)
     return _unrows(y, x_local.shape), cache
 
 
@@ -255,7 +252,7 @@ def _backward_core(dy: np.ndarray, cache: BNForwardCache, state: BNLayerState, r
     m = float(cache.total_count)
     # dx = inv_std * (rows - dbeta / m - x_hat * dgamma / m), in the rows' dtype
     blocks, (dbeta_m, dgamma_k, inv_std) = channel_blocks(
-        rows, dbeta / m, dgamma, state.gamma / np.sqrt(cache.var + state.eps), out=ops.grad)
+        rows, dbeta / m, dgamma, cache.gamma / np.sqrt(cache.var + state.eps), out=ops.grad)
     dx = blocks - dbeta_m
     scaled = x_hat.reshape(blocks.shape) * dgamma_k
     scaled /= m

@@ -276,6 +276,3 @@ def main(argv=None) -> int:
         print(f"run failed: {e}", file=sys.stderr)
         return EXIT_RUN_FAILED
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -240,8 +240,7 @@ class RankPlan:
     Per layer it holds the spec, the input shape, the parameter keys and, for
     a BN layer, one validated `BNLayerState` over its running buffers, which a
     training forward blends in place. It holds no parameter array: each layer
-    looks its arrays up in `params` when it runs, and every forward points a BN
-    state's `gamma` and `beta` at the current ones. `handle` is the rank's
+    looks its arrays up in `params` when it runs. `handle` is the rank's
     device handle, over whose normalization sub-group cross BN layers reduce
     (with None they use device-local statistics); `one_pass_bn` selects the
     fused single-exchange statistics path for those layers.
@@ -258,10 +257,9 @@ class RankPlan:
             keys = tuple(f"{name}.{suffix}" for suffix in suffixes)
             if layer.kind == "bn":
                 state = BNLayerState(
-                    gamma=params[keys[0]], beta=params[keys[1]], eps=layer.eps,
                     running_mean=buffers[f"{name}.running_mean"],
                     running_var=buffers[f"{name}.running_var"],
-                    running_momentum=layer.running_momentum)
+                    eps=layer.eps, running_momentum=layer.running_momentum)
             self.layers.append((layer, ishape, keys, state))
 
 
@@ -307,13 +305,14 @@ def forward(plan: RankPlan, x: Tensor, labels: np.ndarray | None = None,
             keep(("relu", mask))
             cur = cur * mask  # finite, as the scanned input is
         elif k == "bn":  # cur is scanned already
-            state.gamma, state.beta = params[keys[0]], params[keys[1]]
+            gamma, beta = params[keys[0]], params[keys[1]]
             if mode == "eval":
-                cur, cache = bn_forward_local(cur, state, mode="eval")
+                cur, cache = bn_forward_local(cur, gamma, beta, state, mode="eval")
             elif layer.variant == "cross" and handle is not None:
-                cur, cache = sync_bn_forward(handle, cur, state, one_pass=plan.one_pass_bn)
+                cur, cache = sync_bn_forward(handle, cur, gamma, beta, state,
+                                             one_pass=plan.one_pass_bn)
             else:
-                cur, cache = bn_forward_local(cur, state, mode="train")
+                cur, cache = bn_forward_local(cur, gamma, beta, state, mode="train")
             keep(("bn", cache))
         elif k == "global_mean_pool":
             c, h, wd = ishape
@@ -390,7 +389,7 @@ def backward(plan: RankPlan, caches: list) -> dict:
         elif k == "relu":
             cur = cur * cache[1]
         elif k == "bn":
-            bn_cache = cache[1]  # `state` holds the gamma its forward read
+            bn_cache = cache[1]  # it holds the gamma the forward read
             dy = _check_finite(cur, f"{layer.name}.backward")
             if bn_cache.scope_key is not None:
                 cur, dgamma, dbeta = sync_bn_backward(handle, dy, bn_cache, state)

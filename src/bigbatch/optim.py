@@ -142,17 +142,15 @@ class SGDState:
 
     `create` packs the parameters, in sorted-key order, into one float64
     buffer, `flat_params`, and rebinds each `params[key]` to a C-contiguous
-    view of it; `velocity[key]` views `flat_velocity` the same way. `keys`
-    is that order and `spans[key]` the key's slice of both buffers.
-    `decay_keys` names the parameters that receive the weight-decay term,
-    `weight_keys`: the weight matrices and kernels, never biases or
-    normalization affines; `decay_spans` are their slices.
+    view of it; `velocity[key]` views `flat_velocity` the same way.
+    `spans[key]` is the key's slice of both buffers, in that order.
+    `decay_spans` are the slices of the parameters that receive the
+    weight-decay term, `weight_keys`: the weight matrices and kernels,
+    never biases or normalization affines.
     """
 
     momentum: float
     weight_decay: float
-    decay_keys: frozenset
-    keys: tuple
     spans: dict
     decay_spans: tuple
     flat_params: np.ndarray
@@ -162,25 +160,21 @@ class SGDState:
 
     @classmethod
     def create(cls, params: dict, momentum: float, weight_decay: float):
-        decay_keys = frozenset(weight_keys(params))
-        keys = tuple(sorted(params))
         spans, start = {}, 0
-        for k in keys:
+        for k in sorted(params):
             spans[k] = slice(start, start + np.size(params[k]))
             start = spans[k].stop
         flat_params = np.empty(start)
-        for k in keys:
-            flat_params[spans[k]] = np.ravel(params[k])
+        for k, s in spans.items():
+            flat_params[s] = np.ravel(params[k])
         flat_velocity = np.zeros(start)
         views = {k: flat_params[s].reshape(np.shape(params[k])) for k, s in spans.items()}
         params.update(views)
         return cls(
             momentum=momentum,
             weight_decay=weight_decay,
-            decay_keys=decay_keys,
-            keys=keys,
             spans=spans,
-            decay_spans=tuple(spans[k] for k in keys if k in decay_keys),
+            decay_spans=tuple(spans[k] for k in weight_keys(params)),
             flat_params=flat_params,
             flat_velocity=flat_velocity,
             views=views,
@@ -188,18 +182,18 @@ class SGDState:
                       for k, s in spans.items()},
         )
 
-    def pack(self, grads: dict, params: dict) -> np.ndarray:
-        """A gradient dict, checked against `params`, as one flat vector."""
+    def pack(self, grads: dict, params: dict, out: np.ndarray | None = None) -> np.ndarray:
+        """A gradient dict, checked against `params`, as one flat vector in the
+        layout: a new one, or the leading entries of `out`, which is returned."""
         if set(grads) != set(params):
             missing = set(params) ^ set(grads)
             raise ValueError(f"grads and params disagree on keys: {sorted(missing)}")
-        for key in self.keys:
+        flat = np.empty(self.flat_params.shape) if out is None else out
+        for key, s in self.spans.items():
             g, w = grads[key], params[key]
             if g.shape != w.shape:
                 raise ValueError(f"{key}: grad shape {g.shape} != param shape {w.shape}")
-        flat = np.empty(self.flat_params.shape)
-        for key, s in self.spans.items():
-            flat[s] = np.ravel(grads[key])
+            flat[s] = np.ravel(g)
         return flat
 
 

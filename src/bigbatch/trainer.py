@@ -382,7 +382,7 @@ def run_training(config: ExperimentConfig) -> TrainResult:
         buffers = init_buffers(model)
         sgd = SGDState.create(params, config.momentum, config.weight_decay)
         rank_plan = plan(model, params, buffers, handle, config.one_pass_bn)
-        # gradients in the sgd.keys layout, then the task loss; the allreduce copies it
+        # gradients in the sgd.spans layout, then the task loss; the allreduce copies it
         payload = np.empty(sgd.flat_params.size + 1)
         rows = []
         for epoch in range(res.epochs):
@@ -400,8 +400,7 @@ def run_training(config: ExperimentConfig) -> TrainResult:
                     grads = backward(rank_plan, out.caches)
                 except NonFiniteError as e:
                     raise DivergenceError(f"epoch {epoch} iter {it}: {e}") from e
-                for k, span in sgd.spans.items():
-                    payload[span] = grads[k].ravel()
+                sgd.pack(grads, params, payload)
                 payload[-1] = out.loss
                 mean = allreduce_sum(handle, SCOPE_WORLD, payload) / world
                 if handle.rank == 0:  # only rank 0 reports; reg_loss is the pre-step penalty

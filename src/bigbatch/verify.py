@@ -66,8 +66,8 @@ def _group_forward(g, xs, gamma, beta, one_pass=False):
     group = DeviceGroup(g)
 
     def worker(handle):
-        state = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-        y, cache = sync_bn_forward(handle, xs[handle.rank], state, one_pass=one_pass)
+        state = BNLayerState.create(gamma.shape[0])
+        y, cache = sync_bn_forward(handle, xs[handle.rank], gamma, beta, state, one_pass=one_pass)
         return y, cache.mu, cache.var, state
 
     return group.run(worker)
@@ -79,8 +79,7 @@ def check_concat_equivalence(seed=0, cases=25, tol=1e-9) -> CheckResult:
     for _ in range(cases):
         g, c, xs, gamma, beta = _random_case(rng)
         outs = _group_forward(g, xs, gamma, beta)
-        ref_state = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-        ref, _ = bn_forward_local(np.concatenate(xs), ref_state)
+        ref, _ = bn_forward_local(np.concatenate(xs), gamma, beta, BNLayerState.create(c))
         stacked = np.concatenate([o[0] for o in outs])
         worst = max(worst, rel_err(stacked, ref))
     return CheckResult("bn.concat_equivalence", worst <= tol,
@@ -92,8 +91,7 @@ def check_single_group_bitwise(seed=1) -> CheckResult:
     x = rng.standard_normal((5, 3, 2, 2))
     gamma, beta = rng.standard_normal(3), rng.standard_normal(3)
     (y_sync, mu, var, _), = _group_forward(1, [x], gamma, beta)
-    y_local, cache = bn_forward_local(
-        x, BNLayerState(gamma=gamma.copy(), beta=beta.copy()))
+    y_local, cache = bn_forward_local(x, gamma, beta, BNLayerState.create(3))
     same = (np.array_equal(y_sync, y_local)
             and np.array_equal(mu, cache.mu) and np.array_equal(var, cache.var))
     return CheckResult("bn.single_group_bitwise", same,
@@ -117,14 +115,15 @@ def check_running_stats(seed=3) -> CheckResult:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((6, 2, 3, 3))
     state = BNLayerState.create(2, running_momentum=1.0)
-    _, cache = bn_forward_local(x, state)
+    gamma, beta = np.ones(2), np.zeros(2)
+    _, cache = bn_forward_local(x, gamma, beta, state)
     m = cache.total_count
     want_var = cache.var * (m / (m - 1.0))
     ok = (np.allclose(state.running_mean, cache.mu, rtol=0, atol=0)
           and np.allclose(state.running_var, want_var, rtol=0, atol=0))
     before = state.running_mean.tobytes() + state.running_var.tobytes()
     # another batch: an eval that blended its statistics would rewrite both buffers
-    bn_forward_local(2 * x + 1, state, mode="eval")
+    bn_forward_local(2 * x + 1, gamma, beta, state, mode="eval")
     ok = ok and state.running_mean.tobytes() + state.running_var.tobytes() == before
     return CheckResult("bn.running_stats", ok,
                        "momentum-1 update equals unbiased batch stats; eval leaves them alone")
@@ -181,13 +180,12 @@ def sync_bn_fd_max_err(world_size: int, shard_sizes, channels: int, hw,
         me = handle.rank
 
         def objective(local_x, g_vec, b_vec):
-            state = BNLayerState(gamma=g_vec.copy(), beta=b_vec.copy())
-            y, _ = sync_bn_forward(handle, local_x, state)
+            y, _ = sync_bn_forward(handle, local_x, g_vec, b_vec, BNLayerState.create(channels))
             part = float(np.sum(y * cots[me]))
             return float(allreduce_sum(handle, SCOPE_WORLD, np.array([part]))[0])
 
-        state = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-        _, cache = sync_bn_forward(handle, xs[me], state)
+        state = BNLayerState.create(channels)
+        _, cache = sync_bn_forward(handle, xs[me], gamma, beta, state)
         dx, dgamma, dbeta = sync_bn_backward(handle, cots[me], cache, state)
 
         worst = 0.0

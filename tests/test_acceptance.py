@@ -70,13 +70,13 @@ def test_criterion_1_cross_device_bn_matches_concatenated_batch(verdict):
         beta = rng.standard_normal(c)
 
         def worker(handle):
-            state = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-            y, _ = sync_bn_forward(handle, xs[handle.rank], state)
+            state = BNLayerState.create(c)
+            y, _ = sync_bn_forward(handle, xs[handle.rank], gamma, beta, state)
             return y
 
         outs = DeviceGroup(g).run(worker)
-        ref_state = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-        ref, _ = bn_forward_local(np.concatenate(xs), ref_state)
+        ref_state = BNLayerState.create(c)
+        ref, _ = bn_forward_local(np.concatenate(xs), gamma, beta, ref_state)
         worst = max(worst, rel_err(np.concatenate(outs), ref))
     elapsed = time.perf_counter() - t0
     verdict("cross-device bn == one big batch",
@@ -110,13 +110,13 @@ def _fd_case(case_seed, step=1e-5):
         me = handle.rank
 
         def objective(local_x, g_vec, b_vec):
-            state = BNLayerState(gamma=g_vec.copy(), beta=b_vec.copy())
-            y, _ = sync_bn_forward(handle, local_x, state)
+            state = BNLayerState.create(c)
+            y, _ = sync_bn_forward(handle, local_x, g_vec, b_vec, state)
             part = float(np.sum(y * cots[me]))
             return float(allreduce_sum(handle, SCOPE_WORLD, np.array([part]))[0])
 
-        state = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-        _, cache = sync_bn_forward(handle, xs[me], state)
+        state = BNLayerState.create(c)
+        _, cache = sync_bn_forward(handle, xs[me], gamma, beta, state)
         dx, dgamma, dbeta = sync_bn_backward(handle, cots[me], cache, state)
 
         worst = 0.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,23 +25,24 @@ from helpers import (
 
 
 def random_state(rng, channels, eps=1e-5, momentum=0.1):
-    return BNLayerState(
-        gamma=rng.uniform(0.5, 1.5, channels),
-        beta=rng.normal(size=channels),
-        eps=eps,
-        running_mean=np.zeros(channels),
-        running_var=np.ones(channels),
-        running_momentum=momentum,
-    )
+    """A fresh state with a random (gamma, beta): returns (state, gamma, beta)."""
+    gamma, beta = rng.uniform(0.5, 1.5, channels), rng.normal(size=channels)
+    return BNLayerState.create(channels, eps, momentum), gamma, beta
 
 
-def group_forward(world, bn_group, shards, state_fn, one_pass=False):
-    """Run sync BN on per-rank shards; returns per-rank (y, cache, state)."""
+def identity(channels):
+    """The (gamma, beta) a BN layer starts from."""
+    return np.ones(channels), np.zeros(channels)
+
+
+def group_forward(world, bn_group, shards, gamma, beta, one_pass=False, momentum=0.1):
+    """Run sync BN on per-rank shards, each rank on a fresh state; returns
+    per-rank (y, cache, state)."""
     g = DeviceGroup(world, bn_group_size=bn_group)
 
     def fn(h):
-        st = state_fn()
-        y, cache = sync_bn_forward(h, shards[h.rank], st, one_pass=one_pass)
+        st = BNLayerState.create(gamma.shape[0], running_momentum=momentum)
+        y, cache = sync_bn_forward(h, shards[h.rank], gamma, beta, st, one_pass=one_pass)
         return y, cache, st
 
     return g.run(fn)
@@ -49,12 +52,17 @@ class TestStateValidation:
     def test_create_defaults(self):
         st = BNLayerState.create(3)
         assert st.channels == 3
-        assert np.array_equal(st.gamma, np.ones(3))
+        assert np.array_equal(st.running_mean, np.zeros(3))
         assert np.array_equal(st.running_var, np.ones(3))
 
+    def test_holds_only_its_running_statistics(self):
+        # gamma and beta are the caller's parameters, passed to each forward
+        names = [f.name for f in dataclasses.fields(BNLayerState)]
+        assert names == ["running_mean", "running_var", "eps", "running_momentum", "operands"]
+
     def test_length_mismatch(self):
-        with pytest.raises(BatchNormError):
-            BNLayerState(gamma=np.ones(3), beta=np.zeros(2))
+        with pytest.raises(BatchNormError, match="running_var must have length 3"):
+            BNLayerState(running_mean=np.zeros(3), running_var=np.ones(2))
 
     def test_eps_must_be_positive(self):
         with pytest.raises(BatchNormError):
@@ -70,8 +78,56 @@ class TestStateValidation:
 
     def test_negative_running_var_rejected(self):
         with pytest.raises(BatchNormError):
-            BNLayerState(gamma=np.ones(2), beta=np.zeros(2),
-                         running_var=np.array([0.1, -0.1]))
+            BNLayerState(running_mean=np.zeros(2), running_var=np.array([0.1, -0.1]))
+
+
+class TestAffineArguments:
+    """gamma and beta come from the caller; each forward checks their length."""
+
+    @pytest.mark.parametrize("wrong", ["gamma", "beta"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_local_forward_names_the_length_in_one_line(self, mode, wrong):
+        affine = {"gamma": np.ones(3), "beta": np.zeros(3), wrong: np.ones(2)}
+        with pytest.raises(BatchNormError) as e:
+            bn_forward_local(np.ones((4, 3)), affine["gamma"], affine["beta"],
+                             BNLayerState.create(3), mode=mode)
+        assert str(e.value) == "gamma and beta must have length 3"
+
+    @pytest.mark.parametrize("wrong", ["gamma", "beta"])
+    def test_sync_forward_fails_on_both_ranks_before_a_collective(self, wrong):
+        affine = {"gamma": np.ones(3), "beta": np.zeros(3), wrong: np.ones((3, 1))}
+
+        def fn(h):
+            with pytest.raises(BatchNormError) as e:
+                sync_bn_forward(h, np.ones((2, 3)), affine["gamma"], affine["beta"],
+                                BNLayerState.create(3))
+            return str(e.value)
+
+        assert DeviceGroup(2).run(fn) == ["gamma and beta must have length 3"] * 2
+
+    def test_sync_forward_with_one_bad_rank_raises_its_line(self):
+        # rank 1 fails before its first reduction, which aborts rank 0's
+        def fn(h):
+            gamma = np.ones(3 if h.rank == 0 else 2)
+            return sync_bn_forward(h, np.ones((2, 3)), gamma, np.zeros(3),
+                                   BNLayerState.create(3))
+
+        with pytest.raises(BatchNormError, match="^gamma and beta must have length 3$"):
+            DeviceGroup(2).run(fn)
+
+    @pytest.mark.parametrize("path", ["local", "two_pass", "one_pass"])
+    def test_cache_holds_the_gamma_its_forward_read(self, path):
+        def fn(rank, forward, backward):
+            rng = np.random.default_rng((73, rank))
+            st, gamma, beta = random_state(rng, 3)
+            x, dy = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+            _, cache = forward(x, gamma, beta, st)
+            assert cache.gamma is gamma
+            dx = backward(dy, cache, st)[0]
+            cache.gamma = 2 * gamma  # the backward differentiates the scale the cache holds
+            assert np.array_equal(backward(dy, cache, st)[0], 2 * dx)
+
+        on_path(path, fn)
 
 
 class TestLocalForward:
@@ -82,9 +138,9 @@ class TestLocalForward:
     def test_matches_loop_oracle(self, shape, dtype):
         rng = np.random.default_rng(sum(shape))
         x = rng.normal(size=shape).astype(dtype)
-        st = random_state(rng, shape[1])
-        y, cache = bn_forward_local(x, st, mode="train")
-        want_y, want_mu, want_var = loop_bn_forward(x, st.gamma, st.beta, st.eps)
+        st, gamma, beta = random_state(rng, shape[1])
+        y, cache = bn_forward_local(x, gamma, beta, st, mode="train")
+        want_y, want_mu, want_var = loop_bn_forward(x, gamma, beta, st.eps)
         assert y.dtype == dtype  # the input's dtype is kept
         if dtype == np.float32:
             assert np.allclose(y, want_y, rtol=0, atol=1e-5)
@@ -104,7 +160,7 @@ class TestLocalForward:
         rng = np.random.default_rng(sum(shape))
         x, dy = rng.normal(size=shape), rng.normal(size=shape)
         st = BNLayerState.create(shape[1])
-        _, cache = bn_forward_local(x, st)
+        _, cache = bn_forward_local(x, *identity(shape[1]), st)
         assert np.array_equal(cache.mu, loop_channel_sum(x) / (x.size // shape[1]))
         _, _, dbeta = bn_backward_local(dy, cache, st)
         assert np.array_equal(dbeta, loop_channel_sum(dy))
@@ -113,8 +169,8 @@ class TestLocalForward:
         # Literals computed once with scalar loops.
         rng = np.random.default_rng(23)
         x = rng.normal(size=(4, 2))
-        st = BNLayerState(gamma=np.array([1.5, 0.5]), beta=np.array([0.1, -0.2]))
-        y, cache = bn_forward_local(x, st)
+        gamma, beta = np.array([1.5, 0.5]), np.array([0.1, -0.2])
+        y, cache = bn_forward_local(x, gamma, beta, BNLayerState.create(2))
         assert abs(cache.mu[0] - 0.4591714964384243) < 1e-15
         assert abs(cache.mu[1] - -0.90541242423664) < 1e-15
         assert abs(cache.var[0] - 0.12006252582474286) < 1e-15
@@ -128,7 +184,7 @@ class TestLocalForward:
         rng = np.random.default_rng(31)
         x = rng.normal(loc=3.0, scale=2.5, size=(64, 3, 2, 2))
         st = BNLayerState.create(3)
-        y, _ = bn_forward_local(x, st)
+        y, _ = bn_forward_local(x, *identity(3), st)
         rows = np.stack(channel_rows(y))
         assert np.allclose(rows.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(rows.var(axis=0), 1.0, atol=1e-4)  # eps skews slightly
@@ -136,12 +192,12 @@ class TestLocalForward:
     def test_single_element_batch_rejected(self):
         st = BNLayerState.create(3)
         with pytest.raises(BatchNormError, match="at least 2"):
-            bn_forward_local(np.ones((1, 3)), st)
+            bn_forward_local(np.ones((1, 3)), *identity(3), st)
 
     def test_rank_3_rejected(self):
         st = BNLayerState.create(3)
         with pytest.raises(BatchNormError, match="expected layout"):
-            bn_forward_local(np.ones((2, 3, 4)), st)
+            bn_forward_local(np.ones((2, 3, 4)), *identity(3), st)
 
     @pytest.mark.parametrize("x, named", [
         (np.arange(6, dtype=np.int64).reshape(3, 2), "int64"),
@@ -151,40 +207,41 @@ class TestLocalForward:
     def test_values_rejected(self, x, named):
         # not int64 results, nor a ZeroDivisionError from the block view
         with pytest.raises(BatchNormError, match=named) as err:
-            bn_forward_local(x, BNLayerState.create(2))
+            bn_forward_local(x, *identity(2), BNLayerState.create(2))
         assert "\n" not in str(err.value)
 
     def test_channel_mismatch(self):
         st = BNLayerState.create(3)
         with pytest.raises(BatchNormError):
-            bn_forward_local(np.ones((4, 2)), st)
+            bn_forward_local(np.ones((4, 2)), *identity(3), st)
 
     def test_bad_mode(self):
         st = BNLayerState.create(2)
         with pytest.raises(BatchNormError):
-            bn_forward_local(np.ones((4, 2)), st, mode="test")
+            bn_forward_local(np.ones((4, 2)), *identity(2), st, mode="test")
 
 
 class TestEvalForward:
     def test_uses_running_stats(self):
+        gamma, beta = np.array([2.0, 1.0]), np.array([0.0, 1.0])
         st = BNLayerState(
-            gamma=np.array([2.0, 1.0]), beta=np.array([0.0, 1.0]), eps=1e-5,
-            running_mean=np.array([1.0, -1.0]), running_var=np.array([4.0, 0.25]),
+            running_mean=np.array([1.0, -1.0]), running_var=np.array([4.0, 0.25]), eps=1e-5,
         )
         x = np.array([[3.0, 0.0], [1.0, -1.0]])
-        y, cache = bn_forward_local(x, st, mode="eval")
+        y, cache = bn_forward_local(x, gamma, beta, st, mode="eval")
         want = np.empty_like(x)
         for n in range(2):
             for c in range(2):
                 xh = (x[n, c] - st.running_mean[c]) / np.sqrt(st.running_var[c] + 1e-5)
-                want[n, c] = st.gamma[c] * xh + st.beta[c]
+                want[n, c] = gamma[c] * xh + beta[c]
         assert np.allclose(y, want, atol=1e-12)
         assert cache is None
 
     def test_eval_does_not_touch_state(self):
         st = BNLayerState.create(2)
         before = (st.running_mean.copy(), st.running_var.copy())
-        bn_forward_local(np.random.default_rng(1).normal(size=(8, 2)), st, mode="eval")
+        bn_forward_local(np.random.default_rng(1).normal(size=(8, 2)), *identity(2), st,
+                         mode="eval")
         assert np.array_equal(st.running_mean, before[0])
         assert np.array_equal(st.running_var, before[1])
 
@@ -192,12 +249,13 @@ class TestEvalForward:
     @pytest.mark.parametrize("shape", [(5, 3), (2, 3, 4, 3)])
     def test_returns_no_cache_and_leaves_buffers_bitwise(self, shape, dtype):
         rng = np.random.default_rng(3)
-        st = random_state(rng, 3)
+        st, gamma, beta = random_state(rng, 3)
         st.running_mean[:] = rng.normal(size=3)
         st.running_var[:] = rng.uniform(0.5, 2.0, size=3)
         mean, var = st.running_mean, st.running_var
         before = mean.tobytes() + var.tobytes()
-        _, cache = bn_forward_local(rng.normal(size=shape).astype(dtype), st, mode="eval")
+        _, cache = bn_forward_local(rng.normal(size=shape).astype(dtype), gamma, beta, st,
+                                    mode="eval")
         assert cache is None
         assert st.running_mean is mean and st.running_var is var
         assert mean.tobytes() + var.tobytes() == before
@@ -205,7 +263,7 @@ class TestEvalForward:
     def test_eval_cache_rejected_by_backward(self):
         st = BNLayerState.create(2)
         x = np.random.default_rng(2).normal(size=(4, 2))
-        _, cache = bn_forward_local(x, st, mode="eval")
+        _, cache = bn_forward_local(x, *identity(2), st, mode="eval")
         with pytest.raises(BatchNormError, match="training-mode"):
             bn_backward_local(x, cache, st)
 
@@ -214,9 +272,9 @@ class TestRunningStats:
     def test_blend_matches_hand_formula(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(10, 2))
-        st = random_state(rng, 2, momentum=0.25)
+        st, gamma, beta = random_state(rng, 2, momentum=0.25)
         rm0, rv0 = st.running_mean.copy(), st.running_var.copy()
-        _, cache = bn_forward_local(x, st)
+        _, cache = bn_forward_local(x, gamma, beta, st)
         m = cache.total_count
         want_mean = 0.75 * rm0 + 0.25 * cache.mu
         want_var = 0.75 * rv0 + 0.25 * cache.var * (m / (m - 1.0))
@@ -225,7 +283,7 @@ class TestRunningStats:
 
     def test_momentum_zero_freezes(self):
         st = BNLayerState.create(2, running_momentum=0.0)
-        bn_forward_local(np.random.default_rng(8).normal(size=(6, 2)), st)
+        bn_forward_local(np.random.default_rng(8).normal(size=(6, 2)), *identity(2), st)
         assert np.array_equal(st.running_mean, np.zeros(2))
         assert np.array_equal(st.running_var, np.ones(2))
 
@@ -233,7 +291,7 @@ class TestRunningStats:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(5, 3))
         st = BNLayerState.create(3, running_momentum=1.0)
-        _, cache = bn_forward_local(x, st)
+        _, cache = bn_forward_local(x, *identity(3), st)
         assert np.allclose(st.running_mean, cache.mu, atol=0)
         assert np.allclose(st.running_var, cache.var * (5 / 4), atol=1e-15)
 
@@ -242,8 +300,7 @@ class TestRunningStats:
         # leave the buffers behind
         rng = np.random.default_rng(10)
         mean, var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
-        st = BNLayerState(gamma=np.ones(3), beta=np.zeros(3), running_mean=mean,
-                          running_var=var, running_momentum=0.3)
+        st = BNLayerState(running_mean=mean, running_var=var, running_momentum=0.3)
         mu, batch_var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
         want_mean = (1.0 - 0.3) * mean + 0.3 * mu
         want_var = (1.0 - 0.3) * var + 0.3 * (batch_var * (6 / 5.0))
@@ -271,14 +328,11 @@ class TestSyncForward:
             gamma = rng.uniform(0.5, 1.5, c)
             beta = rng.normal(size=c)
 
-            out = group_forward(world, bn_group,
-                                shards, lambda: BNLayerState(gamma=gamma.copy(),
-                                                             beta=beta.copy()))
+            out = group_forward(world, bn_group, shards, gamma, beta)
             for gi in range(world // bn_group):
                 members = range(gi * bn_group, (gi + 1) * bn_group)
                 concat = np.concatenate([shards[r] for r in members], axis=0)
-                ref_y, ref_cache = bn_forward_local(
-                    concat, BNLayerState(gamma=gamma.copy(), beta=beta.copy()))
+                ref_y, ref_cache = bn_forward_local(concat, gamma, beta, BNLayerState.create(c))
                 got_y = np.concatenate([out[r][0] for r in members], axis=0)
                 assert np.allclose(got_y, ref_y, rtol=1e-9, atol=1e-12)
                 for r in members:
@@ -291,8 +345,7 @@ class TestSyncForward:
         shards = [rng.normal(size=(3, 2, 2, 2)), rng.normal(size=(2, 2, 2, 2))]
         gamma = np.array([1.25, 0.75])
         beta = np.array([-0.5, 0.25])
-        out = group_forward(2, 2, shards,
-                            lambda: BNLayerState(gamma=gamma.copy(), beta=beta.copy()))
+        out = group_forward(2, 2, shards, gamma, beta)
         concat = np.concatenate(shards, axis=0)
         want_y, want_mu, want_var = loop_bn_forward(concat, gamma, beta, 1e-5)
         got_y = np.concatenate([out[0][0], out[1][0]], axis=0)
@@ -303,7 +356,7 @@ class TestSyncForward:
     def test_stats_bitwise_identical_across_ranks(self):
         rng = np.random.default_rng(42)
         shards = [rng.normal(size=(2, 3)) for _ in range(4)]
-        out = group_forward(4, 4, shards, lambda: BNLayerState.create(3))
+        out = group_forward(4, 4, shards, *identity(3))
         for r in range(1, 4):
             assert np.array_equal(out[r][1].mu, out[0][1].mu)
             assert np.array_equal(out[r][1].var, out[0][1].var)
@@ -311,10 +364,9 @@ class TestSyncForward:
     def test_group_of_one_bitwise_equals_local(self):
         rng = np.random.default_rng(43)
         x = rng.normal(size=(4, 3, 2, 2))
-        out = group_forward(2, 1, [x, rng.normal(size=(4, 3, 2, 2))],
-                            lambda: BNLayerState.create(3))
+        out = group_forward(2, 1, [x, rng.normal(size=(4, 3, 2, 2))], *identity(3))
         y_sync, cache_sync = out[0][0], out[0][1]
-        y_local, cache_local = bn_forward_local(x, BNLayerState.create(3))
+        y_local, cache_local = bn_forward_local(x, *identity(3), BNLayerState.create(3))
         assert np.array_equal(y_sync, y_local)  # bitwise
         assert np.array_equal(cache_sync.mu, cache_local.mu)
         assert np.array_equal(cache_sync.var, cache_local.var)
@@ -324,8 +376,8 @@ class TestSyncForward:
         # the single-shard statistics (sums double exactly for group size 2).
         rng = np.random.default_rng(44)
         x = rng.normal(size=(5, 2))
-        out = group_forward(2, 2, [x, x.copy()], lambda: BNLayerState.create(2))
-        _, cache_local = bn_forward_local(x, BNLayerState.create(2))
+        out = group_forward(2, 2, [x, x.copy()], *identity(2))
+        _, cache_local = bn_forward_local(x, *identity(2), BNLayerState.create(2))
         assert np.array_equal(out[0][1].mu, cache_local.mu)
         assert np.array_equal(out[0][1].var, cache_local.var)
         assert np.array_equal(out[0][0], out[1][0])
@@ -333,12 +385,8 @@ class TestSyncForward:
     def test_one_pass_close_to_two_pass(self):
         rng = np.random.default_rng(45)
         shards = [rng.normal(loc=2.0, size=(3, 4, 2, 2)) for _ in range(3)]
-
-        def mk():
-            return BNLayerState.create(4)
-
-        two = group_forward(3, 3, shards, mk, one_pass=False)
-        one = group_forward(3, 3, shards, mk, one_pass=True)
+        two = group_forward(3, 3, shards, *identity(4), one_pass=False)
+        one = group_forward(3, 3, shards, *identity(4), one_pass=True)
         for r in range(3):
             num = np.abs(one[r][0] - two[r][0])
             den = np.maximum(np.abs(two[r][0]), 1e-3)
@@ -347,12 +395,12 @@ class TestSyncForward:
     def test_running_stats_updated_identically_on_all_ranks(self):
         rng = np.random.default_rng(46)
         shards = [rng.normal(size=(3, 2)) for _ in range(2)]
-        out = group_forward(2, 2, shards, lambda: BNLayerState.create(2, running_momentum=1.0))
+        out = group_forward(2, 2, shards, *identity(2), momentum=1.0)
         st0, st1 = out[0][2], out[1][2]
         assert np.array_equal(st0.running_mean, st1.running_mean)
         assert np.array_equal(st0.running_var, st1.running_var)
         concat = np.concatenate(shards, axis=0)
-        _, ref = bn_forward_local(concat, BNLayerState.create(2))
+        _, ref = bn_forward_local(concat, *identity(2), BNLayerState.create(2))
         assert np.allclose(st0.running_mean, ref.mu, atol=1e-15)
         assert np.allclose(st0.running_var, ref.var * (6 / 5), atol=1e-15)
 
@@ -369,7 +417,7 @@ class TestSyncForward:
 
         def lone(h):
             with pytest.raises(BatchNormError, match="at least 2"):
-                sync_bn_forward(h, np.ones((1, 3)), BNLayerState.create(3))
+                sync_bn_forward(h, np.ones((1, 3)), *identity(3), BNLayerState.create(3))
             return True
 
         assert g1.run(lone) == [True]
@@ -380,7 +428,7 @@ class TestSyncForward:
         def fn(h):
             c = 3 if h.rank == 0 else 4
             st = BNLayerState.create(c)
-            return sync_bn_forward(h, np.ones((2, c)) * h.rank, st)
+            return sync_bn_forward(h, np.ones((2, c)) * h.rank, *identity(c), st)
 
         with pytest.raises(CollectiveProtocolError):
             g.run(fn)
@@ -391,8 +439,8 @@ class TestBackwardLocal:
         rng = np.random.default_rng(50)
         x = rng.normal(size=(3, 2, 2, 2))
         dy = rng.normal(size=(3, 2, 2, 2))
-        st = random_state(rng, 2)
-        _, cache = bn_forward_local(x, st)
+        st, gamma, beta = random_state(rng, 2)
+        _, cache = bn_forward_local(x, gamma, beta, st)
         _, dgamma, dbeta = bn_backward_local(dy, cache, st)
         want_dbeta = loop_sequential_sum(channel_rows(dy))
         assert cache.x_hat.shape == (12, 2)  # rows in (n, y, x) order
@@ -405,15 +453,13 @@ class TestBackwardLocal:
         rng = np.random.default_rng(51)
         x = rng.normal(size=(4, 3))
         c_obj = rng.normal(size=(4, 3))  # fixed cotangent: loss = <y, c>
-        st = random_state(rng, 3)
+        st, gamma, beta = random_state(rng, 3)
 
         def loss():
-            y, _ = bn_forward_local(x, BNLayerState(
-                gamma=st.gamma.copy(), beta=st.beta.copy(), eps=st.eps))
+            y, _ = bn_forward_local(x, gamma, beta, BNLayerState.create(3, st.eps))
             return float(np.sum(y * c_obj))
 
-        _, cache = bn_forward_local(x, BNLayerState(
-            gamma=st.gamma.copy(), beta=st.beta.copy(), eps=st.eps))
+        _, cache = bn_forward_local(x, gamma.copy(), beta.copy(), BNLayerState.create(3, st.eps))
         dx, dgamma, dbeta = bn_backward_local(c_obj, cache, st)
 
         for idx in [(0, 0), (1, 2), (3, 1), (2, 0)]:
@@ -421,15 +467,15 @@ class TestBackwardLocal:
             assert abs(dx[idx] - fd) < 2e-6 * max(1.0, abs(fd))
 
         for ci in range(3):
-            fd_g = fd_entry(loss, st.gamma, (ci,), h=1e-6)
-            fd_b = fd_entry(loss, st.beta, (ci,), h=1e-6)
+            fd_g = fd_entry(loss, gamma, (ci,), h=1e-6)
+            fd_b = fd_entry(loss, beta, (ci,), h=1e-6)
             assert abs(dgamma[ci] - fd_g) < 2e-6 * max(1.0, abs(fd_g))
             assert abs(dbeta[ci] - fd_b) < 2e-6 * max(1.0, abs(fd_b))
 
     def test_rejects_sync_cache(self):
         st = BNLayerState.create(2)
-        cache = BNForwardCache(x_hat=np.ones((2, 2)), shape=(2, 2), mu=np.zeros(2),
-                               var=np.ones(2), total_count=2, scope_key="bn0")
+        cache = BNForwardCache(x_hat=np.ones((2, 2)), shape=(2, 2), gamma=np.ones(2),
+                               mu=np.zeros(2), var=np.ones(2), total_count=2, scope_key="bn0")
         with pytest.raises(BatchNormError, match="synchronized"):
             bn_backward_local(np.ones((2, 2)), cache, st)
 
@@ -441,21 +487,21 @@ class TestBackwardLocal:
     def test_shape_mismatch(self):
         st = BNLayerState.create(2)
         x = np.random.default_rng(52).normal(size=(4, 2))
-        _, cache = bn_forward_local(x, st)
+        _, cache = bn_forward_local(x, *identity(2), st)
         with pytest.raises(BatchNormError, match="cotangent"):
             bn_backward_local(np.ones((3, 2)), cache, st)
         # the cache holds (M, C) rows; a 4-D cotangent with the same rows
         # but another layout must still be refused
         st = BNLayerState.create(3)
         x = np.random.default_rng(53).normal(size=(2, 3, 4, 4))
-        _, cache = bn_forward_local(x, st)
+        _, cache = bn_forward_local(x, *identity(3), st)
         with pytest.raises(BatchNormError, match="cotangent"):
             bn_backward_local(np.ones((2, 3, 2, 8)), cache, st)
 
     def test_cache_of_another_layer_state(self):
         # the cotangent fits the cache; the state, with other channels, does not
         x = np.random.default_rng(55).normal(size=(4, 2))
-        _, cache = bn_forward_local(x, BNLayerState.create(2))
+        _, cache = bn_forward_local(x, *identity(2), BNLayerState.create(2))
         with pytest.raises(BatchNormError, match="cache does not match this layer state"):
             bn_backward_local(np.ones((4, 2)), cache, BNLayerState.create(3))
 
@@ -464,19 +510,19 @@ class TestBackwardLocal:
         # the forward keeps float32; the backward used to return float64
         rng = np.random.default_rng(54)
         x, dy = rng.normal(size=(2, 3, 4, 4)), rng.normal(size=(2, 3, 4, 4))
-        st = random_state(rng, 3)
-        st64 = BNLayerState(gamma=st.gamma.copy(), beta=st.beta.copy())
-        _, cache = bn_forward_local(x.astype(np.float32), st)
+        st, gamma, beta = random_state(rng, 3)
+        st64 = BNLayerState.create(3)
+        _, cache = bn_forward_local(x.astype(np.float32), gamma, beta, st)
         dx, dgamma, dbeta = bn_backward_local(dy.astype(np.float32), cache, st)
         assert (dx.dtype, dgamma.dtype, dbeta.dtype) == (np.float32,) * 3
-        _, cache64 = bn_forward_local(x, st64)
+        _, cache64 = bn_forward_local(x, gamma, beta, st64)
         dx64, dgamma64, dbeta64 = bn_backward_local(dy, cache64, st64)
         assert np.allclose(dx, dx64, rtol=0, atol=1e-5)
         assert np.allclose(dgamma, dgamma64, rtol=0, atol=1e-4)
         assert np.allclose(dbeta, dbeta64, rtol=0, atol=1e-4)
 
 
-def transcribed_bn(x, dy, st):
+def transcribed_bn(x, dy, gamma, beta, st):
     """Local batch norm as first written: (M, C) rows against (C,) broadcasts.
 
     Returns the train forward's (y, mu, var, x_hat), its backward's
@@ -490,14 +536,14 @@ def transcribed_bn(x, dy, st):
     var = loop_sequential_sum(diff * diff) / m
     inv_std = 1.0 / np.sqrt(var + st.eps)
     x_hat = inv_std * rows + (-mu * inv_std)
-    y = st.gamma * x_hat + st.beta
+    y = gamma * x_hat + beta
     dbeta = loop_sequential_sum(drows)
     dgamma = loop_sequential_sum(drows * x_hat)
-    inv_std = st.gamma / np.sqrt(var + st.eps)
+    inv_std = gamma / np.sqrt(var + st.eps)
     dx = inv_std * (drows - dbeta / m - x_hat * dgamma / m)
     inv_std = 1.0 / np.sqrt(st.running_var + st.eps)
     x_hat_eval = inv_std * rows + (-st.running_mean * inv_std)
-    y_eval = st.gamma * x_hat_eval + st.beta
+    y_eval = gamma * x_hat_eval + beta
 
     def layout(a):
         if x.ndim == 2:
@@ -518,15 +564,15 @@ class TestBytesAtEveryRowCount:
     def test_train_and_eval_match_the_transcription(self, shape):
         rng = np.random.default_rng(sum(shape))
         x, dy = rng.normal(loc=0.7, size=shape), rng.normal(size=shape)
-        st = random_state(rng, shape[1])
+        st, gamma, beta = random_state(rng, shape[1])
         st.running_mean = rng.normal(size=shape[1])
         st.running_var = rng.uniform(0.2, 3.0, size=shape[1])
         (y_w, mu_w, var_w, x_hat_w), (dx_w, dgamma_w, dbeta_w), y_eval_w = (
-            transcribed_bn(x, dy, st))
+            transcribed_bn(x, dy, gamma, beta, st))
 
-        y_eval, _ = bn_forward_local(x, st, mode="eval")
+        y_eval, _ = bn_forward_local(x, gamma, beta, st, mode="eval")
         assert np.array_equal(y_eval, y_eval_w)
-        y, cache = bn_forward_local(x, st)
+        y, cache = bn_forward_local(x, gamma, beta, st)
         dx, dgamma, dbeta = bn_backward_local(dy, cache, st)
         for got, want in [(y, y_w), (cache.mu, mu_w), (cache.var, var_w),
                           (cache.x_hat, x_hat_w), (dx, dx_w),
@@ -548,11 +594,11 @@ class TestArraysAtTheEdge:
 
         def run(x, dy):
             def fn(h):
-                st = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
+                st = BNLayerState.create(shape[1])
                 if path == "local":
-                    y, cache = bn_forward_local(x, st)
+                    y, cache = bn_forward_local(x, gamma, beta, st)
                     return (y, *bn_backward_local(dy, cache, st))
-                y, cache = sync_bn_forward(h, x, st, one_pass=path == "one_pass")
+                y, cache = sync_bn_forward(h, x, gamma, beta, st, one_pass=path == "one_pass")
                 return (y, *sync_bn_backward(h, dy, cache, st))
 
             return DeviceGroup(1).run(fn)[0]
@@ -575,13 +621,13 @@ class TestBackwardSync:
         g = DeviceGroup(2)
 
         def fn(h):
-            st = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-            _, cache = sync_bn_forward(h, shards[h.rank], st)
+            st = BNLayerState.create(3)
+            _, cache = sync_bn_forward(h, shards[h.rank], gamma, beta, st)
             return sync_bn_backward(h, dys[h.rank], cache, st)
 
         out = g.run(fn)
-        st_ref = BNLayerState(gamma=gamma.copy(), beta=beta.copy())
-        _, cache_ref = bn_forward_local(np.concatenate(shards), st_ref)
+        st_ref = BNLayerState.create(3)
+        _, cache_ref = bn_forward_local(np.concatenate(shards), gamma, beta, st_ref)
         dx_ref, dgamma_ref, dbeta_ref = bn_backward_local(
             np.concatenate(dys), cache_ref, st_ref)
         got_dx = np.concatenate([out[0][0], out[1][0]])
@@ -598,7 +644,7 @@ class TestBackwardSync:
 
         def fn(h):
             st = BNLayerState.create(2)
-            _, cache = sync_bn_forward(h, shards[h.rank], st)
+            _, cache = sync_bn_forward(h, shards[h.rank], *identity(2), st)
             return sync_bn_backward(h, dys[h.rank], cache, st)
 
         out = g.run(fn)
@@ -610,8 +656,9 @@ class TestBackwardSync:
         g = DeviceGroup(1)
 
         def fn(h):
-            cache = BNForwardCache(x_hat=np.ones((2, 2)), shape=(2, 2), mu=np.zeros(2),
-                                   var=np.ones(2), total_count=2, scope_key="bn7")
+            cache = BNForwardCache(x_hat=np.ones((2, 2)), shape=(2, 2), gamma=np.ones(2),
+                                   mu=np.zeros(2), var=np.ones(2), total_count=2,
+                                   scope_key="bn7")
             with pytest.raises(BatchNormError, match="bn7"):
                 sync_bn_backward(h, np.ones((2, 2)), cache,
                                  BNLayerState.create(2))
@@ -634,7 +681,7 @@ class TestBackwardSync:
         def fn(h):
             st = BNLayerState.create(2)
             x = np.random.default_rng(62).normal(size=(4, 2))
-            _, cache = bn_forward_local(x, st)
+            _, cache = bn_forward_local(x, *identity(2), st)
             with pytest.raises(BatchNormError):
                 sync_bn_backward(h, x, cache, st)
             return True
@@ -649,7 +696,8 @@ def on_path(path, fn):
         return fn(0, bn_forward_local, bn_backward_local)
 
     def worker(h):
-        return fn(h.rank, lambda x, st: sync_bn_forward(h, x, st, one_pass=path == "one_pass"),
+        return fn(h.rank, lambda x, gamma, beta, st: sync_bn_forward(
+                      h, x, gamma, beta, st, one_pass=path == "one_pass"),
                   lambda dy, cache, st: sync_bn_backward(h, dy, cache, st))
 
     return DeviceGroup(2).run(worker)[0]
@@ -667,13 +715,13 @@ class TestOperandsOnTheState:
     def test_refilled_at_one_row_count_and_dtype(self, path, dtype):
         def fn(rank, forward, backward):
             rng = np.random.default_rng((70, rank))
-            st = random_state(rng, 3)
+            st, gamma, beta = random_state(rng, 3)
             x = rng.normal(size=(4, 3, 2, 2)).astype(dtype)
-            _, cache = forward(x, st)
+            _, cache = forward(x, gamma, beta, st)
             held = operand_arrays(st)
             for _ in range(2):
                 backward(x, cache, st)
-                _, cache = forward(x * 2, st)
+                _, cache = forward(x * 2, gamma, beta, st)
             now = operand_arrays(st)
             assert len(held) == 6 and now.keys() == held.keys()
             assert all(now[name] is held[name] for name in held)
@@ -685,12 +733,12 @@ class TestOperandsOnTheState:
 
         def fn(rank, forward, backward):
             rng = np.random.default_rng((71, rank))
-            st = random_state(rng, 3)
+            st, gamma, beta = random_state(rng, 3)
             x = rng.normal(size=(4, 3, 2, 2))
-            forward(x.astype(dtype), st)
+            forward(x.astype(dtype), gamma, beta, st)
             for x2 in (x[:3].astype(dtype), x[:3].astype(other)):
                 held = operand_arrays(st)
-                forward(x2, st)
+                forward(x2, gamma, beta, st)
                 now = operand_arrays(st)
                 assert all(now[name] is not held[name] for name in held)
 
@@ -702,15 +750,15 @@ class TestOperandsOnTheState:
         # second: each result is what a fresh state gives for its own call pair
         def fn(rank, forward, backward):
             rng = np.random.default_rng((72, rank))
-            st = random_state(rng, 3)
+            st, gamma, beta = random_state(rng, 3)
             xs = [rng.normal(loc=0.5, size=shape).astype(dtype)
                   for shape in ((4, 3, 2, 2), second)]
             dys = [rng.normal(size=x.shape).astype(dtype) for x in xs]
-            outs = [forward(x, st) for x in xs]
+            outs = [forward(x, gamma, beta, st) for x in xs]
             grads = [backward(dy, cache, st) for dy, (_, cache) in zip(dys, outs)]
             for x, dy, (y, cache), got in zip(xs, dys, outs, grads):
-                fresh = BNLayerState(gamma=st.gamma.copy(), beta=st.beta.copy())
-                want_y, want_cache = forward(x, fresh)
+                fresh = BNLayerState.create(3)
+                want_y, want_cache = forward(x, gamma, beta, fresh)
                 assert cache.total_count == x.size // 3 * (1 if path == "local" else 2)
                 assert cache.total_count == want_cache.total_count
                 for a, b in [(y, want_y), (cache.x_hat, want_cache.x_hat),

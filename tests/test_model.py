@@ -613,11 +613,11 @@ def nchw_reference(m, params, buffers, x, labels, mode="train"):
             cur = np.ascontiguousarray(out.reshape(n, h, wd, -1).transpose(0, 3, 1, 2))
         elif k == "bn":
             state = BNLayerState(
-                gamma=params[f"{name}.gamma"], beta=params[f"{name}.beta"], eps=layer.eps,
                 running_mean=buffers[f"{name}.running_mean"],
                 running_var=buffers[f"{name}.running_var"],
-                running_momentum=layer.running_momentum)
-            y, cache = bn_forward_local(cur, state, mode=mode)
+                eps=layer.eps, running_momentum=layer.running_momentum)
+            y, cache = bn_forward_local(cur, params[f"{name}.gamma"], params[f"{name}.beta"],
+                                        state, mode=mode)
             caches.append((state, cache))
             cur = y
         elif k == "relu":

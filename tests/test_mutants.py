@@ -7,6 +7,8 @@ no `verify` check can see the mutant, a fast oracle that must fail too.
 """
 
 import dataclasses
+import functools
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,11 +78,72 @@ def col2im_without_edge_zeroing(dcols, n, h, w):
 def eval_bn_blends_batch_stats(monkeypatch):
     real = verify.bn_forward_local
 
-    def forward(x, state, mode="train"):
+    def forward(x, gamma, beta, state, mode="train"):
         if mode == "eval":
-            real(x, state, mode="train")
-        return real(x, state, mode=mode)
+            real(x, gamma, beta, state, mode="train")
+        return real(x, gamma, beta, state, mode=mode)
     monkeypatch.setattr(verify, "bn_forward_local", forward)
+
+
+def variance_round_keeps_own_sums(monkeypatch):
+    """The two-pass forward's second reduction, the one in `_train_forward` whose
+    vector is not its packed sums, returns the rank's own squared deviations."""
+    real = batchnorm.allreduce_sum
+
+    def allreduce(handle, scope, v):
+        caller = sys._getframe(2)  # past the forward's `reduce_vec` lambda
+        if (caller.f_code is batchnorm._train_forward.__code__
+                and v is not caller.f_locals["packed"]):
+            return v.copy()
+        return real(handle, scope, v)
+    monkeypatch.setattr(batchnorm, "allreduce_sum", allreduce)
+
+
+def bn_reductions_one_ulp_high(monkeypatch):
+    real = batchnorm.allreduce_sum
+    monkeypatch.setattr(batchnorm, "allreduce_sum",
+                        lambda handle, scope, v: np.nextafter(real(handle, scope, v), np.inf))
+
+
+def one_pass_count_one_short(monkeypatch):
+    real = batchnorm.BNOperands.fit
+
+    def fit(self, rows):
+        real(self, rows)
+        self.one_pass[-1] = rows.shape[0] - 1
+    monkeypatch.setattr(batchnorm.BNOperands, "fit", fit)
+
+
+def broadcast_non_root_one_ulp_high(monkeypatch):
+    real = collectives._rendezvous
+
+    def rendezvous(handle, scope_key, kind, root=None, payload=None):
+        out = real(handle, scope_key, kind, root, payload)
+        return np.nextafter(out, np.inf) if kind == "broadcast" and handle.rank != root else out
+    monkeypatch.setattr(collectives, "_rendezvous", rendezvous)
+
+
+def settle_reversed_on_every_other_run(monkeypatch):
+    real_run, runs = collectives.DeviceGroup.run, [0]
+
+    def run(self, fn):
+        runs[0] += 1
+        return real_run(self, fn)
+    monkeypatch.setattr(collectives.DeviceGroup, "run", run)
+    real_settle = collectives._settle
+
+    def settle(table, scope_key):
+        if runs[0] % 2:
+            return real_settle(table, scope_key)
+        return real_settle(SimpleNamespace(slots=table.slots, ranks=table.ranks[::-1]), scope_key)
+    monkeypatch.setattr(collectives, "_settle", settle)
+
+
+def milestone_only_in_its_own_epoch(monkeypatch):
+    def lr_at(policy, epoch, i, ipe):
+        own = tuple(m for m in policy.milestones if m[0] == epoch)
+        return optim.lr_at(dataclasses.replace(policy, milestones=own), epoch, i, ipe)
+    monkeypatch.setattr(verify, "lr_at", lr_at)
 
 
 def l2_penalty_reads_weight_keys_only():
@@ -105,6 +168,28 @@ MUTANTS = [
     ("weight_keys_returns_every_key",
      lambda mp: mp.setattr(optim, "weight_keys", lambda params: sorted(params)),
      set(), l2_penalty_reads_weight_keys_only),
+    ("variance_round_keeps_own_sums", variance_round_keeps_own_sums,
+     {"bn.concat_equivalence", "bn.one_pass_agreement", "grad.sync_bn_fd"}, None),
+    ("bn_reductions_one_ulp_high", bn_reductions_one_ulp_high,
+     {"bn.single_group_bitwise"}, None),
+    ("one_pass_count_one_short", one_pass_count_one_short, {"bn.one_pass_agreement"}, None),
+    ("broadcast_non_root_one_ulp_high", broadcast_non_root_one_ulp_high,
+     {"collectives.rank_symmetry"}, None),
+    ("settle_reversed_on_every_other_run", settle_reversed_on_every_other_run,
+     {"collectives.repeat_determinism", "collectives.sequential_order"}, None),
+    ("reference_batch_32",
+     lambda mp: mp.setattr(verify, "make_policy", functools.partial(optim.make_policy,
+                                                                    base_batch=32)),
+     {"schedule.base_case"}, None),
+    ("normal_milestones_one_epoch_late",
+     lambda mp: mp.setitem(optim.POLICIES, "normal", (((9, 0.1), (11, 0.1)), 11)),
+     {"schedule.normal_breakpoints"}, None),
+    ("long_last_multiplier_tenth",
+     lambda mp: mp.setitem(optim.POLICIES, "long", (((11, 0.1), (14, 0.1), (17, 0.1)), 18)),
+     {"schedule.long_breakpoints"}, None),
+    ("milestone_only_in_its_own_epoch", milestone_only_in_its_own_epoch,
+     {"schedule.normal_breakpoints", "schedule.long_breakpoints",
+      "schedule.nonincreasing_after_warmup"}, None),
 ]
 
 
@@ -112,9 +197,21 @@ def failing_checks() -> set:
     return {c.name for suite in verify.SUITES for c in verify.run_suite(suite) if not c.passed}
 
 
-def test_the_unmutated_library_passes_every_check_and_oracle():
-    assert failing_checks() == set()
+@pytest.fixture(scope="module")
+def unmutated_checks() -> list:
+    """Every check of the unmutated library, from one pass over the four suites."""
+    return [c for suite in verify.SUITES for c in verify.run_suite(suite)]
+
+
+def test_the_unmutated_library_passes_every_check_and_oracle(unmutated_checks):
+    assert {c.name for c in unmutated_checks if not c.passed} == set()
     assert all(oracle() for *_, oracle in MUTANTS if oracle is not None)
+
+
+def test_every_check_fails_under_some_mutant(unmutated_checks):
+    names = {c.name for c in unmutated_checks}
+    assert len(names) == len(unmutated_checks) == 15
+    assert set().union(*(caught_by for _, _, caught_by, _ in MUTANTS)) == names
 
 
 @pytest.mark.parametrize("name, patch, caught_by, oracle", MUTANTS, ids=[m[0] for m in MUTANTS])
