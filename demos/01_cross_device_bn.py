@@ -12,12 +12,8 @@ perfectly synchronized.
 
 import numpy as np
 
-from bigbatch import (
-    BNLayerState,
-    DeviceGroup,
-    bn_forward_local,
-    sync_bn_forward,
-)
+from bigbatch.batchnorm import BNLayerState, bn_forward_local, sync_bn_forward
+from bigbatch.collectives import DeviceGroup
 
 WORLD = 4
 PER_DEVICE = 4

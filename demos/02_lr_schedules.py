@@ -8,7 +8,7 @@ a few batch sizes, sketches the warmup ramp, and shows the exact step
 products at the decay breakpoints.
 """
 
-from bigbatch import lr_at, make_policy, scaled_target_lr
+from bigbatch.optim import lr_at, make_policy, scaled_target_lr
 
 BASE_BATCH = 16
 IPE = 100  # iterations per epoch for the printouts

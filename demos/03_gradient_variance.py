@@ -9,7 +9,7 @@ measures both claims on a probe model whose per-sample gradient variance
 is exactly 1, so the predicted curve is known in closed form.
 """
 
-from bigbatch import (
+from bigbatch.analysis import (
     estimate_grad_variance,
     normal_pair_sampler,
     scalar_linear_grad,

@@ -9,7 +9,7 @@ of spread) and, when the sampling distribution itself shifts over the
 first epochs, averages across that shift.
 """
 
-from bigbatch import SamplerSpec, posneg_ratio_study
+from bigbatch.analysis import SamplerSpec, posneg_ratio_study
 
 COUNTS = dict(
     pos_counts=((0, 0.25), (1, 0.35), (3, 0.25), (12, 0.12), (40, 0.03)),

@@ -9,7 +9,7 @@ layouts and prints the loss trajectories side by side, then shows the
 idealized wall-clock model rewarding the parallel layout anyway.
 """
 
-from bigbatch import ExperimentConfig, run_training
+from bigbatch.trainer import ExperimentConfig, run_training
 
 COMMON = dict(
     per_device_batch=8,

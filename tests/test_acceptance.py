@@ -16,28 +16,18 @@ import time
 import numpy as np
 import pytest
 
-from bigbatch import (
-    BNLayerState,
-    DeviceGroup,
-    ExperimentConfig,
-    SCOPE_BN_GROUP,
-    SCOPE_WORLD,
+from bigbatch.analysis import (
     SamplerSpec,
-    allreduce_sum,
-    bn_forward_local,
-    broadcast,
     estimate_grad_variance,
-    lr_at,
-    make_policy,
     normal_pair_sampler,
     posneg_ratio_study,
-    run_training,
     scalar_linear_grad,
-    scaled_target_lr,
-    sync_bn_backward,
-    sync_bn_forward,
     variance_equivalence_ratio,
 )
+from bigbatch.batchnorm import BNLayerState, bn_forward_local, sync_bn_backward, sync_bn_forward
+from bigbatch.collectives import SCOPE_BN_GROUP, SCOPE_WORLD, DeviceGroup, allreduce_sum, broadcast
+from bigbatch.optim import lr_at, make_policy, scaled_target_lr
+from bigbatch.trainer import ExperimentConfig, run_training
 
 from helpers import rel_err
 

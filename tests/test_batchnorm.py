@@ -404,15 +404,9 @@ class TestSyncForward:
         assert np.allclose(st0.running_mean, ref.mu, atol=1e-15)
         assert np.allclose(st0.running_var, ref.var * (6 / 5), atol=1e-15)
 
-    def test_total_count_too_small_across_group(self):
-        g = DeviceGroup(2)
-
-        def fn(h):
-            # One element per rank and channelwise H=W=1 would be fine (2 total),
-            # so use a single (1, C) shard on a group of one device.
-            return None
-
-        # Direct check: a lone device with a single row cannot normalize.
+    def test_lone_device_with_one_row_cannot_normalize(self):
+        # a group of two or more ranks counts at least 2 elements, since
+        # every shard has at least one row
         g1 = DeviceGroup(1)
 
         def lone(h):

@@ -1187,6 +1187,33 @@ def test_train_bytes_are_pinned(tmp_path, capsys, case):
             for p in out.iterdir()} == digests
 
 
+TWO_CONV = [{"kind": "conv3x3", "out_channels": 3}, {"kind": "bn", "variant": "cross"},
+            {"kind": "relu"}, {"kind": "conv3x3", "out_channels": 3},
+            {"kind": "bn", "variant": "cross"}, {"kind": "relu"},
+            {"kind": "global_mean_pool"}, {"kind": "dense", "out_features": None}]
+
+
+def test_train_bytes_hold_under_a_one_microsecond_switch_interval(tmp_path, capsys):
+    # ranks are threads: scratch that two ranks write (a shared `_col2im`
+    # buffer, say) matched these bytes in 10 of 10 runs at the default 5 ms
+    # interval and in 0 of 10 at 1 us, where threads switch mid-expression
+    cfg = write_config(tmp_path, world_size=4, per_device_batch=2, bn_group_size=2,
+                       epochs=2, seed=7, model=TWO_CONV, dataset={"size": 64, "classes": 4})
+
+    def trio(out):
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+    calm = trio(tmp_path / "calm")
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stressed = trio(tmp_path / "stressed")
+    finally:
+        sys.setswitchinterval(old)
+    assert stressed == calm
+
+
 # `verify all`'s stdout, recorded at 5f6ecf0: a change that keeps every check
 # passing can still move the errors the checks print. grad.model_fd's line
 # moved when its model gained a second conv, whose input gradient it checks

@@ -1,13 +1,11 @@
 """Every name a module imports is used in it, and every private module-level
 name of the package is used in the package (no linter ships with the lab).
 
-The import check covers the package, the tests and the demos. The
-package's `__init__.py` is exempt: it imports to re-export, and exports
-exactly what it imports. README's config tables name exactly the fields of
-the configs they document, and every class whose fields declare rules
-checks them when an instance is made. The bench's tracer must still find
-every binding it wraps, and the line audit's collector must still find a
-line that never ran.
+The import check covers the package, the tests and the demos. README's
+config tables name exactly the fields of the configs they document, and
+every class whose fields declare rules checks them when an instance is
+made. The bench's tracer must still find every binding it wraps, and the
+line audit's collector must still find a line that never ran.
 """
 
 import ast
@@ -29,7 +27,7 @@ from bigbatch.trainer import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bigbatch"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
@@ -179,7 +177,7 @@ def test_every_ruled_class_checks_itself_when_made():
              LayerSpec: {"kind": "relu"}, VarianceSpec: cli.VARIANCE_DEFAULTS,
              SamplerSpec: {"seed": 0, **cli.RATIO_DEFAULTS}}
     modules = [importlib.import_module(f"bigbatch.{p.stem}")
-               for p in MODULES if p.stem != "__main__"]
+               for p in MODULES if p.stem not in ("__init__", "__main__")]
     classes = ruled_classes(modules)
     assert set(classes) == set(valid), "give each ruled class a valid instance here"
     assert {cls.__name__: unchecked_fields(cls, valid[cls]) for cls in classes} == {

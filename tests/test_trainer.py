@@ -20,43 +20,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigbatch import (
-    ConfigError,
-    DeviceGroup,
-    ExperimentConfig,
-    MetricsRow,
-    SCOPE_WORLD,
-    TrainerError,
-    allreduce_sum,
-    backward,
-    check_replica_sync,
-    forward,
-    init_buffers,
-    init_params,
-    l2_penalty,
-    lr_at,
-    plan,
-    run_training,
-    sgd_step,
-    write_outputs,
-    SGDState,
-    Tensor,
-)
 from bigbatch import batchnorm, cli, data, schema, trainer
-from bigbatch.collectives import CollectiveProtocolError
+from bigbatch.collectives import SCOPE_WORLD, CollectiveProtocolError, DeviceGroup, allreduce_sum
 from bigbatch.data import DatasetSpec, generate_dataset, save_dataset
-from bigbatch.model import ModelSpec, LayerSpec
+from bigbatch.model import ModelSpec, LayerSpec, backward, forward, init_buffers, init_params, plan
+from bigbatch.optim import SGDState, l2_penalty, lr_at, sgd_step
 from bigbatch.schema import csv_header, csv_line
-from bigbatch.tensor import NonFiniteError
+from bigbatch.tensor import NonFiniteError, Tensor
 from bigbatch.trainer import (
     MAX_PATCH_BYTES,
     MAX_WORLD_PATCH_BYTES,
+    ConfigError,
+    ExperimentConfig,
+    MetricsRow,
+    TrainerError,
     _count_allreduce_rounds,
     build_model,
+    check_replica_sync,
     iteration_wall_ms,
     read_json_object,
     resolve,
     resolve_dataset,
+    run_training,
+    write_outputs,
 )
 
 from helpers import WIDTH_ONE_CONV, rank_outcomes, rel_err
