@@ -15,9 +15,10 @@ reproducible regardless of how trials might be scheduled. The trial loops
 cost little beyond sampling and the gradients themselves: numpy's wrapped
 calls (`np.mean`, `np.var`, `Generator.choice(p=)`) are taken in their own
 steps, bit for bit; per-trial arithmetic runs once over the stacked trials;
-and trial t's fresh generator gets `default_rng((seed, t))`'s state from one
+trial t's fresh generator gets `default_rng((seed, t))`'s state from one
 vectorized SeedSequence pass over all trials (`_trial_seed_words`, pinned by
-`tests/test_analysis.py::TestTrialSeeds`).
+`tests/test_analysis.py::TestTrialSeeds`); and `normal_pair_sampler` draws a
+pair as one draw of 2n normals, bitwise the same as two draws of n.
 """
 
 from __future__ import annotations
@@ -282,7 +283,8 @@ def scalar_linear_grad(batch) -> dict:
 
 
 def normal_pair_sampler(rng: np.random.Generator, n: int):
-    return rng.standard_normal(n), rng.standard_normal(n)
+    z = rng.standard_normal(2 * n)  # one draw of 2n, bitwise two draws of n and their state
+    return z[:n], z[n:]
 
 
 # ---------------------------------------------------------------------------

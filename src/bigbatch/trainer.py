@@ -368,7 +368,10 @@ def run_training(config: ExperimentConfig) -> TrainResult:
     eval_ms = res.eval_size * SAMPLE_EVAL_MS
     world = config.world_size
 
-    # finite since the dataset was made; each batch slice below is a fresh copy
+    # finite since the dataset was made, and read-only because every rank reads
+    # them; each batch slice below is a fresh copy
+    for a in (dataset.images, dataset.labels, dataset.eval_images, dataset.eval_labels):
+        a.flags.writeable = False
     images, labels = dataset.images, dataset.labels
     step = max(1, EVAL_ROWS // (dataset.spec.height * dataset.spec.width))
     eval_chunks = [Tensor._wrap(dataset.eval_images[i:i + step])  # views, no copy

@@ -399,6 +399,17 @@ class TestFastFormsMatchTheirReferences:
                 want = np.array(float(np.mean(-x * y)))
                 assert got.shape == () and got.tobytes() == want.tobytes(), n
 
+    @pytest.mark.parametrize("seed", [0, 1, (3, 5)], ids=["0", "1", "(3,5)"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 32, 4097])
+    def test_pair_sampler_is_two_draws(self, n, seed):
+        # one draw of 2n split in halves: the same bits, and the same state after
+        fast, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        x, y = normal_pair_sampler(fast, n)
+        want_x, want_y = oracle.standard_normal(n), oracle.standard_normal(n)
+        assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+        assert fast.bit_generator.state == oracle.bit_generator.state
+        assert not np.shares_memory(x, y)
+
     @pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
     def test_block_variance_is_np_var(self, shape):
         # nine blocks, so their mean is a pairwise sum, not a running one

@@ -6,14 +6,16 @@ accuracy checks live in test_acceptance.py.
 """
 
 import contextlib
+import itertools
 import json
 import math
 import sys
 import threading
 import time
+import types
 import zlib
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -817,6 +819,72 @@ def test_fortran_ordered_dataset_trains_to_the_same_bytes(tmp_path):
     assert f.rows == c.rows and f.eval_history == c.eval_history
     assert {k: v.tobytes() for k, v in f.final_params.items()} == {
         k: v.tobytes() for k, v in c.final_params.items()}
+
+
+def shared_arrays(fn) -> list:
+    """The arrays a rank function reaches through its closure (every rank runs
+    the same one): in cells, containers, tensors and dataclass fields."""
+    found, todo = [], [fn]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, Tensor):
+            todo.append(obj.array)
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, types.FunctionType):  # a decorator's wrapper closes over the worker
+            todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif is_dataclass(obj) and not isinstance(obj, type):
+            todo.extend(getattr(obj, f.name) for f in fields(obj))
+    return found
+
+
+def rank_arrays(rank_plan, sgd) -> list:
+    """A rank's own arrays: params, velocity, flat buffers, BN running buffers
+    and BN operands, class attributes included."""
+    arrays = [*rank_plan.params.values(), *sgd.velocity.values(), sgd.flat_params,
+              sgd.flat_velocity]
+    for *_, state in rank_plan.layers:
+        if state is not None:
+            ops = state.operands
+            arrays += [state.running_mean, state.running_var]
+            arrays += [a for a in (getattr(ops, n) for n in dir(ops)) if isinstance(a, np.ndarray)]
+    return arrays
+
+
+def test_ranks_share_nothing_writable(monkeypatch):
+    # devices are threads: an array two ranks can write is a race whose bytes
+    # depend on where the interpreter switches threads
+    by_thread, workers, real_run = {}, [], DeviceGroup.run
+
+    def recording(key, real):  # each rank builds its plan and SGD state in its thread
+        def spy(*args, **kwargs):
+            made = by_thread.setdefault(threading.get_ident(), {})[key] = real(*args, **kwargs)
+            return made
+        return spy
+
+    def spy_run(group, fn):
+        workers.append(fn)
+        return real_run(group, fn)
+    monkeypatch.setattr(trainer, "plan", recording("plan", trainer.plan))
+    monkeypatch.setattr(trainer.SGDState, "create", recording("sgd", trainer.SGDState.create))
+    monkeypatch.setattr(DeviceGroup, "run", spy_run)
+    cfg = smoke_config(world_size=4, bn_group_size=2, per_device_batch=2, epochs=1,
+                       dataset={"size": 16, "classes": 2}, model=BENCH_MODEL)
+    assert run_training(cfg).status == "ok"
+
+    ranks = sorted((r["plan"].handle.rank, rank_arrays(r["plan"], r["sgd"]))
+                   for r in by_thread.values())
+    assert [rank for rank, _ in ranks] == [0, 1, 2, 3]
+    shared = [(i, j, n) for (i, mine), (j, theirs) in itertools.combinations(ranks, 2)
+              for n, a in enumerate(mine) if any(np.shares_memory(a, b) for b in theirs)]
+    assert shared == [], "(rank, rank, index of the first rank's array) sharing memory"
+    reached = shared_arrays(workers[0])
+    assert len(reached) >= 4  # the dataset's images and labels, train and eval
+    assert [a.shape for a in reached if a.flags.writeable] == []
 
 
 class TestEvalChunks:
