@@ -14,13 +14,15 @@ import numpy as np
 
 from bigbatch.batchnorm import BNLayerState, bn_forward_local, sync_bn_forward
 from bigbatch.collectives import DeviceGroup
+from bigbatch.tensor import image_rows
 
 WORLD = 4
 PER_DEVICE = 4
 CHANNELS = 3
 
 rng = np.random.default_rng(7)
-shards = [rng.standard_normal((PER_DEVICE, CHANNELS, 5, 5)) for _ in range(WORLD)]
+# batch norm takes (M, C) rows: each device's images, one row per pixel
+shards = [image_rows(rng.standard_normal((PER_DEVICE, CHANNELS, 5, 5))) for _ in range(WORLD)]
 gamma = rng.standard_normal(CHANNELS)
 beta = rng.standard_normal(CHANNELS)
 
@@ -55,7 +57,7 @@ for r, (_, mu, _) in enumerate(outs):
 
 big = np.concatenate(shards)
 ref_y, ref_cache = bn_forward_local(big, gamma, beta, BNLayerState.create(CHANNELS))
-print(f"\nreference: one device, batch of {big.shape[0]}")
+print(f"\nreference: one device, batch of {WORLD * PER_DEVICE}")
 print(f"  mean:     {np.array2string(ref_cache.mu, precision=4)}")
 
 stacked = np.concatenate([o[0] for o in outs])

@@ -11,15 +11,16 @@ A one-pass variant (single reduction of sums, squared sums, and counts) is
 available behind a flag; it saves a collective round at the cost of the
 classic cancellation hazard in ``E[x^2] - E[x]^2``.
 
-The four public functions take and return ndarrays of layout (N, C) or
-(N, C, H, W), float32 or float64, and convert once each way; what they
-return is C-ordered. In between, all runs in the input's dtype on
-C-ordered (M, C) rows, one per (n, y, x) position: folds on the rows,
+The four public functions take and return (M, C) rows, float32 or
+float64, one row per normalized position; what they return is C-ordered,
+and any other rank is refused. The model's activations are such rows, one
+per (n, y, x) position of an image; `tensor.image_rows` makes them from
+(N, C, H, W) images. All runs in the input's dtype: folds on the rows,
 per-channel arithmetic on their `channel_blocks`, one NaN/Inf scan per
-output, which is where a non-finite input stops. The model's activations
-are such rows already. Each call refills the small operand arrays its
-state holds, so a caller that runs one layer step after step keeps the
-same state and allocates them once per row count and dtype.
+output, which is where a non-finite input stops. Each call refills the
+small operand arrays its state holds, so a caller that runs one layer step
+after step keeps the same state and allocates them once per row count and
+dtype.
 """
 
 from __future__ import annotations
@@ -104,15 +105,14 @@ class BNLayerState:
 class BNForwardCache:
     """Values saved by a training-mode forward pass for the backward pass.
 
-    `x_hat` is kept as (M, C) rows; `shape` is the caller's layout, which
-    the cotangent must match; `gamma` is the scale the forward read, which
-    the backward differentiates. `total_count` is the number of scalar
+    `x_hat` is the forward's normalized (M, C) rows, whose shape the
+    cotangent must match; `gamma` is the scale the forward read, which the
+    backward differentiates. `total_count` is the number of scalar
     elements per channel that the statistics were reduced over, across the
     whole normalization group.
     """
 
     x_hat: np.ndarray
-    shape: tuple[int, ...]
     gamma: np.ndarray
     mu: np.ndarray
     var: np.ndarray
@@ -121,11 +121,11 @@ class BNForwardCache:
 
 
 def _rows(x: np.ndarray, state: BNLayerState, gamma=None, beta=None) -> np.ndarray:
-    """`x` as C-ordered (M, C) rows, once its layout, dtype and extents fit
+    """`x` C-ordered, once it is (M, C) rows whose dtype and extents fit
     `state`, and a forward's `gamma` and `beta` have one entry per channel;
     the state's operands are then fitted to the rows."""
-    if x.ndim not in (2, 4):
-        raise BatchNormError(f"expected layout (N,C) or (N,C,H,W), got shape {x.shape}")
+    if x.ndim != 2:
+        raise BatchNormError(f"expected (M, C) rows, got shape {x.shape}")
     if x.dtype not in (np.float64, np.float32) or 0 in x.shape:
         raise BatchNormError(f"expected float32 or float64 values and positive extents, "
                              f"got {x.dtype} of shape {x.shape}")
@@ -136,18 +136,9 @@ def _rows(x: np.ndarray, state: BNLayerState, gamma=None, beta=None) -> np.ndarr
     affine_shape = (state.channels,)
     if gamma is not None and (gamma.shape != affine_shape or beta.shape != affine_shape):
         raise BatchNormError(f"gamma and beta must have length {state.channels}")
-    rows = (np.ascontiguousarray(x) if x.ndim == 2 else
-            np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, state.channels))
+    rows = np.ascontiguousarray(x)
     state.operands.fit(rows)
     return rows
-
-
-def _unrows(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The inverse of `_rows` for an input of `shape`, C-ordered."""
-    if len(shape) == 2:
-        return rows
-    n, c, h, w = shape
-    return np.ascontiguousarray(rows.reshape(n, h, w, c).transpose(0, 3, 1, 2))
 
 
 def _normalize(rows: np.ndarray, state: BNLayerState, gamma, beta,
@@ -165,7 +156,7 @@ def _normalize(rows: np.ndarray, state: BNLayerState, gamma, beta,
     return _check_finite(y.reshape(rows.shape), "bn_forward"), x_hat.reshape(rows.shape)
 
 
-def _train_forward(rows: np.ndarray, shape, gamma, beta, state: BNLayerState, reduce_vec,
+def _train_forward(rows: np.ndarray, gamma, beta, state: BNLayerState, reduce_vec,
                    scope_key, one_pass: bool) -> tuple[np.ndarray, BNForwardCache]:
     c, ops = state.channels, state.operands
     if one_pass:
@@ -192,8 +183,8 @@ def _train_forward(rows: np.ndarray, shape, gamma, beta, state: BNLayerState, re
             f"training-mode statistics need at least 2 elements per channel, got {m_int}"
         )
     y, x_hat = _normalize(rows, state, gamma, beta, mu, var)
-    bn_update_running(state, mu, var, m_int)
-    return y, BNForwardCache(x_hat, shape, gamma, mu, var, m_int, scope_key)
+    _update_running(state, mu, var, m_int)
+    return y, BNForwardCache(x_hat, gamma, mu, var, m_int, scope_key)
 
 
 def bn_forward_local(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, state: BNLayerState,
@@ -207,13 +198,10 @@ def bn_forward_local(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, state: 
     """
     rows = _rows(x, state, gamma, beta)
     if mode == "train":
-        y, cache = _train_forward(rows, x.shape, gamma, beta, state, lambda v: v, None, False)
-    elif mode == "eval":
-        y, _ = _normalize(rows, state, gamma, beta, state.running_mean, state.running_var)
-        cache = None
-    else:
-        raise BatchNormError(f"mode must be 'train' or 'eval', got {mode!r}")
-    return _unrows(y, x.shape), cache
+        return _train_forward(rows, gamma, beta, state, lambda v: v, None, False)
+    if mode == "eval":
+        return _normalize(rows, state, gamma, beta, state.running_mean, state.running_var)[0], None
+    raise BatchNormError(f"mode must be 'train' or 'eval', got {mode!r}")
 
 
 def sync_bn_forward(handle: DeviceHandle, x_local: np.ndarray, gamma: np.ndarray,
@@ -221,25 +209,24 @@ def sync_bn_forward(handle: DeviceHandle, x_local: np.ndarray, gamma: np.ndarray
                     one_pass: bool = False) -> tuple[np.ndarray, BNForwardCache]:
     """Training-mode batch normalization synchronized across a BN sub-group.
 
-    Every rank of the sub-group must call this with arrays of identical
-    channel/spatial extents (per-device batch sizes may differ; counts are
-    reduced along with the sums so the mean stays exact). All ranks end up
-    with bitwise-identical statistics, and the output matches
-    `bn_forward_local` on the concatenation of all shards.
+    Every rank of the sub-group must call this with rows of one channel
+    count (per-device row counts may differ; counts are reduced along with
+    the sums so the mean stays exact). All ranks end up with
+    bitwise-identical statistics, and the output matches `bn_forward_local`
+    on the concatenation of all shards.
     """
     rows = _rows(x_local, state, gamma, beta)
-    y, cache = _train_forward(
-        rows, x_local.shape, gamma, beta, state,
-        lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v), handle.bn_scope_key, one_pass)
-    return _unrows(y, x_local.shape), cache
+    return _train_forward(rows, gamma, beta, state,
+                          lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v),
+                          handle.bn_scope_key, one_pass)
 
 
 def _backward_core(dy: np.ndarray, cache: BNForwardCache, state: BNLayerState, reduce_vec):
     if cache is None:  # what an eval forward returns
         raise BatchNormError("backward requires a training-mode forward cache")
-    if dy.shape != cache.shape:
+    if dy.shape != cache.x_hat.shape:
         raise BatchNormError(
-            f"cotangent shape {dy.shape} does not match cached shape {cache.shape}"
+            f"cotangent shape {dy.shape} does not match cached shape {cache.x_hat.shape}"
         )
     c = state.channels
     if cache.mu.shape != (c,):
@@ -267,8 +254,7 @@ def bn_backward_local(dy: np.ndarray, cache: BNForwardCache,
     if cache is not None and cache.scope_key is not None:
         raise BatchNormError("cache came from a synchronized forward; use sync_bn_backward")
     # the local sums are the totals, copied out of the operand the next step refills
-    dx, dgamma, dbeta = _backward_core(dy, cache, state, np.copy)
-    return _unrows(dx, dy.shape), dgamma, dbeta
+    return _backward_core(dy, cache, state, np.copy)
 
 
 def sync_bn_backward(handle: DeviceHandle, dy_local: np.ndarray, cache: BNForwardCache,
@@ -285,21 +271,18 @@ def sync_bn_backward(handle: DeviceHandle, dy_local: np.ndarray, cache: BNForwar
             f"cache was produced under scope {cache.scope_key!r} but this device "
             f"belongs to {scope_key!r}"
         )
-    dx, dgamma, dbeta = _backward_core(dy_local, cache, state,
-                                       lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v))
-    return _unrows(dx, dy_local.shape), dgamma, dbeta
+    return _backward_core(dy_local, cache, state,
+                          lambda v: allreduce_sum(handle, SCOPE_BN_GROUP, v))
 
 
-def bn_update_running(state: BNLayerState, mu: np.ndarray, var: np.ndarray,
-                      count: int) -> None:
-    """Blend batch statistics into the running estimates, in place; returns None.
+def _update_running(state: BNLayerState, mu: np.ndarray, var: np.ndarray, count: int) -> None:
+    """Blend batch statistics over `count` >= 2 elements per channel into the
+    running estimates, in place; returns None.
 
     The state's arrays are written, not rebound: a model's `buffers` see the
     new values. The running variance uses the unbiased correction
     count/(count-1); the batch variance itself stays biased for normalization.
     """
-    if count <= 1:
-        raise BatchNormError(f"running-variance update needs count > 1, got {count}")
     rho = state.running_momentum
     unbiased = var * (count / (count - 1.0))
     state.running_mean[...] = (1.0 - rho) * state.running_mean + rho * mu

@@ -115,7 +115,7 @@ def _experiment_config(args) -> ExperimentConfig:
 def cmd_train(args) -> int:
     cfg = _experiment_config(args)
     out_dir = args.out or cfg.out_dir
-    if out_dir is None:
+    if not out_dir:
         raise ConfigError("train needs an output directory (--out or config out_dir)")
     _out_dir(out_dir)
     result = run_training(cfg)
@@ -217,7 +217,7 @@ def cmd_gen_data(args) -> int:
     spec = cfg.dataset_spec
     if spec is None:
         raise ConfigError("gen-data needs a generator spec, not a dataset dir")
-    if args.out is None:
+    if not args.out:
         raise ConfigError("gen-data requires --out")
     _out_dir(args.out)
     build_model(cfg, spec.classes, (1, spec.height, spec.width))  # rejects what train would

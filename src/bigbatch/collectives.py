@@ -69,11 +69,10 @@ class DeviceHandle:
     def __init__(self, group: "DeviceGroup", rank: int):
         self.group = group
         self.rank = rank
-        self.bn_group_index = rank // group.bn_group_size
-        self.bn_scope_key = f"bn{self.bn_group_index}"  # this device's sub-group scope
-        self.bn_group_ranks = group._tables[self.bn_scope_key].ranks
-        self._scopes = {SCOPE_WORLD: ("world", group._tables["world"].ranks),
-                        SCOPE_BN_GROUP: (self.bn_scope_key, self.bn_group_ranks)}
+        self.bn_scope_key = f"bn{rank // group.bn_group_size}"  # this device's sub-group scope
+        tables = group._tables
+        self._scopes = {SCOPE_WORLD: ("world", tables["world"].ranks),
+                        SCOPE_BN_GROUP: (self.bn_scope_key, tables[self.bn_scope_key].ranks)}
 
     def _scope_info(self, scope: str) -> tuple[str, list[int]]:
         """(scope key, member ranks) of a scope name; callers must not mutate the list."""

@@ -8,12 +8,13 @@ a local and a cross-device variant; the cross variant synchronizes
 statistics over the device handle's normalization sub-group and degrades
 to the local one when no handle is given.
 
-Inputs arrive as (N, C, H, W) and are converted once, at the model entry.
-From there every spatial activation is carried as a (N*H*W, C) rows
-matrix, rows ordered (n, y, x): a conv output `cols @ W.T` is already in
-that layout (its bias, like BN's per-channel arithmetic, is added on
-`channel_blocks`), BN treats it as an (N, C) batch with the same
-per-channel accumulation order, and global mean pooling folds it back.
+Inputs arrive as (N, C, H, W) and are converted once, by
+`tensor.image_rows` at the model entry; NCHW appears nowhere else. From
+there every spatial activation is carried as a (N*H*W, C) rows matrix,
+rows ordered (n, y, x): a conv output `cols @ W.T` is already in that
+layout (its bias, like BN's per-channel arithmetic, is added on
+`channel_blocks`), BN takes it as it takes any (M, C) rows, and global
+mean pooling folds it back.
 The patch matrix `cols` is Fortran-ordered (see `_im2col`); for two or
 more output channels the unit suite pins that BLAS forms both conv
 products from it bitwise equal to a C-ordered copy (with one, OpenBLAS
@@ -52,7 +53,7 @@ from .batchnorm import (
     sync_bn_forward,
 )
 from .schema import check_fields, integer, one_of, ruled, string
-from .tensor import NonFiniteError, Tensor, _check_finite, channel_blocks
+from .tensor import NonFiniteError, Tensor, _check_finite, channel_blocks, image_rows
 
 KINDS = ("dense", "conv3x3", "relu", "bn", "global_mean_pool", "softmax_xent")
 # The widest layer, 32 times the widest any shipped config uses. A conv3x3
@@ -283,10 +284,7 @@ def forward(plan: RankPlan, x: Tensor, labels: np.ndarray | None = None,
     caches = []
     keep = caches.append if mode == "train" else lambda entry: None
     n = x.shape[0]
-    cur = x.array
-    if len(model.in_shape) == 3:
-        c, h, wd = model.in_shape
-        cur = cur.transpose(0, 2, 3, 1).reshape(n * h * wd, c)  # scanned by the Tensor
+    cur = image_rows(x.array) if len(model.in_shape) == 3 else x.array  # scanned by the Tensor
     for layer, ishape, keys, state in plan.layers[:-1]:  # the loss head runs below
         k = layer.kind
         if k == "dense":

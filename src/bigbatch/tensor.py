@@ -1,4 +1,5 @@
-"""Minimal dense tensor type plus the order-pinned row fold and the block
+"""Minimal dense tensor type, `image_rows` (the package's one conversion of
+(N, C, H, W) images to rows), and the order-pinned row fold and the block
 view that every per-channel statistic and elementwise op is built on.
 
 `sequential_sum_rows` accumulates the columns of a rows matrix strictly
@@ -78,6 +79,11 @@ class Tensor:
     def array(self) -> np.ndarray:
         """Read-only view with the tensor's shape."""
         return self._a
+
+
+def image_rows(x: np.ndarray) -> np.ndarray:
+    """(N, C, H, W) images as C-ordered (N*H*W, C) rows, ordered (n, y, x)."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, x.shape[1])
 
 
 def sequential_sum_rows(rows: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from .batchnorm import BNLayerState, bn_forward_local, sync_bn_backward, sync_bn
 from .collectives import SCOPE_BN_GROUP, SCOPE_WORLD, DeviceGroup, allreduce_sum, broadcast
 from .model import LayerSpec, ModelSpec, backward, forward, init_buffers, init_params, plan
 from .optim import SGDState, l2_penalty, lr_at, make_policy, scaled_target_lr, sgd_step
-from .tensor import Tensor
+from .tensor import Tensor, image_rows
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
@@ -57,7 +57,7 @@ def _random_case(rng):
     shards = [int(rng.integers(1, 5)) for _ in range(g)]
     if sum(shards) * h * w < 2:
         shards[0] += 1
-    xs = [rng.standard_normal((n, c, h, w)) for n in shards]
+    xs = [image_rows(rng.standard_normal((n, c, h, w))) for n in shards]
     gamma = rng.standard_normal(c)
     beta = rng.standard_normal(c)
     return g, c, xs, gamma, beta
@@ -89,7 +89,7 @@ def check_concat_equivalence(seed) -> CheckResult:
 
 def check_single_group_bitwise(seed) -> CheckResult:
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((5, 3, 2, 2))
+    x = image_rows(rng.standard_normal((5, 3, 2, 2)))
     gamma, beta = rng.standard_normal(3), rng.standard_normal(3)
     (y_sync, mu, var), = _group_forward(1, [x], gamma, beta)
     y_local, cache = bn_forward_local(x, gamma, beta, BNLayerState.create(3))
@@ -114,7 +114,7 @@ def check_one_pass_agreement(seed) -> CheckResult:
 
 def check_running_stats(seed) -> CheckResult:
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((6, 2, 3, 3))
+    x = image_rows(rng.standard_normal((6, 2, 3, 3)))
     state = BNLayerState.create(2, running_momentum=1.0)
     gamma, beta = np.ones(2), np.zeros(2)
     _, cache = bn_forward_local(x, gamma, beta, state)
@@ -167,13 +167,16 @@ def sync_bn_fd_max_err(world_size: int, shard_sizes, channels: int, hw, seed: in
     h, w = hw
     rng = np.random.default_rng(seed)
     xs = [rng.standard_normal((n, channels, h, w)) for n in shard_sizes]
-    cots = [rng.standard_normal(x.shape) for x in xs]
+    cots = [image_rows(rng.standard_normal(x.shape)) for x in xs]
     gamma = rng.standard_normal(channels)
     beta = rng.standard_normal(channels)
     coord_rng = np.random.default_rng((seed, 7))
     coords = {r: [tuple(int(coord_rng.integers(0, e)) for e in xs[r].shape)
                   for _ in range(4)]
               for r in range(world_size)}
+    # BN takes rows: image i's pixel (y, x), channel c, is entry ((i*h + y)*w + x, c)
+    coords = {r: [((i * h + y) * w + x, c) for i, c, y, x in idxs] for r, idxs in coords.items()}
+    xs = [image_rows(x) for x in xs]
     group = DeviceGroup(world_size)
 
     def worker(handle):

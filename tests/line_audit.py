@@ -3,6 +3,9 @@ indented `src/` line that never ran, as `path:line: text`.
 
     python tests/line_audit.py [pytest args]
 
+It exits with pytest's code when a test fails, else 1 if it listed any
+line, else 0.
+
 Extra arguments go to pytest after the tier-1 ones, so `-k "not
 criterion_7"` leaves out the longest test. The tracer is `sys.settrace`
 for the calling thread plus `threading.settrace` for the device threads;
@@ -90,7 +93,7 @@ def main(argv: list) -> int:
     lines = collector.missed(ROOT)
     print(*lines, sep="\n")
     print(f"{len(lines)} indented src/ lines never ran")
-    return int(code)
+    return int(code) or int(bool(lines))
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from bigbatch.analysis import (
 from bigbatch.batchnorm import BNLayerState, bn_forward_local, sync_bn_backward, sync_bn_forward
 from bigbatch.collectives import SCOPE_BN_GROUP, SCOPE_WORLD, DeviceGroup, allreduce_sum, broadcast
 from bigbatch.optim import lr_at, make_policy, scaled_target_lr
+from bigbatch.tensor import image_rows
 from bigbatch.trainer import ExperimentConfig, run_training
 
 from helpers import rel_err
@@ -55,7 +56,7 @@ def test_criterion_1_cross_device_bn_matches_concatenated_batch(verdict):
         shards = [int(rng.integers(1, 5)) for _ in range(g)]
         if sum(shards) * h * w < 2:
             shards[0] += 1
-        xs = [rng.standard_normal((n, c, h, w)) for n in shards]
+        xs = [image_rows(rng.standard_normal((n, c, h, w))) for n in shards]
         gamma = rng.standard_normal(c)
         beta = rng.standard_normal(c)
 
@@ -95,6 +96,10 @@ def _fd_case(case_seed, step=1e-5):
     coords = {r: [tuple(int(rng.integers(0, e)) for e in xs[r].shape)
                   for _ in range(2)]
               for r in range(world)}
+    # BN takes rows: image i's pixel (y, x), channel ch, is entry ((i*h + y)*w + x, ch)
+    coords = {r: [((i * h + y) * w + x, ch) for i, ch, y, x in idxs]
+              for r, idxs in coords.items()}
+    xs, cots = [image_rows(x) for x in xs], [image_rows(cot) for cot in cots]
 
     def worker(handle):
         me = handle.rank

@@ -3,17 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+from bigbatch import batchnorm
 from bigbatch.batchnorm import (
     BatchNormError,
     BNForwardCache,
     BNLayerState,
     bn_backward_local,
     bn_forward_local,
-    bn_update_running,
     sync_bn_backward,
     sync_bn_forward,
 )
 from bigbatch.collectives import CollectiveProtocolError, DeviceGroup
+from bigbatch.tensor import image_rows
 
 from helpers import (
     channel_rows,
@@ -33,6 +34,11 @@ def random_state(rng, channels, eps=1e-5, momentum=0.1):
 def identity(channels):
     """The (gamma, beta) a BN layer starts from."""
     return np.ones(channels), np.zeros(channels)
+
+
+def rows(a):
+    """An (N, C) batch as it is, (N, C, H, W) images as the rows BN takes."""
+    return a if a.ndim == 2 else image_rows(a)
 
 
 def group_forward(world, bn_group, shards, gamma, beta, one_pass=False, momentum=0.1):
@@ -137,7 +143,7 @@ class TestLocalForward:
     ], ids=["shape0", "shape1", "shape2", "shape3", "float32"])
     def test_matches_loop_oracle(self, shape, dtype):
         rng = np.random.default_rng(sum(shape))
-        x = rng.normal(size=shape).astype(dtype)
+        x = rows(rng.normal(size=shape).astype(dtype))
         st, gamma, beta = random_state(rng, shape[1])
         y, cache = bn_forward_local(x, gamma, beta, st, mode="train")
         want_y, want_mu, want_var = loop_bn_forward(x, gamma, beta, st.eps)
@@ -155,10 +161,10 @@ class TestLocalForward:
 
     @pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3, 3), (7, 1, 2, 5), (1, 6, 2, 1)])
     def test_channel_sums_fold_rows_in_order(self, shape):
-        # mu and dbeta are the sequential per-channel sums over (n, y, x),
-        # bitwise, whatever the layout; (1, C, H, W) has a single image
+        # mu and dbeta are the sequential per-channel sums over the rows,
+        # bitwise, an image's in (n, y, x) order; (1, C, H, W) has a single image
         rng = np.random.default_rng(sum(shape))
-        x, dy = rng.normal(size=shape), rng.normal(size=shape)
+        x, dy = rows(rng.normal(size=shape)), rows(rng.normal(size=shape))
         st = BNLayerState.create(shape[1])
         _, cache = bn_forward_local(x, *identity(shape[1]), st)
         assert np.array_equal(cache.mu, loop_channel_sum(x) / (x.size // shape[1]))
@@ -182,7 +188,7 @@ class TestLocalForward:
         # The outputs of training-mode BN with identity affine have mean 0
         # and biased variance 1 by construction.
         rng = np.random.default_rng(31)
-        x = rng.normal(loc=3.0, scale=2.5, size=(64, 3, 2, 2))
+        x = image_rows(rng.normal(loc=3.0, scale=2.5, size=(64, 3, 2, 2)))
         st = BNLayerState.create(3)
         y, _ = bn_forward_local(x, *identity(3), st)
         rows = np.stack(channel_rows(y))
@@ -194,16 +200,11 @@ class TestLocalForward:
         with pytest.raises(BatchNormError, match="at least 2"):
             bn_forward_local(np.ones((1, 3)), *identity(3), st)
 
-    def test_rank_3_rejected(self):
-        st = BNLayerState.create(3)
-        with pytest.raises(BatchNormError, match="expected layout"):
-            bn_forward_local(np.ones((2, 3, 4)), *identity(3), st)
-
     @pytest.mark.parametrize("x, named", [
         (np.arange(6, dtype=np.int64).reshape(3, 2), "int64"),
         (np.ones((0, 2)), r"shape \(0, 2\)"),
-        (np.ones((3, 2, 0, 4)), r"shape \(3, 2, 0, 4\)"),
-    ], ids=["int64", "no_rows", "no_height"])
+        (np.ones((3, 0)), r"shape \(3, 0\)"),
+    ], ids=["int64", "no_rows", "no_channels"])
     def test_values_rejected(self, x, named):
         # not int64 results, nor a ZeroDivisionError from the block view
         with pytest.raises(BatchNormError, match=named) as err:
@@ -219,6 +220,43 @@ class TestLocalForward:
         st = BNLayerState.create(2)
         with pytest.raises(BatchNormError):
             bn_forward_local(np.ones((4, 2)), *identity(2), st, mode="test")
+
+
+@pytest.mark.parametrize("shape", [(12,), (4, 3, 1), (1, 3, 2, 2)], ids=["1d", "3d", "4d"])
+class TestRowsOnly:
+    """Each public function takes (M, C) rows and refuses any other rank with
+    one line that names the shape; a synchronized one on every rank, before
+    the first collective of its call."""
+
+    def test_forward_local(self, shape):
+        with pytest.raises(BatchNormError) as e:
+            bn_forward_local(np.ones(shape), *identity(3), BNLayerState.create(3))
+        assert str(e.value) == f"expected (M, C) rows, got shape {shape}"
+
+    def test_backward_local(self, shape):
+        st = BNLayerState.create(3)
+        _, cache = bn_forward_local(np.ones((4, 3)), *identity(3), st)
+        with pytest.raises(BatchNormError) as e:
+            bn_backward_local(np.ones(shape), cache, st)
+        assert str(e.value) == f"cotangent shape {shape} does not match cached shape (4, 3)"
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_sync_on_every_rank(self, shape, backward):
+        def fn(h):
+            st = BNLayerState.create(3)
+            with pytest.raises(BatchNormError) as e:
+                if backward:
+                    _, cache = sync_bn_forward(h, np.ones((4, 3)), *identity(3), st)
+                    sync_bn_backward(h, np.ones(shape), cache, st)
+                else:
+                    sync_bn_forward(h, np.ones(shape), *identity(3), st)
+            return str(e.value)
+
+        g = DeviceGroup(2)
+        want = (f"cotangent shape {shape} does not match cached shape (4, 3)" if backward
+                else f"expected (M, C) rows, got shape {shape}")
+        assert g.run(fn) == [want] * 2
+        assert g._tables["bn0"].round == (2 if backward else 0)  # the forward's two rounds
 
 
 class TestEvalForward:
@@ -254,7 +292,7 @@ class TestEvalForward:
         st.running_var[:] = rng.uniform(0.5, 2.0, size=3)
         mean, var = st.running_mean, st.running_var
         before = mean.tobytes() + var.tobytes()
-        _, cache = bn_forward_local(rng.normal(size=shape).astype(dtype), gamma, beta, st,
+        _, cache = bn_forward_local(rows(rng.normal(size=shape).astype(dtype)), gamma, beta, st,
                                     mode="eval")
         assert cache is None
         assert st.running_mean is mean and st.running_var is var
@@ -304,14 +342,9 @@ class TestRunningStats:
         mu, batch_var = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
         want_mean = (1.0 - 0.3) * mean + 0.3 * mu
         want_var = (1.0 - 0.3) * var + 0.3 * (batch_var * (6 / 5.0))
-        assert bn_update_running(st, mu, batch_var, 6) is None
+        assert batchnorm._update_running(st, mu, batch_var, 6) is None
         assert st.running_mean is mean and st.running_var is var
         assert np.array_equal(mean, want_mean) and np.array_equal(var, want_var)
-
-    def test_update_needs_count_above_one(self):
-        st = BNLayerState.create(2)
-        with pytest.raises(BatchNormError):
-            bn_update_running(st, np.zeros(2), np.ones(2), 1)
 
 
 class TestSyncForward:
@@ -324,7 +357,7 @@ class TestSyncForward:
             for _ in range(world):
                 n = int(rng.integers(1, 5))
                 shape = (n, c, 2, 3) if use4d else (n, c)
-                shards.append(rng.normal(size=shape))
+                shards.append(rows(rng.normal(size=shape)))
             gamma = rng.uniform(0.5, 1.5, c)
             beta = rng.normal(size=c)
 
@@ -342,7 +375,8 @@ class TestSyncForward:
 
     def test_matches_loop_oracle_directly(self):
         rng = np.random.default_rng(41)
-        shards = [rng.normal(size=(3, 2, 2, 2)), rng.normal(size=(2, 2, 2, 2))]
+        shards = [image_rows(rng.normal(size=(3, 2, 2, 2))),
+                  image_rows(rng.normal(size=(2, 2, 2, 2)))]
         gamma = np.array([1.25, 0.75])
         beta = np.array([-0.5, 0.25])
         out = group_forward(2, 2, shards, gamma, beta)
@@ -363,8 +397,8 @@ class TestSyncForward:
 
     def test_group_of_one_bitwise_equals_local(self):
         rng = np.random.default_rng(43)
-        x = rng.normal(size=(4, 3, 2, 2))
-        out = group_forward(2, 1, [x, rng.normal(size=(4, 3, 2, 2))], *identity(3))
+        x = image_rows(rng.normal(size=(4, 3, 2, 2)))
+        out = group_forward(2, 1, [x, image_rows(rng.normal(size=(4, 3, 2, 2)))], *identity(3))
         y_sync, cache_sync = out[0][0], out[0][1]
         y_local, cache_local = bn_forward_local(x, *identity(3), BNLayerState.create(3))
         assert np.array_equal(y_sync, y_local)  # bitwise
@@ -384,7 +418,7 @@ class TestSyncForward:
 
     def test_one_pass_close_to_two_pass(self):
         rng = np.random.default_rng(45)
-        shards = [rng.normal(loc=2.0, size=(3, 4, 2, 2)) for _ in range(3)]
+        shards = [image_rows(rng.normal(loc=2.0, size=(3, 4, 2, 2))) for _ in range(3)]
         two = group_forward(3, 3, shards, *identity(4), one_pass=False)
         one = group_forward(3, 3, shards, *identity(4), one_pass=True)
         for r in range(3):
@@ -431,8 +465,8 @@ class TestSyncForward:
 class TestBackwardLocal:
     def test_affine_grads_match_loop_sums(self):
         rng = np.random.default_rng(50)
-        x = rng.normal(size=(3, 2, 2, 2))
-        dy = rng.normal(size=(3, 2, 2, 2))
+        x = image_rows(rng.normal(size=(3, 2, 2, 2)))
+        dy = image_rows(rng.normal(size=(3, 2, 2, 2)))
         st, gamma, beta = random_state(rng, 2)
         _, cache = bn_forward_local(x, gamma, beta, st)
         _, dgamma, dbeta = bn_backward_local(dy, cache, st)
@@ -468,8 +502,8 @@ class TestBackwardLocal:
 
     def test_rejects_sync_cache(self):
         st = BNLayerState.create(2)
-        cache = BNForwardCache(x_hat=np.ones((2, 2)), shape=(2, 2), gamma=np.ones(2),
-                               mu=np.zeros(2), var=np.ones(2), total_count=2, scope_key="bn0")
+        cache = BNForwardCache(x_hat=np.ones((2, 2)), gamma=np.ones(2), mu=np.zeros(2),
+                               var=np.ones(2), total_count=2, scope_key="bn0")
         with pytest.raises(BatchNormError, match="synchronized"):
             bn_backward_local(np.ones((2, 2)), cache, st)
 
@@ -484,13 +518,9 @@ class TestBackwardLocal:
         _, cache = bn_forward_local(x, *identity(2), st)
         with pytest.raises(BatchNormError, match="cotangent"):
             bn_backward_local(np.ones((3, 2)), cache, st)
-        # the cache holds (M, C) rows; a 4-D cotangent with the same rows
-        # but another layout must still be refused
-        st = BNLayerState.create(3)
-        x = np.random.default_rng(53).normal(size=(2, 3, 4, 4))
-        _, cache = bn_forward_local(x, *identity(3), st)
+        # as many elements, another shape
         with pytest.raises(BatchNormError, match="cotangent"):
-            bn_backward_local(np.ones((2, 3, 2, 8)), cache, st)
+            bn_backward_local(np.ones((2, 4)), cache, st)
 
     def test_cache_of_another_layer_state(self):
         # the cotangent fits the cache; the state, with other channels, does not
@@ -503,7 +533,7 @@ class TestBackwardLocal:
     def test_float32_keeps_dtype(self):
         # the forward keeps float32; the backward used to return float64
         rng = np.random.default_rng(54)
-        x, dy = rng.normal(size=(2, 3, 4, 4)), rng.normal(size=(2, 3, 4, 4))
+        x, dy = (image_rows(rng.normal(size=(2, 3, 4, 4))) for _ in range(2))
         st, gamma, beta = random_state(rng, 3)
         st64 = BNLayerState.create(3)
         _, cache = bn_forward_local(x.astype(np.float32), gamma, beta, st)
@@ -520,10 +550,10 @@ def transcribed_bn(x, dy, gamma, beta, st):
     """Local batch norm as first written: (M, C) rows against (C,) broadcasts.
 
     Returns the train forward's (y, mu, var, x_hat), its backward's
-    (dx, dgamma, dbeta) and the eval forward's y, with y and dx in the
-    layout of `x`. The folds are scalar-loop sums in row order.
+    (dx, dgamma, dbeta) and the eval forward's y. The folds are scalar-loop
+    sums in row order.
     """
-    rows, drows = np.stack(channel_rows(x)), np.stack(channel_rows(dy))
+    rows, drows = x, dy
     m = float(rows.shape[0])
     mu = loop_sequential_sum(rows) / m
     diff = rows - mu
@@ -538,14 +568,7 @@ def transcribed_bn(x, dy, gamma, beta, st):
     inv_std = 1.0 / np.sqrt(st.running_var + st.eps)
     x_hat_eval = inv_std * rows + (-st.running_mean * inv_std)
     y_eval = gamma * x_hat_eval + beta
-
-    def layout(a):
-        if x.ndim == 2:
-            return a
-        n, c, h, w = x.shape
-        return a.reshape(n, h, w, c).transpose(0, 3, 1, 2)
-
-    return (layout(y), mu, var, x_hat), (layout(dx), dgamma, dbeta), layout(y_eval)
+    return (y, mu, var, x_hat), (dx, dgamma, dbeta), y_eval
 
 
 class TestBytesAtEveryRowCount:
@@ -554,7 +577,7 @@ class TestBytesAtEveryRowCount:
     rows per block."""
 
     @pytest.mark.parametrize("shape", [(24, 3), (96, 6), (100, 3), (100, 6), (24, 6),
-                                       (3, 3, 5, 5), (3, 6, 5, 5)])
+                                       (75, 3), (75, 6)])
     def test_train_and_eval_match_the_transcription(self, shape):
         rng = np.random.default_rng(sum(shape))
         x, dy = rng.normal(loc=0.7, size=shape), rng.normal(size=shape)
@@ -578,9 +601,9 @@ class TestArraysAtTheEdge:
     """Inputs in any memory order; outputs are C-ordered ndarrays, bitwise the
     results of C-ordered copies of the inputs."""
 
-    @pytest.mark.parametrize("shape", [(37, 3), (3, 4, 5, 6)], ids=["rows", "nchw"])
     @pytest.mark.parametrize("path", ["local", "two_pass", "one_pass"])
-    def test_fortran_order_gives_the_c_order_bits(self, shape, path):
+    def test_fortran_order_gives_the_c_order_bits(self, path):
+        shape = (37, 3)
         rng = np.random.default_rng(sum(shape))
         x, dy = (rng.normal(loc=0.4, size=shape[::-1]).T for _ in range(2))
         assert x.flags.f_contiguous and not x.flags.c_contiguous
@@ -650,9 +673,8 @@ class TestBackwardSync:
         g = DeviceGroup(1)
 
         def fn(h):
-            cache = BNForwardCache(x_hat=np.ones((2, 2)), shape=(2, 2), gamma=np.ones(2),
-                                   mu=np.zeros(2), var=np.ones(2), total_count=2,
-                                   scope_key="bn7")
+            cache = BNForwardCache(x_hat=np.ones((2, 2)), gamma=np.ones(2), mu=np.zeros(2),
+                                   var=np.ones(2), total_count=2, scope_key="bn7")
             with pytest.raises(BatchNormError, match="bn7"):
                 sync_bn_backward(h, np.ones((2, 2)), cache,
                                  BNLayerState.create(2))
@@ -710,7 +732,7 @@ class TestOperandsOnTheState:
         def fn(rank, forward, backward):
             rng = np.random.default_rng((70, rank))
             st, gamma, beta = random_state(rng, 3)
-            x = rng.normal(size=(4, 3, 2, 2)).astype(dtype)
+            x = image_rows(rng.normal(size=(4, 3, 2, 2)).astype(dtype))
             _, cache = forward(x, gamma, beta, st)
             held = operand_arrays(st)
             for _ in range(2):
@@ -728,7 +750,7 @@ class TestOperandsOnTheState:
         def fn(rank, forward, backward):
             rng = np.random.default_rng((71, rank))
             st, gamma, beta = random_state(rng, 3)
-            x = rng.normal(size=(4, 3, 2, 2))
+            x = image_rows(rng.normal(size=(4, 3, 2, 2)))
             forward(x.astype(dtype), gamma, beta, st)
             for x2 in (x[:3].astype(dtype), x[:3].astype(other)):
                 held = operand_arrays(st)
@@ -745,7 +767,7 @@ class TestOperandsOnTheState:
         def fn(rank, forward, backward):
             rng = np.random.default_rng((72, rank))
             st, gamma, beta = random_state(rng, 3)
-            xs = [rng.normal(loc=0.5, size=shape).astype(dtype)
+            xs = [image_rows(rng.normal(loc=0.5, size=shape).astype(dtype))
                   for shape in ((4, 3, 2, 2), second)]
             dys = [rng.normal(size=x.shape).astype(dtype) for x in xs]
             outs = [forward(x, gamma, beta, st) for x in xs]

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -292,9 +293,10 @@ class TestVerify:
         assert "FAIL]" not in out
 
     def test_random_bn_case_normalizes_two_elements_at_least(self):
-        # seed 1486 draws one shard of one 1x1 image; the case adds an image to it
+        # seed 1486 draws one shard of one 1x1 image; the case adds an image
+        # to it, so the shard's rows are the two images' one pixel each
         g, c, xs, gamma, beta = _random_case(np.random.default_rng(1486))
-        assert g == 1 and [x.shape for x in xs] == [(2, c, 1, 1)]
+        assert g == 1 and [x.shape for x in xs] == [(2, c)]
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
@@ -812,6 +814,31 @@ def test_python_dash_m_runs_the_cli():
     done = run_module("--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: bigbatch ")
+
+
+def test_module_entry_runs_in_process(monkeypatch, capsys):
+    # `__main__.py` run here, not in a subprocess, where the line audit sees it
+    monkeypatch.setattr(sys, "argv", ["bigbatch", "--version"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("bigbatch", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out == "0.1.0\n"
+
+
+@pytest.mark.parametrize("command, fields, flags, message", [
+    ("train", {"out_dir": ""}, [], "train needs an output directory (--out or config out_dir)"),
+    ("gen-data", {}, ["--out", ""], "gen-data requires --out"),
+], ids=["train_config_out_dir", "gen_data_out_flag"])
+def test_empty_output_path_is_missing(tmp_path, capsys, monkeypatch, command, fields, flags,
+                                      message):
+    # each used to write its files into the working directory
+    cfg = train_config(tmp_path, **fields)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main([command, "--config", cfg, *flags]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(work.iterdir()) == []
 
 
 def test_diverging_train_leaves_stderr_empty(tmp_path):

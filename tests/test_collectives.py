@@ -54,9 +54,9 @@ def test_group_validation():
 
 def test_bn_group_partition():
     g = DeviceGroup(6, bn_group_size=2)
-    assert g.handles[0].bn_group_ranks == [0, 1]
-    assert g.handles[3].bn_group_ranks == [2, 3]
-    assert g.handles[5].bn_group_index == 2
+    assert g.handles[0]._scope_info(SCOPE_BN_GROUP)[1] == [0, 1]
+    assert g.handles[3]._scope_info(SCOPE_BN_GROUP)[1] == [2, 3]
+    assert g.handles[5].bn_scope_key == "bn2"
 
 
 def test_run_returns_per_rank_results():
@@ -454,7 +454,7 @@ def test_rendezvous_stress_with_rapid_thread_switching():
     finally:
         sys.setswitchinterval(old)
     for r in range(world):
-        group = g.handles[r].bn_group_ranks
+        group = g.handles[r]._scope_info(SCOPE_BN_GROUP)[1]
         for i in range(rounds):
             sub, whole, bcast = out[r][3 * i:3 * i + 3]
             assert np.array_equal(sub, loop_sequential_sum([contribs[i, q] for q in group]))

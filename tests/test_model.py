@@ -17,7 +17,7 @@ from bigbatch.model import (
     plan,
 )
 from bigbatch.optim import SGDState, l2_penalty, sgd_step, weight_keys
-from bigbatch.tensor import NonFiniteError, Tensor
+from bigbatch.tensor import NonFiniteError, Tensor, image_rows
 
 from helpers import (
     fd_entry,
@@ -580,7 +580,7 @@ class TestRankPlan:
             assert all(b[key] is a for key, a in zip(keys, arrays))
             cache, rho = out.caches[1][1], layer.running_momentum
             count = cache.total_count
-            # `bn_update_running`'s blend, computed out of place
+            # `batchnorm._update_running`'s blend, computed out of place
             want_mean = (1.0 - rho) * old[0] + rho * cache.mu
             want_var = (1.0 - rho) * old[1] + rho * (cache.var * (count / (count - 1.0)))
             assert np.array_equal(b[keys[0]], want_mean)
@@ -591,14 +591,21 @@ class TestRankPlan:
         assert all(np.array_equal(a, want) for a, want in zip(arrays, before))
 
 
+def images(rows, shape):
+    """(N*H*W, C) rows as the C-ordered (N, C, H, W) images of `shape`."""
+    n, c, h, w = shape
+    return np.ascontiguousarray(rows.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+
+
 def nchw_reference(m, params, buffers, x, labels, mode="train"):
     """Logits, loss and gradients of `m` with activations kept as (N,C,H,W).
 
     The model carries spatial activations as (N*H*W, C) rows; this is the
     layout it used before, conv through `nchw_im2col`/`nchw_col2im` and BN
-    on 4-D tensors. Every reduction sees the same values in the same order,
-    so the two must agree bitwise. Updates `buffers` like a train forward;
-    in eval mode BN reads them, and only the logits are returned.
+    on each 4-D tensor's `image_rows`, its results turned back into images.
+    Every reduction sees the same values in the same order, so the two must
+    agree bitwise. Updates `buffers` like a train forward; in eval mode BN
+    reads them, and only the logits are returned.
     """
     caches = []
     cur = np.asarray(x, dtype=np.float64)
@@ -616,10 +623,10 @@ def nchw_reference(m, params, buffers, x, labels, mode="train"):
                 running_mean=buffers[f"{name}.running_mean"],
                 running_var=buffers[f"{name}.running_var"],
                 eps=layer.eps, running_momentum=layer.running_momentum)
-            y, cache = bn_forward_local(cur, params[f"{name}.gamma"], params[f"{name}.beta"],
-                                        state, mode=mode)
+            y, cache = bn_forward_local(image_rows(cur), params[f"{name}.gamma"],
+                                        params[f"{name}.beta"], state, mode=mode)
             caches.append((state, cache))
-            cur = y
+            cur = images(y, cur.shape)
         elif k == "relu":
             caches.append(cur > 0)
             cur = cur * caches[-1]
@@ -652,8 +659,8 @@ def nchw_reference(m, params, buffers, x, labels, mode="train"):
         elif k == "bn":
             state, bn_cache = cache
             dx, grads[f"{name}.gamma"], grads[f"{name}.beta"] = bn_backward_local(
-                cur, bn_cache, state)
-            cur = dx
+                image_rows(cur), bn_cache, state)
+            cur = images(dx, cur.shape)
         elif k == "relu":
             cur = cur * cache
         elif k == "global_mean_pool":

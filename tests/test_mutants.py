@@ -30,7 +30,7 @@ def biased_running_variance(monkeypatch):
         rho = state.running_momentum
         state.running_mean[...] = (1.0 - rho) * state.running_mean + rho * mu
         state.running_var[...] = (1.0 - rho) * state.running_var + rho * var
-    monkeypatch.setattr(batchnorm, "bn_update_running", update)
+    monkeypatch.setattr(batchnorm, "_update_running", update)
 
 
 def lr_one_iteration_ahead(monkeypatch):
@@ -56,10 +56,9 @@ def strided_bn_groups(monkeypatch):
 
     def handle_init(self, group, rank):
         real_handle(self, group, rank)
-        self.bn_group_index = rank % (group.world_size // group.bn_group_size)
-        self.bn_scope_key = f"bn{self.bn_group_index}"
-        self.bn_group_ranks = group._tables[self.bn_scope_key].ranks
-        self._scopes[collectives.SCOPE_BN_GROUP] = (self.bn_scope_key, self.bn_group_ranks)
+        self.bn_scope_key = f"bn{rank % (group.world_size // group.bn_group_size)}"
+        self._scopes[collectives.SCOPE_BN_GROUP] = (self.bn_scope_key,
+                                                    group._tables[self.bn_scope_key].ranks)
     monkeypatch.setattr(collectives.DeviceGroup, "__init__", group_init)
     monkeypatch.setattr(collectives.DeviceHandle, "__init__", handle_init)
 

@@ -6,11 +6,12 @@ from bigbatch.tensor import (
     Tensor,
     TensorError,
     channel_blocks,
+    image_rows,
     repeats,
     sequential_sum_rows,
 )
 
-from helpers import loop_sequential_sum
+from helpers import channel_rows, loop_sequential_sum
 
 
 class TestTensorConstruction:
@@ -52,6 +53,20 @@ class TestTensorConstruction:
         t = Tensor(src)
         src[0] = 99.0
         assert t.array[0] == 1.0
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(3, 1, 4, 5), (2, 6, 3, 4)], ids=["c1", "c6"])
+def test_image_rows_are_the_pixels_in_n_y_x_order(shape, order):
+    # the bits and row order batch norm's (N, C, H, W) path gave: row
+    # (i*H + y)*W + x holds pixel (y, x) of image i, C-ordered whatever the input
+    n, c, h, w = shape
+    x = np.asarray(np.random.default_rng(sum(shape)).normal(size=shape), order=order)
+    assert x.flags.f_contiguous == (order == "F")
+    rows = image_rows(x)
+    assert rows.shape == (n * h * w, c) and rows.flags.c_contiguous
+    assert rows.tobytes() == np.stack(channel_rows(x)).tobytes()
+    assert rows[(1 * h + 2) * w + 3].tobytes() == x[1, :, 2, 3].tobytes()
 
 
 class TestSequentialSum:
