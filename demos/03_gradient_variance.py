@@ -23,9 +23,9 @@ TRIALS = 1000
 print(f"mini-batch gradient variance, {TRIALS} draws per size")
 print(f"  (probe model: per-sample variance exactly 1, so N x Var should be 1)\n")
 print(f"  {'N':>4} {'Var':>10} {'N x Var':>9} {'95% ci':>9}")
-for n in (1, 2, 4, 8, 16, 32):
-    rep = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler,
-                                 n, TRIALS, seed=0)
+for rep in estimate_grad_variance(scalar_linear_grad, normal_pair_sampler,
+                                  (1, 2, 4, 8, 16, 32), TRIALS, seed=0):
+    n = rep.batch_size
     print(f"  {n:>4} {rep.aggregate:>10.4f} {n * rep.aggregate:>9.4f} "
           f"{rep.ci_half_width:>9.4f}")
 

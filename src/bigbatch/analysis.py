@@ -11,12 +11,14 @@ Three groups of tools live here:
   with an epoch drift model, to show how batch size tames that ratio.
 
 Everything is seeded and reduces in trial-index order, so reports are
-reproducible regardless of how trials might be scheduled. The trial loops
-cost little beyond sampling and the gradients themselves: numpy's wrapped
-calls (`np.mean`, `np.var`, `Generator.choice(p=)`) are taken in their own
-steps, bit for bit; per-trial arithmetic runs once over the stacked trials;
-trial t's fresh generator gets `default_rng((seed, t))`'s state from one
-vectorized SeedSequence pass over all trials (`_trial_seed_words`, pinned by
+reproducible regardless of how trials might be scheduled. The 1/N law
+takes all its batch sizes in one call and draws each bootstrap index array
+once for all of them. The trial loops cost little beyond sampling and the
+gradients themselves: numpy's wrapped calls (`np.mean`, `np.var`,
+`Generator.choice(p=)`) are taken in their own steps, bit for bit;
+per-trial arithmetic runs once over the stacked trials; trial t's fresh
+generator gets `default_rng((seed, t))`'s state from one vectorized
+SeedSequence pass over all trials (`_trial_seed_words`, pinned by
 `tests/test_analysis.py::TestTrialSeeds`); and `normal_pair_sampler` draws a
 pair as one draw of 2n normals, bitwise the same as two draws of n.
 """
@@ -37,7 +39,9 @@ BOOTSTRAP_RESAMPLES = 1000
 # `_collect_grads` keeps every trial's gradient of every draw as a numpy array
 # (104 bytes each for the scalar model, 1 + k draws a trial), and each of
 # the 1000 bootstrap resamples draws and gathers `trials` entries: at the
-# cap and k = 4, a 48 MiB peak (tracemalloc) and 1 MiB per resample.
+# cap and k = 4, a 48 MiB peak (tracemalloc) and 1 MiB per resample. The 1/N
+# law holds one `trials`-long float stack per batch size until its bootstrap
+# ends: 512 KiB a size for the scalar model at the cap.
 MAX_TRIALS = 2**16
 TRIALS = integer(ge=100, le=MAX_TRIALS)
 PROBABILITY = number(ge=0, le=1)  # of a (count, probability) mixture entry
@@ -166,30 +170,39 @@ def _aggregate_variance(stacks: dict, idx=None) -> tuple[dict, float]:
     return per_block, float(_mean(list(per_block.values())))
 
 
-def estimate_grad_variance(grad_fn, sampler, batch_size: int, trials: int,
-                           seed: int) -> VarianceReport:
-    """Empirical variance of the mini-batch gradient at a fixed point.
+def estimate_grad_variance(grad_fn, sampler, batch_sizes, trials: int,
+                           seed: int) -> list:
+    """Empirical variance of the mini-batch gradient at a fixed point, one
+    `VarianceReport` per entry of `batch_sizes`, in order.
 
     `sampler(rng, n)` draws n i.i.d. samples; `grad_fn(batch)` returns the
-    mini-batch gradient as a dict of arrays. The report carries the mean
+    mini-batch gradient as a dict of arrays. A report carries the mean
     elementwise variance per parameter block, their overall mean, and a
-    bootstrap confidence half-width for that mean.
+    bootstrap confidence half-width for that mean. Each size's trials draw
+    as a call for that size alone would; the bootstrap's index arrays,
+    from `default_rng((seed, 999983))`, are drawn once and resample every
+    size's trials, so each report is bitwise the one-size call's.
     """
-    check(AnalysisError, (DRAW_SIZE, batch_size, "batch_size"), (TRIALS, trials, "trials"))
-    stacks = {key: a[:, 0] for key, a in
-              _collect_grads(grad_fn, sampler, (batch_size,), trials, seed).items()}
-    per_block, agg = _aggregate_variance(stacks)
+    check(AnalysisError, (array(DRAW_SIZE), batch_sizes, "batch_sizes"),
+          (TRIALS, trials, "trials"))
+    stacks = [{key: a[:, 0] for key, a in
+               _collect_grads(grad_fn, sampler, (n,), trials, seed).items()}
+              for n in batch_sizes]
     boot_rng = np.random.default_rng((seed, 999983))
-    boot = [_aggregate_variance(stacks, boot_rng.integers(0, trials, size=trials))[1]
-            for _ in range(BOOTSTRAP_RESAMPLES)]
-    lo, hi = np.quantile(boot, [0.025, 0.975])
-    return VarianceReport(
-        batch_size=batch_size,
-        trials=trials,
-        block_variance=per_block,
-        aggregate=agg,
-        ci_half_width=float((hi - lo) / 2.0),
-    )
+    idxs = (boot_rng.integers(0, trials, size=trials) for _ in range(BOOTSTRAP_RESAMPLES))
+    boot = np.array([[_aggregate_variance(s, idx)[1] for s in stacks] for idx in idxs])
+    reports = []
+    for n, size_stacks, size_boot in zip(batch_sizes, stacks, boot.T):
+        per_block, agg = _aggregate_variance(size_stacks)
+        lo, hi = np.quantile(size_boot, [0.025, 0.975])
+        reports.append(VarianceReport(
+            batch_size=n,
+            trials=trials,
+            block_variance=per_block,
+            aggregate=agg,
+            ci_half_width=float((hi - lo) / 2.0),
+        ))
+    return reports
 
 
 @dataclass

@@ -17,10 +17,11 @@ and any other rank is refused. The model's activations are such rows, one
 per (n, y, x) position of an image; `tensor.image_rows` makes them from
 (N, C, H, W) images. All runs in the input's dtype: folds on the rows,
 per-channel arithmetic on their `channel_blocks`, one NaN/Inf scan per
-output, which is where a non-finite input stops. Each call refills the
-small operand arrays its state holds, so a caller that runs one layer step
-after step keeps the same state and allocates them once per row count and
-dtype.
+output, which is where a non-finite input stops, and one of a training
+forward's batch variance, before it reaches the running statistics. Each
+call refills the small operand arrays its state holds, so a caller that
+runs one layer step after step keeps the same state and allocates them
+once per row count and dtype.
 """
 
 from __future__ import annotations
@@ -182,6 +183,9 @@ def _train_forward(rows: np.ndarray, gamma, beta, state: BNLayerState, reduce_ve
         raise BatchNormError(
             f"training-mode statistics need at least 2 elements per channel, got {m_int}"
         )
+    # an overflowed variance gives inv_std 0 and a finite y, so the output scan
+    # would pass it; every rank of a group holds the same var and stops here
+    _check_finite(var, "bn_forward")
     y, x_hat = _normalize(rows, state, gamma, beta, mu, var)
     _update_running(state, mu, var, m_int)
     return y, BNForwardCache(x_hat, gamma, mu, var, m_int, scope_key)

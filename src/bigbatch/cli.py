@@ -155,11 +155,9 @@ def cmd_variance(args) -> int:
     spec = load(VarianceSpec, cfg, AnalysisError)
     out = args.out and _out_dir(args.out)
     seed = args.seed if args.seed is not None else 0
-    law = []
-    for n in spec.batch_sizes:
-        rep = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler,
-                                     n, spec.trials, seed)
-        law.append({**asdict(rep), "n_times_aggregate": n * rep.aggregate})
+    law = [{**asdict(rep), "n_times_aggregate": rep.batch_size * rep.aggregate}
+           for rep in estimate_grad_variance(scalar_linear_grad, normal_pair_sampler,
+                                             spec.batch_sizes, spec.trials, seed)]
     ratios = []
     for k in spec.ks:
         for scaled in (True, False):
@@ -220,6 +218,7 @@ def cmd_gen_data(args) -> int:
     if not args.out:
         raise ConfigError("gen-data requires --out")
     _out_dir(args.out)
+    resolve(cfg, spec)  # rejects the schedule and batch that train would
     build_model(cfg, spec.classes, (1, spec.height, spec.width))  # rejects what train would
     ds = generate_dataset(spec, cfg.seed)
     meta = save_dataset(ds, args.out)

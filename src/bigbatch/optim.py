@@ -63,6 +63,11 @@ class LRPolicy:
               (BATCH, self.actual_batch, "actual_batch"), (BATCH, self.base_batch, "base_batch"),
               (integer(ge=0), self.warmup_iters, "warmup_iters"),
               (integer(gt=0), self.end_epoch, "end_epoch"))
+        target = scaled_target_lr(self)
+        if not np.isfinite(target):  # warmup would ramp toward it through NaN
+            raise ScheduleError(
+                f"the target rate (actual_batch / base_batch) * base_lr must be finite, got "
+                f"({self.actual_batch} / {self.base_batch}) * {self.base_lr!r} = {target}")
         last = -1
         for epoch, mult in self.milestones:
             if epoch <= last:

@@ -203,11 +203,8 @@ def test_criterion_4_gradient_variance_follows_one_over_n(verdict):
     t0 = time.perf_counter()
     sizes = (1, 2, 4, 8, 16)
     trials = 1000
-    scaled_n = []
-    for n in sizes:
-        rep = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler,
-                                     n, trials, seed=0)
-        scaled_n.append(n * rep.aggregate)
+    scaled_n = [rep.batch_size * rep.aggregate for rep in estimate_grad_variance(
+        scalar_linear_grad, normal_pair_sampler, sizes, trials, seed=0)]
     law_dev = max(abs(v - 1.0) for v in scaled_n)
 
     scaled_ratios, unscaled_scaled = [], []

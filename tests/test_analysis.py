@@ -41,35 +41,52 @@ class TestScalarModel:
 class TestEstimateGradVariance:
     def test_requires_enough_trials(self):
         with pytest.raises(AnalysisError, match="trials"):
-            estimate_grad_variance(scalar_linear_grad, normal_pair_sampler, 4, 50, 0)
+            estimate_grad_variance(scalar_linear_grad, normal_pair_sampler, [4], 50, 0)
 
     def test_requires_positive_batch(self):
-        with pytest.raises(AnalysisError, match="batch_size"):
-            estimate_grad_variance(scalar_linear_grad, normal_pair_sampler, 0, 200, 0)
+        with pytest.raises(AnalysisError, match=r"batch_sizes\[1\]"):
+            estimate_grad_variance(scalar_linear_grad, normal_pair_sampler, [2, 0], 200, 0)
+
+    def test_empty_batch_sizes_are_refused_before_any_draw(self):
+        def no_draw(*args):
+            raise AssertionError("drew samples before checking the sizes")
+
+        with pytest.raises(AnalysisError) as e:
+            estimate_grad_variance(scalar_linear_grad, no_draw, [], 200, 0)
+        assert str(e.value) == "batch_sizes must not be empty"
 
     def test_constant_sampler_has_zero_variance(self):
         fixed = (np.ones(3), np.ones(3))
-        rep = estimate_grad_variance(scalar_linear_grad, lambda rng, n: fixed, 3, 150, 1)
+        [rep] = estimate_grad_variance(scalar_linear_grad, lambda rng, n: fixed, [3], 150, 1)
         assert rep.aggregate == 0.0
         assert rep.ci_half_width == 0.0
 
     def test_matches_closed_form_one_over_n(self):
         # Var of the per-sample gradient is exactly 1; a batch of N averages
         # it down to 1/N.
-        rep = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler,
-                                     batch_size=4, trials=800, seed=3)
+        [rep] = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler,
+                                       batch_sizes=[4], trials=800, seed=3)
         assert abs(rep.aggregate - 0.25) < max(4 * rep.ci_half_width, 0.03)
         assert rep.ci_half_width < 0.05
 
     def test_one_over_n_scaling_between_sizes(self):
-        r1 = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler, 2, 600, 4)
-        r2 = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler, 8, 600, 4)
+        r1, r2 = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler, [2, 8], 600, 4)
+        assert (r1.batch_size, r2.batch_size) == (2, 8)
         assert 0.8 < (r1.aggregate / r2.aggregate) / 4.0 < 1.25
 
     def test_deterministic(self):
-        a = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler, 4, 150, 9)
-        b = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler, 4, 150, 9)
-        assert asdict(a) == asdict(b)
+        a = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler, [4], 150, 9)
+        b = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler, [4], 150, 9)
+        assert list(map(asdict, a)) == list(map(asdict, b))
+
+    def test_one_call_is_the_one_size_calls(self):
+        # the bootstrap's index arrays are drawn once for every size: each
+        # report is bitwise the report of a call for its size alone
+        sizes = (1, 2, 4, 8, 16)
+        law = estimate_grad_variance(scalar_linear_grad, normal_pair_sampler, sizes, 200, 12)
+        alone = [estimate_grad_variance(scalar_linear_grad, normal_pair_sampler, [n], 200, 12)[0]
+                 for n in sizes]
+        assert list(map(asdict, law)) == list(map(asdict, alone))
 
     def test_vector_blocks(self):
         # Two parameter blocks; each coordinate is an independent mean of N
@@ -77,9 +94,9 @@ class TestEstimateGradVariance:
         def grad_fn(batch):
             return {"a": batch[:, :2].mean(axis=0), "b": batch[:, 2:].mean(axis=0)}
 
-        rep = estimate_grad_variance(
+        [rep] = estimate_grad_variance(
             grad_fn, lambda rng, n: rng.standard_normal((n, 5)),
-            batch_size=8, trials=600, seed=5)
+            batch_sizes=[8], trials=600, seed=5)
         assert set(rep.block_variance) == {"a", "b"}
         for v in rep.block_variance.values():
             assert abs(v - 1 / 8) < 0.02
@@ -422,9 +439,13 @@ class TestFastFormsMatchTheirReferences:
 
     @pytest.mark.parametrize("grad_fn", [scalar_linear_grad, two_block_grad])
     def test_grad_variance_is_the_loop(self, grad_fn):
-        rep = estimate_grad_variance(grad_fn, normal_pair_sampler, 5, 131, 6)
-        per_block, agg, half = loop_grad_variance(grad_fn, normal_pair_sampler, 5, 131, 6)
-        assert (rep.block_variance, rep.aggregate, rep.ci_half_width) == (per_block, agg, half)
+        sizes = (1, 5, 7)
+        reports = estimate_grad_variance(grad_fn, normal_pair_sampler, sizes, 131, 6)
+        assert [rep.batch_size for rep in reports] == list(sizes)
+        for n, rep in zip(sizes, reports):
+            per_block, agg, half = loop_grad_variance(grad_fn, normal_pair_sampler, n, 131, 6)
+            assert (rep.block_variance, rep.aggregate, rep.ci_half_width) == (
+                per_block, agg, half), n
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("scaled", [True, False])
@@ -471,7 +492,7 @@ class TestTrialSeeds:
 
         trials, seed, sizes = 120, 11, (6,) if report == "variance" else (6, 3, 3)
         if report == "variance":
-            estimate_grad_variance(scalar_linear_grad, keeping_sampler, 6, trials, seed)
+            estimate_grad_variance(scalar_linear_grad, keeping_sampler, [6], trials, seed)
         else:
             variance_equivalence_ratio(scalar_linear_grad, keeping_sampler, 3, 2, 0.1,
                                        trials, seed)

@@ -14,7 +14,7 @@ from bigbatch.batchnorm import (
     sync_bn_forward,
 )
 from bigbatch.collectives import CollectiveProtocolError, DeviceGroup
-from bigbatch.tensor import image_rows
+from bigbatch.tensor import NonFiniteError, image_rows
 
 from helpers import (
     channel_rows,
@@ -345,6 +345,27 @@ class TestRunningStats:
         assert batchnorm._update_running(st, mu, batch_var, 6) is None
         assert st.running_mean is mean and st.running_var is var
         assert np.array_equal(mean, want_mean) and np.array_equal(var, want_var)
+
+    @pytest.mark.parametrize("path", ["local", "two_pass", "one_pass"])
+    def test_overflowing_variance_stops_every_rank_before_the_running_stats(self, path):
+        # rows near 1e200 square past the float64 range: the variance was inf,
+        # inv_std 0 and y finite, so the output scan passed and inf reached
+        # the running variance
+        def fn(h):
+            x = 1e200 * np.random.default_rng((41, h.rank)).normal(size=(4, 3))
+            st = BNLayerState.create(3)
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NonFiniteError) as e:
+                if path == "local":
+                    bn_forward_local(x, *identity(3), st)
+                else:
+                    sync_bn_forward(h, x, *identity(3), st, one_pass=path == "one_pass")
+            return str(e.value), st.running_mean, st.running_var
+
+        results = DeviceGroup(1 if path == "local" else 2).run(fn)
+        for message, mean, var in results:
+            assert message == "bn_forward: non-finite values in tensor data"
+            assert np.array_equal(mean, np.zeros(3)) and np.array_equal(var, np.ones(3))
 
 
 class TestSyncForward:

@@ -276,6 +276,18 @@ class TestTrain:
         assert manifest["status"] == "diverged"
         assert not (tmp_path / "r" / "checkpoint.npz").exists()
 
+    def test_overflowing_bn_variance_diverges(self, tmp_path, capsys):
+        # the squared deviations overflowed to an inf variance, inv_std 0 and a
+        # finite output: the run said `status: ok` and checkpointed an inf running_var
+        cfg = write_config(tmp_path, dataset={"size": 16, "classes": 2, "separation": 1e300},
+                           epochs=1)
+        out = tmp_path / "r"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
+        stdout = capsys.readouterr().out
+        assert ("diverged at: epoch 0 iter 0: bn_forward: non-finite values in tensor data"
+                in stdout.splitlines())
+        assert not (out / "checkpoint.npz").exists()
+
 
 class TestVerify:
     def test_single_suite_passes(self, capsys):
@@ -841,6 +853,22 @@ def test_empty_output_path_is_missing(tmp_path, capsys, monkeypatch, command, fi
     assert list(work.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["train", "lr-preview", "gen-data"])
+def test_overflowing_target_rate_is_one_named_line(tmp_path, capsys, monkeypatch, command):
+    # (16 / 1) * 1e308 is inf: lr-preview printed `0,nan` and inf rows, train
+    # diverged on a NaN rate, and gen-data wrote the dataset
+    cfg = write_config(tmp_path, dataset={"size": 16, "classes": 2}, base_lr=1e308,
+                       base_batch=1, per_device_batch=16)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main([command, "--config", cfg, "--out", str(work / "r")]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: the target rate (actual_batch / base_batch) * base_lr must be finite, "
+        "got (16 / 1) * 1e+308 = inf\n")
+    assert list(work.iterdir()) == []
+
+
 def test_diverging_train_leaves_stderr_empty(tmp_path):
     # the one-pass statistics overflow first; the finiteness scans report
     # the divergence, and numpy prints no RuntimeWarning on top of it
@@ -920,8 +948,8 @@ def no_draw(*args):
     raise AssertionError("drew samples before checking the bounds")
 
 
-def grad_variance(batch_size, trials):
-    return estimate_grad_variance(scalar_linear_grad, no_draw, batch_size, trials, 0)
+def grad_variance(batch_sizes, trials):
+    return estimate_grad_variance(scalar_linear_grad, no_draw, batch_sizes, trials, 0)
 
 
 def equivalence(batch_size, k):
@@ -929,8 +957,8 @@ def equivalence(batch_size, k):
 
 
 @pytest.mark.parametrize("call,name,fields,field", [
-    (lambda: grad_variance(4, 5), "trials", {"trials": 5}, "trials"),
-    (lambda: grad_variance(0, 100), "batch_size", {"batch_sizes": [0]}, "batch_sizes[0]"),
+    (lambda: grad_variance([4], 5), "trials", {"trials": 5}, "trials"),
+    (lambda: grad_variance([0], 100), "batch_sizes[0]", {"batch_sizes": [0]}, "batch_sizes[0]"),
     (lambda: equivalence(4, 0), "k", {"ks": [0]}, "ks[0]"),
     (lambda: equivalence(2**12, 2**13), "k * batch_size", {"ks": [2**13], "small_batch": 2**12},
      "ks[0] * small_batch"),

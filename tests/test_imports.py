@@ -10,12 +10,14 @@ line audit's collector must still find a line that never ran.
 
 import ast
 import importlib.util
+import json
 import re
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
+import numpy as np
 import pytest
 
 import bigbatch
@@ -250,3 +252,34 @@ def test_bench_traced_names_stay_on_the_call_path(monkeypatch):
     assert {"trainer.forward", "trainer.eval", "trainer.backward", "trainer.sgd_step",
             "trainer.allreduce_sum", "model.sync_bn_forward", "model.sync_bn_backward",
             "batchnorm.allreduce_sum"} <= recorded
+
+
+def test_bench_analysis_names_stay_on_the_call_path(monkeypatch, tmp_path):
+    # the analysis twin: an entry point or callback the reports stopped calling
+    # by its traced name would read 0, and a setup probe that never fired
+    # would count the whole report as setup
+    spans, workloads, bb = load_bench(monkeypatch)
+    first, probes = workloads.FirstCall(), spans.Patches()
+    tracer, patches = spans.Tracer(), spans.Patches()
+    trials, sizes, k = 100, [2, 4], 2
+    configs = {"variance": {"trials": trials, "batch_sizes": sizes, "ks": [k]},
+               "ratio-study": {"epochs": 1, "batch_sizes": [16], "batches_per_cell": 2}}
+    try:
+        for owner, attr in workloads.WORKLOADS["analysis"].probe_targets(bb):
+            probes.install(owner, attr, first.wrap)
+        workloads.install_tracing(bb, tracer, patches)
+        for command, cfg in configs.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(cfg))
+            assert bb.cli.main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+    finally:
+        patches.restore()
+        probes.restore()
+    table = np.concatenate([log.table() for log in tracer.logs])
+    names = np.array(tracer.names)[table[:, 2].astype(int)]
+    assert {*workloads.ENTRY_POINTS, *workloads.CALLBACKS} <= set(names)
+    draws = np.isin(names, ["cli.normal_pair_sampler", "analysis._draw_mixture"])
+    # the law draws once per trial and size, each update-variance estimate (scaled
+    # and unscaled) 1 + k times per trial, and the study a mixture pair per batch
+    assert draws.sum() == len(sizes) * trials + 2 * trials * (1 + k) + 2 * 1 * 1 * 2
+    assert first.at is not None and first.at < table[draws, 3].min()
